@@ -121,25 +121,57 @@ func (w *workerClient) Cancel(ctx context.Context, id string) error {
 	return nil
 }
 
-// Results fetches the campaign's raw result log and decodes its clean
-// prefix. The CRC framing travels with the bytes, so a response truncated
-// mid-frame — the worker died mid-transfer, or the log was snapshotted
-// mid-append — degrades to fewer records, never to corrupt ones.
-func (w *workerClient) Results(ctx context.Context, id string) ([]store.Record, error) {
+// errTransport marks a Results failure where the worker could not be
+// reached or the transfer broke. Every other failure is an answer — a
+// refusal, a payload that does not decode — which waiting will not change.
+var errTransport = errors.New("worker unreachable")
+
+// meteredBody counts the bytes read from a /results body and keeps the
+// error that broke the read, which store's decoder cannot tell from an
+// undecodable payload.
+type meteredBody struct {
+	r   io.Reader
+	n   int64
+	err error
+}
+
+func (m *meteredBody) Read(p []byte) (int, error) {
+	n, err := m.r.Read(p)
+	m.n += int64(n)
+	if err != nil && err != io.EOF {
+		m.err = err
+	}
+	return n, err
+}
+
+// Results fetches the campaign's raw result log from byte offset on and
+// decodes its clean prefix, returning the records and the bytes they
+// occupied — offset plus that is the next fetch's cursor. The CRC framing
+// travels with the bytes, so a log snapshotted mid-append degrades to
+// fewer records, never to corrupt ones; a transfer that breaks (the worker
+// died mid-body) is an errTransport and none of it is used. A 416 means
+// the log is shorter than offset: not the log the cursor came from.
+func (w *workerClient) Results(ctx context.Context, id string, offset int64) ([]store.Record, int64, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		w.base+"/api/v1/campaigns/"+id+"/results", nil)
+		fmt.Sprintf("%s/api/v1/campaigns/%s/results?offset=%d", w.base, id, offset), nil)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	resp, err := w.client.Do(req)
 	if err != nil {
-		return nil, err
+		return nil, 0, fmt.Errorf("%w: %w", errTransport, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, errHTTP(resp)
+		return nil, 0, errHTTP(resp)
 	}
-	return store.DecodeRecords(resp.Body)
+	body := &meteredBody{r: resp.Body}
+	recs, n, err := store.DecodeRecordsN(body)
+	mSyncBytes.Add(uint64(body.n))
+	if body.err != nil {
+		return nil, 0, fmt.Errorf("%w: %w", errTransport, body.err)
+	}
+	return recs, n, err
 }
 
 // Events opens the campaign's SSE stream from the given cursor. The

@@ -56,9 +56,9 @@ type Config struct {
 	WorkerTimeout time.Duration
 
 	// SyncEvery batches the incremental merge: after this many new result
-	// events on a shard's feed the coordinator re-fetches the shard's log
-	// and commits the new records (default 16). A flush tick (1s) bounds
-	// staleness for slow shards.
+	// events on a shard's feed the coordinator fetches what the shard's log
+	// gained since the last sync and commits it (default 16). A flush tick
+	// (1s) bounds staleness for slow shards.
 	SyncEvery int
 
 	// Client is the HTTP client for worker traffic. It must not carry a
@@ -107,6 +107,11 @@ func (c Config) withDefaults() Config {
 // shard's feed, and paces lost-worker probes.
 const flushEvery = time.Second
 
+// historyLimit bounds how many finished fleets stay in memory with their
+// event streams — the same bound serve puts on finished campaigns. Older
+// ones are served from the store.
+const historyLimit = 64
+
 // worker is one pool member's lease accounting. All fields are guarded by
 // the coordinator's wmu — fleets lease from a shared pool.
 type worker struct {
@@ -128,11 +133,12 @@ type Coordinator struct {
 	wmu     sync.Mutex
 	workers []*worker
 
-	mu     sync.Mutex
-	fleets map[string]*Fleet
-	nextID int
-	closed bool
-	wg     sync.WaitGroup
+	mu       sync.Mutex
+	fleets   map[string]*Fleet
+	finished []string // done or cancelled fleets still in the map, oldest first
+	nextID   int
+	closed   bool
+	wg       sync.WaitGroup
 }
 
 // NewCoordinator opens (or creates) the fleet store at dataDir and
@@ -255,14 +261,8 @@ func (co *Coordinator) openFleet(m store.Manifest) (*Fleet, error) {
 		return nil, err
 	}
 	for i, sh := range f.shards {
-		done := true
-		for _, job := range f.shardJobs[i] {
-			if !sw.IsCommitted(job) {
-				done = false
-				break
-			}
-		}
-		sh.Done = done
+		_, short := f.uncovered(f.shardJobs[i])
+		sh.Done = !short
 	}
 	return f, nil
 }
@@ -306,11 +306,25 @@ func (co *Coordinator) startFleet(f *Fleet) {
 }
 
 // Fleet returns a submitted or resumed fleet by ID (nil if unknown —
-// fleets finished before the last restart live only in the store).
+// fleets finished before the last restart, or more than historyLimit
+// finished fleets ago, live only in the store).
 func (co *Coordinator) Fleet(id string) *Fleet {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	return co.fleets[id]
+}
+
+// retire records that a fleet reached a terminal status and forgets the
+// oldest such fleet beyond historyLimit — its sweep's event history and
+// aggregator go with it; the store keeps serving its status and report.
+func (co *Coordinator) retire(id string) {
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	co.finished = append(co.finished, id)
+	if len(co.finished) > historyLimit {
+		delete(co.fleets, co.finished[0])
+		co.finished = co.finished[1:]
+	}
 }
 
 // Store exposes the coordinator's store for read paths (reports, lists).
@@ -418,7 +432,8 @@ type Fleet struct {
 	stop context.CancelFunc
 
 	// inGrid is the fleet grid's membership set — every record a worker
-	// hands back must be one of the fleet's own jobs.
+	// hands back must be one of the fleet's own jobs. Like shardJobs it
+	// serves the drives only and is dropped when the run loop ends.
 	inGrid map[campaign.Job]bool
 
 	mu        sync.Mutex
@@ -501,6 +516,17 @@ func (f *Fleet) run() {
 	mActiveFleets.Add(1)
 	defer mActiveFleets.Add(-1)
 	log := f.co.cfg.Logger.With("fleet", f.ID)
+	terminal := false // the manifest reached done or cancelled
+	defer func() {
+		// Every drive has reported by the time the loop returns, so the
+		// lease tables have no reader left.
+		f.mu.Lock()
+		f.inGrid, f.shardJobs = nil, nil
+		f.mu.Unlock()
+		if terminal {
+			f.co.retire(f.ID)
+		}
+	}()
 
 	msgs := make(chan shardMsg)
 	tick := time.NewTicker(flushEvery)
@@ -558,6 +584,7 @@ func (f *Fleet) run() {
 				return
 			}
 			log.Info("fleet done", "jobs", f.sw.Total())
+			terminal = true
 			return
 		}
 		if failed != "" && inflight == 0 {
@@ -589,6 +616,7 @@ func (f *Fleet) run() {
 					log.Error("cancel failed", "err", err)
 				}
 				log.Info("fleet cancelled")
+				terminal = true
 			}
 			return
 		}
@@ -660,8 +688,9 @@ type shardLease struct {
 
 // driveShard owns one shard lease end to end: submit (unless re-attaching
 // to a known remote campaign), follow the worker's SSE feed with
-// Last-Event-ID reconnects, sync the shard's result log into the merged
-// sweep in batches, and verify coverage when the remote campaign ends.
+// Last-Event-ID reconnects, sync what the shard's result log gains into
+// the merged sweep in batches, and verify coverage when the remote
+// campaign ends.
 // Exactly one terminal msg is sent; msgSubmitted may precede it.
 func (f *Fleet) driveShard(w *worker, lease shardLease, out chan<- shardMsg) {
 	cfg := f.co.cfg
@@ -710,11 +739,15 @@ func (f *Fleet) driveShard(w *worker, lease shardLease, out chan<- shardMsg) {
 	pending := 0
 	flush := time.NewTicker(flushEvery)
 	defer flush.Stop()
+	feed := &shardFeed{f: f, wc: w.wc, remoteID: remoteID, log: cfg.Logger.With(
+		"fleet", f.ID, "shard", lease.index, "worker", w.url, "remote", remoteID)}
 	syncNow := func() {
-		if err := f.syncShard(ctx, w.wc, remoteID); err == nil {
-			pending = 0
-			contact()
+		if err := feed.sync(ctx); err != nil {
+			pending = 1 // try again at the next flush tick, not at every event
+			return
 		}
+		pending = 0
+		contact()
 	}
 
 	for {
@@ -764,21 +797,28 @@ func (f *Fleet) driveShard(w *worker, lease shardLease, out chan<- shardMsg) {
 					}
 				case "done":
 					closeStream()
-					if err := f.syncFinal(ctx, w, remoteID); err != nil {
-						if ctx.Err() != nil {
-							terminal(msgAborted, nil)
-						} else {
-							terminal(msgLost, fmt.Errorf("final sync: %w", err))
-						}
-						return
+					err := feed.syncFinal(ctx)
+					job, short := f.uncovered(lease.jobs)
+					if err == nil && short {
+						// The cursor may have gone stale — a log swapped
+						// under it without shrinking. One whole-log sync
+						// is cheaper than re-running the shard.
+						feed.offset = 0
+						err = feed.syncFinal(ctx)
+						job, short = f.uncovered(lease.jobs)
 					}
-					for _, job := range lease.jobs {
-						if !f.sw.IsCommitted(job) {
-							terminal(msgRetry, fmt.Errorf("remote campaign %s finished but left %v uncovered", remoteID, job))
-							return
-						}
+					switch {
+					case err != nil && ctx.Err() != nil:
+						terminal(msgAborted, nil)
+					case errors.Is(err, errTransport):
+						terminal(msgLost, fmt.Errorf("final sync: %w", err))
+					case err != nil: // the worker answered; waiting will not fix what it said
+						terminal(msgRetry, fmt.Errorf("final sync: %w", err))
+					case short:
+						terminal(msgRetry, fmt.Errorf("remote campaign %s finished but left %v uncovered", remoteID, job))
+					default:
+						terminal(msgDone, nil)
 					}
-					terminal(msgDone, nil)
 					return
 				case "cancelled":
 					closeStream()
@@ -831,17 +871,56 @@ func (f *Fleet) submitShard(ctx context.Context, w *worker, lease shardLease) (s
 	}
 }
 
-// syncShard folds the shard's current result log into the merged sweep.
-// The log is fetched whole — shards are modest (a slice of the seed
-// range) and the CRC framing makes a torn transfer degrade to a shorter
-// clean prefix. CommitUnique dedups: records already merged (an earlier
-// sync, or a lost worker's partial progress re-delivered by the re-run)
-// commit nothing and emit no event, so the merged feed stays exactly-once
-// per job.
-func (f *Fleet) syncShard(ctx context.Context, wc *workerClient, remoteID string) error {
+// uncovered returns the first of jobs the merged sweep has not committed.
+func (f *Fleet) uncovered(jobs []campaign.Job) (campaign.Job, bool) {
+	for _, job := range jobs {
+		if !f.sw.IsCommitted(job) {
+			return job, true
+		}
+	}
+	return campaign.Job{}, false
+}
+
+// shardFeed is one drive's cursor into its remote campaign's result log:
+// the first offset bytes are decoded and committed. It lives and dies with
+// the drive — a re-lease, a resubmit or a restarted coordinator starts a
+// new feed at 0, and the dedup absorbs that one whole-log fetch.
+type shardFeed struct {
+	f        *Fleet
+	wc       *workerClient
+	remoteID string
+	offset   int64
+	log      *slog.Logger
+}
+
+// sync folds what the shard's result log gained since the last sync into
+// the merged sweep. A 416 means the log is shorter than the cursor — not
+// the log it was read from — so the feed starts over from 0.
+func (fd *shardFeed) sync(ctx context.Context) error {
+	err := fd.fetch(ctx)
+	if statusCode(err) == http.StatusRequestedRangeNotSatisfiable {
+		fd.offset = 0
+		err = fd.fetch(ctx)
+	}
+	if err != nil && ctx.Err() == nil {
+		mSyncErrors.Inc()
+		fd.log.Warn("shard sync failed", "offset", fd.offset, "err", err)
+	}
+	return err
+}
+
+// fetch reads the log from the cursor on and commits its records; the
+// cursor advances only once all of them are in, over CRC-clean frames
+// only, so a torn transfer or a failed commit is fetched again.
+// CommitUnique dedups: records already merged (a lost worker's partial
+// progress re-delivered by the re-run, a re-attach reading from 0) commit
+// nothing and emit no event, so the merged feed stays exactly-once per
+// job.
+func (fd *shardFeed) fetch(ctx context.Context) error {
+	f := fd.f
 	sctx, cancel := context.WithTimeout(ctx, f.co.cfg.WorkerTimeout)
 	defer cancel()
-	recs, err := wc.Results(sctx, remoteID)
+	recs, n, err := fd.wc.Results(sctx, fd.remoteID, fd.offset)
 	if err != nil {
 		return err
 	}
@@ -861,21 +940,21 @@ func (f *Fleet) syncShard(ctx context.Context, wc *workerClient, remoteID string
 			mRecordsDeduped.Inc()
 		}
 	}
+	fd.offset += n
 	return nil
 }
 
-// syncFinal is the post-"done" sync, retried until WorkerTimeout — the
-// terminal event proves the records exist on the worker, so short network
-// trouble shouldn't force a whole shard re-run.
-func (f *Fleet) syncFinal(ctx context.Context, w *worker, remoteID string) error {
-	cfg := f.co.cfg
+// syncFinal is the post-"done" sync. Transport trouble is retried until
+// WorkerTimeout — the terminal event proves the records exist on the
+// worker, so a short outage shouldn't force a whole shard re-run; any
+// other failure is the worker's answer and is returned at once.
+func (fd *shardFeed) syncFinal(ctx context.Context) error {
+	cfg := fd.f.co.cfg
 	deadline := cfg.now().Add(cfg.WorkerTimeout)
 	for {
-		err := f.syncShard(ctx, w.wc, remoteID)
-		if err == nil {
-			return nil
-		}
-		if ctx.Err() != nil || cfg.now().After(deadline) {
+		err := fd.sync(ctx)
+		if err == nil || !errors.Is(err, errTransport) ||
+			ctx.Err() != nil || cfg.now().After(deadline) {
 			return err
 		}
 		if !sleepCtx(ctx, flushEvery/2) {

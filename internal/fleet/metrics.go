@@ -15,10 +15,14 @@ var (
 		"Workers currently marked lost (re-leased away, awaiting revival).")
 	mSyncBatches = obs.NewCounter("cliffedge_fleet_sync_batches_total",
 		"Incremental result-log fetches merged into fleet sweeps.")
+	mSyncBytes = obs.NewCounter("cliffedge_fleet_sync_bytes_total",
+		"Bytes of worker /results bodies read by the merge feed.")
+	mSyncErrors = obs.NewCounter("cliffedge_fleet_sync_errors_total",
+		"Result-log syncs that failed (fetch, decode, grid check or commit).")
 	mRecordsMerged = obs.NewCounter("cliffedge_fleet_records_merged_total",
 		"Worker records newly committed into a fleet's merged log.")
 	mRecordsDeduped = obs.NewCounter("cliffedge_fleet_records_deduped_total",
-		"Worker records already present in the merged log (re-lease overlap).")
+		"Worker records fetched but already in the merged log (a re-run or re-attached shard's overlap).")
 	mActiveFleets = obs.NewGauge("cliffedge_fleet_active",
 		"Fleets with a live run loop on this coordinator.")
 )

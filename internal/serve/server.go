@@ -507,8 +507,23 @@ func (s *Server) handleCells(w http.ResponseWriter, r *http.Request) {
 // the client), and records stream without re-encoding. Reading while the
 // sweep is appending is safe for the same reason: appends are single
 // write calls, so the snapshot ends in at most one partial frame.
+//
+// ?offset=N streams from byte N, so a reader that remembers how many
+// clean bytes it has decoded fetches only what was appended since. The
+// log only grows, so an offset past its end means the caller followed a
+// log that is gone (a fresh store behind the same campaign ID): 416
+// tells it to start over rather than wait for bytes that will never come.
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
+	var offset int64
+	if q := r.URL.Query(); q.Has("offset") {
+		v := q.Get("offset")
+		var err error
+		if offset, err = strconv.ParseInt(v, 10, 64); err != nil || offset < 0 {
+			httpError(w, http.StatusBadRequest, "bad offset %q", v)
+			return
+		}
+	}
 	path, err := s.st.File(id, "results.log")
 	if err != nil {
 		httpError(w, http.StatusNotFound, "no campaign %q", id)
@@ -520,6 +535,22 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer f.Close()
+	if offset > 0 {
+		fi, err := f.Stat()
+		if err != nil {
+			httpError(w, http.StatusInternalServerError, "%v", err)
+			return
+		}
+		if offset > fi.Size() {
+			httpError(w, http.StatusRequestedRangeNotSatisfiable,
+				"offset %d is past the end of the log (%d bytes)", offset, fi.Size())
+			return
+		}
+		if _, err := f.Seek(offset, io.SeekStart); err != nil {
+			httpError(w, http.StatusInternalServerError, "%v", err)
+			return
+		}
+	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	io.Copy(w, f)
 }

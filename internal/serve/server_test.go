@@ -4,11 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -530,5 +532,128 @@ func TestServerCellsAndResults(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Fatalf("GET %s: %s, want 404", path, resp.Status)
 		}
+	}
+}
+
+// getResults fetches /results with the given raw query ("" for none) and
+// returns the status and body.
+func getResults(t *testing.T, base, id, query string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Get(base + "/api/v1/campaigns/" + id + "/results" + query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, body
+}
+
+// TestServerResultsOffset pins the merge feed's cursor contract: no offset
+// is the whole log byte for byte, ?offset=N is its suffix from byte N, the
+// exact end is an empty 200 (nothing new yet), past the end is a 416 (not
+// the log the caller was following) and a malformed offset a 400.
+func TestServerResultsOffset(t *testing.T) {
+	srv, ts := newTestServer(t, t.TempDir(), 2, 4)
+	defer srv.Shutdown()
+
+	id, total := submitCampaign(t, ts.URL, "fleet-f000001", 6)
+	followSSE(t, ts.URL, id, 0) // wait until done
+
+	path, err := srv.st.File(id, "results.log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first frame's end: an 8-byte header whose first word is the
+	// payload length.
+	mid := 8 + int(binary.LittleEndian.Uint32(raw))
+
+	for _, tc := range []struct {
+		query string
+		code  int
+		want  []byte
+	}{
+		{"", http.StatusOK, raw},
+		{"?offset=0", http.StatusOK, raw},
+		{fmt.Sprintf("?offset=%d", mid), http.StatusOK, raw[mid:]},
+		{fmt.Sprintf("?offset=%d", len(raw)), http.StatusOK, nil},
+		{fmt.Sprintf("?offset=%d", len(raw)+1), http.StatusRequestedRangeNotSatisfiable, nil},
+		{"?offset=-1", http.StatusBadRequest, nil},
+		{"?offset=abc", http.StatusBadRequest, nil},
+		{"?offset=", http.StatusBadRequest, nil},
+	} {
+		code, body := getResults(t, ts.URL, id, tc.query)
+		if code != tc.code {
+			t.Errorf("GET results%s: status %d, want %d", tc.query, code, tc.code)
+			continue
+		}
+		if code == http.StatusOK && !bytes.Equal(body, tc.want) {
+			t.Errorf("GET results%s: %d bytes, want %d (the log from that offset)", tc.query, len(body), len(tc.want))
+		}
+	}
+
+	recs, n, err := store.DecodeRecordsN(bytes.NewReader(raw[mid:]))
+	if err != nil || len(recs) != total-1 || n != int64(len(raw)-mid) {
+		t.Fatalf("log from the first frame boundary: %d records, %d bytes, err %v; want %d, %d",
+			len(recs), n, err, total-1, len(raw)-mid)
+	}
+}
+
+// TestServerResultsOffsetRacesAppender follows a running campaign's log
+// the way a fleet coordinator does — fetch from the cursor, decode the
+// clean prefix, advance by the bytes it occupied — while the scheduler is
+// appending. Whatever a fetch catches mid-append, the cursor protocol must
+// deliver every record exactly once.
+func TestServerResultsOffsetRacesAppender(t *testing.T) {
+	srv, ts := newTestServer(t, t.TempDir(), 2, 4)
+	defer srv.Shutdown()
+
+	id, total := submitCampaign(t, ts.URL, "fleet-f000001", 400)
+
+	seen := make(map[campaign.Job]bool)
+	var offset int64
+	fetches := 0
+	pull := func() {
+		code, body := getResults(t, ts.URL, id, fmt.Sprintf("?offset=%d", offset))
+		if code != http.StatusOK {
+			t.Fatalf("offset %d: status %d", offset, code)
+		}
+		recs, n, err := store.DecodeRecordsN(bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("offset %d: %v", offset, err)
+		}
+		for _, rec := range recs {
+			if seen[rec.Job()] {
+				t.Fatalf("offset %d: %v delivered twice", offset, rec.Job())
+			}
+			seen[rec.Job()] = true
+		}
+		offset += n
+		fetches++
+	}
+	for deadline := time.Now().Add(60 * time.Second); ; {
+		m, err := srv.st.Manifest(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pull() // the pull after the status turned done picks up the tail
+		if m.Status == store.StatusDone {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("campaign still %s after %d fetches", m.Status, fetches)
+		}
+	}
+	if len(seen) != total {
+		t.Fatalf("cursor delivered %d of %d records over %d fetches", len(seen), total, fetches)
+	}
+	if code, body := getResults(t, ts.URL, id, fmt.Sprintf("?offset=%d", offset)); code != http.StatusOK || len(body) != 0 {
+		t.Fatalf("final cursor %d: status %d, %d bytes; want an empty 200", offset, code, len(body))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -67,6 +68,53 @@ func FuzzStoreSegment(f *testing.F) {
 		}
 		if string(third[len(third)-1]) != "post-recovery" {
 			t.Fatalf("appended record = %q", third[len(third)-1])
+		}
+	})
+}
+
+// FuzzDecodeAt reads a record log from an arbitrary offset, as a fleet
+// coordinator whose cursor went stale would: any bytes appended to the
+// log, any offset into its clean prefix (a cursor only ever advances over
+// clean bytes). Decoding never panics, never consumes more than it was
+// given, and — the property the merge's safety rests on — never yields a
+// record the whole log does not hold, even when the offset lands inside a
+// frame: the CRC framing turns a misaligned read into an empty one.
+func FuzzDecodeAt(f *testing.F) {
+	f.Add(uint(0), []byte{})
+	f.Add(uint(8), []byte{})
+	f.Add(uint(3), []byte("torn"))
+	f.Add(uint(1<<20), make([]byte, 64))
+	f.Add(uint(200), buildFrame([]byte(`{"seed": 7}`)))
+
+	f.Fuzz(func(t *testing.T, offset uint, tail []byte) {
+		raw, _, _ := recordLog(t, 4)
+		raw = append(raw, tail...)
+		whole, clean, err := DecodeRecordsN(bytes.NewReader(raw))
+		if err != nil {
+			return // the fuzzed tail framed a non-record payload
+		}
+		if clean > int64(len(raw)) {
+			t.Fatalf("consumed %d bytes of a %d-byte log", clean, len(raw))
+		}
+		at := int(offset % uint(clean+1))
+		recs, n, err := DecodeRecordsN(bytes.NewReader(raw[at:]))
+		if err != nil {
+			return
+		}
+		if n > int64(len(raw)-at) {
+			t.Fatalf("offset %d: consumed %d of %d bytes", at, n, len(raw)-at)
+		}
+		for _, rec := range recs {
+			found := false
+			for _, w := range whole {
+				if reflect.DeepEqual(rec, w) {
+					found = true
+					break
+				}
+			}
+			if !found {
+				t.Fatalf("offset %d: decoded %+v, which the whole log does not hold", at, rec)
+			}
 		}
 	})
 }

@@ -253,19 +253,29 @@ func (s *Store) OpenResults(id string) (*Results, []Record, error) {
 // (schema drift, not corruption — the framing already screened that out)
 // abort the decode.
 func DecodeRecords(r io.Reader) ([]Record, error) {
-	payloads, _, err := replay(r)
+	recs, _, err := DecodeRecordsN(r)
+	return recs, err
+}
+
+// DecodeRecordsN is DecodeRecords that also reports how many bytes of r
+// the decoded records occupied — the length of the clean prefix, always a
+// frame boundary. A reader following a growing log keeps it as a cursor:
+// the stream that starts at that offset of the same log decodes to exactly
+// the records that came after. On error nothing was consumed.
+func DecodeRecordsN(r io.Reader) ([]Record, int64, error) {
+	payloads, clean, err := replay(r)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	recs := make([]Record, 0, len(payloads))
 	for i, p := range payloads {
 		var rec Record
 		if err := json.Unmarshal(p, &rec); err != nil {
-			return nil, fmt.Errorf("store: record %d: %w", i, err)
+			return nil, 0, fmt.Errorf("store: record %d: %w", i, err)
 		}
 		recs = append(recs, rec)
 	}
-	return recs, nil
+	return recs, clean, nil
 }
 
 // File validates id and returns the path of one of the campaign's files

@@ -465,3 +465,77 @@ func TestDecodeRecordsMatchesOpenAndToleratesTornTail(t *testing.T) {
 		t.Fatal("DecodeRecords accepted a non-Record payload")
 	}
 }
+
+// recordLog frames n test records the way Results.Append does and returns
+// the log bytes, the records, and every frame boundary (0 and the end
+// included).
+func recordLog(t testing.TB, n int) (raw []byte, recs []Record, bounds []int) {
+	t.Helper()
+	bounds = []int{0}
+	for i := 0; i < n; i++ {
+		rec := testRecord(i)
+		payload, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw = append(raw, buildFrame(payload)...)
+		recs = append(recs, rec)
+		bounds = append(bounds, len(raw))
+	}
+	return raw, recs, bounds
+}
+
+// TestDecodeRecordsNCursor pins what the fleet's merge feed relies on: the
+// consumed length DecodeRecordsN reports is a cursor. Resuming at any frame
+// boundary yields exactly the remaining records, the two consumed lengths
+// sum to the clean length, and a cut inside a frame consumes nothing past
+// the last clean frame — so a reader that adds the consumed length to its
+// offset never skips or repeats a record.
+func TestDecodeRecordsNCursor(t *testing.T) {
+	raw, want, bounds := recordLog(t, 6)
+
+	whole, clean, err := DecodeRecordsN(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(whole, want) || clean != int64(len(raw)) {
+		t.Fatalf("whole log: %d records, %d bytes consumed; want %d, %d", len(whole), clean, len(want), len(raw))
+	}
+
+	for i, k := range bounds {
+		head, n1, err := DecodeRecordsN(bytes.NewReader(raw[:k]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tail, n2, err := DecodeRecordsN(bytes.NewReader(raw[k:]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n1 != int64(k) || n1+n2 != clean {
+			t.Fatalf("boundary %d: consumed %d + %d, want %d + %d", k, n1, n2, k, len(raw)-k)
+		}
+		if len(head) != i || !reflect.DeepEqual(append(head, tail...), want) {
+			t.Fatalf("boundary %d: %d + %d records do not reassemble the log", k, len(head), len(tail))
+		}
+	}
+
+	// Every cut consumes up to the last frame boundary at or before it.
+	for cut := 0; cut <= len(raw); cut++ {
+		last := 0
+		for _, k := range bounds {
+			if k <= cut {
+				last = k
+			}
+		}
+		recs, n, err := DecodeRecordsN(bytes.NewReader(raw[:cut]))
+		if err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		if n != int64(last) {
+			t.Fatalf("cut %d: consumed %d bytes, want %d (the last clean frame)", cut, n, last)
+		}
+		if !reflect.DeepEqual(recs, want[:len(recs)]) {
+			t.Fatalf("cut %d: decoded records are not a prefix of the log", cut)
+		}
+	}
+}

@@ -36,6 +36,18 @@ SPEC='{"topologies": ["ring"], "regimes": ["quiescent"], "engines": ["sim"],
     -seed-start 1 -seeds 30000 -repeats 1 -quiet -json "$REF"
 echo "fleet-smoke: single-box reference built ($(wc -c <"$REF") bytes)"
 
+# Python prelude of the /metrics assertions: the Prometheus text on stdin,
+# parsed into `samples`.
+PARSE_METRICS='
+import sys
+samples = {}
+for line in sys.stdin:
+    if line.startswith("#") or not line.strip():
+        continue
+    name, _, value = line.rpartition(" ")
+    samples[name] = float(value)
+'
+
 wait_healthy() {
     for _ in $(seq 1 100); do
         if curl -fsS "$1/healthz" >/dev/null 2>&1; then return 0; fi
@@ -76,6 +88,20 @@ if [ "$(printf '%s\n' "$SEEN" | wc -l)" -lt 5 ]; then
     cat "$WORK/coord.log" >&2
     exit 1
 fi
+
+# Nothing has failed yet, so every record the coordinator fetched was new:
+# the merge feed reads each shard's log from its cursor. A non-zero dedup
+# count here means syncs are re-fetching what they already merged.
+curl -fsS "$CBASE/metrics" | python3 -c "$PARSE_METRICS"'
+assert samples.get("cliffedge_fleet_records_merged_total", 0) >= 5, \
+    "records merged before the kill: %r" % samples.get("cliffedge_fleet_records_merged_total")
+assert samples.get("cliffedge_fleet_records_deduped_total") == 0, \
+    "fault-free phase deduped %r records: the merge feed is re-fetching" \
+    % samples.get("cliffedge_fleet_records_deduped_total")
+print("fleet-smoke: fault-free phase: %d records merged, 0 dedup, %d bytes fetched"
+      % (samples["cliffedge_fleet_records_merged_total"],
+         samples.get("cliffedge_fleet_sync_bytes_total", 0)))
+'
 kill -9 "${PIDS[1]}"
 wait "${PIDS[1]}" 2>/dev/null || true
 echo "fleet-smoke: SIGKILLed worker 1 mid-shard"
@@ -107,14 +133,7 @@ echo "fleet-smoke: merged report byte-identical to single-box reference"
 # The coordinator's metrics must account for the whole fleet: every run
 # merged exactly once, the kill visible as re-lease traffic, and the
 # re-run shards' overlap absorbed as dedups rather than double commits.
-curl -fsS "$CBASE/metrics" | python3 -c '
-import sys
-samples = {}
-for line in sys.stdin:
-    if line.startswith("#") or not line.strip():
-        continue
-    name, _, value = line.rpartition(" ")
-    samples[name] = float(value)
+curl -fsS "$CBASE/metrics" | python3 -c "$PARSE_METRICS"'
 assert samples.get("cliffedge_fleet_records_merged_total", 0) == 30000, \
     "records merged %r != 30000" % samples.get("cliffedge_fleet_records_merged_total")
 assert samples.get("cliffedge_fleet_shard_leases_total", 0) >= 12, \
