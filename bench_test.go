@@ -1,10 +1,10 @@
 package cliffedge
 
-// One benchmark per experiment id of DESIGN.md §3 / EXPERIMENTS.md, plus
-// protocol micro-benchmarks. The experiment benchmarks run a reduced
-// variant per iteration and report domain metrics (msgs/op, decisions/op)
-// alongside time and allocations; the full sweeps behind the tables in
-// EXPERIMENTS.md are produced by cmd/cliffedge-bench.
+// One benchmark per experiment id of cmd/cliffedge-bench (F1a–F3, T1–T7,
+// MC), plus kernel and protocol micro-benchmarks. The experiment
+// benchmarks run a reduced variant per iteration and report domain
+// metrics (msgs/op, decisions/op) alongside time and allocations; the
+// full sweeps are produced by cmd/cliffedge-bench.
 
 import (
 	"fmt"
@@ -265,28 +265,25 @@ func BenchmarkMCExhaustive(b *testing.B) {
 // protocol automata, not trace retention. BENCH_kernel.json tracks this
 // benchmark across PRs.
 func BenchmarkKernelCascade64(b *testing.B) {
-	b.ReportAllocs()
-	spec := scenario.CascadeSpec(64, 64, 16, 8, 25, 1)
-	b.ResetTimer()
-	msgs := 0
-	for i := 0; i < b.N; i++ {
-		r, err := sim.NewRunner(sim.Config{
-			Graph:         spec.Graph,
-			Factory:       scenario.CoreFactory(spec.Graph),
-			Seed:          spec.Seed,
-			Crashes:       spec.Crashes,
-			DiscardEvents: true,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := r.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		msgs += res.Stats.Messages
-	}
-	b.ReportMetric(float64(msgs)/float64(b.N), "msgs/op")
+	benchCascade(b, 64, 1)
+}
+
+// BenchmarkKernelCascade96 is the kernel_cascade96 workload of
+// BENCHMARK.json as a Go benchmark, so it can be profiled with
+// -cpuprofile/-memprofile (docs/KERNEL_PROFILE.md): a 96×96 grid losing
+// its centre 24×24 block plus eight stragglers, border vectors of ~96
+// slots.
+func BenchmarkKernelCascade96(b *testing.B) {
+	benchCascade(b, 96, 1)
+}
+
+// BenchmarkKernelCascade128 doubles the headline kernel workload in each
+// grid dimension — a 128×128 grid losing its centre 32×32 block plus
+// eight stragglers — to expose superlinear growth (borders, and with
+// them vectors and waiting bitsets, scale with the crash perimeter)
+// that the 64×64 point alone cannot show.
+func BenchmarkKernelCascade128(b *testing.B) {
+	benchCascade(b, 128, 1)
 }
 
 // BenchmarkKernelCascade64Sharded is the headline workload on the
@@ -296,70 +293,52 @@ func BenchmarkKernelCascade64(b *testing.B) {
 // here: same trace, same stats, this benchmark measures only what the
 // windowed parallelism buys (or costs) on a single-domain workload.
 func BenchmarkKernelCascade64Sharded(b *testing.B) {
-	benchCascadeSharded(b, 64, 16)
+	benchCascade(b, 64, 8)
 }
 
 // BenchmarkKernelCascade128Sharded is the doubled workload on the
 // sharded kernel; BENCH_kernel.json records this point alongside the
 // sequential BenchmarkKernelCascade128.
 func BenchmarkKernelCascade128Sharded(b *testing.B) {
-	benchCascadeSharded(b, 128, 32)
+	benchCascade(b, 128, 8)
 }
 
-func benchCascadeSharded(b *testing.B, dim, block int) {
+// cascadeRunner builds a fresh simulator run of spec over core automata
+// with the trace discarded — the posture of every kernel measurement.
+func cascadeRunner(tb testing.TB, spec scenario.Spec, shards int) *sim.Runner {
+	tb.Helper()
+	r, err := sim.NewRunner(sim.Config{
+		Graph:         spec.Graph,
+		Factory:       scenario.CoreFactory(spec.Graph),
+		Seed:          spec.Seed,
+		Crashes:       spec.Crashes,
+		Shards:        shards,
+		DiscardEvents: true,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return r
+}
+
+// benchCascade runs the dim×dim cascade (centre dim/4 block, then eight
+// stragglers 25 ticks apart) with the trace discarded, and reports the
+// per-message unit cost next to ns/op: msgs/op grows 5.7× from 64² to
+// 128², so only ns/msg shows whether a message got dearer.
+func benchCascade(b *testing.B, dim, shards int) {
 	b.ReportAllocs()
-	spec := scenario.CascadeSpec(dim, dim, block, 8, 25, 1)
+	spec := scenario.CascadeSpec(dim, dim, dim/4, 8, 25, 1)
 	b.ResetTimer()
 	msgs := 0
 	for i := 0; i < b.N; i++ {
-		r, err := sim.NewRunner(sim.Config{
-			Graph:         spec.Graph,
-			Factory:       scenario.CoreFactory(spec.Graph),
-			Seed:          spec.Seed,
-			Crashes:       spec.Crashes,
-			Shards:        8,
-			DiscardEvents: true,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := r.Run()
+		res, err := cascadeRunner(b, spec, shards).Run()
 		if err != nil {
 			b.Fatal(err)
 		}
 		msgs += res.Stats.Messages
 	}
 	b.ReportMetric(float64(msgs)/float64(b.N), "msgs/op")
-}
-
-// BenchmarkKernelCascade128 doubles the headline kernel workload in each
-// grid dimension — a 128×128 grid losing its centre 32×32 block plus
-// eight stragglers — to expose superlinear growth (borders, and with
-// them vectors and waiting bitsets, scale with the crash perimeter)
-// that the 64×64 point alone cannot show.
-func BenchmarkKernelCascade128(b *testing.B) {
-	b.ReportAllocs()
-	spec := scenario.CascadeSpec(128, 128, 32, 8, 25, 1)
-	b.ResetTimer()
-	msgs := 0
-	for i := 0; i < b.N; i++ {
-		r, err := sim.NewRunner(sim.Config{
-			Graph:         spec.Graph,
-			Factory:       scenario.CoreFactory(spec.Graph),
-			Seed:          spec.Seed,
-			Crashes:       spec.Crashes,
-			DiscardEvents: true,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := r.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		msgs += res.Stats.Messages
-	}
-	b.ReportMetric(float64(msgs)/float64(b.N), "msgs/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(msgs), "ns/msg")
 }
 
 // BenchmarkLiveCascade32 is the live counterpart of the KERNEL workload:

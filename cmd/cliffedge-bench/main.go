@@ -1,9 +1,8 @@
-// Command cliffedge-bench regenerates every table and figure experiment of
-// EXPERIMENTS.md (ids match DESIGN.md §3): the paper-figure scenarios
-// (F1a, F1b, F2, F3), the claim tables (T1 locality, T2 region cost, T3
-// latency, T4 arbitration ablation, T5 cascades, T6 stable-predicate
-// extension, T7 round-count ablation) and the exhaustive model-checking
-// suite (MC). Output is Markdown, suitable for pasting into EXPERIMENTS.md.
+// Command cliffedge-bench regenerates every table and figure experiment:
+// the paper-figure scenarios (F1a, F1b, F2, F3), the claim tables (T1
+// locality, T2 region cost, T3 latency, T4 arbitration ablation, T5
+// cascades, T6 stable-predicate extension, T7 round-count ablation) and
+// the exhaustive model-checking suite (MC). Output is Markdown.
 //
 //	cliffedge-bench -exp all
 //	cliffedge-bench -exp T1 -full

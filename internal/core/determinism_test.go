@@ -64,9 +64,10 @@ func driveFingerprintNode() *Node {
 
 func TestFingerprintDeterminism(t *testing.T) {
 	base := driveFingerprintNode()
-	want := base.Fingerprint()
-	if want == "" {
-		t.Fatal("fingerprint of a driven node must not be empty")
+	const want = "a#|p=true,va|r=2|vp=b|mx=b|cd=|lc=b|mon=b,c|rej=|" +
+		"rcv={b;B=[a c];L=2;r1=[accept(va) accept(vc)];w1=;r2=[accept(va) accept(vc)];w2=c}|self="
+	if got := base.Fingerprint(); got != want {
+		t.Fatalf("fingerprint form changed\n got %q\nwant %q", got, want)
 	}
 
 	// Fingerprint is a pure read: repeated calls must not disturb state
@@ -91,5 +92,56 @@ func TestFingerprintDeterminism(t *testing.T) {
 	// identically too.
 	if got := base.Clone().Fingerprint(); got != want {
 		t.Fatalf("clone fingerprint differs\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestUnwrittenRoundsAreNotAllocated: an instance that only ever saw round
+// 1 holds one opinion row, and reading it — Fingerprint, Clone, the wire
+// vector of a later round — renders the unwritten rounds as ⊥ without
+// allocating them. The fingerprint literal is the form an eagerly
+// allocated (lastRound+1)×|B| matrix renders to.
+func TestUnwrittenRoundsAreNotAllocated(t *testing.T) {
+	g := graph.NewBuilder().AddEdge("a", "b").AddEdge("c", "b").AddEdge("e", "b").Build()
+	n := New(Config{ID: "a", Graph: g})
+	n.Start()
+	view := region.New(g, []graph.NodeID{"b"})
+	border := view.Border()
+	n.OnMessage("c", Message{Round: 1, View: view, Border: border,
+		Opinions: VectorOf(border, ops{"c": {Kind: Accept, Value: "vc"}})})
+
+	inst := instanceOf(n, view)
+	if inst == nil {
+		t.Fatal("instance missing")
+	}
+	if &inst.border[0] != &border[0] {
+		t.Error("the instance should share the message's immutable border, not copy it")
+	}
+	allocated := func(inst *instance) int {
+		rows := 0
+		for _, row := range inst.rows {
+			if row != nil {
+				rows++
+			}
+		}
+		return rows
+	}
+	if got := allocated(inst); got != 1 {
+		t.Fatalf("after one round-1 message the instance holds %d rows, want 1", got)
+	}
+
+	const want = "a#|p=false,|r=0|vp=|mx=|cd=|lc=|mon=b|rej=|" +
+		"rcv={b;B=[a c e];L=3;r1=[⊥ accept(vc) ⊥];w1=a,e;r2=[⊥ ⊥ ⊥];w2=a,c,e;r3=[⊥ ⊥ ⊥];w3=a,c,e}|self="
+	if got := n.Fingerprint(); got != want {
+		t.Errorf("fingerprint\n got %q\nwant %q", got, want)
+	}
+	clone := n.Clone()
+	if got := clone.Fingerprint(); got != want {
+		t.Errorf("clone fingerprint\n got %q\nwant %q", got, want)
+	}
+	if v := inst.vector(3); len(v) != 3 || v.Known() != 0 {
+		t.Errorf("wire vector of an unwritten round = %s, want 3 ⊥ slots", v)
+	}
+	if got := allocated(inst) + allocated(instanceOf(clone, view)); got != 2 {
+		t.Errorf("reading allocated rows: original and clone hold %d, want 1 each", got)
 	}
 }

@@ -13,6 +13,7 @@ import (
 // on all future inputs. The bounded model checker uses fingerprints to
 // deduplicate interleavings that converge to the same global state.
 func (n *Node) Fingerprint() string {
+	n.materialise() // mx= and cd= render the views a pending component stands for
 	var sb strings.Builder
 	sb.WriteString(string(n.cfg.ID))
 	sb.WriteByte('#')
@@ -26,21 +27,36 @@ func (n *Node) Fingerprint() string {
 	writeIndexSet(&sb, n.cfg.Graph, n.locallyCrashed)
 	sb.WriteString("|mon=")
 	writeIndexSet(&sb, n.cfg.Graph, n.monitored)
-	sb.WriteString("|rej=")
-	writeStringSet(&sb, n.rejected)
-	sb.WriteString("|rcv=")
-	keys := make([]string, 0, len(n.received))
-	for k := range n.received {
-		keys = append(keys, k)
+	// The view table has no order of its own: render rejected, then
+	// received, each sorted by key.
+	var rejected []string
+	var received []*instance
+	for s := range n.views.all {
+		if s.inst == nil {
+			rejected = append(rejected, s.key)
+		} else {
+			received = append(received, s.inst)
+		}
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		inst := n.received[k]
-		fmt.Fprintf(&sb, "{%s;B=%v;L=%d", k, inst.border, inst.lastRound)
+	sort.Strings(rejected)
+	sort.Slice(received, func(i, j int) bool { return received[i].view.Key() < received[j].view.Key() })
+	sb.WriteString("|rej=")
+	sb.WriteString(strings.Join(rejected, ";"))
+	sb.WriteString("|rcv=")
+	for _, inst := range received {
+		fmt.Fprintf(&sb, "{%s;B=%v;L=%d", inst.view.Key(), inst.border, inst.lastRound)
 		for r := 1; r <= inst.lastRound; r++ {
 			// Vector is positional, so rendering the row directly is
-			// deterministic and avoids the wire-copy inst.vector makes.
-			fmt.Fprintf(&sb, ";r%d=%s;w%d=", r, Vector(inst.round(r)), r)
+			// deterministic and avoids the wire-copy inst.vector makes; a
+			// round never written renders as the |B| ⊥ slots it stands for
+			// without being allocated.
+			fmt.Fprintf(&sb, ";r%d=", r)
+			if row := inst.peek(r); row != nil {
+				sb.WriteString(Vector(row).String())
+			} else {
+				sb.WriteString("[⊥" + strings.Repeat(" ⊥", len(inst.border)-1) + "]")
+			}
+			fmt.Fprintf(&sb, ";w%d=", r)
 			first := true
 			for j, q := range inst.border {
 				if !inst.waitingFor(r, j) {
@@ -74,20 +90,6 @@ func writeIndexSet(sb *strings.Builder, g *graph.Graph, set graph.Bitset) {
 		first = false
 		sb.WriteString(string(g.ID(i)))
 	})
-}
-
-func writeStringSet(sb *strings.Builder, set map[string]bool) {
-	keys := make([]string, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for i, k := range keys {
-		if i > 0 {
-			sb.WriteByte(';')
-		}
-		sb.WriteString(k)
-	}
 }
 
 // MessageFingerprint serialises a message canonically (model checker

@@ -17,6 +17,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -108,13 +109,17 @@ func (v Vector) Known() int {
 
 // allAccept reports whether every slot of an opinion row is an Accept
 // (line 34's condition), returning the accepted values in border order.
+// The values slice is only built once the row is known to qualify: most
+// final rows of a cascade carry a reject.
 func allAccept(row []Opinion) ([]proto.Value, bool) {
-	values := make([]proto.Value, 0, len(row))
 	for _, op := range row {
 		if op.Kind != Accept {
 			return nil, false
 		}
-		values = append(values, op.Value)
+	}
+	values := make([]proto.Value, len(row))
+	for j, op := range row {
+		values[j] = op.Value
 	}
 	return values, true
 }
@@ -209,19 +214,24 @@ var _ proto.Payload = Message{}
 // CD5 and the paper's Lemma 3. We therefore run |B| rounds by default and
 // keep the printed behaviour behind Config.LiteralPaperRounds for
 // demonstration and ablation.
-// The bookkeeping is flat and position-indexed: column j of every matrix
-// is border[j]. This costs four slice allocations per instance instead of
-// two maps per round, which dominated the allocation profile of large
-// cascades (an instance over a border of b nodes used to allocate 2b maps
-// holding b entries each).
+//
+// The bookkeeping is position-indexed: column j of every row is border[j].
+// Opinion rows exist only for rounds that were written: a view that is
+// rejected after its first message — the common fate in a cascade — never
+// pays for the |B| rounds it will not run (at |B| = 96 the full matrix
+// would be 223 kB).
 type instance struct {
-	view      region.Region
-	border    []graph.NodeID // B from the first message received for the view
-	borderIdx []int32        // dense graph indices of border (-1 if unknown)
-	lastRound int            // |B| (default) or |B|−1 (LiteralPaperRounds)
-	// opinions is a (lastRound+1)×|B| matrix, row r = round r (row 0
-	// unused), column j = border[j]'s opinion for that round.
-	opinions []Opinion
+	view region.Region
+	// border is B from the first message received for the view. Borders
+	// are immutable wherever they travel (Region.Border, Message.Border,
+	// proto.Send.To), so the slice is shared, not copied.
+	border    []graph.NodeID
+	borderIdx []int32 // dense graph indices of border (-1 if unknown)
+	lastRound int     // |B| (default) or |B|−1 (LiteralPaperRounds)
+	// rows[r] is round r's opinions (column j = border[j]), allocated by
+	// the first write to that round. A nil row, and every r ≥ len(rows),
+	// reads as all-⊥ — exactly what lines 20–21 initialise.
+	rows [][]Opinion
 	// waiting is a (lastRound+1)×waitWords bitset matrix over border
 	// positions: bit j of row r set ⇔ still waiting for border[j] in
 	// round r.
@@ -237,31 +247,50 @@ func newInstance(g *graph.Graph, view region.Region, border []graph.NodeID, lite
 	words := (len(border) + 63) / 64
 	inst := &instance{
 		view:      view,
-		border:    append([]graph.NodeID(nil), border...),
+		border:    border,
 		borderIdx: make([]int32, len(border)),
 		lastRound: last,
-		opinions:  make([]Opinion, (last+1)*len(border)),
 		waiting:   make([]uint64, (last+1)*words),
 		waitWords: words,
 	}
 	for j, q := range border {
 		inst.borderIdx[j] = g.Index(q)
 	}
+	// waiting[V][r] ← B for every round (line 22), a word at a time.
 	for r := 1; r <= last; r++ {
 		row := inst.waiting[r*words : (r+1)*words]
-		for j := range border {
-			row[j>>6] |= 1 << uint(j&63)
+		for w := range row {
+			row[w] = ^uint64(0)
+		}
+		if tail := uint(len(border) & 63); tail != 0 {
+			row[words-1] = 1<<tail - 1
 		}
 	}
 	return inst
 }
 
-// validRound reports whether r indexes an allocated round slot.
+// validRound reports whether r is a round of this instance.
 func (inst *instance) validRound(r int) bool { return r >= 1 && r <= inst.lastRound }
 
-// round returns the opinion row of round r (column j = border[j]).
-func (inst *instance) round(r int) []Opinion {
-	return inst.opinions[r*len(inst.border) : (r+1)*len(inst.border)]
+// row returns round r's opinion row for writing, allocating it (all-⊥) on
+// the round's first write.
+func (inst *instance) row(r int) []Opinion {
+	for len(inst.rows) <= r {
+		inst.rows = append(inst.rows, nil)
+	}
+	if inst.rows[r] == nil {
+		inst.rows[r] = make([]Opinion, len(inst.border))
+	}
+	return inst.rows[r]
+}
+
+// peek returns round r's opinion row for reading: nil if the round was
+// never written, which readers treat as |B| ⊥ slots.
+func (inst *instance) peek(r int) []Opinion {
+	if r < len(inst.rows) {
+		return inst.rows[r]
+	}
+	return nil
 }
 
 // pos returns the border position of q, or -1. Borders are sorted, so a
@@ -282,23 +311,21 @@ func (inst *instance) waitingFor(r, j int) bool {
 
 // vector materialises round r's opinions as a wire Vector: a copy of the
 // positional row (payloads outlive the instance's mutable bookkeeping, so
-// the row cannot be aliased).
+// the row cannot be aliased). A round never written yields |B| ⊥ slots.
 func (inst *instance) vector(r int) Vector {
-	row := inst.round(r)
-	out := make(Vector, len(row))
-	copy(out, row)
+	out := make(Vector, len(inst.border))
+	copy(out, inst.peek(r))
 	return out
 }
 
-// clone deep-copies the instance (used by the model checker).
+// clone deep-copies the instance's mutable state (used by the model
+// checker); border and borderIdx are immutable and stay shared.
 func (inst *instance) clone() *instance {
-	return &instance{
-		view:      inst.view,
-		border:    append([]graph.NodeID(nil), inst.border...),
-		borderIdx: append([]int32(nil), inst.borderIdx...),
-		lastRound: inst.lastRound,
-		opinions:  append([]Opinion(nil), inst.opinions...),
-		waiting:   append([]uint64(nil), inst.waiting...),
-		waitWords: inst.waitWords,
+	out := *inst
+	out.rows = make([][]Opinion, len(inst.rows))
+	for r, row := range inst.rows {
+		out.rows[r] = slices.Clone(row) // nil stays nil
 	}
+	out.waiting = slices.Clone(inst.waiting)
+	return &out
 }

@@ -93,8 +93,8 @@ type Node struct {
 	// recomputation. Allocated on the first crash detection — most nodes
 	// of a large system never witness one.
 	uf *dsu.DSU
-	// compScratch is the reusable buffer for gathering the members of the
-	// component that q's crash grew or merged. borderSeen is the scratch
+	// compScratch is the reusable buffer for gathering the members of a
+	// component about to be built as a Region. borderSeen is the scratch
 	// bitset for the Region border computation (empty between calls), and
 	// monitorScratch backs eff.Monitor across calls — see subscribe.
 	// Scratch fields are never cloned; a fresh Node lazily regrows them.
@@ -104,23 +104,25 @@ type Node struct {
 
 	// maxView and candidateView implement the view construction of
 	// lines 8–11; vp is V_p, the currently (or last) proposed view.
+	// While pending is set, it — not the two fields — is the current
+	// maxView and candidateView; see pendingView.
 	maxView       region.Region
 	candidateView region.Region
+	pending       pendingView
 	vp            region.Region
 	// round is r, the current round of p's own instance (line 16).
 	round int
 
-	// received and rejected index consensus instances by view key
-	// (lines 19–22, 30). received holds the live bookkeeping.
-	received map[string]*instance
-	rejected map[string]bool
+	// views holds received and rejected (lines 19–22, 30): one slot per
+	// view heard of, carrying the live instance until the view is rejected.
+	views viewTable
 	// rejectDirty is set when the answer of guardReject may have changed:
 	// a view was added to received, or vp moved. While clear, the guard's
-	// linear scan over received is skipped — the scan result is a pure
+	// linear scan over views is skipped — the scan result is a pure
 	// function of (received, vp), so the guard loop need not repeat it.
 	rejectDirty bool
-	// ownInst caches received[vp.Key()] for guardRound, avoiding a map
-	// lookup (hashing the full comma-joined view key) per guard pass.
+	// ownInst caches the received instance of vp for guardRound, avoiding
+	// a table lookup (with its full-key comparison) per guard pass.
 	// Reset to nil whenever vp changes; refilled lazily. Never stale
 	// otherwise: rejection only ever removes views strictly below vp.
 	ownInst *instance
@@ -158,8 +160,6 @@ func New(cfg Config) *Node {
 		selfIdx:        cfg.Graph.Index(cfg.ID),
 		locallyCrashed: graph.NewBitset(cfg.Graph.Len()),
 		monitored:      graph.NewBitset(cfg.Graph.Len()),
-		received:       make(map[string]*instance),
-		rejected:       make(map[string]bool),
 	}
 }
 
@@ -189,7 +189,10 @@ func (n *Node) LocallyCrashed() []graph.NodeID {
 }
 
 // MaxView returns the highest-ranked crashed region known locally.
-func (n *Node) MaxView() region.Region { return n.maxView }
+func (n *Node) MaxView() region.Region {
+	n.materialise()
+	return n.maxView
+}
 
 // Violations returns internal invariant breaches recorded so far (always
 // empty unless there is an implementation bug).
@@ -229,20 +232,32 @@ func (n *Node) subscribe(nodes []graph.NodeID, eff *proto.Effects) {
 	}
 }
 
+// pendingView is a crashed component known to outrank maxView on
+// cardinality alone (rule 1 of ≺) that has not been built as a Region: its
+// union-find root and size are all the ranking needs until something reads
+// the view itself. A node that has already proposed reads neither maxView
+// nor candidateView before it resets, and in a cascade most detections
+// arrive in that state, so most components are superseded unbuilt.
+//
+// The component cannot change while it is pending: components only grow
+// through a detection whose q joins them, that detection sees a strictly
+// larger size, and replaces the entry. Building it later therefore yields
+// the Region an eager build would have. size 0 means none.
+type pendingView struct{ root, size int32 }
+
 // OnCrash handles 〈crash | q〉 (lines 5–11): extend locallyCrashed, widen
 // the failure-detector subscription to border(q), fold q into the
 // incremental union-find over the locally known crashed set, and promote
-// the component q joined to candidateView if it outranks every view built
-// so far. Then run the guard loop.
+// the component q joined to maxView/candidateView if it outranks every
+// view seen so far. Then run the guard loop.
 //
-// Only the component containing q needs rebuilding: every other connected
+// Only the component containing q needs ranking: every other connected
 // component of locallyCrashed is unchanged since the previous detection,
 // and maxView already ranks at or above all of them (it was updated
 // against the full component set when they formed). Comparing maxView
 // against q's component alone is therefore equivalent to the paper's
 // whole-set connectedComponents recomputation (line 8), at amortised
-// near-O(1) union-find cost per detection plus one sweep of the crashed
-// bitset.
+// near-O(1) union-find cost per detection.
 func (n *Node) OnCrash(q graph.NodeID) proto.Effects {
 	var eff proto.Effects
 	qi := n.cfg.Graph.Index(q)
@@ -265,7 +280,32 @@ func (n *Node) OnCrash(q graph.NodeID) proto.Effects {
 			n.uf.Union(qi, m)
 		}
 	}
+	// Rule 1 of the ranking compares cardinality first. A strictly larger
+	// component outranks maxView without its border or key being known; a
+	// strictly smaller one never can; only a tie needs both Regions.
+	max := n.maxView.Len()
+	if n.pending.size > 0 {
+		max = int(n.pending.size)
+	}
 	root := n.uf.Find(qi)
+	switch size := n.uf.SizeOf(root); {
+	case int(size) > max: // lines 9–11, deferred
+		n.pending = pendingView{root: root, size: size}
+	case int(size) == max:
+		n.materialise()
+		if comp := n.component(root); region.Less(n.maxView, comp) { // line 9
+			n.maxView = comp       // line 10
+			n.candidateView = comp // line 11
+		}
+	}
+	n.runGuards(&eff)
+	return eff
+}
+
+// component builds the Region of the union-find class rooted at root: one
+// sweep of the crashed bitset to gather the members, then the border and
+// key construction.
+func (n *Node) component(root int32) region.Region {
 	members := n.compScratch[:0]
 	n.locallyCrashed.ForEach(func(i int32) {
 		if n.uf.Find(i) == root {
@@ -273,21 +313,22 @@ func (n *Node) OnCrash(q graph.NodeID) proto.Effects {
 		}
 	})
 	n.compScratch = members
-	// Rule 1 of the ranking compares cardinality first, so a component
-	// strictly smaller than maxView can never outrank it — skip the Region
-	// construction (node/border slices, key string) entirely in that case.
-	if len(members) >= n.maxView.Len() {
-		if n.borderSeen == nil {
-			n.borderSeen = graph.NewBitset(n.cfg.Graph.Len())
-		}
-		comp := region.NewFromIndicesScratch(n.cfg.Graph, members, n.locallyCrashed, n.borderSeen)
-		if region.Less(n.maxView, comp) { // line 9
-			n.maxView = comp       // line 10
-			n.candidateView = comp // line 11
-		}
+	if n.borderSeen == nil {
+		n.borderSeen = graph.NewBitset(n.cfg.Graph.Len())
 	}
-	n.runGuards(&eff)
-	return eff
+	return region.NewFromIndicesScratch(n.cfg.Graph, members, n.locallyCrashed, n.borderSeen)
+}
+
+// materialise performs the deferred lines 10–11: if a component is
+// pending, build it and make it maxView and candidateView. It changes no
+// observable state, so read-only accessors may call it.
+func (n *Node) materialise() {
+	if n.pending.size == 0 {
+		return
+	}
+	comp := n.component(n.pending.root)
+	n.pending = pendingView{}
+	n.maxView, n.candidateView = comp, comp
 }
 
 // OnMessage handles 〈mDeliver | from, payload〉 (lines 18–25), then runs
@@ -306,15 +347,16 @@ func (n *Node) OnMessage(from graph.NodeID, payload proto.Payload) proto.Effects
 
 // deliver merges one message into the per-view bookkeeping (lines 18–25).
 func (n *Node) deliver(from graph.NodeID, m Message) {
-	key := m.View.Key()
-	if n.rejected[key] { // line 18: V ∉ rejected
-		return
-	}
-	inst, ok := n.received[key]
-	if !ok { // lines 19–22: initialise data structures for V
-		inst = newInstance(n.cfg.Graph, m.View, m.Border, n.cfg.LiteralPaperRounds)
-		n.received[key] = inst
+	hash, key := m.View.Hash(), m.View.Key()
+	slot := n.views.lookup(hash, key)
+	if slot == nil { // lines 19–22: initialise data structures for V
+		inst := newInstance(n.cfg.Graph, m.View, m.Border, n.cfg.LiteralPaperRounds)
+		slot = n.views.insert(hash, key, inst)
 		n.rejectDirty = true
+	}
+	inst := slot.inst
+	if inst == nil { // line 18: V ∉ rejected
+		return
 	}
 	if !inst.validRound(m.Round) {
 		n.violatef("message round %d out of range for view %s (|B|=%d)",
@@ -326,7 +368,14 @@ func (n *Node) deliver(from graph.NodeID, m Message) {
 			len(m.Opinions), len(inst.border), m.View)
 		return
 	}
-	row := inst.round(m.Round)
+	if !sameBorder(m.Border, inst.border) {
+		// The merge below is positional: a vector indexed by another
+		// border would land in the wrong participants' slots.
+		n.violatef("message border %v ≠ instance border %v for view %s",
+			m.Border, inst.border, m.View)
+		return
+	}
+	row := inst.row(m.Round)
 	for j := range row { // lines 23–24: fill ⊥ slots only
 		if row[j].Kind == Unknown && m.Opinions[j].Kind != Unknown {
 			row[j] = m.Opinions[j]
@@ -341,6 +390,15 @@ func (n *Node) deliver(from graph.NodeID, m Message) {
 			inst.stopWaiting(m.Round, j)
 		}
 	}
+}
+
+// sameBorder reports whether two sorted borders agree in length and in
+// their first and last element — the check a delivery can afford per
+// message (full equality is |B| string comparisons) that still catches a
+// vector built over a different participant set.
+func sameBorder(a, b []graph.NodeID) bool {
+	return len(a) == len(b) &&
+		(len(a) == 0 || a[0] == b[0] && a[len(a)-1] == b[len(b)-1])
 }
 
 // runGuards re-evaluates the `upon` guards of lines 12, 26 and 32 to
@@ -377,7 +435,11 @@ func (n *Node) runGuards(eff *proto.Effects) {
 // guardPropose implements lines 12–17: start a new consensus instance when
 // no proposal is outstanding and a candidate view exists.
 func (n *Node) guardPropose(eff *proto.Effects) bool {
-	if n.hasProposed || n.candidateView.IsEmpty() {
+	if n.hasProposed {
+		return false
+	}
+	n.materialise()
+	if n.candidateView.IsEmpty() {
 		return false
 	}
 	n.vp = n.candidateView                // line 13
@@ -387,7 +449,7 @@ func (n *Node) guardPropose(eff *proto.Effects) bool {
 	n.round = 1          // line 16
 	n.rejectDirty = true // vp moved: lower-ranked received views may now exist
 	n.ownInst = nil
-	if n.rejected[n.vp.Key()] {
+	if s := n.views.lookup(n.vp.Hash(), n.vp.Key()); s != nil && s.inst == nil {
 		// Lemma 2 guarantees this cannot happen; record it if it does.
 		n.violatef("proposing previously rejected view %s", n.vp)
 	}
@@ -398,10 +460,13 @@ func (n *Node) guardPropose(eff *proto.Effects) bool {
 
 	border := n.vp.Border()
 	if len(border) == 1 {
-		// Deviation documented in DESIGN.md: Algorithm 1's flooding runs
-		// |B|−1 rounds, which is zero when this node is the region's only
-		// border. The 1-participant instance decides its own value
-		// immediately (its final vector is its own accept).
+		// Deviation from Algorithm 1: there is nobody to flood to when
+		// this node is the region's only border (the printed |B|−1 round
+		// count is zero, and the multicast of line 17 would reach only the
+		// sender), so no instance is created. The 1-participant consensus
+		// decides its own value at once — its final vector is its own
+		// accept — which CD7 (progress) requires of it: it is the cluster's
+		// only possible decider.
 		n.decided = &proto.Decision{View: n.vp, Value: n.cfg.Pick([]proto.Value{n.proposedValue})}
 		eff.Decision = n.decided
 		return true
@@ -428,24 +493,23 @@ func (n *Node) guardReject(eff *proto.Effects) bool {
 		// the scan below would find nothing again.
 		return false
 	}
-	// Single linear scan for the lowest-ranked view strictly below V_p
-	// (map iteration order does not matter: ≺ is a strict total order, so
-	// the minimum is unique).
-	var l region.Region
-	found := false
-	for _, inst := range n.received {
-		if region.Less(inst.view, n.vp) && (!found || region.Less(inst.view, l)) {
-			l = inst.view
-			found = true
+	// Single linear scan for the lowest-ranked received view strictly below
+	// V_p (table order does not matter: ≺ is a strict total order, so the
+	// minimum is unique).
+	var lowest *viewSlot
+	for s := range n.views.all {
+		if s.inst != nil && region.Less(s.inst.view, n.vp) &&
+			(lowest == nil || region.Less(s.inst.view, lowest.inst.view)) {
+			lowest = s
 		}
 	}
-	if !found {
+	if lowest == nil {
 		n.rejectDirty = false
 		return false
 	}
-	inst := n.received[l.Key()]
-	delete(n.received, l.Key())          // line 30: received ← received\{L}
-	n.rejected[l.Key()] = true           //          rejected ← rejected ∪ {L}
+	inst := lowest.inst
+	l := inst.view
+	lowest.inst = nil                    // line 30: received ← received\{L}, rejected ← rejected ∪ {L}
 	op := make(Vector, len(inst.border)) // lines 29–30
 	if j := inst.pos(n.cfg.ID); j >= 0 { // receivers are border members,
 		op[j] = Opinion{Kind: Reject} //      so this is always found
@@ -471,10 +535,11 @@ func (n *Node) guardRound(eff *proto.Effects) bool {
 	}
 	inst := n.ownInst
 	if inst == nil {
-		var ok bool
-		if inst, ok = n.received[n.vp.Key()]; !ok { // line 32: Vp ∈ received
+		s := n.views.lookup(n.vp.Hash(), n.vp.Key())
+		if s == nil || s.inst == nil { // line 32: Vp ∈ received
 			return false
 		}
+		inst = s.inst
 		n.ownInst = inst
 	}
 	if !inst.validRound(n.round) {
@@ -489,7 +554,9 @@ func (n *Node) guardRound(eff *proto.Effects) bool {
 		}
 	}
 	if n.round == inst.lastRound { // line 33: consensus instance completed
-		if values, ok := allAccept(inst.round(n.round)); ok { // line 34
+		// A final round nobody wrote to is all-⊥, not vacuously all-accept.
+		row := inst.peek(n.round)
+		if values, ok := allAccept(row); ok && row != nil { // line 34
 			n.decided = &proto.Decision{View: n.vp, Value: n.cfg.Pick(values)} // line 35
 			eff.Decision = n.decided                                           // line 36
 		} else {
@@ -538,15 +605,15 @@ func (n *Node) Clone() *Node {
 		proposedValue:  n.proposedValue,
 		maxView:        n.maxView,
 		candidateView:  n.candidateView,
+		pending:        n.pending, // names a class of uf, cloned below
 		vp:             n.vp,
 		round:          n.round,
 		locallyCrashed: n.locallyCrashed.Clone(),
 		monitored:      n.monitored.Clone(),
-		received:       make(map[string]*instance, len(n.received)),
-		rejected:       make(map[string]bool, len(n.rejected)),
+		views:          n.views.clone(),
 		rejectDirty:    n.rejectDirty,
 		// ownInst stays nil: it is a cache, refilled lazily against the
-		// cloned received map.
+		// cloned view table.
 	}
 	if n.decided != nil {
 		d := *n.decided
@@ -554,12 +621,6 @@ func (n *Node) Clone() *Node {
 	}
 	if n.uf != nil {
 		out.uf = n.uf.Clone()
-	}
-	for k, inst := range n.received {
-		out.received[k] = inst.clone()
-	}
-	for k := range n.rejected {
-		out.rejected[k] = true
 	}
 	out.pendingSelf = append([]Message(nil), n.pendingSelf[n.psHead:]...)
 	out.violations = append([]string(nil), n.violations...)

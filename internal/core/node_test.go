@@ -26,6 +26,15 @@ func mkNode(t *testing.T, g *graph.Graph, id graph.NodeID, value proto.Value) *N
 	})
 }
 
+// instanceOf returns n's received instance for view, nil if there is none
+// (never heard of, or rejected).
+func instanceOf(n *Node, view region.Region) *instance {
+	if s := n.views.lookup(view.Hash(), view.Key()); s != nil {
+		return s.inst
+	}
+	return nil
+}
+
 func hasMonitor(eff proto.Effects, q graph.NodeID) bool {
 	for _, m := range eff.Monitor {
 		if m == q {
@@ -264,7 +273,7 @@ func TestMergeFillsBottomSlotsOnly(t *testing.T) {
 	a.OnMessage("c", Message{Round: 1, View: view, Border: border,
 		Opinions: VectorOf(border, ops{"c": {Kind: Accept, Value: "vc"}})})
 
-	inst := a.received[view.Key()]
+	inst := instanceOf(a, view)
 	if inst == nil {
 		t.Fatal("instance missing")
 	}
@@ -298,7 +307,7 @@ func TestRejectorsClearWaitingAcrossRounds(t *testing.T) {
 	if m.Round != 2 || m.Opinion("c").Kind != Reject || m.Opinion("e").Kind != Accept {
 		t.Errorf("round-2 message must carry the round-1 vector, got %s", m)
 	}
-	inst := a.received[view.Key()]
+	inst := instanceOf(a, view)
 	if inst.waitingFor(2, inst.pos("c")) {
 		t.Error("self-delivered round-2 vector should clear c (a known rejector) from waiting[2]")
 	}

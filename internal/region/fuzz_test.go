@@ -39,6 +39,9 @@ func buildBothWays(t *testing.T, g *graph.Graph, members []int32, set graph.Bits
 	if rStr.Key() != rIdx.Key() {
 		t.Fatalf("constructors disagree on key: %q (string) vs %q (index)", rStr.Key(), rIdx.Key())
 	}
+	if rStr.Hash() != rIdx.Hash() {
+		t.Fatalf("constructors disagree on the hash of key %q: %#x vs %#x", rStr.Key(), rStr.Hash(), rIdx.Hash())
+	}
 	bs, bi := rStr.Border(), rIdx.Border()
 	if len(bs) != len(bi) {
 		t.Fatalf("constructors disagree on border size: %v vs %v", bs, bi)

@@ -23,6 +23,12 @@ type Region struct {
 	nodes  []graph.NodeID // sorted, deduplicated
 	border []graph.NodeID // sorted; border(nodes) in the graph used to build
 	key    string         // canonical identity: nodes joined by ','
+	// hash is hashKey(key), computed once where the key is built, so tables
+	// of views index by one integer instead of rehashing a key that grows
+	// with the region (3.5 kB for a 24×24 block). It is a fixed function of
+	// the key — never seeded per process — so a collision-dependent failure
+	// replays, and it carries no identity: Equal and ≺ still read the key.
+	hash uint64
 	// Index backing (nil for Empty): the same sets as nodes/border, as
 	// ascending dense indices of g. Because index order equals NodeID
 	// order, idx/borderIdx are sorted exactly like nodes/border, and
@@ -51,10 +57,12 @@ func New(g *graph.Graph, nodes []graph.NodeID) Region {
 		}
 	}
 	border := g.BorderOfSlice(dedup)
+	key := joinIDs(dedup)
 	return Region{
 		nodes:     dedup,
 		border:    border,
-		key:       joinIDs(dedup),
+		key:       key,
+		hash:      hashKey(key),
 		g:         g,
 		idx:       indicesOf(g, dedup),
 		borderIdx: indicesOf(g, border),
@@ -115,10 +123,12 @@ func NewFromIndicesScratch(g *graph.Graph, members []int32, memberSet, seen grap
 		}
 		sb.WriteString(string(n))
 	}
+	key := sb.String()
 	return Region{
 		nodes:     nodes,
 		border:    border,
-		key:       sb.String(),
+		key:       key,
+		hash:      hashKey(key),
 		g:         g,
 		idx:       idx,
 		borderIdx: borderIdx,
@@ -131,6 +141,15 @@ func indicesOf(g *graph.Graph, ids []graph.NodeID) []int32 {
 		out[i] = g.Index(n)
 	}
 	return out
+}
+
+// hashKey is 64-bit FNV-1a over the key bytes.
+func hashKey(key string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint64(key[i])) * 1099511628211
+	}
+	return h
 }
 
 func joinIDs(ids []graph.NodeID) string {
@@ -152,6 +171,11 @@ func (r Region) Border() []graph.NodeID { return r.border }
 // key identifies the *set*, not the border, matching the paper where a view
 // is identified by the region it covers).
 func (r Region) Key() string { return r.key }
+
+// Hash returns a fixed 64-bit hash of Key() (0 for ∅). Regions with equal
+// keys have equal hashes; distinct keys may collide, so a table indexed by
+// Hash must still compare keys within a bucket.
+func (r Region) Hash() uint64 { return r.hash }
 
 // Len returns |R|.
 func (r Region) Len() int { return len(r.nodes) }

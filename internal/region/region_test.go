@@ -27,6 +27,24 @@ func TestNewCanonicalises(t *testing.T) {
 	}
 }
 
+// TestHashIsAFixedFunctionOfTheKey pins the hash to FNV-1a of the key: a
+// per-process seed would make a collision-dependent failure unreplayable.
+func TestHashIsAFixedFunctionOfTheKey(t *testing.T) {
+	g := graph.NewBuilder().AddEdge("a", "b").AddEdge("b", "c").Build()
+	if got := New(g, []graph.NodeID{"a"}).Hash(); got != 0xaf63dc4c8601ec8c {
+		t.Errorf(`Hash of key "a" = %#x, want FNV-1a 0xaf63dc4c8601ec8c`, got)
+	}
+	if got := New(g, []graph.NodeID{"b", "a"}).Hash(); got != hashKey("a,b") {
+		t.Errorf("Hash = %#x, want hashKey(Key()) = %#x", got, hashKey("a,b"))
+	}
+	if FromKey(g, "a,b").Hash() != New(g, []graph.NodeID{"a", "b"}).Hash() {
+		t.Error("equal keys must hash alike")
+	}
+	if Empty.Hash() != 0 {
+		t.Errorf("Empty.Hash() = %#x, want 0", Empty.Hash())
+	}
+}
+
 func TestEmptyRegion(t *testing.T) {
 	g := testGraph()
 	e := New(g, nil)

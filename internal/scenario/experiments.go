@@ -12,10 +12,10 @@ import (
 	"cliffedge/internal/trace"
 )
 
-// This file implements the experiments of EXPERIMENTS.md (ids match
-// DESIGN.md §3). Each Experiment* function produces the rows of one table;
-// cmd/cliffedge-bench renders them and bench_test.go wraps them in
-// testing.B harnesses.
+// This file implements the experiments (ids F1a–F3, T1–T7, MC, as listed
+// in cmd/cliffedge-bench). Each Experiment* function produces the rows of
+// one table; cmd/cliffedge-bench renders them and bench_test.go wraps them
+// in testing.B harnesses.
 
 // T1Row is one row of the locality table: fixed 3×3 crashed block, growing
 // system size. Cliff-edge cost must stay flat; global consensus grows

@@ -4,7 +4,7 @@ import (
 	"testing"
 )
 
-// The experiment functions feed EXPERIMENTS.md; these tests run reduced
+// The experiment functions feed cmd/cliffedge-bench; these tests run reduced
 // variants and assert the claims the tables are meant to demonstrate, so a
 // regression in the protocol shows up as a broken claim, not just a
 // changed number.

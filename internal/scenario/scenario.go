@@ -3,7 +3,7 @@
 // automaton factory. It provides the paper's figure scenarios (Fig. 1(a),
 // Fig. 1(b), Fig. 2), randomized correlated-failure generators for
 // property-based testing, and the parameter sweeps behind the experiment
-// tables in EXPERIMENTS.md.
+// tables cmd/cliffedge-bench prints.
 package scenario
 
 import (
