@@ -266,15 +266,11 @@ func WithMaxEvents(n int) Option {
 // factory instantiates the per-node automaton: the core crash protocol, or
 // its predicate-detection wrapper when the plan marks nodes.
 func (c *Cluster) factory(marks bool) proto.Factory {
-	topo, propose, pick := c.topo, c.propose, c.pick
+	cfg := core.Config{Graph: c.topo, Propose: c.propose, Pick: c.pick}
 	if marks {
-		return func(id NodeID) proto.Automaton {
-			return predicate.New(core.Config{ID: id, Graph: topo, Propose: propose, Pick: pick})
-		}
+		return predicate.Factory(cfg)
 	}
-	return func(id NodeID) proto.Automaton {
-		return core.New(core.Config{ID: id, Graph: topo, Propose: propose, Pick: pick})
-	}
+	return core.Factory(cfg)
 }
 
 // instrument assembles the run's streaming sink: the online CD1–CD7

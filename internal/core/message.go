@@ -17,6 +17,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -145,11 +146,45 @@ func (v Vector) String() string {
 // Message is the protocol message [r, V, B, op] of lines 17, 31 and 40: a
 // round number, the proposed view, the view's border (the instance's
 // participant set), and the sender's opinion vector for that round.
+//
+// An opinion is three-valued, so a vector is a pair of disjoint sets of
+// border positions, and a message carries that pair as bitmasks beside the
+// vector: the receiver merges by words instead of reading |B| slots. The
+// masks are derived state, a function of Opinions alone: they are not wire
+// bytes (WireSize does not count them), String and the fingerprints do not
+// print them, and two messages with equal fields are the same message
+// whether or not either carries them. The sending node builds them once
+// per multicast; a Message assembled by hand (tests, harnesses) has none
+// and gets them computed from its vector when it is delivered. Opinions is
+// immutable once the message exists, like every payload, so the masks
+// cannot go stale.
 type Message struct {
 	Round    int
 	View     region.Region
 	Border   []graph.NodeID
 	Opinions Vector
+	// masks is Opinions' two bitmasks as fillMasks lays them out, or nil.
+	masks []uint64
+}
+
+// maskWords is the number of 64-bit words in a bitmask over n border
+// positions.
+func maskWords(n int) int { return (n + 63) >> 6 }
+
+// fillMasks sets masks, 2·maskWords(len(v)) zero words, to the two bitmasks
+// of v: known (slot j ≠ ⊥ ⇔ bit j), then rejects (slot j is a reject ⇔
+// bit j; a subset of known), maskWords(len(v)) words each.
+func fillMasks(masks []uint64, v Vector) {
+	words := len(masks) / 2
+	for j, op := range v {
+		if op.Kind == Unknown {
+			continue
+		}
+		masks[j>>6] |= 1 << uint(j&63)
+		if op.Kind == Reject {
+			masks[words+j>>6] |= 1 << uint(j&63)
+		}
+	}
 }
 
 // Kind labels the payload for traces.
@@ -216,10 +251,10 @@ var _ proto.Payload = Message{}
 // demonstration and ablation.
 //
 // The bookkeeping is position-indexed: column j of every row is border[j].
-// Opinion rows exist only for rounds that were written: a view that is
-// rejected after its first message — the common fate in a cascade — never
-// pays for the |B| rounds it will not run (at |B| = 96 the full matrix
-// would be 223 kB).
+// Opinion rows and their bitmasks exist only for rounds that were touched:
+// a view that is rejected after its first message — the common fate in a
+// cascade — never pays for the |B| rounds it will not run (at |B| = 96 the
+// full matrix would be 223 kB).
 type instance struct {
 	view region.Region
 	// border is B from the first message received for the view. Borders
@@ -232,11 +267,22 @@ type instance struct {
 	// the first write to that round. A nil row, and every r ≥ len(rows),
 	// reads as all-⊥ — exactly what lines 20–21 initialise.
 	rows [][]Opinion
-	// waiting is a (lastRound+1)×waitWords bitset matrix over border
-	// positions: bit j of row r set ⇔ still waiting for border[j] in
-	// round r.
-	waiting   []uint64
-	waitWords int
+	// bits holds three bitmasks over border positions for each round
+	// 1..len(bits)/(3·words), `words` words each and in this order:
+	//
+	//	waiting  bit j set ⇔ still waiting for border[j] in the round
+	//	known    bit j set ⇔ rows[r][j] ≠ ⊥
+	//	rejects  bit j set ⇔ rows[r][j] is a reject (a subset of known)
+	//
+	// known and rejects are derived from the row: they exist so that a
+	// delivery finds the slots a message has news for with one AND-NOT per
+	// word, and so that the next outgoing vector gets its masks by a copy.
+	// Fingerprint prints the row and the waiting set, never these two.
+	// The slice grows to the highest round a delivery touched (see masks);
+	// a round beyond it reads as line 22 initialises it: waiting for all
+	// of B, nothing known.
+	bits  []uint64
+	words int // maskWords(len(border))
 }
 
 func newInstance(g *graph.Graph, view region.Region, border []graph.NodeID, literalRounds bool) *instance {
@@ -244,27 +290,15 @@ func newInstance(g *graph.Graph, view region.Region, border []graph.NodeID, lite
 	if literalRounds {
 		last = len(border) - 1
 	}
-	words := (len(border) + 63) / 64
 	inst := &instance{
 		view:      view,
 		border:    border,
 		borderIdx: make([]int32, len(border)),
 		lastRound: last,
-		waiting:   make([]uint64, (last+1)*words),
-		waitWords: words,
+		words:     maskWords(len(border)),
 	}
 	for j, q := range border {
 		inst.borderIdx[j] = g.Index(q)
-	}
-	// waiting[V][r] ← B for every round (line 22), a word at a time.
-	for r := 1; r <= last; r++ {
-		row := inst.waiting[r*words : (r+1)*words]
-		for w := range row {
-			row[w] = ^uint64(0)
-		}
-		if tail := uint(len(border) & 63); tail != 0 {
-			row[words-1] = 1<<tail - 1
-		}
 	}
 	return inst
 }
@@ -299,14 +333,77 @@ func (inst *instance) pos(q graph.NodeID) int {
 	return borderPos(inst.border, q)
 }
 
-// stopWaiting clears border position j from round r's waiting set.
-func (inst *instance) stopWaiting(r, j int) {
-	inst.waiting[r*inst.waitWords+j>>6] &^= 1 << uint(j&63)
+// allOf returns word w of the bitmask holding every border position.
+func (inst *instance) allOf(w int) uint64 {
+	if tail := uint(len(inst.border) & 63); tail != 0 && w == inst.words-1 {
+		return 1<<tail - 1
+	}
+	return ^uint64(0)
+}
+
+// round returns the 3·words words of bits that belong to round r, nil if no
+// delivery touched a round that late.
+func (inst *instance) round(r int) []uint64 {
+	if end := 3 * inst.words * r; end <= len(inst.bits) {
+		return inst.bits[end-3*inst.words : end]
+	}
+	return nil
+}
+
+// masks returns round r's three bitmasks for writing, first extending bits
+// through round r: waiting[V][r] ← B (line 22) a word at a time, known and
+// rejects empty.
+func (inst *instance) masks(r int) (waiting, known, rejects []uint64) {
+	words := inst.words
+	for len(inst.bits) < 3*words*r {
+		inst.bits = append(inst.bits, make([]uint64, 3*words)...)
+		waiting := inst.bits[len(inst.bits)-3*words:][:words]
+		for w := range waiting {
+			waiting[w] = inst.allOf(w)
+		}
+	}
+	round := inst.round(r)
+	return round[:words], round[words : 2*words], round[2*words:]
+}
+
+// waiting returns round r's waiting set for reading: nil if no delivery
+// touched the round, which readers treat as all of B.
+func (inst *instance) waiting(r int) []uint64 {
+	if round := inst.round(r); round != nil {
+		return round[:inst.words]
+	}
+	return nil
 }
 
 // waitingFor reports whether round r still waits for border position j.
 func (inst *instance) waitingFor(r, j int) bool {
-	return inst.waiting[r*inst.waitWords+j>>6]&(1<<uint(j&63)) != 0
+	waiting := inst.waiting(r)
+	return waiting == nil || waiting[j>>6]&(1<<uint(j&63)) != 0
+}
+
+// merge folds the opinion vector of a round-r message from `from` into the
+// instance (lines 23–25): ⊥ slots take the message's opinion, and the round
+// stops waiting for the sender and for every rejector the message knows
+// of. ops has |B| slots and opMasks are its bitmasks, so the work is a
+// few operations per 64 border positions plus one slot copy per opinion
+// that is news to the row.
+func (inst *instance) merge(r int, from graph.NodeID, ops Vector, opMasks []uint64) {
+	row := inst.row(r)
+	waiting, known, rejects := inst.masks(r)
+	opKnown, opRejects := opMasks[:inst.words], opMasks[inst.words:]
+	for w := range known {
+		fresh := opKnown[w] &^ known[w] // lines 23–24: fill ⊥ slots only
+		known[w] |= fresh
+		rejects[w] |= fresh & opRejects[w]
+		waiting[w] &^= opRejects[w] // line 25, the rejectors
+		for ; fresh != 0; fresh &= fresh - 1 {
+			j := w<<6 | bits.TrailingZeros64(fresh)
+			row[j] = ops[j]
+		}
+	}
+	if j := inst.pos(from); j >= 0 { // line 25, the sender
+		waiting[j>>6] &^= 1 << uint(j&63)
+	}
 }
 
 // vector materialises round r's opinions as a wire Vector: a copy of the
@@ -318,6 +415,15 @@ func (inst *instance) vector(r int) Vector {
 	return out
 }
 
+// vectorMasks sets masks, 2·words zero words, to what fillMasks computes
+// for inst.vector(r), without reading the vector: the round's known and
+// rejects words are stored in that order.
+func (inst *instance) vectorMasks(masks []uint64, r int) {
+	if round := inst.round(r); round != nil {
+		copy(masks, round[inst.words:])
+	}
+}
+
 // clone deep-copies the instance's mutable state (used by the model
 // checker); border and borderIdx are immutable and stay shared.
 func (inst *instance) clone() *instance {
@@ -326,6 +432,6 @@ func (inst *instance) clone() *instance {
 	for r, row := range inst.rows {
 		out.rows[r] = slices.Clone(row) // nil stays nil
 	}
-	out.waiting = slices.Clone(inst.waiting)
+	out.bits = slices.Clone(inst.bits)
 	return &out
 }

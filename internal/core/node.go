@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"cliffedge/internal/dsu"
 	"cliffedge/internal/graph"
@@ -71,6 +72,9 @@ type Node struct {
 	// selfIdx is the dense graph index of cfg.ID (-1 if the node is not a
 	// graph member, which only happens in synthetic tests).
 	selfIdx int32
+	// keys is the view-key table this node shares with the other nodes of
+	// its run (see Factory); nil for a node built on its own.
+	keys *region.KeyTable
 
 	// decided is the protocol outcome (line 2: decided ← ⊥).
 	decided *proto.Decision
@@ -96,11 +100,17 @@ type Node struct {
 	// compScratch is the reusable buffer for gathering the members of a
 	// component about to be built as a Region. borderSeen is the scratch
 	// bitset for the Region border computation (empty between calls), and
-	// monitorScratch backs eff.Monitor across calls — see subscribe.
-	// Scratch fields are never cloned; a fresh Node lazily regrows them.
+	// monitorScratch and sendScratch back eff.Monitor and eff.Sends across
+	// calls — see subscribe and multicast. Scratch fields are never cloned;
+	// a fresh Node lazily regrows them.
 	compScratch    []int32
 	borderSeen     graph.Bitset
 	monitorScratch []graph.NodeID
+	sendScratch    []proto.Send
+	// maskChunk is the unused rest of the chunk maskSpace cuts from. A
+	// clone starts a chunk of its own: what was cut is immutable, what is
+	// left must not be handed out twice.
+	maskChunk []uint64
 
 	// maxView and candidateView implement the view construction of
 	// lines 8–11; vp is V_p, the currently (or last) proposed view.
@@ -160,6 +170,25 @@ func New(cfg Config) *Node {
 		selfIdx:        cfg.Graph.Index(cfg.ID),
 		locallyCrashed: graph.NewBitset(cfg.Graph.Len()),
 		monitored:      graph.NewBitset(cfg.Graph.Len()),
+	}
+}
+
+// Factory returns the proto.Factory of one run: every node it builds gets
+// cfg with its own ID, and all of them share one region.KeyTable. The
+// border nodes of a crashed region each build the same view, so with the
+// table the views a node hears of from different proposers carry one key
+// string, and the key comparison that identifies a view on every delivery
+// ends at the pointer check instead of reading a key that grows with the
+// region. Nothing else is shared, and the table is reachable only through
+// the factory and its nodes: it is garbage when the run is.
+func Factory(cfg Config) proto.Factory {
+	keys := region.NewKeyTable()
+	return func(id graph.NodeID) proto.Automaton {
+		cfg := cfg
+		cfg.ID = id
+		n := New(cfg)
+		n.keys = keys
+		return n
 	}
 }
 
@@ -316,7 +345,7 @@ func (n *Node) component(root int32) region.Region {
 	if n.borderSeen == nil {
 		n.borderSeen = graph.NewBitset(n.cfg.Graph.Len())
 	}
-	return region.NewFromIndicesScratch(n.cfg.Graph, members, n.locallyCrashed, n.borderSeen)
+	return region.NewFromIndicesScratch(n.cfg.Graph, members, n.locallyCrashed, n.borderSeen, n.keys)
 }
 
 // materialise performs the deferred lines 10–11: if a component is
@@ -375,21 +404,11 @@ func (n *Node) deliver(from graph.NodeID, m Message) {
 			m.Border, inst.border, m.View)
 		return
 	}
-	row := inst.row(m.Round)
-	for j := range row { // lines 23–24: fill ⊥ slots only
-		if row[j].Kind == Unknown && m.Opinions[j].Kind != Unknown {
-			row[j] = m.Opinions[j]
-		}
+	if m.masks == nil { // assembled by hand: see Message
+		m.masks = n.maskSpace(inst.words)
+		fillMasks(m.masks, m.Opinions)
 	}
-	// line 25: stop waiting for the sender and for every known rejector.
-	if j := inst.pos(from); j >= 0 {
-		inst.stopWaiting(m.Round, j)
-	}
-	for j, op := range m.Opinions {
-		if op.Kind == Reject {
-			inst.stopWaiting(m.Round, j)
-		}
-	}
+	inst.merge(m.Round, from, m.Opinions, m.masks)
 }
 
 // sameBorder reports whether two sorted borders agree in length and in
@@ -407,6 +426,10 @@ func sameBorder(a, b []graph.NodeID) bool {
 // deterministic; termination follows from the strict monotonicity of
 // proposals (lemma 2) and the finite round structure.
 func (n *Node) runGuards(eff *proto.Effects) {
+	// The sends of the previous call are dead now that the automaton is
+	// called again: let go of their payloads before the buffer is reused.
+	clear(n.sendScratch)
+	n.sendScratch = n.sendScratch[:0]
 	for {
 		if n.psHead < len(n.pendingSelf) {
 			m := n.pendingSelf[n.psHead]
@@ -471,12 +494,8 @@ func (n *Node) guardPropose(eff *proto.Effects) bool {
 		eff.Decision = n.decided
 		return true
 	}
-	op := make(Vector, len(border)) // lines 15–16
-	if j := borderPos(border, n.cfg.ID); j >= 0 {
-		op[j] = Opinion{Kind: Accept, Value: n.proposedValue}
-	}
-	msg := Message{Round: 1, View: n.vp, Border: border, Opinions: op}
-	n.multicast(border, msg, eff) // line 17
+	msg := n.firstMessage(n.vp, border, Opinion{Kind: Accept, Value: n.proposedValue}) // lines 15–16
+	n.multicast(border, msg, eff)                                                      // line 17
 	return true
 }
 
@@ -509,13 +528,9 @@ func (n *Node) guardReject(eff *proto.Effects) bool {
 	}
 	inst := lowest.inst
 	l := inst.view
-	lowest.inst = nil                    // line 30: received ← received\{L}, rejected ← rejected ∪ {L}
-	op := make(Vector, len(inst.border)) // lines 29–30
-	if j := inst.pos(n.cfg.ID); j >= 0 { // receivers are border members,
-		op[j] = Opinion{Kind: Reject} //      so this is always found
-	}
-	msg := Message{Round: 1, View: l, Border: inst.border, Opinions: op}
-	n.multicast(inst.border, msg, eff) // line 31
+	lowest.inst = nil                                            // line 30: received ← received\{L}, rejected ← rejected ∪ {L}
+	msg := n.firstMessage(l, inst.border, Opinion{Kind: Reject}) // lines 29–30
+	n.multicast(inst.border, msg, eff)                           // line 31
 	eff.Rejected = append(eff.Rejected, l)
 	return true
 }
@@ -545,12 +560,17 @@ func (n *Node) guardRound(eff *proto.Effects) bool {
 	if !inst.validRound(n.round) {
 		return false
 	}
-	for j := range inst.border { // waiting[Vp][r]\locallyCrashed = ∅
-		if !inst.waitingFor(n.round, j) {
-			continue
+	waiting := inst.waiting(n.round)
+	for w := 0; w < inst.words; w++ { // waiting[Vp][r]\locallyCrashed = ∅
+		left := inst.allOf(w)
+		if waiting != nil {
+			left = waiting[w]
 		}
-		if qi := inst.borderIdx[j]; qi < 0 || !n.locallyCrashed.Has(qi) {
-			return false
+		for ; left != 0; left &= left - 1 {
+			j := w<<6 | bits.TrailingZeros64(left)
+			if qi := inst.borderIdx[j]; qi < 0 || !n.locallyCrashed.Has(qi) {
+				return false
+			}
 		}
 	}
 	if n.round == inst.lastRound { // line 33: consensus instance completed
@@ -571,9 +591,37 @@ func (n *Node) guardRound(eff *proto.Effects) bool {
 		View:     n.vp,
 		Border:   inst.border,
 		Opinions: inst.vector(n.round - 1),
+		masks:    n.maskSpace(inst.words),
 	}
+	inst.vectorMasks(msg.masks, n.round-1)
 	n.multicast(inst.border, msg, eff)
 	return true
+}
+
+// firstMessage builds this node's round-1 message about view: op in the
+// node's own slot of the vector, ⊥ in every other (lines 15–16 and 29–30).
+// Senders are border members, so the slot is always found.
+func (n *Node) firstMessage(view region.Region, border []graph.NodeID, op Opinion) Message {
+	v := make(Vector, len(border))
+	if j := borderPos(border, n.cfg.ID); j >= 0 {
+		v[j] = op
+	}
+	masks := n.maskSpace(maskWords(len(border)))
+	fillMasks(masks, v)
+	return Message{Round: 1, View: view, Border: border, Opinions: v, masks: masks}
+}
+
+// maskSpace returns 2·words zero words for the bitmasks of one vector,
+// cut from a chunk that serves eight vectors: masks are a few words each,
+// so one allocation per multicast would add an object to every message the
+// node builds. A chunk is garbage once the messages cut from it are.
+func (n *Node) maskSpace(words int) []uint64 {
+	if len(n.maskChunk) < 2*words {
+		n.maskChunk = make([]uint64, 16*words)
+	}
+	masks := n.maskChunk[: 2*words : 2*words]
+	n.maskChunk = n.maskChunk[2*words:]
+	return masks
 }
 
 // multicast implements 〈multicast | recipients, m〉 (§3.1): one copy per
@@ -581,11 +629,17 @@ func (n *Node) guardRound(eff *proto.Effects) bool {
 // sorted border slice, shared with the instance and never mutated, so it
 // is handed to the network as-is: Send.To may include the sender, whose
 // copy is queued here for synchronous self-delivery and skipped by every
-// network layer (see proto.Send).
+// network layer (see proto.Send). eff.Sends is backed by a buffer the
+// node reuses across calls, like eff.Monitor (see proto.Effects: effect
+// slices are valid only until the next call into the automaton).
 func (n *Node) multicast(recipients []graph.NodeID, m Message, eff *proto.Effects) {
 	self := borderPos(recipients, n.cfg.ID) >= 0
 	if len(recipients) > 1 || !self {
+		if eff.Sends == nil {
+			eff.Sends = n.sendScratch[:0]
+		}
 		eff.Sends = append(eff.Sends, proto.Send{To: recipients, Payload: m})
+		n.sendScratch = eff.Sends
 	}
 	if self {
 		n.pendingSelf = append(n.pendingSelf, m)
@@ -601,6 +655,7 @@ func (n *Node) Clone() *Node {
 	out := &Node{
 		cfg:            n.cfg,
 		selfIdx:        n.selfIdx,
+		keys:           n.keys,
 		hasProposed:    n.hasProposed,
 		proposedValue:  n.proposedValue,
 		maxView:        n.maxView,

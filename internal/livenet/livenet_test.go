@@ -3,6 +3,7 @@ package livenet
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"cliffedge/internal/check"
 	"cliffedge/internal/core"
@@ -13,10 +14,11 @@ import (
 
 const timeout = 30 * time.Second
 
+// coreFactory is the factory of one run: its nodes, one goroutine each,
+// share the run's view-key table (so every test here is also that table's
+// -race test).
 func coreFactory(g *graph.Graph) proto.Factory {
-	return func(id graph.NodeID) proto.Automaton {
-		return core.New(core.Config{ID: id, Graph: g})
-	}
+	return core.Factory(core.Config{Graph: g})
 }
 
 func checkedRun(t *testing.T, g *graph.Graph, waves [][]graph.NodeID) *Result {
@@ -61,9 +63,17 @@ func TestLiveBlockCrash(t *testing.T) {
 	if len(res.Decisions) != len(border) {
 		t.Fatalf("got %d decisions, want %d", len(res.Decisions), len(border))
 	}
+	var key string
 	for _, d := range res.Decisions {
 		if d.View.Len() != len(block) {
 			t.Errorf("decided %s, want the full 2×2 block", d.View)
+		}
+		// Every decider built the view for itself, concurrently; through
+		// the run's key table they all hold one key string.
+		if key == "" {
+			key = d.View.Key()
+		} else if unsafe.StringData(d.View.Key()) != unsafe.StringData(key) {
+			t.Errorf("two deciders of %s hold separate copies of its key", d.View)
 		}
 	}
 }

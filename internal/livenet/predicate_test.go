@@ -3,6 +3,7 @@ package livenet
 import (
 	"testing"
 
+	"cliffedge/internal/core"
 	"cliffedge/internal/graph"
 	"cliffedge/internal/predicate"
 	"cliffedge/internal/proto"
@@ -15,7 +16,7 @@ func TestLivePredicateMarkedRegion(t *testing.T) {
 	g := graph.Grid(6, 6)
 	block := graph.GridBlock(2, 2, 2)
 	for i := 0; i < 5; i++ {
-		rt := New(g, predicate.Factory(g))
+		rt := New(g, predicate.Factory(core.Config{Graph: g}))
 		for _, n := range block {
 			rt.Inject(n, predicate.Mark{})
 		}
@@ -56,7 +57,7 @@ func TestLivePredicateStaggeredMarking(t *testing.T) {
 	g := graph.Grid(6, 6)
 	block := graph.GridBlock(1, 1, 3)
 	for i := 0; i < 5; i++ {
-		rt := New(g, predicate.Factory(g))
+		rt := New(g, predicate.Factory(core.Config{Graph: g}))
 		for _, n := range block {
 			rt.Inject(n, predicate.Mark{}) // back to back, racing the gossip
 		}

@@ -70,12 +70,14 @@ type Node struct {
 }
 
 // New builds a predicate-region node.
-func New(cfg core.Config) *Node {
+func New(cfg core.Config) *Node { return wrap(cfg.Graph, core.New(cfg)) }
+
+func wrap(g *graph.Graph, inner *core.Node) *Node {
 	return &Node{
-		id:    cfg.ID,
-		g:     cfg.Graph,
+		id:    inner.ID(),
+		g:     g,
 		known: make(map[graph.NodeID]bool),
-		inner: core.New(cfg),
+		inner: inner,
 	}
 }
 
@@ -236,10 +238,12 @@ func (n *Node) announce(eff *proto.Effects) {
 
 var _ proto.Automaton = (*Node)(nil)
 
-// Factory builds the automaton factory for a predicate-region run.
-func Factory(g *graph.Graph) proto.Factory {
+// Factory builds the automaton factory for a predicate-region run: the
+// nodes of core.Factory(cfg), each wrapped.
+func Factory(cfg core.Config) proto.Factory {
+	inner := core.Factory(cfg)
 	return func(id graph.NodeID) proto.Automaton {
-		return New(core.Config{ID: id, Graph: g})
+		return wrap(cfg.Graph, inner(id).(*core.Node))
 	}
 }
 

@@ -19,7 +19,7 @@ func run(t *testing.T, g *graph.Graph, marks []Injection, seed int64) *sim.Resul
 	}
 	r, err := sim.NewRunner(sim.Config{
 		Graph:      g,
-		Factory:    Factory(g),
+		Factory:    Factory(core.Config{Graph: g}),
 		Seed:       seed,
 		Injections: injections,
 	})

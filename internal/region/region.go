@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"cliffedge/internal/graph"
 )
@@ -75,7 +76,7 @@ func New(g *graph.Graph, nodes []graph.NodeID) Region {
 // used by the protocol hot path: no string sorting, border computed over
 // the CSR adjacency.
 func NewFromIndices(g *graph.Graph, members []int32, memberSet graph.Bitset) Region {
-	return NewFromIndicesScratch(g, members, memberSet, graph.NewBitset(g.Len()))
+	return NewFromIndicesScratch(g, members, memberSet, graph.NewBitset(g.Len()), nil)
 }
 
 // NewFromIndicesScratch is NewFromIndices with a caller-owned scratch
@@ -83,8 +84,9 @@ func NewFromIndices(g *graph.Graph, members []int32, memberSet graph.Bitset) Reg
 // empty on entry; it is empty again on return. Hot callers (one Region
 // per crash detection) keep one scratch per automaton and save the bitset
 // allocation, and the construction packs the four member/border slices
-// into two allocations.
-func NewFromIndicesScratch(g *graph.Graph, members []int32, memberSet, seen graph.Bitset) Region {
+// into two allocations. A non-nil keys makes the region share its key
+// string with every equal region built through the same table.
+func NewFromIndicesScratch(g *graph.Graph, members []int32, memberSet, seen graph.Bitset, keys *KeyTable) Region {
 	if len(members) == 0 {
 		return Empty
 	}
@@ -115,24 +117,91 @@ func NewFromIndicesScratch(g *graph.Graph, members []int32, memberSet, seen grap
 	for i, b := range borderIdx {
 		border[i] = g.ID(b)
 	}
-	var sb strings.Builder
-	sb.Grow(keyLen)
-	for i, n := range nodes {
-		if i > 0 {
-			sb.WriteByte(',')
+	hash := hashIDs(nodes)
+	key := keys.lookup(hash, nodes, keyLen)
+	if key == "" {
+		var sb strings.Builder
+		sb.Grow(keyLen)
+		for i, n := range nodes {
+			if i > 0 {
+				sb.WriteByte(',')
+			}
+			sb.WriteString(string(n))
 		}
-		sb.WriteString(string(n))
+		key = sb.String()
+		keys.store(hash, key)
 	}
-	key := sb.String()
 	return Region{
 		nodes:     nodes,
 		border:    border,
 		key:       key,
-		hash:      hashKey(key),
+		hash:      hash,
 		g:         g,
 		idx:       idx,
 		borderIdx: borderIdx,
 	}
+}
+
+// KeyTable gives equal regions one key string. Every border node of a
+// crashed region builds that region for itself, so without a table a node
+// holds as many copies of a key as it has peers proposing the view, and
+// each comparison of two of them — one per delivery, in the protocol's
+// view lookup — reads both to the end (3.5 kB for a 24×24 block). Strings
+// that share their bytes compare equal at the pointer check.
+//
+// The table only saves work: a key is identified by its bytes whether or
+// not it came from a table, and two keys that collide on the hash are
+// simply not shared. It is safe for concurrent use (sharded simulator
+// lanes and live-runtime goroutines build regions at once) and belongs to
+// whoever owns the regions' lifetime — one table per run, dropped with it.
+// A nil *KeyTable shares nothing.
+type KeyTable struct {
+	mu   sync.Mutex
+	keys map[uint64]string
+}
+
+// NewKeyTable returns an empty table.
+func NewKeyTable() *KeyTable { return &KeyTable{keys: make(map[uint64]string)} }
+
+// lookup returns the stored key that joins nodes (keyLen bytes, hash its
+// hashIDs), or "" if the table has none.
+func (t *KeyTable) lookup(hash uint64, nodes []graph.NodeID, keyLen int) string {
+	if t == nil {
+		return ""
+	}
+	t.mu.Lock()
+	key := t.keys[hash]
+	t.mu.Unlock()
+	if len(key) != keyLen {
+		return ""
+	}
+	rest := key
+	for i, n := range nodes {
+		if i > 0 {
+			if rest == "" || rest[0] != ',' {
+				return ""
+			}
+			rest = rest[1:]
+		}
+		if !strings.HasPrefix(rest, string(n)) {
+			return ""
+		}
+		rest = rest[len(n):]
+	}
+	return key
+}
+
+// store records key under hash unless the hash is taken (by an equal key
+// another goroutine stored first, or by a colliding one).
+func (t *KeyTable) store(hash uint64, key string) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	if _, taken := t.keys[hash]; !taken {
+		t.keys[hash] = key
+	}
+	t.mu.Unlock()
 }
 
 func indicesOf(g *graph.Graph, ids []graph.NodeID) []int32 {
@@ -143,11 +212,30 @@ func indicesOf(g *graph.Graph, ids []graph.NodeID) []int32 {
 	return out
 }
 
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
 // hashKey is 64-bit FNV-1a over the key bytes.
 func hashKey(key string) uint64 {
-	h := uint64(14695981039346656037)
+	h := uint64(fnvOffset)
 	for i := 0; i < len(key); i++ {
-		h = (h ^ uint64(key[i])) * 1099511628211
+		h = (h ^ uint64(key[i])) * fnvPrime
+	}
+	return h
+}
+
+// hashIDs is hashKey of the key that joins ids, without building the key.
+func hashIDs(ids []graph.NodeID) uint64 {
+	h := uint64(fnvOffset)
+	for i, n := range ids {
+		if i > 0 {
+			h = (h ^ ',') * fnvPrime
+		}
+		for j := 0; j < len(n); j++ {
+			h = (h ^ uint64(n[j])) * fnvPrime
+		}
 	}
 	return h
 }

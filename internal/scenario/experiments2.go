@@ -7,7 +7,6 @@ import (
 	"cliffedge/internal/graph"
 	"cliffedge/internal/mck"
 	"cliffedge/internal/predicate"
-	"cliffedge/internal/proto"
 	"cliffedge/internal/sim"
 	"cliffedge/internal/trace"
 )
@@ -38,7 +37,7 @@ func ExperimentT6(gridSide int, ks []int, seed int64) ([]T6Row, error) {
 		}
 		r, err := sim.NewRunner(sim.Config{
 			Graph:      g,
-			Factory:    predicate.Factory(g),
+			Factory:    predicate.Factory(core.Config{Graph: g}),
 			Seed:       seed,
 			Injections: injections,
 		})
@@ -101,9 +100,7 @@ func ExperimentT7(runs int, seed int64) ([]T7Row, error) {
 				// draws; retune it if the draw scheme ever changes.
 				Crashes: []sim.CrashAt{{Time: 5, Node: "b"}, {Time: 10 + int64(i%8), Node: "c"}},
 				Seed:    seed + int64(i),
-				Factory: func(id graph.NodeID) proto.Automaton {
-					return coreWithRounds(g, id, lit)
-				},
+				Factory: core.Factory(core.Config{Graph: g, LiteralPaperRounds: lit}),
 			}
 			res, rep, err := spec.RunChecked()
 			if err != nil {
@@ -176,8 +173,4 @@ func ExperimentMC() ([]MCRow, error) {
 		})
 	}
 	return rows, nil
-}
-
-func coreWithRounds(g *graph.Graph, id graph.NodeID, literal bool) proto.Automaton {
-	return core.New(core.Config{ID: id, Graph: g, LiteralPaperRounds: literal})
 }

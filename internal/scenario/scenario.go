@@ -44,20 +44,14 @@ type Spec struct {
 
 // CoreFactory builds the standard cliff-edge automaton factory for g.
 func CoreFactory(g *graph.Graph) proto.Factory {
-	return func(id graph.NodeID) proto.Automaton {
-		return core.New(core.Config{ID: id, Graph: g})
-	}
+	return core.Factory(core.Config{Graph: g})
 }
 
 func (s Spec) factory() proto.Factory {
 	if s.Factory != nil {
 		return s.Factory
 	}
-	g := s.Graph
-	disable := s.DisableArbitration
-	return func(id graph.NodeID) proto.Automaton {
-		return core.New(core.Config{ID: id, Graph: g, DisableArbitration: disable})
-	}
+	return core.Factory(core.Config{Graph: s.Graph, DisableArbitration: s.DisableArbitration})
 }
 
 // Run executes the scenario to quiescence.

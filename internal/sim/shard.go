@@ -244,7 +244,7 @@ func (r *Runner) mergeTrace(lanes []*lane) {
 		if best == nil {
 			break
 		}
-		r.log.Append(best.buf[best.bufPos].ev)
+		r.record(best.buf[best.bufPos].ev)
 		best.bufPos++
 	}
 	for _, ln := range lanes {

@@ -130,20 +130,27 @@ type Config struct {
 	// MinLatency ≥ 1, and when Triggers are present (trigger predicates
 	// inspect the globally ordered trace).
 	Shards int
-	// Quiet counts send/deliver/drop events instead of logging them,
-	// bounding memory on message-heavy runs (the whole-system baseline
-	// floods millions of messages). Decisions, crashes, detections and
-	// protocol annotations are still logged; Triggers cannot match
-	// send/deliver events in quiet mode.
+	// Quiet leaves send/deliver/drop events out of the trace, bounding
+	// memory on message-heavy runs (the whole-system baseline floods
+	// millions of messages). Decisions, crashes, detections and protocol
+	// annotations are still traced; Triggers cannot match send/deliver
+	// events in quiet mode. Result.Stats is the same with or without it.
 	Quiet bool
 	// Observer, if non-nil, receives every trace event as it is emitted,
 	// in sequence order (an online sink for checkers, metrics, streaming
-	// encoders, …).
+	// encoders, …). Setting it is one of the three things that make the
+	// kernel build events at all (see DiscardEvents).
 	Observer func(trace.Event)
 	// DiscardEvents stops the trace from being retained in memory:
-	// Result.Events is nil, while Stats, Observer and Triggers still see
-	// every event. Combined with Observer this bounds a run's memory by
-	// the topology, not the trace length.
+	// Result.Events is nil, while Observer and Triggers still see every
+	// event. Combined with Observer this bounds a run's memory by the
+	// topology, not the trace length.
+	//
+	// A trace.Event is built only if something consumes it: the trace is
+	// retained, an Observer is set, or Triggers exist. With DiscardEvents
+	// set and neither of the others, the kernel builds no event at all.
+	// Result.Stats never depends on any of this: the kernel counts it
+	// where the events happen, whether or not an event is built.
 	DiscardEvents bool
 }
 
@@ -151,7 +158,8 @@ type Config struct {
 type Result struct {
 	// Events is the full trace in delivery order.
 	Events []trace.Event
-	// Stats aggregates the trace.
+	// Stats aggregates the run: what trace.Summarize would compute from
+	// the full trace, counted by the kernel whether or not a trace exists.
 	Stats trace.Stats
 	// Decisions maps each decided node to its decision.
 	Decisions map[graph.NodeID]*proto.Decision
@@ -215,8 +223,14 @@ func keyLess(a, b eventKey) bool {
 type Runner struct {
 	cfg     Config
 	g       *graph.Graph
-	log     *trace.Log
 	started bool
+
+	// tracing is whether anything consumes trace events (see
+	// Config.DiscardEvents); when it is false none is built. events is
+	// the retained trace, nextSeq the next Event.Seq.
+	tracing bool
+	events  []trace.Event
+	nextSeq int
 
 	// netSeed/fdSeed key the counter-based latency draws; srcSeq and
 	// chanNonce are the per-source scheduling and per-sender draw
@@ -257,10 +271,10 @@ type Runner struct {
 	triggers  []Trigger
 	fired     []bool
 
-	// Aggregates merged from the lanes after the run.
-	qMsgs, qDeliveries, qDrops, qBytes, qMaxRound int
-	qParticipants                                 graph.Bitset
-	endTime                                       int64
+	// Aggregates merged from the lanes after the run: see lane.stats.
+	stats        trace.Stats
+	participants graph.Bitset
+	endTime      int64
 	// Metrics accumulators, plain ints flushed once per run: events
 	// processed (summed from the lanes in mergeLanes), window barriers
 	// and active-lane windows (counted by the sharded driver).
@@ -314,34 +328,28 @@ func NewRunner(cfg Config) (*Runner, error) {
 	}
 	n := cfg.Graph.Len()
 	r := &Runner{
-		cfg: cfg,
-		g:   cfg.Graph,
-		log: &trace.Log{},
+		cfg:     cfg,
+		g:       cfg.Graph,
+		tracing: !cfg.DiscardEvents || cfg.Observer != nil || len(cfg.Triggers) > 0,
 		// Distinct domain-separation tags keep the message-latency and
 		// failure-detection streams independent even for equal (from,
 		// to, time) coordinates.
-		netSeed:       splitmix64(uint64(cfg.Seed) ^ 0x6E65_745F_6C61_7401), // "net_lat"
-		fdSeed:        splitmix64(uint64(cfg.Seed) ^ 0x6664_5F6C_6174_0002), // "fd_lat"
-		srcSeq:        make([]int64, n),
-		chanNonce:     make([]uint64, n),
-		automata:      make([]proto.Automaton, n),
-		crashed:       graph.NewBitset(n),
-		subs:          make([]graph.Bitset, n),
-		fifoFloor:     make([][]int64, n),
-		triggers:      cfg.Triggers,
-		fired:         make([]bool, len(cfg.Triggers)),
-		qParticipants: graph.NewBitset(n),
+		netSeed:      splitmix64(uint64(cfg.Seed) ^ 0x6E65_745F_6C61_7401), // "net_lat"
+		fdSeed:       splitmix64(uint64(cfg.Seed) ^ 0x6664_5F6C_6174_0002), // "fd_lat"
+		srcSeq:       make([]int64, n),
+		chanNonce:    make([]uint64, n),
+		automata:     make([]proto.Automaton, n),
+		crashed:      graph.NewBitset(n),
+		subs:         make([]graph.Bitset, n),
+		fifoFloor:    make([][]int64, n),
+		triggers:     cfg.Triggers,
+		fired:        make([]bool, len(cfg.Triggers)),
+		participants: graph.NewBitset(n),
 	}
 	r.lookahead = minDeclaredLatency(cfg.NetLatency, cfg.FDLatency)
 	r.subDelay = r.lookahead
 	if r.subDelay < 1 {
 		r.subDelay = 1
-	}
-	if cfg.Observer != nil {
-		r.log.Observe(cfg.Observer)
-	}
-	if cfg.DiscardEvents {
-		r.log.DiscardEvents()
 	}
 	return r, nil
 }
@@ -442,29 +450,15 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 			decisions[id] = d
 		}
 	}
-	events := r.log.Events()
-	stats := r.log.Stats()
-	if r.cfg.Quiet {
-		stats.Messages += r.qMsgs
-		stats.Deliveries += r.qDeliveries
-		stats.Drops += r.qDrops
-		stats.Bytes += r.qBytes
-		if r.qMaxRound > stats.MaxRound {
-			stats.MaxRound = r.qMaxRound
+	r.participants.ForEach(func(i int32) {
+		if !r.crashed.Has(i) {
+			r.stats.Participants++
 		}
-		r.qParticipants.ForEach(func(i int32) {
-			if !r.crashed.Has(i) {
-				stats.Participants++
-			}
-		})
-		if r.endTime > stats.EndTime {
-			stats.EndTime = r.endTime
-		}
-	}
-	r.publishRunMetrics(stats)
+	})
+	r.publishRunMetrics(r.stats)
 	return &Result{
-		Events:    events,
-		Stats:     stats,
+		Events:    r.events,
+		Stats:     r.stats,
 		Decisions: decisions,
 		Automata:  automata,
 		Crashed:   crashed,
@@ -497,28 +491,38 @@ func (r *Runner) runSequential(ctx context.Context, ln *lane) error {
 }
 
 // mergeLanes folds the per-lane execution state back into the Runner:
-// crash sets and quiet counters are disjoint-owner partitions, so a
-// bitwise OR / sum reconstructs exactly the sequential aggregates.
+// crash sets, participant sets and counters are disjoint-owner partitions
+// and every Stats field is a commutative reduction, so a bitwise OR / sum /
+// maximum reconstructs exactly the sequential aggregates.
 func (r *Runner) mergeLanes(lanes []*lane) {
 	for _, ln := range lanes {
 		for w := range r.crashed {
 			r.crashed[w] |= ln.crashed[w]
 		}
-		for w := range r.qParticipants {
-			r.qParticipants[w] |= ln.qParticipants[w]
+		for w := range r.participants {
+			r.participants[w] |= ln.participants[w]
 		}
-		r.qMsgs += ln.qMsgs
-		r.qDeliveries += ln.qDeliveries
-		r.qDrops += ln.qDrops
-		r.qBytes += ln.qBytes
-		if ln.qMaxRound > r.qMaxRound {
-			r.qMaxRound = ln.qMaxRound
-		}
+		r.stats.Merge(ln.stats)
 		if ln.now > r.endTime {
 			r.endTime = ln.now
 		}
 		r.qEvents += ln.processed
 	}
+}
+
+// record appends one event to the run's trace: it stamps the sequence
+// number, retains the event unless the trace is discarded, and hands it to
+// the observer. It returns the stamped event.
+func (r *Runner) record(e trace.Event) trace.Event {
+	e.Seq = r.nextSeq
+	r.nextSeq++
+	if !r.cfg.DiscardEvents {
+		r.events = append(r.events, e)
+	}
+	if r.cfg.Observer != nil {
+		r.cfg.Observer(e)
+	}
+	return e
 }
 
 // payloadTraceView extracts the (view, round) trace annotation from a
@@ -563,7 +567,7 @@ type lane struct {
 	// in the lane (heap-allocated once) instead of a local keeps the
 	// *Rand handed to the LatencyModel interface from escaping per draw.
 	rng Rand
-	// direct lanes append to the shared trace log and evaluate triggers
+	// direct lanes append to the run's trace and evaluate triggers
 	// inline; buffered lanes collect pendingTrace entries merged at the
 	// window barrier.
 	direct  bool
@@ -573,19 +577,30 @@ type lane struct {
 	out     [][]event
 	err     error
 
-	processed                                     int
-	qMsgs, qDeliveries, qDrops, qBytes, qMaxRound int
-	qParticipants                                 graph.Bitset
+	processed int
+	// stats is this lane's share of Result.Stats, counted at the site of
+	// every event the trace has (or, under Quiet or with nothing consuming
+	// events, would have had): counters by kind, MaxRound, DecideTime, and
+	// EndTime — the time of the last such event, which a kernel event that
+	// emits nothing (a subscription, a detection at a crashed node) does
+	// not move. Participants stays 0 here; participants holds the nodes
+	// that sent or received, and the crashed ones are taken out at the end.
+	// traceMsgs is whether send/deliver/drop events are built: the run is
+	// tracing and not Quiet.
+	stats        trace.Stats
+	participants graph.Bitset
+	traceMsgs    bool
 }
 
 func (r *Runner) newLane(id, nshards int) *lane {
 	n := r.g.Len()
 	ln := &lane{
-		r:             r,
-		id:            id,
-		direct:        nshards <= 1,
-		crashed:       graph.NewBitset(n),
-		qParticipants: graph.NewBitset(n),
+		r:            r,
+		id:           id,
+		direct:       nshards <= 1,
+		crashed:      graph.NewBitset(n),
+		participants: graph.NewBitset(n),
+		traceMsgs:    r.tracing && !r.cfg.Quiet,
 	}
 	if !ln.direct {
 		ln.out = make([][]event, nshards)
@@ -641,8 +656,10 @@ func (ln *lane) dispatch(ev event) {
 	}
 }
 
-// emit records a trace event: direct lanes append to the log and evaluate
-// crash triggers against it, shard lanes buffer it for the barrier merge.
+// emit records a trace event: direct lanes append to the run's trace and
+// evaluate crash triggers against it, shard lanes buffer it for the barrier
+// merge. Callers count the event in ln.stats first and call emit only when
+// the run is tracing.
 func (ln *lane) emit(e trace.Event) {
 	e.Time = ln.now
 	if !ln.direct {
@@ -650,7 +667,7 @@ func (ln *lane) emit(e trace.Event) {
 		return
 	}
 	r := ln.r
-	e = r.log.Append(e)
+	e = r.record(e)
 	for i := range r.triggers {
 		if !r.fired[i] && r.triggers[i].When(e) {
 			r.fired[i] = true
@@ -675,7 +692,11 @@ func (ln *lane) handleCrash(ev event) {
 	ln.crashed.Set(ev.node)
 	r := ln.r
 	id := r.g.ID(ev.node)
-	ln.emit(trace.Event{Kind: trace.KindCrash, Node: id})
+	ln.stats.Crashes++
+	ln.stats.EndTime = ln.now
+	if r.tracing {
+		ln.emit(trace.Event{Kind: trace.KindCrash, Node: id})
+	}
 	// Strong completeness: notify every subscriber (unless it crashes
 	// first, in which case its detect event is dropped on delivery).
 	// Bitset iteration is ascending-index = sorted-NodeID order.
@@ -697,30 +718,36 @@ func (ln *lane) handleDetect(ev event) {
 	}
 	r := ln.r
 	id, peer := r.g.ID(ev.node), r.g.ID(ev.peer)
-	ln.emit(trace.Event{Kind: trace.KindDetect, Node: id, Peer: peer})
+	ln.stats.Detections++
+	ln.stats.EndTime = ln.now
+	if r.tracing {
+		ln.emit(trace.Event{Kind: trace.KindDetect, Node: id, Peer: peer})
+	}
 	ln.applyEffects(ev.node, id, r.automata[ev.node].OnCrash(peer))
 }
 
 func (ln *lane) handleDeliver(ev event) {
 	r := ln.r
+	ln.stats.EndTime = ln.now
 	if ln.crashed.Has(ev.node) {
-		if r.cfg.Quiet {
-			ln.qDrops++
-		} else {
+		ln.stats.Drops++
+		if ln.traceMsgs {
 			ln.emit(trace.Event{Kind: trace.KindDrop, Node: r.g.ID(ev.node),
 				Peer: r.g.ID(ev.peer), Bytes: int(ev.bytes)})
 		}
 		return
 	}
-	id := r.g.ID(ev.node)
-	if r.cfg.Quiet {
-		ln.qDeliveries++
-		ln.qParticipants.Set(ev.node)
-	} else {
-		ln.emit(trace.Event{Kind: trace.KindDeliver, Node: id, Peer: r.g.ID(ev.peer),
+	id, peer := r.g.ID(ev.node), r.g.ID(ev.peer)
+	ln.stats.Deliveries++
+	ln.participants.Set(ev.node)
+	if int(ev.round) > ln.stats.MaxRound {
+		ln.stats.MaxRound = int(ev.round)
+	}
+	if ln.traceMsgs {
+		ln.emit(trace.Event{Kind: trace.KindDeliver, Node: id, Peer: peer,
 			View: ev.view, Round: int(ev.round), Bytes: int(ev.bytes)})
 	}
-	ln.applyEffects(ev.node, id, r.automata[ev.node].OnMessage(r.g.ID(ev.peer), ev.payload))
+	ln.applyEffects(ev.node, id, r.automata[ev.node].OnMessage(peer, ev.payload))
 }
 
 // handleSubscribe registers ev.peer for 〈crash | ev.node〉, in the
@@ -756,21 +783,34 @@ func (ln *lane) applyEffects(idx int32, id graph.NodeID, eff proto.Effects) {
 	for _, q := range eff.Monitor {
 		ln.subscribe(idx, q)
 	}
-	for _, v := range eff.Proposed {
-		ln.emit(trace.Event{Kind: trace.KindPropose, Node: id, View: v.Key()})
+	tracing := ln.r.tracing
+	ln.stats.Proposals += len(eff.Proposed)
+	ln.stats.Rejections += len(eff.Rejected)
+	ln.stats.Resets += eff.Resets
+	if len(eff.Proposed)+len(eff.Rejected)+eff.Resets > 0 || eff.Decision != nil {
+		ln.stats.EndTime = ln.now
 	}
-	for _, v := range eff.Rejected {
-		ln.emit(trace.Event{Kind: trace.KindReject, Node: id, View: v.Key()})
-	}
-	for i := 0; i < eff.Resets; i++ {
-		ln.emit(trace.Event{Kind: trace.KindReset, Node: id})
+	if tracing {
+		for _, v := range eff.Proposed {
+			ln.emit(trace.Event{Kind: trace.KindPropose, Node: id, View: v.Key()})
+		}
+		for _, v := range eff.Rejected {
+			ln.emit(trace.Event{Kind: trace.KindReject, Node: id, View: v.Key()})
+		}
+		for i := 0; i < eff.Resets; i++ {
+			ln.emit(trace.Event{Kind: trace.KindReset, Node: id})
+		}
 	}
 	for _, send := range eff.Sends {
 		ln.send(idx, id, send)
 	}
 	if eff.Decision != nil {
-		ln.emit(trace.Event{Kind: trace.KindDecide, Node: id,
-			View: eff.Decision.View.Key(), Value: string(eff.Decision.Value)})
+		ln.stats.Decisions++
+		ln.stats.DecideTime = ln.now
+		if tracing {
+			ln.emit(trace.Event{Kind: trace.KindDecide, Node: id,
+				View: eff.Decision.View.Key(), Value: string(eff.Decision.Value)})
+		}
 	}
 }
 
@@ -806,12 +846,6 @@ func (ln *lane) send(from int32, fromID graph.NodeID, s proto.Send) {
 	r := ln.r
 	size := int32(s.Payload.WireSize())
 	view, round := payloadTraceView(s.Payload)
-	if r.cfg.Quiet {
-		ln.qParticipants.Set(from)
-		if round > ln.qMaxRound {
-			ln.qMaxRound = round
-		}
-	}
 	floors := r.fifoFloor[from]
 	if floors == nil {
 		floors = make([]int64, r.g.Len())
@@ -843,10 +877,14 @@ func (ln *lane) send(from int32, fromID graph.NodeID, s proto.Send) {
 		if r.cfg.Net != nil {
 			verdict = r.cfg.Net.Adjudicate(from, toIdx, ln.now, nonce)
 		}
-		if r.cfg.Quiet {
-			ln.qMsgs++
-			ln.qBytes += int(size)
-		} else {
+		ln.stats.Messages++
+		ln.stats.Bytes += int(size)
+		ln.stats.EndTime = ln.now
+		ln.participants.Set(from)
+		if round > ln.stats.MaxRound {
+			ln.stats.MaxRound = round
+		}
+		if ln.traceMsgs {
 			ln.emit(trace.Event{Kind: trace.KindSend, Node: fromID, Peer: to,
 				View: view, Round: round, Bytes: int(size)})
 		}
@@ -854,9 +892,8 @@ func (ln *lane) send(from int32, fromID graph.NodeID, s proto.Send) {
 			// Raw-loss mode lost the message on the wire: trace the drop
 			// at send time and leave the FIFO floor untouched (nothing
 			// will be delivered on the channel for this send).
-			if r.cfg.Quiet {
-				ln.qDrops++
-			} else {
+			ln.stats.Drops++
+			if ln.traceMsgs {
 				ln.emit(trace.Event{Kind: trace.KindDrop, Node: to, Peer: fromID,
 					Bytes: int(size)})
 			}

@@ -82,8 +82,9 @@ func (e Event) String() string {
 }
 
 // Log is an append-only, concurrency-safe event log. The zero value is
-// ready to use. The simulator appends single-threaded; the goroutine
-// runtime appends from many goroutines, hence the mutex.
+// ready to use. It is the live runtime's trace: its node goroutines append
+// concurrently, hence the mutex. (The simulator emits in one total order
+// and keeps its own trace without one.)
 //
 // Beyond buffering, a Log can stream: observers registered with Observe
 // receive every event in sequence order as it is appended, and
@@ -179,13 +180,39 @@ type Stats struct {
 	Decisions    int
 	Participants int   // distinct correct nodes that sent or received ≥1 message
 	MaxRound     int   // highest protocol round observed
-	EndTime      int64 // time of the last event
+	EndTime      int64 // time of the last event (of any Kind above)
 	DecideTime   int64 // time of the last decision (0 if none)
+}
+
+// Merge folds the Stats of a disjoint part of the same run into s: counters
+// add and maxima take the larger side. Participants is left alone — it
+// counts distinct nodes, which do not add; whoever merges owns the set.
+func (s *Stats) Merge(other Stats) {
+	s.Messages += other.Messages
+	s.Deliveries += other.Deliveries
+	s.Drops += other.Drops
+	s.Bytes += other.Bytes
+	s.Crashes += other.Crashes
+	s.Detections += other.Detections
+	s.Proposals += other.Proposals
+	s.Rejections += other.Rejections
+	s.Resets += other.Resets
+	s.Decisions += other.Decisions
+	s.MaxRound = max(s.MaxRound, other.MaxRound)
+	s.EndTime = max(s.EndTime, other.EndTime)
+	s.DecideTime = max(s.DecideTime, other.DecideTime)
 }
 
 // Accumulator folds a stream of events into Stats one event at a time,
 // using memory proportional to the number of distinct nodes seen rather
 // than the length of the trace. The zero value is ready to use.
+//
+// It is the definition of Stats: Summarize is one Accumulator over a
+// finished log, and the live runtime's Log keeps one running. The
+// simulator does not go through it — its kernel counts the same fields by
+// dense node index where the events happen, so that Stats costs nothing
+// per event and exists when no event is built — and is tested against it,
+// field by field (sim.TestShardedStatsMatchSummarize).
 type Accumulator struct {
 	s            Stats
 	crashed      map[graph.NodeID]bool
@@ -243,25 +270,7 @@ func (a *Accumulator) Merge(other *Accumulator) {
 		a.crashed = make(map[graph.NodeID]bool)
 		a.participants = make(map[graph.NodeID]bool)
 	}
-	a.s.Messages += other.s.Messages
-	a.s.Deliveries += other.s.Deliveries
-	a.s.Drops += other.s.Drops
-	a.s.Bytes += other.s.Bytes
-	a.s.Crashes += other.s.Crashes
-	a.s.Detections += other.s.Detections
-	a.s.Proposals += other.s.Proposals
-	a.s.Rejections += other.s.Rejections
-	a.s.Resets += other.s.Resets
-	a.s.Decisions += other.s.Decisions
-	if other.s.MaxRound > a.s.MaxRound {
-		a.s.MaxRound = other.s.MaxRound
-	}
-	if other.s.EndTime > a.s.EndTime {
-		a.s.EndTime = other.s.EndTime
-	}
-	if other.s.DecideTime > a.s.DecideTime {
-		a.s.DecideTime = other.s.DecideTime
-	}
+	a.s.Merge(other.s)
 	for n := range other.crashed {
 		a.crashed[n] = true
 	}

@@ -1,6 +1,7 @@
 package cliffedge
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -13,11 +14,13 @@ import (
 // catches the two costs the kernel once paid per view and per crash
 // detection coming back: an opinion matrix allocated for all |B| rounds up
 // front, and a Region built for every detection whether or not anything
-// reads it. The run measures 43.6 MB in 75.5 k allocations (±10 objects
-// across repetitions and GOMAXPROCS); with both costs present it measured
-// 168.6 MB in 94.3 k. The budgets are ~1.5× the bytes and ~1.2× the
-// objects — loose enough for a Go point release, tight enough that either
-// cost alone breaks one of them.
+// reads it. The run measured 43.6 MB in 75.5 k allocations (±10 objects
+// across repetitions and GOMAXPROCS) when the budgets were set, and
+// 168.6 MB in 94.3 k with both costs present; it measures 43.3 MB in
+// 71.4 k now that vectors carry bitmasks (87.8 k if every vector's masks
+// and every call's eff.Sends were allocations of their own). The
+// budgets are ~1.5× the bytes and ~1.2× the objects — loose enough for a Go
+// point release, tight enough that either cost alone breaks one of them.
 func TestKernelCascadeAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector inflates allocation counts")
@@ -47,5 +50,59 @@ func TestKernelCascadeAllocBudget(t *testing.T) {
 	}
 	if mallocs > maxMallocs {
 		t.Errorf("run made %d allocations, budget %d", mallocs, maxMallocs)
+	}
+}
+
+// TestSmallRunAllocBudget is the other side of TestKernelCascadeAllocBudget:
+// what one Campaign.RunJob — a 16–56-node topology, borders of a handful of
+// nodes, the online checker attached: the posture of every job of a sweep —
+// may allocate. Opinion bitmasks, the run's view-key table and the kernel's
+// own counters pay off on long borders and unread traces; this pins that
+// the thousands of small observed runs a sweep is made of do not pay for
+// them. The budgets are what the parent of the change that introduced
+// those mechanisms (05d98b2) allocates, plus 5 %: it measures 7716–7723
+// objects and 1 646 896–1 652 352 B for scalefree/midprotocol seed 1
+// (11 597 messages) and 1003–1009 objects and 95 728–101 232 B for
+// ring/quiescent seed 1 (16 messages) over six repetitions; the spread is
+// the runtime's own (a few objects of a background goroutine now and
+// then), so the test takes the smallest of three repetitions.
+func TestSmallRunAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector inflates allocation counts")
+	}
+	camp, err := NewCampaign()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		topology, regime     string
+		maxMallocs, maxBytes uint64
+	}{
+		{"scalefree", "midprotocol", 8_100, 1_729_000},
+		{"ring", "quiescent", 1_053, 100_500},
+	} {
+		job := CampaignJob{Cell: CampaignCellKey{Topology: c.topology, Regime: c.regime, Engine: "sim"}, Seed: 1}
+		mallocs, bytes := ^uint64(0), ^uint64(0)
+		for rep := 0; rep < 4; rep++ { // the first repetition warms up and is not counted
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			stats := camp.RunJob(context.Background(), job)
+			runtime.ReadMemStats(&after)
+			if stats.Err != "" || stats.Skipped || stats.Violations != 0 || stats.Decisions == 0 {
+				t.Fatalf("%s/%s: %+v", c.topology, c.regime, stats)
+			}
+			if rep > 0 {
+				mallocs = min(mallocs, after.Mallocs-before.Mallocs)
+				bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+			}
+		}
+		t.Logf("%s/%s: %d B in %d allocations", c.topology, c.regime, bytes, mallocs)
+		if mallocs > c.maxMallocs {
+			t.Errorf("%s/%s: %d allocations, budget %d", c.topology, c.regime, mallocs, c.maxMallocs)
+		}
+		if bytes > c.maxBytes {
+			t.Errorf("%s/%s: %d B allocated, budget %d", c.topology, c.regime, bytes, c.maxBytes)
+		}
 	}
 }
