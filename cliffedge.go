@@ -47,17 +47,11 @@
 // range across a worker pool and aggregates distributions: latency
 // percentiles, cost-vs-border locality fits, violation and cross-run
 // agreement rates.
-//
-// The original one-shot entry points ([Run], [RunChecked], [RunLive],
-// [RunPredicate]) remain as thin deprecated wrappers over Cluster + Plan +
-// Engine.
 package cliffedge
 
 import (
-	"context"
 	"fmt"
 	"io"
-	"time"
 
 	"cliffedge/internal/graph"
 	"cliffedge/internal/proto"
@@ -85,7 +79,7 @@ type Value = proto.Value
 // Event is one trace entry of a run.
 type Event = trace.Event
 
-// Event kinds, for Trigger predicates and trace inspection.
+// Event kinds, for [Plan.OnEvent] predicates and trace inspection.
 const (
 	EventCrash   = trace.KindCrash
 	EventDetect  = trace.KindDetect
@@ -155,63 +149,6 @@ func NewRegion(t *Topology, nodes []NodeID) Region { return region.New(t, nodes)
 // LatencyRange is a uniform latency band in virtual time ticks.
 type LatencyRange struct{ Min, Max int64 }
 
-// Config parameterises a cluster run.
-//
-// Deprecated: build a [Cluster] with [New] and functional options instead;
-// Config remains only as the parameter block of the legacy entry points.
-type Config struct {
-	// Topology is required.
-	Topology *Topology
-	// Seed drives all randomised latencies; same seed, same run.
-	Seed int64
-	// NetLatency is the message-delay band; default [1, 10].
-	NetLatency LatencyRange
-	// DetectLatency is the failure-detection delay band; default [1, 10].
-	DetectLatency LatencyRange
-	// Propose maps a view the node is about to propose to its suggested
-	// decision value (the paper's selectValueForView); default derives a
-	// deterministic repair-plan label from the view.
-	Propose func(Region) Value
-	// Pick deterministically selects the decision from the accepted
-	// values (the paper's deterministicPick); default: lexicographic
-	// minimum. Must be a pure function of the value multiset.
-	Pick func([]Value) Value
-	// Triggers optionally schedule event-conditioned crashes (simulator
-	// runs only).
-	Triggers []Trigger
-}
-
-// Crash schedules Node to fail at virtual time Time.
-//
-// Deprecated: use [Plan.Crash] under a [Plan.At] cursor.
-type Crash struct {
-	Time int64
-	Node NodeID
-}
-
-// Trigger schedules a crash of Node `Delay` ticks after the first trace
-// event matching When — e.g. "crash paris right after madrid's first
-// proposal", the paper's Fig. 1(b) scenario. Triggers fire at most once.
-//
-// Deprecated: use [Plan.Crash] under a [Plan.OnEvent] cursor.
-type Trigger struct {
-	Node  NodeID
-	When  func(Event) bool
-	Delay int64
-}
-
-// CrashAll schedules all nodes to fail at time t (a correlated region
-// failure).
-//
-// Deprecated: use NewPlan().At(t).Crash(nodes...).
-func CrashAll(nodes []NodeID, t int64) []Crash {
-	out := make([]Crash, len(nodes))
-	for i, n := range nodes {
-		out[i] = Crash{Time: t, Node: n}
-	}
-	return out
-}
-
 // Decision is one node's protocol outcome: the agreed crashed region and
 // the common decision value.
 type Decision struct {
@@ -256,85 +193,6 @@ func (r *Result) DecisionByNode(n NodeID) *Decision {
 		}
 	}
 	return nil
-}
-
-// options translates the legacy parameter block into functional options.
-func (c Config) options(extra ...Option) []Option {
-	opts := []Option{WithSeed(c.Seed)}
-	if c.NetLatency != (LatencyRange{}) {
-		opts = append(opts, WithNetLatency(c.NetLatency.Min, c.NetLatency.Max))
-	}
-	if c.DetectLatency != (LatencyRange{}) {
-		opts = append(opts, WithDetectLatency(c.DetectLatency.Min, c.DetectLatency.Max))
-	}
-	if c.Propose != nil {
-		opts = append(opts, WithPropose(c.Propose))
-	}
-	if c.Pick != nil {
-		opts = append(opts, WithPick(c.Pick))
-	}
-	return append(opts, extra...)
-}
-
-// run builds the one-shot Cluster behind a legacy entry point and executes
-// plan on it.
-func (c Config) run(plan *Plan, extra ...Option) (*Result, error) {
-	cl, err := New(c.Topology, c.options(extra...)...)
-	if err != nil {
-		return nil, err
-	}
-	return cl.Run(context.Background(), plan)
-}
-
-// plan translates a legacy crash schedule plus the Config's triggers into
-// a Plan, preserving order (and hence the bit-exact trace).
-func (c Config) plan(crashes []Crash) *Plan {
-	p := NewPlan()
-	for _, cr := range crashes {
-		p.At(cr.Time).Crash(cr.Node)
-	}
-	for _, t := range c.Triggers {
-		p.OnEvent(t.When, t.Delay).Crash(t.Node)
-	}
-	return p
-}
-
-// wavePlan translates legacy live crash waves into a Plan: wave i becomes
-// the timed step at t=i+1, which the live engine turns back into
-// quiescence-separated waves in that order.
-func wavePlan(waves [][]NodeID) *Plan {
-	p := NewPlan()
-	for i, w := range waves {
-		p.At(int64(i + 1)).Crash(w...)
-	}
-	return p
-}
-
-// Run executes the scenario on the deterministic simulator until
-// quiescence.
-//
-// Deprecated: use [New] and [Cluster.Run] with a [Plan].
-func Run(cfg Config, crashes []Crash) (*Result, error) {
-	return cfg.run(cfg.plan(crashes))
-}
-
-// RunChecked is Run plus verification: the seven properties CD1–CD7 of
-// convergent detection of crashed regions are checked online as the run's
-// events stream by, and any violation is returned as an error.
-//
-// Deprecated: use [New] with [WithChecker] and [Cluster.Run].
-func RunChecked(cfg Config, crashes []Crash) (*Result, error) {
-	return cfg.run(cfg.plan(crashes), WithChecker())
-}
-
-// RunLive executes the protocol with one goroutine per node. Crash waves
-// are injected in order, each after the cluster went quiescent; timeout
-// bounds each quiescence wait. Outcomes are scheduler-dependent but always
-// satisfy CD1–CD7 (use the race detector in tests).
-//
-// Deprecated: use [New] with [WithEngine](Live()) and [Cluster.Run].
-func RunLive(cfg Config, waves [][]NodeID, timeout time.Duration) (*Result, error) {
-	return cfg.run(wavePlan(waves), WithEngine(Live()), WithLiveTimeout(timeout))
 }
 
 // DOT renders the topology in Graphviz format, shading the given crashed

@@ -2,15 +2,25 @@ package cliffedge
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 	"time"
 )
 
+// runPlan builds a cluster over topo and runs plan on it.
+func runPlan(topo *Topology, plan *Plan, opts ...Option) (*Result, error) {
+	c, err := New(topo, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return c.Run(context.Background(), plan)
+}
+
 func TestRunCheckedQuickstart(t *testing.T) {
 	topo := Grid(8, 8)
 	victims := CenterBlock(8, 8, 2)
-	res, err := RunChecked(Config{Topology: topo, Seed: 1}, CrashAll(victims, 10))
+	res, err := runPlan(topo, NewPlan().At(10).Crash(victims...), WithSeed(1), WithChecker())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,13 +40,13 @@ func TestRunCheckedQuickstart(t *testing.T) {
 }
 
 func TestRunDeterministicAcrossCalls(t *testing.T) {
-	cfg := Config{Topology: Grid(7, 7), Seed: 99}
-	crashes := CrashAll(CenterBlock(7, 7, 2), 5)
-	a, err := Run(cfg, crashes)
+	topo := Grid(7, 7)
+	plan := NewPlan().At(5).Crash(CenterBlock(7, 7, 2)...)
+	a, err := runPlan(topo, plan, WithSeed(99))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg, crashes)
+	b, err := runPlan(topo, plan, WithSeed(99))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,9 +62,9 @@ func TestRunDeterministicAcrossCalls(t *testing.T) {
 }
 
 func TestRunSeedChangesSchedule(t *testing.T) {
-	crashes := CrashAll(CenterBlock(7, 7, 2), 5)
-	a, _ := Run(Config{Topology: Grid(7, 7), Seed: 1}, crashes)
-	b, _ := Run(Config{Topology: Grid(7, 7), Seed: 2}, crashes)
+	plan := NewPlan().At(5).Crash(CenterBlock(7, 7, 2)...)
+	a, _ := runPlan(Grid(7, 7), plan, WithSeed(1))
+	b, _ := runPlan(Grid(7, 7), plan, WithSeed(2))
 	if a.Stats.EndTime == b.Stats.EndTime && a.Stats.Messages == b.Stats.Messages &&
 		len(a.Events()) == len(b.Events()) {
 		// Extremely unlikely to coincide on all three if seeds matter.
@@ -69,11 +79,10 @@ func TestRunSeedChangesSchedule(t *testing.T) {
 func TestCustomProposeAndPick(t *testing.T) {
 	topo := Grid(5, 5)
 	victim := GridID(2, 2)
-	res, err := RunChecked(Config{
-		Topology: topo,
-		Seed:     3,
-		Propose:  func(v Region) Value { return Value("plan-z") },
-		Pick: func(vals []Value) Value {
+	res, err := runPlan(topo, NewPlan().At(10).Crash(victim),
+		WithSeed(3), WithChecker(),
+		WithPropose(func(v Region) Value { return Value("plan-z") }),
+		WithPick(func(vals []Value) Value {
 			max := vals[0]
 			for _, v := range vals {
 				if v > max {
@@ -81,8 +90,7 @@ func TestCustomProposeAndPick(t *testing.T) {
 				}
 			}
 			return max
-		},
-	}, []Crash{{Time: 10, Node: victim}})
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,11 +104,12 @@ func TestCustomProposeAndPick(t *testing.T) {
 func TestRunLiveMatchesSimOutcome(t *testing.T) {
 	topo := Grid(6, 6)
 	block := GridBlock(2, 2, 2)
-	live, err := RunLive(Config{Topology: topo}, [][]NodeID{block}, 30*time.Second)
+	live, err := runPlan(topo, NewPlan().At(1).Crash(block...),
+		WithEngine(Live()), WithLiveTimeout(30*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
-	simres, err := Run(Config{Topology: topo, Seed: 4}, CrashAll(block, 10))
+	simres, err := runPlan(topo, NewPlan().At(10).Crash(block...), WithSeed(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +127,7 @@ func TestRunLiveMatchesSimOutcome(t *testing.T) {
 func TestNarrativeAndHelpers(t *testing.T) {
 	topo := Grid(4, 4)
 	victim := GridID(1, 1)
-	res, err := Run(Config{Topology: topo, Seed: 5}, []Crash{{Time: 5, Node: victim}})
+	res, err := runPlan(topo, NewPlan().At(5).Crash(victim), WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +156,7 @@ func TestNarrativeAndHelpers(t *testing.T) {
 
 func TestTopologyBuilderFacade(t *testing.T) {
 	topo := NewTopology().AddEdge("a", "b").AddEdge("b", "c").Build()
-	res, err := RunChecked(Config{Topology: topo, Seed: 1}, []Crash{{Time: 5, Node: "b"}})
+	res, err := runPlan(topo, NewPlan().At(5).Crash("b"), WithSeed(1), WithChecker())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,18 +173,18 @@ func TestTopologyBuilderFacade(t *testing.T) {
 }
 
 func TestRunRequiresTopology(t *testing.T) {
-	if _, err := Run(Config{}, nil); err == nil {
-		t.Error("Run should reject a nil topology")
+	if _, err := runPlan(nil, NewPlan()); err == nil {
+		t.Error("New should reject a nil topology")
 	}
-	if _, err := RunLive(Config{}, nil, time.Second); err == nil {
-		t.Error("RunLive should reject a nil topology")
+	if _, err := runPlan(nil, NewPlan(), WithEngine(Live()), WithLiveTimeout(time.Second)); err == nil {
+		t.Error("New should reject a nil topology for the live engine")
 	}
 }
 
 func TestRunPredicateFacade(t *testing.T) {
 	topo := Grid(7, 7)
 	patch := GridBlock(2, 2, 2)
-	res, err := RunPredicate(Config{Topology: topo, Seed: 5}, MarkAll(patch, 10))
+	res, err := runPlan(topo, NewPlan().At(10).Mark(patch...), WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,12 +203,11 @@ func TestRunPredicateFacade(t *testing.T) {
 }
 
 func TestRunPredicateValidation(t *testing.T) {
-	if _, err := RunPredicate(Config{}, nil); err == nil {
+	if _, err := runPlan(nil, NewPlan()); err == nil {
 		t.Error("nil topology accepted")
 	}
 	topo := Grid(3, 3)
-	if _, err := RunPredicate(Config{Topology: topo},
-		[]Mark{{Time: 1, Node: "ghost"}}); err == nil {
+	if _, err := runPlan(topo, NewPlan().At(1).Mark("ghost")); err == nil {
 		t.Error("unknown node accepted")
 	}
 }
@@ -207,15 +215,10 @@ func TestRunPredicateValidation(t *testing.T) {
 func TestTriggerFacade(t *testing.T) {
 	topo := Grid(6, 6)
 	block := GridBlock(2, 2, 2)
-	res, err := RunChecked(Config{
-		Topology: topo,
-		Seed:     3,
-		Triggers: []Trigger{{
-			Node:  GridID(2, 4),
-			Delay: 1,
-			When:  func(e Event) bool { return e.Kind == EventPropose },
-		}},
-	}, CrashAll(block, 10))
+	res, err := runPlan(topo, NewPlan().
+		At(10).Crash(block...).
+		OnEvent(func(e Event) bool { return e.Kind == EventPropose }, 1).Crash(GridID(2, 4)),
+		WithSeed(3), WithChecker())
 	if err != nil {
 		t.Fatal(err)
 	}

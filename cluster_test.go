@@ -124,128 +124,6 @@ func TestNewOptionValidation(t *testing.T) {
 	}
 }
 
-// requireSameTrace asserts two runs produced bit-identical event traces.
-func requireSameTrace(t *testing.T, legacy, modern *Result) {
-	t.Helper()
-	le, me := legacy.Events(), modern.Events()
-	if len(le) != len(me) {
-		t.Fatalf("trace lengths differ: legacy %d vs new %d", len(le), len(me))
-	}
-	for i := range le {
-		if le[i] != me[i] {
-			t.Fatalf("event %d differs:\nlegacy %v\nnew    %v", i, le[i], me[i])
-		}
-	}
-	if len(legacy.Decisions) != len(modern.Decisions) {
-		t.Fatalf("decision counts differ: %d vs %d", len(legacy.Decisions), len(modern.Decisions))
-	}
-	for i := range legacy.Decisions {
-		l, m := legacy.Decisions[i], modern.Decisions[i]
-		if l.Node != m.Node || l.Value != m.Value || !l.View.Equal(m.View) {
-			t.Fatalf("decision %d differs: %v vs %v", i, l, m)
-		}
-	}
-}
-
-// TestPlanMatchesLegacyCrashes: the Plan path must reproduce the legacy
-// []Crash path bit for bit under the same seed.
-func TestPlanMatchesLegacyCrashes(t *testing.T) {
-	topo := Grid(8, 8)
-	block := CenterBlock(8, 8, 2)
-	legacy, err := Run(Config{Topology: topo, Seed: 5}, CrashAll(block, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := New(topo, WithSeed(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	modern, err := c.Run(context.Background(), NewPlan().At(10).Crash(block...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameTrace(t, legacy, modern)
-}
-
-// TestPlanMatchesLegacyTriggers: OnEvent steps must reproduce the legacy
-// Config.Triggers path bit for bit (the Fig. 1(b) cascade).
-func TestPlanMatchesLegacyTriggers(t *testing.T) {
-	topo, f1, _ := Fig1()
-	when := func(e Event) bool { return e.Kind == EventPropose && e.Node == "madrid" }
-	legacy, err := Run(Config{
-		Topology: topo, Seed: 11,
-		Triggers: []Trigger{{Node: "paris", When: when, Delay: 1}},
-	}, CrashAll(f1, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := New(topo, WithSeed(11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	modern, err := c.Run(context.Background(),
-		NewPlan().At(10).Crash(f1...).OnEvent(when, 1).Crash("paris"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameTrace(t, legacy, modern)
-	if !modern.Crashed["paris"] {
-		t.Error("OnEvent trigger did not fire")
-	}
-}
-
-// TestPlanMatchesLegacyMarks: Mark steps must reproduce the legacy
-// RunPredicate path bit for bit.
-func TestPlanMatchesLegacyMarks(t *testing.T) {
-	topo := Grid(7, 7)
-	patch := GridBlock(2, 2, 2)
-	legacy, err := RunPredicate(Config{Topology: topo, Seed: 5}, MarkAll(patch, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := New(topo, WithSeed(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	modern, err := c.Run(context.Background(), NewPlan().At(10).Mark(patch...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameTrace(t, legacy, modern)
-	if len(modern.Crashed) != 0 {
-		t.Error("marked nodes must not count as crashed")
-	}
-}
-
-// TestLiveEngineMatchesLegacyWaves: wave outcomes are scheduler-dependent
-// in timing but deterministic in substance — both paths must converge on
-// the same decided views.
-func TestLiveEngineMatchesLegacyWaves(t *testing.T) {
-	topo := Grid(6, 6)
-	block := GridBlock(2, 2, 2)
-	legacy, err := RunLive(Config{Topology: topo}, [][]NodeID{block}, 30*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := New(topo, WithEngine(Live()), WithChecker())
-	if err != nil {
-		t.Fatal(err)
-	}
-	modern, err := c.Run(context.Background(), NewPlan().At(1).Crash(block...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(legacy.Decisions) != len(modern.Decisions) {
-		t.Fatalf("decision counts differ: %d vs %d", len(legacy.Decisions), len(modern.Decisions))
-	}
-	for i := range legacy.Decisions {
-		if !legacy.Decisions[i].View.Equal(modern.Decisions[i].View) {
-			t.Errorf("decision %d view mismatch: %s vs %s",
-				i, legacy.Decisions[i].View, modern.Decisions[i].View)
-		}
-	}
-}
-
 func TestSimEngineContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

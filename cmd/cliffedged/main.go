@@ -38,6 +38,10 @@
 //	curl -N localhost:8090/api/v1/fleets/f000001/events      # merged SSE
 //	curl    localhost:8090/api/v1/fleets/f000001/report.json
 //
+// Both modes serve one handler set (serve.Handler) — the coordinator is a
+// second backend behind it — so every campaign route exists under
+// /api/v1/fleets with the same documents, SSE rules and error bodies.
+//
 // Observability: both modes expose GET /metrics (Prometheus text format)
 // and a JSON /healthz on the main listener; -debug-addr opens a second,
 // private listener with net/http/pprof and a /metrics mirror. -log-level
@@ -157,7 +161,7 @@ func startDebug(logger *slog.Logger, addr string) {
 }
 
 // runCoordinator is the -coordinator main: shard fleets across the worker
-// URLs, mirror the campaign API under /api/v1/fleets.
+// URLs, serve the campaign API under /api/v1/fleets.
 func runCoordinator(logger *slog.Logger, addr, storeDir, workerList string, shards, perWorker int, workerTimeout time.Duration) {
 	var urls []string
 	for _, u := range strings.Split(workerList, ",") {

@@ -1,23 +1,26 @@
 package cliffedge_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"cliffedge"
 )
 
-// ExampleRunChecked reproduces the library's core promise on a 5×5 mesh:
+// ExampleCluster_Run reproduces the library's core promise on a 5×5 mesh:
 // crash one interior node and its four neighbours — only they — agree on
-// the region and a common plan. Deterministic given the seed.
-func ExampleRunChecked() {
+// the region and a common plan, with CD1–CD7 checked online. Deterministic
+// given the seed.
+func ExampleCluster_Run() {
 	topo := cliffedge.Grid(5, 5)
 	victim := cliffedge.GridID(2, 2)
 
-	res, err := cliffedge.RunChecked(
-		cliffedge.Config{Topology: topo, Seed: 1},
-		[]cliffedge.Crash{{Time: 10, Node: victim}},
-	)
+	c, err := cliffedge.New(topo, cliffedge.WithSeed(1), cliffedge.WithChecker())
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := c.Run(context.Background(), cliffedge.NewPlan().At(10).Crash(victim))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -35,17 +38,18 @@ func ExampleRunChecked() {
 	// participants: 4 of 24 correct nodes
 }
 
-// ExampleRunPredicate shows the §5 stable-predicate extension: two marked
+// ExamplePlan_Mark shows the §5 stable-predicate extension: two marked
 // (alive but withdrawn) nodes are detected cooperatively, no failure
 // detector involved.
-func ExampleRunPredicate() {
+func ExamplePlan_Mark() {
 	topo := cliffedge.Line(5) // r0 - r1 - r2 - r3 - r4
 	marked := []cliffedge.NodeID{cliffedge.RingID(2), cliffedge.RingID(3)}
 
-	res, err := cliffedge.RunPredicate(
-		cliffedge.Config{Topology: topo, Seed: 1},
-		cliffedge.MarkAll(marked, 10),
-	)
+	c, err := cliffedge.New(topo, cliffedge.WithSeed(1))
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := c.Run(context.Background(), cliffedge.NewPlan().At(10).Mark(marked...))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -19,12 +19,12 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"log"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -37,6 +37,8 @@ import (
 )
 
 func main() {
+	quiet := slog.New(slog.DiscardHandler)
+
 	// Three ordinary campaign workers, each with its own store.
 	var workerURLs []string
 	for i := 0; i < 3; i++ {
@@ -47,7 +49,7 @@ func main() {
 		defer os.RemoveAll(dir)
 		srv, err := serve.NewServer(dir, serve.Config{
 			Workers: 2,
-			Logf:    func(string, ...any) {}, // keep the example's output clean
+			Logger:  quiet, // keep the example's output clean
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -72,7 +74,7 @@ func main() {
 	co, err := fleet.NewCoordinator(coordDir, fleet.Config{
 		Workers: workerURLs,
 		Shards:  6,
-		Logf:    func(string, ...any) {},
+		Logger:  quiet,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -109,17 +111,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "data: ") {
-			continue
-		}
-		var ev serve.Event
-		if err := json.Unmarshal([]byte(line[len("data: "):]), &ev); err != nil {
-			log.Fatal(err)
-		}
+	err = serve.ReadSSE(resp.Body, func(ev serve.Event) bool {
 		switch ev.Type {
 		case "result":
 			if ev.Completed%6 == 0 || ev.Completed == ev.Total {
@@ -129,9 +121,10 @@ func main() {
 			fmt.Printf("fleet %s done: %d runs, %d errors, %d violations\n",
 				created.ID, ev.Completed, ev.TotalErrors, ev.TotalViolations)
 		}
-		if ev.Terminal() {
-			break
-		}
+		return !ev.Terminal()
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	// The shard table shows where each seed slice ran.

@@ -16,10 +16,10 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"log"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -42,7 +42,7 @@ func main() {
 	srv, err := serve.NewServer(dir, serve.Config{
 		Workers:        4,
 		ClusterOptions: []cliffedge.Option{cliffedge.WithLiveTick(100 * time.Microsecond)},
-		Logf:           func(string, ...any) {}, // keep the example's output clean
+		Logger:         slog.New(slog.DiscardHandler), // keep the example's output clean
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -76,17 +76,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "data: ") {
-			continue
-		}
-		var ev serve.Event
-		if err := json.Unmarshal([]byte(line[len("data: "):]), &ev); err != nil {
-			log.Fatal(err)
-		}
+	err = serve.ReadSSE(resp.Body, func(ev serve.Event) bool {
 		switch ev.Type {
 		case "result":
 			fmt.Printf("  [%2d/%2d] %-22s seed %-2d  %2d decisions, %d violations\n",
@@ -95,9 +85,10 @@ func main() {
 			fmt.Printf("\ncampaign %s done: %d runs, %d errors, %d violations\n",
 				created.ID, ev.Completed, ev.TotalErrors, ev.TotalViolations)
 		}
-		if ev.Terminal() {
-			break
-		}
+		return !ev.Terminal()
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	var report cliffedge.CampaignReport

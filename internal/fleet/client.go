@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -199,7 +198,16 @@ func (w *workerClient) Events(ctx context.Context, id string, since int64) (<-ch
 	go func() {
 		defer close(ch)
 		defer resp.Body.Close()
-		readSSE(ctx, resp.Body, ch)
+		// A stream that ends in an error is a stream that ended: the caller
+		// reconnects from its cursor either way.
+		_ = serve.ReadSSE(resp.Body, func(ev serve.Event) bool {
+			select {
+			case ch <- ev:
+				return true
+			case <-ctx.Done():
+				return false
+			}
+		})
 	}()
 	return ch, func() { resp.Body.Close() }, nil
 }
@@ -217,27 +225,4 @@ func (w *workerClient) Healthy(ctx context.Context) bool {
 	defer resp.Body.Close()
 	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<10))
 	return resp.StatusCode == http.StatusOK
-}
-
-// readSSE parses an SSE stream into events. Only the data field matters —
-// serve embeds the seq and type in the JSON document — so framing errors
-// reduce to "stream over" and the reconnect cursor does the rest.
-func readSSE(ctx context.Context, r io.Reader, ch chan<- serve.Event) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20) // terminal events carry whole reports
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "data: ") {
-			continue
-		}
-		var ev serve.Event
-		if err := json.Unmarshal([]byte(line[len("data: "):]), &ev); err != nil {
-			return
-		}
-		select {
-		case ch <- ev:
-		case <-ctx.Done():
-			return
-		}
-	}
 }

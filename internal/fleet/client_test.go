@@ -8,8 +8,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"cliffedge/internal/serve"
 )
 
 func TestStatusCodeUnwrapsThroughWrapping(t *testing.T) {
@@ -61,43 +59,6 @@ func TestErrHTTPDecodesErrorBody(t *testing.T) {
 		if tc.msg != "" && !strings.Contains(got.Error(), tc.msg) {
 			t.Errorf("%s: error %q does not carry body message %q", tc.path, got, tc.msg)
 		}
-	}
-}
-
-func TestReadSSEParsesDataLinesOnly(t *testing.T) {
-	// A realistic frame mix: comments, ids, event names, and a garbage
-	// data line at the end. Only well-formed data payloads come through;
-	// the first malformed one ends the stream (the caller reconnects from
-	// its cursor, so "stream over" is always safe).
-	stream := strings.Join([]string{
-		": keepalive comment",
-		"id: 1",
-		"event: result",
-		`data: {"seq":1,"type":"result","completed":1,"total":2}`,
-		"",
-		"id: 2",
-		"event: done",
-		`data: {"seq":2,"type":"done","completed":2,"total":2}`,
-		"",
-		"data: {not json",
-		`data: {"seq":3,"type":"result"}`,
-		"",
-	}, "\n")
-
-	ch := make(chan serve.Event)
-	go func() {
-		defer close(ch)
-		readSSE(context.Background(), strings.NewReader(stream), ch)
-	}()
-	var got []serve.Event
-	for ev := range ch {
-		got = append(got, ev)
-	}
-	if len(got) != 2 {
-		t.Fatalf("parsed %d events, want 2 (stream must end at the malformed line): %+v", len(got), got)
-	}
-	if got[0].Seq != 1 || got[0].Type != "result" || got[1].Seq != 2 || got[1].Type != "done" {
-		t.Fatalf("unexpected events: %+v", got)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"cliffedge/internal/campaign"
+	"cliffedge/internal/serve"
 	"cliffedge/internal/store"
 )
 
@@ -103,7 +104,7 @@ func TestFleetFeedFetchesOnlyNewRecords(t *testing.T) {
 		Workers:       []string{ts.URL},
 		Shards:        1,
 		WorkerTimeout: 30 * time.Second,
-		Logf:          t.Logf,
+		Logger:        testLogger(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +195,7 @@ func TestFleetFeedSurvivesReplacedLog(t *testing.T) {
 		Workers:       []string{ts.URL},
 		Shards:        1,
 		WorkerTimeout: 30 * time.Second,
-		Logf:          t.Logf,
+		Logger:        testLogger(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -238,7 +239,7 @@ func TestFleetCoordinatorBounceRefetchesOnce(t *testing.T) {
 		Workers:       []string{ts.URL},
 		Shards:        1,
 		WorkerTimeout: 30 * time.Second,
-		Logf:          t.Logf,
+		Logger:        testLogger(t),
 	}
 	dir := filepath.Join(t.TempDir(), "coord")
 	co1, err := NewCoordinator(dir, cfg)
@@ -261,7 +262,7 @@ func TestFleetCoordinatorBounceRefetchesOnce(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	co1.Shutdown()
-	if done, total := f.Progress(); done == total {
+	if f.sw.Completed() == f.sw.Total() {
 		t.Skip("the shard finished before the bounce; nothing was mid-flight")
 	}
 	preBounce := len(feed.snapshot())
@@ -330,7 +331,7 @@ func TestFleetBadFeedRetriesShard(t *testing.T) {
 				Workers:       []string{ts.URL},
 				Shards:        1,
 				WorkerTimeout: 30 * time.Second, // a drive that waits this out fails the test's deadline
-				Logf:          t.Logf,
+				Logger:        testLogger(t),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -380,7 +381,7 @@ func TestCoordinatorRetiresFinishedFleets(t *testing.T) {
 
 	spec := testSpec(2)
 	var ids []string
-	for i := 0; i <= historyLimit; i++ {
+	for i := 0; i <= serve.HistoryLimit; i++ {
 		f, err := co.Submit(spec, "test")
 		if err != nil {
 			t.Fatal(err)
@@ -395,11 +396,14 @@ func TestCoordinatorRetiresFinishedFleets(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond) // the run loop retires after the manifest turns done
 	}
-	co.mu.Lock()
-	kept := len(co.fleets)
-	co.mu.Unlock()
-	if kept > historyLimit {
-		t.Fatalf("coordinator holds %d fleets, want at most %d", kept, historyLimit)
+	kept := 0
+	for _, id := range ids {
+		if co.Fleet(id) != nil {
+			kept++
+		}
+	}
+	if kept > serve.HistoryLimit {
+		t.Fatalf("coordinator holds %d fleets, want at most %d", kept, serve.HistoryLimit)
 	}
 	f := co.Fleet(last)
 	if f == nil {

@@ -23,7 +23,6 @@ import (
 
 	"cliffedge"
 	"cliffedge/internal/campaign"
-	"cliffedge/internal/obs"
 	"cliffedge/internal/serve"
 	"cliffedge/internal/store"
 )
@@ -66,12 +65,8 @@ type Config struct {
 	// are applied by the coordinator. Defaults to a fresh client.
 	Client *http.Client
 
-	// Logger receives progress records (nil: Logf if set, else discard).
+	// Logger receives progress records (nil: discard).
 	Logger *slog.Logger
-
-	// Logf is the legacy printf sink, kept for tests that pass t.Logf;
-	// when set (and Logger is nil) it is adapted with obs.LogfLogger.
-	Logf func(format string, args ...any)
 
 	// now stubs time for tests.
 	now func() time.Time
@@ -91,11 +86,7 @@ func (c Config) withDefaults() Config {
 		c.Client = &http.Client{}
 	}
 	if c.Logger == nil {
-		if c.Logf != nil {
-			c.Logger = obs.LogfLogger(c.Logf)
-		} else {
-			c.Logger = slog.New(slog.DiscardHandler)
-		}
+		c.Logger = slog.New(slog.DiscardHandler)
 	}
 	if c.now == nil {
 		c.now = time.Now
@@ -106,11 +97,6 @@ func (c Config) withDefaults() Config {
 // flushEvery bounds how stale the merged log may run behind a slow
 // shard's feed, and paces lost-worker probes.
 const flushEvery = time.Second
-
-// historyLimit bounds how many finished fleets stay in memory with their
-// event streams — the same bound serve puts on finished campaigns. Older
-// ones are served from the store.
-const historyLimit = 64
 
 // worker is one pool member's lease accounting. All fields are guarded by
 // the coordinator's wmu — fleets lease from a shared pool.
@@ -133,12 +119,14 @@ type Coordinator struct {
 	wmu     sync.Mutex
 	workers []*worker
 
-	mu       sync.Mutex
-	fleets   map[string]*Fleet
-	finished []string // done or cancelled fleets still in the map, oldest first
-	nextID   int
-	closed   bool
-	wg       sync.WaitGroup
+	// fleets holds the running fleets and the recently finished ones, whose
+	// sweeps keep serving their event history.
+	fleets serve.Resident[*Fleet]
+
+	mu     sync.Mutex
+	nextID int
+	closed bool
+	wg     sync.WaitGroup
 }
 
 // NewCoordinator opens (or creates) the fleet store at dataDir and
@@ -156,7 +144,7 @@ func NewCoordinator(dataDir string, cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	co := &Coordinator{st: st, cfg: cfg, started: time.Now(), fleets: make(map[string]*Fleet)}
+	co := &Coordinator{st: st, cfg: cfg, started: time.Now()}
 	for _, url := range cfg.Workers {
 		co.workers = append(co.workers, &worker{
 			url: strings.TrimRight(url, "/"),
@@ -197,7 +185,8 @@ func (co *Coordinator) Submit(spec cliffedge.CampaignSpec, client string) (*Flee
 	co.mu.Lock()
 	if co.closed {
 		co.mu.Unlock()
-		return nil, errors.New("fleet: coordinator is shutting down")
+		return nil, &serve.HTTPError{Status: http.StatusServiceUnavailable,
+			Err: errors.New("fleet: coordinator is shutting down")}
 	}
 	co.nextID++
 	id := fmt.Sprintf("f%06d", co.nextID)
@@ -298,34 +287,15 @@ func (co *Coordinator) newFleet(id string, sw *serve.Sweep, spec cliffedge.Campa
 }
 
 func (co *Coordinator) startFleet(f *Fleet) {
-	co.mu.Lock()
-	co.fleets[f.ID] = f
+	co.fleets.Add(f.ID, f)
 	co.wg.Add(1)
-	co.mu.Unlock()
 	go f.run()
 }
 
 // Fleet returns a submitted or resumed fleet by ID (nil if unknown —
-// fleets finished before the last restart, or more than historyLimit
-// finished fleets ago, live only in the store).
-func (co *Coordinator) Fleet(id string) *Fleet {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	return co.fleets[id]
-}
-
-// retire records that a fleet reached a terminal status and forgets the
-// oldest such fleet beyond historyLimit — its sweep's event history and
-// aggregator go with it; the store keeps serving its status and report.
-func (co *Coordinator) retire(id string) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	co.finished = append(co.finished, id)
-	if len(co.finished) > historyLimit {
-		delete(co.fleets, co.finished[0])
-		co.finished = co.finished[1:]
-	}
-}
+// fleets finished before the last restart, or more than
+// serve.HistoryLimit finished fleets ago, live only in the store).
+func (co *Coordinator) Fleet(id string) *Fleet { return co.fleets.Get(id) }
 
 // Store exposes the coordinator's store for read paths (reports, lists).
 func (co *Coordinator) Store() *store.Store { return co.st }
@@ -337,12 +307,8 @@ func (co *Coordinator) Store() *store.Store { return co.st }
 func (co *Coordinator) Shutdown() {
 	co.mu.Lock()
 	co.closed = true
-	fleets := make([]*Fleet, 0, len(co.fleets))
-	for _, f := range co.fleets {
-		fleets = append(fleets, f)
-	}
 	co.mu.Unlock()
-	for _, f := range fleets {
+	for _, f := range co.fleets.Clear() {
 		f.stop()
 	}
 	co.wg.Wait()
@@ -421,7 +387,9 @@ func (co *Coordinator) probeLost() {
 // Fleet is one distributed sweep: the shard table plus the merged sweep
 // in the coordinator's store. Its run loop leases shards to workers,
 // folds their records into the sweep as they stream in, and re-leases
-// shards whose workers are lost.
+// shards whose workers are lost. Progress, the event stream and the
+// report are the sweep's own — the same seq-numbered feed a single-box
+// campaign serves, fed here by the incremental merge.
 type Fleet struct {
 	ID   string
 	co   *Coordinator
@@ -442,24 +410,6 @@ type Fleet struct {
 	cancelled bool
 	failure   string
 }
-
-// Spec returns the fleet's campaign spec.
-func (f *Fleet) Spec() cliffedge.CampaignSpec { return f.spec }
-
-// Progress reports committed vs total jobs of the merged sweep.
-func (f *Fleet) Progress() (completed, total int) {
-	return f.sw.Completed(), f.sw.Total()
-}
-
-// EventsSince exposes the merged sweep's progress stream — the same
-// seq-numbered feed a single-box campaign serves, fed here by the
-// incremental merge, so one SSE client code path follows both.
-func (f *Fleet) EventsSince(since int64) ([]serve.Event, <-chan struct{}) {
-	return f.sw.EventsSince(since)
-}
-
-// Report snapshots the merged report over everything committed so far.
-func (f *Fleet) Report() *campaign.Report { return f.sw.Report() }
 
 // Shards snapshots the shard table for status documents.
 func (f *Fleet) Shards() []Shard {
@@ -524,7 +474,7 @@ func (f *Fleet) run() {
 		f.inGrid, f.shardJobs = nil, nil
 		f.mu.Unlock()
 		if terminal {
-			f.co.retire(f.ID)
+			f.co.fleets.Finish(f.ID)
 		}
 	}()
 

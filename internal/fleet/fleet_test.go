@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -19,6 +20,18 @@ import (
 	"cliffedge/internal/store"
 )
 
+// tbWriter hands a logger's output to the test log.
+type tbWriter struct{ tb testing.TB }
+
+func (w tbWriter) Write(p []byte) (int, error) {
+	w.tb.Log(strings.TrimRight(string(p), "\n"))
+	return len(p), nil
+}
+
+func testLogger(tb testing.TB) *slog.Logger {
+	return slog.New(slog.NewTextHandler(tbWriter{tb}, nil))
+}
+
 // newWorker starts a real cliffedged worker (serve.Server over a fresh
 // store) behind an httptest listener, optionally wrapped by middleware
 // that fakes failures.
@@ -27,7 +40,7 @@ func newWorker(t *testing.T, wrap func(http.Handler) http.Handler) (*serve.Serve
 	srv, err := serve.NewServer(filepath.Join(t.TempDir(), "w"), serve.Config{
 		Workers:      2,
 		MaxPerClient: 64,
-		Logf:         t.Logf,
+		Logger:       testLogger(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +121,7 @@ func TestFleetByteIdenticalToSingleBox(t *testing.T) {
 		Shards:        4,
 		SyncEvery:     2,
 		WorkerTimeout: 30 * time.Second,
-		Logf:          t.Logf,
+		Logger:        testLogger(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -129,8 +142,8 @@ func TestFleetByteIdenticalToSingleBox(t *testing.T) {
 		t.Fatal("fleet report differs from single-box reference")
 	}
 
-	_, total := f.Progress()
-	events, _ := f.EventsSince(0)
+	total := f.sw.Total()
+	events, _ := f.sw.EventsSince(0)
 	results := 0
 	for i, ev := range events {
 		if ev.Seq != int64(i+1) {
@@ -187,7 +200,7 @@ func TestFleetWorkerLossReassigns(t *testing.T) {
 		Shards:        6,
 		SyncEvery:     1,
 		WorkerTimeout: 500 * time.Millisecond,
-		Logf:          t.Logf,
+		Logger:        testLogger(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +268,7 @@ func TestFleetCoordinatorResume(t *testing.T) {
 		PerWorker:     1, // shards run one after the other
 		SyncEvery:     1,
 		WorkerTimeout: 10 * time.Second,
-		Logf:          t.Logf,
+		Logger:        testLogger(t),
 	}
 	dir := filepath.Join(t.TempDir(), "coord")
 	co1, err := NewCoordinator(dir, cfg)

@@ -1,26 +1,19 @@
 package fleet
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"net"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
 	"cliffedge"
-	"cliffedge/internal/campaign"
-	"cliffedge/internal/obs"
 	"cliffedge/internal/serve"
 	"cliffedge/internal/store"
 )
 
-// Server is the coordinator's HTTP face: the fleet API mirrors the
-// worker's campaign API verb for verb — submit with POST, watch over SSE,
-// fetch the merged report — so clients written for one box drive a fleet
-// by swapping /campaigns for /fleets.
+// Server is the coordinator's HTTP face: serve's campaign-resource handler
+// set mounted under /api/v1/fleets, with the coordinator as its backend —
+// so clients written for one box drive a fleet by swapping /campaigns for
+// /fleets, and every route, document and SSE rule is the worker's own.
 type Server struct {
 	co *Coordinator
 }
@@ -28,28 +21,62 @@ type Server struct {
 // NewServer wraps a coordinator.
 func NewServer(co *Coordinator) *Server { return &Server{co: co} }
 
-// Handler returns the coordinator's route table, wrapped in the shared
-// per-route request middleware. Like the worker's, /healthz stays a 200
-// for probes while carrying the JSON status document, and /metrics
-// exposes the whole process's registry.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.Handle("GET /metrics", obs.Handler())
-	mux.HandleFunc("POST /api/v1/fleets", s.handleSubmit)
-	mux.HandleFunc("GET /api/v1/fleets", s.handleList)
-	mux.HandleFunc("GET /api/v1/fleets/{id}", s.handleStatus)
-	mux.HandleFunc("DELETE /api/v1/fleets/{id}", s.handleCancel)
-	mux.HandleFunc("GET /api/v1/fleets/{id}/events", s.handleEvents)
-	mux.HandleFunc("GET /api/v1/fleets/{id}/cells", s.handleCells)
-	mux.HandleFunc("GET /api/v1/fleets/{id}/report", s.handleReportJSON)
-	mux.HandleFunc("GET /api/v1/fleets/{id}/report.json", s.handleReportJSON)
-	mux.HandleFunc("GET /api/v1/fleets/{id}/report.csv", s.handleReportCSV)
-	return obs.InstrumentHTTP(mux)
+// Handler returns the coordinator's route table.
+func (s *Server) Handler() http.Handler { return serve.Handler("fleet", s) }
+
+// The methods below make the Server a serve.Backend.
+
+func (s *Server) Store() *store.Store { return s.co.Store() }
+
+// Owns hides worker-style campaigns in a directory shared with a worker.
+func (s *Server) Owns(id string) bool { return strings.HasPrefix(id, "f") }
+
+func (s *Server) Submit(spec cliffedge.CampaignSpec, client string) (*serve.Sweep, map[string]any, error) {
+	f, err := s.co.Submit(spec, client)
+	if err != nil {
+		return nil, nil, err
+	}
+	return f.sw, map[string]any{"shards": len(f.Shards())}, nil
 }
 
-// handleHealthz serves the coordinator's JSON status document.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+func (s *Server) Cancel(id string) bool {
+	m, err := s.co.Store().Manifest(id)
+	f := s.co.Fleet(id)
+	if err != nil || m.Status != store.StatusRunning || f == nil {
+		return false
+	}
+	f.Cancel()
+	return true
+}
+
+func (s *Server) Sweep(id string) *serve.Sweep {
+	if f := s.co.Fleet(id); f != nil {
+		return f.sw
+	}
+	return nil
+}
+
+// fleetInfo is the status document of one fleet: a campaign's, plus why
+// leasing gave up (if it did) and — on the single-fleet view — the shard
+// table.
+type fleetInfo struct {
+	serve.Info
+	Failure string  `json:"failure,omitempty"`
+	Shards  []Shard `json:"shards,omitempty"`
+}
+
+func (s *Server) Status(info serve.Info, detail bool) any {
+	out := fleetInfo{Info: info}
+	if f := s.co.Fleet(info.ID); f != nil {
+		out.Failure = f.Failure()
+		if detail {
+			out.Shards = f.Shards()
+		}
+	}
+	return out
+}
+
+func (s *Server) Health() (time.Time, map[string]any) {
 	s.co.wmu.Lock()
 	lost := 0
 	for _, wk := range s.co.workers {
@@ -59,257 +86,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	workers := len(s.co.workers)
 	s.co.wmu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":         "ok",
-		"uptime_seconds": int64(time.Since(s.co.started).Seconds()),
-		"build":          obs.BuildInfo(),
-		"active_fleets":  mActiveFleets.Load(),
-		"workers":        workers,
-		"workers_lost":   lost,
-	})
-}
-
-func httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func clientID(r *http.Request) string {
-	if id := r.Header.Get("X-Client-ID"); id != "" {
-		return id
-	}
-	host, _, err := net.SplitHostPort(r.RemoteAddr)
-	if err != nil {
-		return r.RemoteAddr
-	}
-	return host
-}
-
-// fleetInfo is the status document of one fleet. Shards appear only on
-// the single-fleet view.
-type fleetInfo struct {
-	ID        string    `json:"id"`
-	Client    string    `json:"client,omitempty"`
-	Created   time.Time `json:"created"`
-	Status    string    `json:"status"`
-	Completed int       `json:"completed"`
-	Total     int       `json:"total"`
-	Failure   string    `json:"failure,omitempty"`
-	Shards    []Shard   `json:"shards,omitempty"`
-}
-
-func (s *Server) info(m store.Manifest, withShards bool) fleetInfo {
-	info := fleetInfo{ID: m.ID, Client: m.Client, Created: m.Created, Status: m.Status}
-	if f := s.co.Fleet(m.ID); f != nil {
-		info.Completed, info.Total = f.Progress()
-		info.Failure = f.Failure()
-		if withShards {
-			info.Shards = f.Shards()
-		}
-	} else if m.Status == store.StatusDone {
-		var spec cliffedge.CampaignSpec
-		if json.Unmarshal(m.Spec, &spec) == nil {
-			if camp, err := cliffedge.NewCampaignFromSpec(spec); err == nil {
-				info.Total = len(camp.Jobs())
-				info.Completed = info.Total
-			}
-		}
-	}
-	return info
-}
-
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec cliffedge.CampaignSpec
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, "bad spec: %v", err)
-		return
-	}
-	f, err := s.co.Submit(spec, clientID(r))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	_, total := f.Progress()
-	writeJSON(w, http.StatusCreated, map[string]any{
-		"id": f.ID, "status": store.StatusRunning, "total": total, "shards": len(f.Shards()),
-	})
-}
-
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	manifests, err := s.co.Store().List()
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	infos := make([]fleetInfo, 0, len(manifests))
-	for _, m := range manifests {
-		if !strings.HasPrefix(m.ID, "f") {
-			continue
-		}
-		infos = append(infos, s.info(m, false))
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"fleets": infos})
-}
-
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	m, err := s.co.Store().Manifest(id)
-	if err != nil {
-		httpError(w, http.StatusNotFound, "no fleet %q", id)
-		return
-	}
-	writeJSON(w, http.StatusOK, s.info(m, true))
-}
-
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	m, err := s.co.Store().Manifest(id)
-	if err != nil {
-		httpError(w, http.StatusNotFound, "no fleet %q", id)
-		return
-	}
-	if m.Status != store.StatusRunning {
-		httpError(w, http.StatusConflict, "fleet %q is not running", id)
-		return
-	}
-	f := s.co.Fleet(id)
-	if f == nil {
-		httpError(w, http.StatusConflict, "fleet %q is not running", id)
-		return
-	}
-	f.Cancel()
-	writeJSON(w, http.StatusAccepted, map[string]string{"id": id, "status": "cancelling"})
-}
-
-// loadReport materialises the merged report: the persisted one for
-// finished fleets, a live partial over everything synced so far for
-// running ones.
-func (s *Server) loadReport(id string) (*campaign.Report, error) {
-	if data, err := s.co.Store().Report(id); err == nil {
-		var rep campaign.Report
-		if err := json.Unmarshal(data, &rep); err != nil {
-			return nil, err
-		}
-		return &rep, nil
-	}
-	if f := s.co.Fleet(id); f != nil {
-		return f.Report(), nil
-	}
-	return nil, fmt.Errorf("no report")
-}
-
-func (s *Server) handleReportJSON(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if data, err := s.co.Store().Report(id); err == nil {
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(data)
-		return
-	}
-	f := s.co.Fleet(id)
-	if f == nil {
-		httpError(w, http.StatusNotFound, "no report for fleet %q", id)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	f.Report().WriteJSON(w)
-}
-
-func (s *Server) handleReportCSV(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	rep, err := s.loadReport(id)
-	if err != nil {
-		httpError(w, http.StatusNotFound, "no report for fleet %q", id)
-		return
-	}
-	w.Header().Set("Content-Type", "text/csv; charset=utf-8")
-	rep.WriteCSV(w)
-}
-
-func (s *Server) handleCells(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	rep, err := s.loadReport(id)
-	if err != nil {
-		httpError(w, http.StatusNotFound, "no fleet %q", id)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"id": id, "cells": rep.Cells, "totals": rep.Totals,
-	})
-}
-
-// handleEvents streams the fleet's merged progress feed — the same SSE
-// framing as a worker's campaign feed, with seqs minted by the merged
-// sweep, so Last-Event-ID reconnects work identically. Fleets finished
-// before the last coordinator restart stream a terminal event synthesized
-// from the manifest.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		httpError(w, http.StatusInternalServerError, "streaming unsupported")
-		return
-	}
-	var since int64
-	if v := r.Header.Get("Last-Event-ID"); v != "" {
-		since, _ = strconv.ParseInt(v, 10, 64)
-	} else if v := r.URL.Query().Get("since"); v != "" {
-		since, _ = strconv.ParseInt(v, 10, 64)
-	}
-	if since < 0 {
-		since = 0
-	}
-
-	f := s.co.Fleet(id)
-	if f == nil {
-		m, err := s.co.Store().Manifest(id)
-		if err != nil {
-			httpError(w, http.StatusNotFound, "no fleet %q", id)
-			return
-		}
-		ev := serve.Event{Seq: since + 1, Type: m.Status}
-		if m.Status == store.StatusDone {
-			if data, err := s.co.Store().Report(id); err == nil {
-				ev.Report = data
-			}
-		}
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.Header().Set("Cache-Control", "no-cache")
-		serve.WriteSSE(w, ev)
-		flusher.Flush()
-		return
-	}
-
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-
-	ctx := r.Context()
-	for {
-		events, wake := f.EventsSince(since)
-		for _, ev := range events {
-			if err := serve.WriteSSE(w, ev); err != nil {
-				return
-			}
-			since = ev.Seq
-			if ev.Terminal() {
-				flusher.Flush()
-				return
-			}
-		}
-		flusher.Flush()
-		select {
-		case <-wake:
-		case <-ctx.Done():
-			return
-		}
+	return s.co.started, map[string]any{
+		"active_fleets": mActiveFleets.Load(),
+		"workers":       workers,
+		"workers_lost":  lost,
 	}
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"log/slog"
@@ -30,43 +29,6 @@ func NewLogger(w io.Writer, level, format string) (*slog.Logger, error) {
 	}
 	return slog.New(h), nil
 }
-
-// LogfLogger adapts a printf-style sink into a *slog.Logger — the bridge
-// that lets tests keep passing t.Logf while the packages under test log
-// structurally. Records render as "msg key=value ..." through one call
-// to logf.
-func LogfLogger(logf func(format string, args ...any)) *slog.Logger {
-	return slog.New(&logfHandler{logf: logf})
-}
-
-type logfHandler struct {
-	logf  func(format string, args ...any)
-	attrs string
-}
-
-func (h *logfHandler) Enabled(context.Context, slog.Level) bool { return true }
-
-func (h *logfHandler) Handle(_ context.Context, rec slog.Record) error {
-	var b strings.Builder
-	b.WriteString(rec.Message)
-	b.WriteString(h.attrs)
-	rec.Attrs(func(a slog.Attr) bool {
-		fmt.Fprintf(&b, " %s=%v", a.Key, a.Value)
-		return true
-	})
-	h.logf("%s", b.String())
-	return nil
-}
-
-func (h *logfHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	s := h.attrs
-	for _, a := range attrs {
-		s += fmt.Sprintf(" %s=%v", a.Key, a.Value)
-	}
-	return &logfHandler{logf: h.logf, attrs: s}
-}
-
-func (h *logfHandler) WithGroup(string) slog.Handler { return h }
 
 // BuildInfo summarises debug.ReadBuildInfo for status endpoints: the Go
 // toolchain, the main module version, and the VCS revision/time when the

@@ -146,20 +146,6 @@ func (sc *Scheduler) Active() int {
 	return n
 }
 
-// ActiveFunc counts active tasks whose ID satisfies match — the server's
-// per-client admission check.
-func (sc *Scheduler) ActiveFunc(match func(id string) bool) int {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	n := 0
-	for _, t := range sc.tasks {
-		if !t.finished && match(t.ID) {
-			n++
-		}
-	}
-	return n
-}
-
 // Stop cancels every in-flight run and waits for the workers to drain.
 // Pending tasks are abandoned without Done — the restart-resume path.
 func (sc *Scheduler) Stop() {

@@ -1,13 +1,13 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -20,12 +20,24 @@ import (
 	"cliffedge/internal/store"
 )
 
+// tbWriter hands a logger's output to the test log.
+type tbWriter struct{ tb testing.TB }
+
+func (w tbWriter) Write(p []byte) (int, error) {
+	w.tb.Log(strings.TrimRight(string(p), "\n"))
+	return len(p), nil
+}
+
+func testLogger(tb testing.TB) *slog.Logger {
+	return slog.New(slog.NewTextHandler(tbWriter{tb}, nil))
+}
+
 func newTestServer(t *testing.T, dir string, workers, maxPerClient int) (*Server, *httptest.Server) {
 	t.Helper()
 	srv, err := NewServer(dir, Config{
 		Workers:      workers,
 		MaxPerClient: maxPerClient,
-		Logf:         t.Logf,
+		Logger:       testLogger(t),
 		now:          func() time.Time { return testCreated },
 	})
 	if err != nil {
@@ -78,24 +90,17 @@ func followSSE(t *testing.T, base, id string, lastEventID int64) []Event {
 		t.Fatalf("events: content-type %q: %s", ct, b)
 	}
 	var events []Event
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "data: ") {
-			continue
-		}
-		var ev Event
-		if err := json.Unmarshal([]byte(line[len("data: "):]), &ev); err != nil {
-			t.Fatalf("bad SSE data %q: %v", line, err)
-		}
+	err = ReadSSE(resp.Body, func(ev Event) bool {
 		events = append(events, ev)
-		if ev.Terminal() {
-			return events
-		}
+		return !ev.Terminal()
+	})
+	if err != nil {
+		t.Fatalf("SSE stream for %s: %v", id, err)
 	}
-	t.Fatalf("SSE stream for %s ended without a terminal event (%d events)", id, len(events))
-	return nil
+	if len(events) == 0 || !events[len(events)-1].Terminal() {
+		t.Fatalf("SSE stream for %s ended without a terminal event (%d events)", id, len(events))
+	}
+	return events
 }
 
 // TestServerConcurrentClients is the tentpole's concurrency proof: eight
@@ -213,9 +218,7 @@ func TestServerRestartResumes(t *testing.T) {
 	// Complete part of the sweep through its own commit path (the worker
 	// is parked, so nothing races), then stop the server abruptly —
 	// Shutdown aborts in-flight runs without finishing the sweep.
-	srv1.mu.Lock()
-	sw := srv1.sweeps[out.ID]
-	srv1.mu.Unlock()
+	sw := srv1.Sweep(out.ID)
 	if sw == nil {
 		t.Fatal("campaign not active")
 	}
@@ -369,17 +372,14 @@ func TestServerCancelLifecycle(t *testing.T) {
 
 	srv2, ts2 := newTestServer(t, dir, 1, 4)
 	defer srv2.Shutdown()
-	srv2.mu.Lock()
-	_, active := srv2.sweeps[id]
-	srv2.mu.Unlock()
-	if active {
+	if srv2.Sweep(id) != nil {
 		t.Fatal("restarted server resumed a cancelled campaign")
 	}
 	resp, err = http.Get(ts2.URL + "/api/v1/campaigns/" + id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var info campaignInfo
+	var info Info
 	json.NewDecoder(resp.Body).Decode(&info)
 	resp.Body.Close()
 	if info.Status != "cancelled" {
@@ -410,7 +410,7 @@ func TestServerEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	var list struct {
-		Campaigns []campaignInfo `json:"campaigns"`
+		Campaigns []Info `json:"campaigns"`
 	}
 	json.NewDecoder(resp.Body).Decode(&list)
 	resp.Body.Close()

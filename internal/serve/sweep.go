@@ -14,6 +14,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"sync"
 	"time"
 
@@ -57,16 +58,21 @@ func (e Event) Terminal() bool { return e.Type == "done" || e.Type == "cancelled
 // result log and publishes a progress event — one write path shared by
 // the dedicated CLI runner (via Run) and the server's scheduler.
 type Sweep struct {
-	ID   string
-	st   *store.Store
-	camp *cliffedge.Campaign
-	jobs []campaign.Job
+	ID    string
+	st    *store.Store
+	camp  *cliffedge.Campaign
+	total int // size of the campaign's full grid
 
+	// jobs, agg and done serve a sweep that can still commit; Close drops
+	// them, so a finished sweep kept for its event history costs the
+	// history only.
 	mu         sync.Mutex
+	jobs       []campaign.Job
 	agg        *campaign.Aggregator
 	results    *store.Results
 	done       map[campaign.Job]bool
 	events     []Event
+	completed  int
 	errors     int
 	violations int
 	notify     chan struct{}
@@ -82,7 +88,7 @@ type Sweep struct {
 func Create(st *store.Store, id, client string, created time.Time, spec cliffedge.CampaignSpec, extra ...cliffedge.CampaignOption) (*Sweep, error) {
 	camp, err := cliffedge.NewCampaignFromSpec(spec, extra...)
 	if err != nil {
-		return nil, err
+		return nil, &HTTPError{Status: http.StatusBadRequest, Err: err}
 	}
 	raw, err := json.Marshal(spec)
 	if err != nil {
@@ -135,8 +141,9 @@ func Open(st *store.Store, id string, extra ...cliffedge.CampaignOption) (*Sweep
 // the aggregator and the event history. Returns nil if a record does not
 // belong to the grid or repeats a job.
 func newSweep(st *store.Store, id string, camp *cliffedge.Campaign, results *store.Results, recs []store.Record) *Sweep {
+	jobs := camp.Jobs()
 	s := &Sweep{
-		ID: id, st: st, camp: camp, jobs: camp.Jobs(),
+		ID: id, st: st, camp: camp, total: len(jobs), jobs: jobs,
 		agg:     campaign.NewAggregator(),
 		results: results,
 		done:    make(map[campaign.Job]bool),
@@ -159,13 +166,13 @@ func newSweep(st *store.Store, id string, camp *cliffedge.Campaign, results *sto
 }
 
 // Total returns the size of the campaign's full grid.
-func (s *Sweep) Total() int { return len(s.jobs) }
+func (s *Sweep) Total() int { return s.total }
 
 // Completed returns how many jobs have committed so far.
 func (s *Sweep) Completed() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.done)
+	return s.completed
 }
 
 // Remaining lists the grid jobs that have not committed, in grid order —
@@ -244,6 +251,7 @@ func (s *Sweep) commitLocked(job campaign.Job, stats campaign.RunStats) error {
 }
 
 func (s *Sweep) appendEventLocked(job campaign.Job, stats campaign.RunStats) {
+	s.completed++
 	if stats.Err != "" {
 		s.errors++
 	}
@@ -252,7 +260,7 @@ func (s *Sweep) appendEventLocked(job campaign.Job, stats campaign.RunStats) {
 	s.events = append(s.events, Event{
 		Seq: int64(len(s.events) + 1), Type: "result",
 		Job: &j, Err: stats.Err, Decisions: stats.Decisions, Violations: stats.Violations,
-		Completed: len(s.done), Total: len(s.jobs),
+		Completed: s.completed, Total: s.total,
 		TotalErrors: s.errors, TotalViolations: s.violations,
 	})
 }
@@ -300,10 +308,14 @@ func (s *Sweep) Run(ctx context.Context, workers int) (*campaign.Report, error) 
 	return s.Report(), nil
 }
 
-// Report snapshots the aggregate over everything committed so far.
+// Report snapshots the aggregate over everything committed so far; nil
+// once the sweep is closed (a finished sweep's report is in the store).
 func (s *Sweep) Report() *campaign.Report {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return nil
+	}
 	return s.agg.Report()
 }
 
@@ -339,7 +351,7 @@ func (s *Sweep) terminal(typ string, report []byte) {
 	defer s.mu.Unlock()
 	s.events = append(s.events, Event{
 		Seq: int64(len(s.events) + 1), Type: typ,
-		Completed: len(s.done), Total: len(s.jobs),
+		Completed: s.completed, Total: s.total,
 		TotalErrors: s.errors, TotalViolations: s.violations,
 		Report: report,
 	})
@@ -352,7 +364,8 @@ func (s *Sweep) wakeLocked() {
 }
 
 // EventsSince returns every event with Seq > since plus a channel that
-// closes when further events arrive — the SSE handler's wait loop. Each
+// closes when further events arrive — the SSE handler's wait loop; the
+// channel is nil once the sweep is closed and its history final. Each
 // subscriber walks the shared history by sequence number, so every event
 // reaches every subscriber exactly once regardless of reconnects.
 // Negative cursors (a client's bogus Last-Event-ID) read from the start.
@@ -366,10 +379,16 @@ func (s *Sweep) EventsSince(since int64) ([]Event, <-chan struct{}) {
 	if since < int64(len(s.events)) {
 		out = append(out, s.events[since:]...)
 	}
+	if s.closed {
+		return out, nil
+	}
 	return out, s.notify
 }
 
-// Close releases the result log. The sweep must not commit afterwards.
+// Close releases the result log and what only a sweep that can still
+// commit needs — the aggregate and the job sets. The event history and the
+// progress counts stay readable, which is all a backend keeps a finished
+// sweep for. The sweep must not commit afterwards.
 func (s *Sweep) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -377,5 +396,7 @@ func (s *Sweep) Close() error {
 		return nil
 	}
 	s.closed = true
+	s.jobs, s.agg, s.done = nil, nil, nil
+	s.wakeLocked() // subscribers re-read and see the history is final
 	return s.results.Close()
 }

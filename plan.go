@@ -11,8 +11,7 @@ import (
 
 // Plan describes everything that happens to a cluster during a run: timed
 // crashes, event-conditioned triggers and stable-predicate marks, composed
-// through one builder. It replaces the []Crash / []Trigger / [][]NodeID /
-// []Mark quartet the legacy entry points took.
+// through one builder.
 //
 //	plan := cliffedge.NewPlan().
 //		At(10).Crash(victims...).
@@ -69,11 +68,17 @@ func (p *Plan) OnEvent(when func(Event) bool, delay int64) *Plan {
 // Crash schedules nodes to fail at the cursor.
 func (p *Plan) Crash(nodes ...NodeID) *Plan { return p.add(false, nodes) }
 
-// Mark schedules nodes' stable predicate to start holding at the cursor
-// (the paper's §5 extension: marked nodes stay alive but withdraw from
-// coordination, and detection is cooperative). A plan containing marks
-// runs every node as a predicate automaton and cannot be combined with
-// WithChecker, whose properties are specified against crash ground truth.
+// Mark schedules nodes' stable predicate to start holding at the cursor —
+// the node is "marked": saturated, draining, quarantined, … This is the
+// paper's §5 extension, agreement on connected regions of nodes sharing a
+// stable predicate, "crashed" being the special case the main protocol
+// handles: marked nodes stay alive but withdraw from coordination, and
+// detection is cooperative (marked nodes gossip the marked set within the
+// region and announce it one hop out), so no failure detector is needed.
+// The borders agree on (region, value) with the same guarantees and
+// locality as the crash protocol. A plan containing marks runs every node
+// as a predicate automaton and cannot be combined with WithChecker, whose
+// properties are specified against crash ground truth.
 func (p *Plan) Mark(nodes ...NodeID) *Plan { return p.add(true, nodes) }
 
 // FlapLink schedules an outage of the link between a and b (both

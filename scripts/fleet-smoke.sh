@@ -158,4 +158,38 @@ assert attempts > 0, "no shard was ever re-leased"
 print("fleet-smoke: status done, %d/%d runs, %d re-lease attempts"
       % (doc["completed"], doc["total"], attempts))
 '
+
+# The rest of the coordinator's read surface is the worker's own handler
+# set under another noun: the list, the cell table, the CSV, the merged
+# result log (offset 0 is the whole file, byte for byte), and a DELETE
+# that comes too late.
+curl -fsS "$CBASE/api/v1/fleets" | ID="$ID" python3 -c '
+import json, os, sys
+fleets = json.load(sys.stdin)["fleets"]
+assert [f["id"] for f in fleets] == [os.environ["ID"]], fleets
+assert fleets[0]["status"] == "done" and "shards" not in fleets[0], fleets[0]
+'
+curl -fsS "$CBASE/api/v1/fleets/$ID/cells" | ID="$ID" python3 -c '
+import json, os, sys
+doc = json.load(sys.stdin)
+assert doc["id"] == os.environ["ID"] and len(doc["cells"]) == 1, doc
+assert doc["cells"][0]["runs"] == 30000, doc["cells"][0]
+'
+curl -fsS "$CBASE/api/v1/fleets/$ID/report.csv" >"$WORK/fleet.csv"
+[ "$(head -c 22 "$WORK/fleet.csv")" = "topology,regime,engine" ] && [ "$(wc -l <"$WORK/fleet.csv")" -eq 2 ] || {
+    echo "fleet-smoke: report.csv is not a header plus one cell:" >&2
+    head -n 3 "$WORK/fleet.csv" >&2
+    exit 1
+}
+curl -fsS "$CBASE/api/v1/fleets/$ID/results?offset=0" >"$WORK/fleet-results.log"
+cmp "$WORK/coord/$ID/results.log" "$WORK/fleet-results.log" || {
+    echo "fleet-smoke: /results?offset=0 is not the merged results.log" >&2
+    exit 1
+}
+CODE=$(curl -sS -o /dev/null -w '%{http_code}' -X DELETE "$CBASE/api/v1/fleets/$ID")
+if [ "$CODE" != 409 ]; then
+    echo "fleet-smoke: DELETE of a finished fleet answered $CODE, want 409" >&2
+    exit 1
+fi
+echo "fleet-smoke: list, cells, report.csv, results ($(wc -c <"$WORK/fleet-results.log") bytes) and late DELETE check out"
 echo "fleet-smoke: OK"
