@@ -309,14 +309,20 @@ func (c *Campaign) Jobs() []CampaignJob {
 // Workers returns the configured dedicated-pool size (0 = GOMAXPROCS).
 func (c *Campaign) Workers() int { return c.workers }
 
-// Run executes the campaign. The returned report is complete when err is
-// nil and partial when ctx was cancelled; every run that started is
-// reflected either way.
+// Run executes the campaign on a dedicated pool of Workers() workers
+// (0 = GOMAXPROCS). The returned report is complete when err is nil.
+// Cancelling ctx aborts the in-flight runs and returns ctx's error with a
+// partial report over the runs that completed: aborted runs are dropped,
+// never counted as run errors.
 func (c *Campaign) Run(ctx context.Context) (*CampaignReport, error) {
-	runner := &campaign.Runner{Workers: c.workers, Run: func(j campaign.Job) campaign.RunStats {
-		return c.runJob(ctx, j)
-	}}
-	return runner.Execute(ctx, c.Jobs())
+	agg := campaign.NewAggregator()
+	err := campaign.RunAll(ctx, c.workers, c.Jobs(), c.runJob,
+		func(j campaign.Job, s campaign.RunStats, persist bool) {
+			if persist {
+				agg.Add(j, s)
+			}
+		})
+	return agg.Report(), err
 }
 
 // RunJob executes a single job of the campaign's grid and returns its

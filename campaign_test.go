@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"cliffedge/internal/trace"
@@ -230,6 +231,41 @@ func TestCampaignCancellation(t *testing.T) {
 	cancel()
 	if _, err := camp.Run(ctx); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestCampaignCancelledMidSweep: cancelling a sweep while a real run is in
+// flight returns context.Canceled with a partial report over the runs that
+// completed — the aborted run is dropped, not counted as a run error.
+func TestCampaignCancelledMidSweep(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var events atomic.Int64
+	camp, err := NewCampaign(
+		WithTopologies("grid"),
+		WithRegimes("quiescent"),
+		WithSeedRange(1, 64),
+		WithWorkers(1),
+		// Cancel at the first crash of a run some way into the sweep: the
+		// run has its whole protocol still ahead of it.
+		WithClusterOptions(WithObserver(func(e Event) {
+			if events.Add(1) > 10000 && e.Kind == EventCrash {
+				cancel()
+			}
+		})),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := camp.Run(ctx)
+	if err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if rep.Totals.Runs == 0 || rep.Totals.Runs >= 64 {
+		t.Fatalf("partial report counts %d of 64 runs, want a mid-sweep share", rep.Totals.Runs)
+	}
+	if rep.Totals.Errors != 0 {
+		t.Fatalf("partial report counts %d run errors: the aborted run leaked in", rep.Totals.Errors)
 	}
 }
 

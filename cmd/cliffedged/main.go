@@ -58,7 +58,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
@@ -109,9 +108,6 @@ func main() {
 		}
 		pool = n
 	}
-	if pool <= 0 {
-		pool = runtime.GOMAXPROCS(0)
-	}
 	var copts []cliffedge.Option
 	if *liveTick > 0 {
 		copts = append(copts, cliffedge.WithLiveTick(*liveTick))
@@ -127,7 +123,8 @@ func main() {
 	if err != nil {
 		fatal(logger, "cannot start server", "err", err)
 	}
-	logger.Info("listening", "addr", *addr, "store", *storeDir, "workers", pool)
+	_, health := srv.Health()
+	logger.Info("listening", "addr", *addr, "store", *storeDir, "workers", health["workers"])
 	serveHTTP(logger, *addr, srv.Handler(), srv.Shutdown)
 }
 

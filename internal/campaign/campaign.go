@@ -1,6 +1,6 @@
 // Package campaign runs statistical sweeps over many independent protocol
-// runs: a worker pool executes a grid of (cell × seed × attempt) jobs
-// across GOMAXPROCS workers and streams each run's constant-memory summary
+// runs: the Scheduler, the one worker pool, executes a grid of (cell ×
+// seed × attempt) jobs, and each run's constant-memory summary is folded
 // into an Aggregator, which computes per-cell statistics — decision
 // latency percentiles, message and byte costs against crashed-region and
 // border sizes (the paper's locality claim, checkable as a fitted slope),
@@ -8,19 +8,14 @@
 // regimes the pointwise sim-vs-live differential oracle must exclude.
 //
 // The package is deliberately execution-agnostic: a Job names a workload,
-// and the caller's Run function turns it into a RunStats. The public
+// and the caller's Task.Run function turns it into a RunStats. The public
 // cliffedge.Campaign binds jobs to Cluster/Engine runs; tests bind them to
 // synthetic functions. Each individual run stays single-threaded (the
 // deterministic kernel's contract); parallelism lives entirely across
 // runs, which is the cheapest way to use every core.
 package campaign
 
-import (
-	"context"
-	"fmt"
-	"runtime"
-	"sync"
-)
+import "fmt"
 
 // CellKey identifies one cell of a campaign grid: a topology family, a
 // fault regime and an engine. All runs of a cell differ only in seed and
@@ -149,82 +144,4 @@ func Grid(cells []CellKey, seedStart int64, seeds, attempts int) []Job {
 		}
 	}
 	return jobs
-}
-
-// Runner executes campaign jobs across a worker pool.
-type Runner struct {
-	// Workers is the pool size; ≤ 0 means GOMAXPROCS.
-	Workers int
-	// Run executes one job. It must be safe for concurrent use: the pool
-	// calls it from Workers goroutines at once.
-	Run func(Job) RunStats
-	// OnResult, if non-nil, is invoked exactly once per executed job,
-	// immediately after that job's result has been folded into the
-	// aggregate — a callback that snapshots the aggregator therefore
-	// always sees its own job included. Callbacks run concurrently on the
-	// worker goroutines, and Execute returns only after every callback
-	// has returned. Cancellation stops dispatch, but jobs already
-	// dispatched still complete and still report: a persistence hook sees
-	// exactly the runs the partial report contains, no more, no fewer.
-	OnResult func(Job, RunStats)
-	// Agg, if non-nil, is the aggregator results fold into. Pre-loading
-	// it (Aggregator.Add with persisted results) before Execute resumes
-	// an interrupted sweep: the returned report covers the pre-loaded and
-	// the freshly executed runs together. Nil starts fresh.
-	Agg *Aggregator
-}
-
-// Execute runs every job through the pool and aggregates the results.
-// Cancelling ctx stops dispatch; Execute then drains in-flight runs and
-// returns the partial report alongside ctx's error.
-func (r *Runner) Execute(ctx context.Context, jobs []Job) (*Report, error) {
-	if r.Run == nil {
-		return nil, fmt.Errorf("campaign: Runner.Run is required")
-	}
-	workers := r.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) && len(jobs) > 0 {
-		workers = len(jobs)
-	}
-
-	agg := r.Agg
-	if agg == nil {
-		agg = NewAggregator()
-	}
-	feed := make(chan Job)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for job := range feed {
-				res := r.runJob(job)
-				agg.Add(job, res)
-				if r.OnResult != nil {
-					r.OnResult(job, res)
-				}
-			}
-		}()
-	}
-
-	mQueueDepth.Add(int64(len(jobs)))
-	var err error
-	dispatched := 0
-dispatch:
-	for _, job := range jobs {
-		select {
-		case feed <- job:
-			dispatched++
-			mQueueDepth.Add(-1)
-		case <-ctx.Done():
-			err = ctx.Err()
-			break dispatch
-		}
-	}
-	mQueueDepth.Add(-int64(len(jobs) - dispatched)) // cancelled remainder
-	close(feed)
-	wg.Wait()
-	return agg.Report(), err
 }

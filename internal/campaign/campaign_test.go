@@ -31,13 +31,29 @@ func TestGridExpansion(t *testing.T) {
 	}
 }
 
+// runPool executes jobs through the one pool and aggregates the runs
+// committed with persist=true — the shape of Campaign.Run. commit, if
+// non-nil, sees every commit as well.
+func runPool(ctx context.Context, workers int, jobs []Job, run func(context.Context, Job) RunStats, commit func(Job, RunStats, bool)) (*Report, error) {
+	agg := NewAggregator()
+	err := RunAll(ctx, workers, jobs, run, func(j Job, s RunStats, persist bool) {
+		if persist {
+			agg.Add(j, s)
+		}
+		if commit != nil {
+			commit(j, s, persist)
+		}
+	})
+	return agg.Report(), err
+}
+
 // TestPoolRunsEveryJobOnce: every job executes exactly once, and the
 // concurrency high-water mark never exceeds the worker count.
 func TestPoolRunsEveryJobOnce(t *testing.T) {
 	var mu sync.Mutex
 	seen := make(map[Job]int)
 	var inFlight, high atomic.Int32
-	r := &Runner{Workers: 4, Run: func(j Job) RunStats {
+	run := func(_ context.Context, j Job) RunStats {
 		cur := inFlight.Add(1)
 		for {
 			h := high.Load()
@@ -50,9 +66,9 @@ func TestPoolRunsEveryJobOnce(t *testing.T) {
 		mu.Unlock()
 		inFlight.Add(-1)
 		return RunStats{Nodes: 10, Decisions: 1, DecideLatency: 5, Fingerprint: "x"}
-	}}
+	}
 	jobs := Grid([]CellKey{simCell}, 0, 20, 2)
-	rep, err := r.Execute(context.Background(), jobs)
+	rep, err := runPool(context.Background(), 4, jobs, run, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,13 +93,13 @@ func TestPoolRunsEveryJobOnce(t *testing.T) {
 func TestPoolCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int32
-	r := &Runner{Workers: 1, Run: func(j Job) RunStats {
+	run := func(context.Context, Job) RunStats {
 		if ran.Add(1) == 3 {
 			cancel()
 		}
 		return RunStats{Nodes: 1, Decisions: 1, Fingerprint: "x"}
-	}}
-	rep, err := r.Execute(ctx, Grid([]CellKey{simCell}, 0, 1000, 1))
+	}
+	rep, err := runPool(ctx, 1, Grid([]CellKey{simCell}, 0, 1000, 1), run, nil)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -323,46 +339,39 @@ func TestAggregationSkipLocality(t *testing.T) {
 	}
 }
 
-// TestRunnerOnResult pins the per-result callback contract: exactly one
-// callback per executed job, fired only after the result is in the
-// aggregate, never after Execute returns.
+// TestRunnerOnResult pins the commit contract that replaced the old
+// per-result callback: exactly one commit per job, every one with
+// persist=true on a clean run, none after RunAll returns — so what was
+// committed is exactly what was aggregated.
 func TestRunnerOnResult(t *testing.T) {
-	agg := NewAggregator()
 	var mu sync.Mutex
 	seen := make(map[Job]int)
 	var returned atomic.Bool
-	r := &Runner{
-		Workers: 4,
-		Agg:     agg,
-		Run: func(j Job) RunStats {
-			return RunStats{Nodes: 10, Decisions: 1, DecideLatency: 5, Fingerprint: "x"}
-		},
-		OnResult: func(j Job, s RunStats) {
-			if returned.Load() {
-				t.Error("OnResult after Execute returned")
-			}
-			// The callback's own job is already aggregated: the cell's run
-			// count includes at least this run.
-			if c := agg.Report().CellByKey(j.Cell); c == nil || c.Runs < 1 {
-				t.Error("OnResult fired before aggregation")
-			}
-			mu.Lock()
-			seen[j]++
-			mu.Unlock()
-		},
+	run := func(context.Context, Job) RunStats {
+		return RunStats{Nodes: 10, Decisions: 1, DecideLatency: 5, Fingerprint: "x"}
 	}
 	jobs := Grid([]CellKey{simCell}, 0, 10, 2)
-	rep, err := r.Execute(context.Background(), jobs)
+	rep, err := runPool(context.Background(), 4, jobs, run, func(j Job, _ RunStats, persist bool) {
+		if returned.Load() {
+			t.Error("commit after RunAll returned")
+		}
+		if !persist {
+			t.Errorf("clean run %+v committed with persist=false", j)
+		}
+		mu.Lock()
+		seen[j]++
+		mu.Unlock()
+	})
 	returned.Store(true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(seen) != len(jobs) {
-		t.Fatalf("callbacks for %d distinct jobs, want %d", len(seen), len(jobs))
+		t.Fatalf("commits for %d distinct jobs, want %d", len(seen), len(jobs))
 	}
 	for j, n := range seen {
 		if n != 1 {
-			t.Fatalf("job %+v reported %d times", j, n)
+			t.Fatalf("job %+v committed %d times", j, n)
 		}
 	}
 	if rep.Totals.Runs != len(jobs) {
@@ -370,36 +379,47 @@ func TestRunnerOnResult(t *testing.T) {
 	}
 }
 
-// TestRunnerOnResultCancellation: under cancellation the callback fires for
-// exactly the jobs the partial report contains — dispatched jobs complete
-// and report, undispatched jobs are never seen.
+// TestRunnerOnResultCancellation: under cancellation the runs committed
+// with persist=true are exactly the runs the partial report contains.
+// In-flight runs abort, commit with persist=false and stay out of the
+// report, so cancellation noise never counts as a run error, and
+// undispatched jobs are never seen.
 func TestRunnerOnResultCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	var ran, reported atomic.Int32
-	r := &Runner{
-		Workers: 2,
-		Run: func(j Job) RunStats {
-			if ran.Add(1) == 5 {
+	var ran, persisted, aborted atomic.Int32
+	run := func(ctx context.Context, _ Job) RunStats {
+		if n := ran.Add(1); n >= 5 {
+			if n == 5 {
 				cancel()
 			}
-			return RunStats{Nodes: 1, Decisions: 1, Fingerprint: "x"}
-		},
-		OnResult: func(Job, RunStats) { reported.Add(1) },
+			<-ctx.Done() // in flight when the caller gave up
+			return RunStats{Err: ctx.Err().Error()}
+		}
+		return RunStats{Nodes: 1, Decisions: 1, Fingerprint: "x"}
 	}
-	rep, err := r.Execute(ctx, Grid([]CellKey{simCell}, 0, 1000, 1))
+	rep, err := runPool(ctx, 2, Grid([]CellKey{simCell}, 0, 1000, 1), run, func(_ Job, _ RunStats, persist bool) {
+		if persist {
+			persisted.Add(1)
+		} else {
+			aborted.Add(1)
+		}
+	})
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if got := int(reported.Load()); got != rep.Totals.Runs {
-		t.Fatalf("%d callbacks vs %d aggregated runs — a persistence hook would drift from the report", got, rep.Totals.Runs)
+	if got := int(persisted.Load()); got != 4 || got != rep.Totals.Runs {
+		t.Fatalf("%d persisted commits vs %d aggregated runs, want 4 each", got, rep.Totals.Runs)
 	}
-	if int(reported.Load()) >= 1000 {
-		t.Fatal("callbacks did not stop with dispatch")
+	if rep.Totals.Errors != 0 {
+		t.Fatalf("partial report counts %d errors: aborted runs leaked in", rep.Totals.Errors)
+	}
+	if a := aborted.Load(); a < 1 || persisted.Load()+a != ran.Load() {
+		t.Fatalf("%d runs, %d persisted, %d aborted: every run must commit once", ran.Load(), persisted.Load(), a)
 	}
 }
 
 // syntheticStats derives a deterministic, hand-varied RunStats for a job —
-// shared input for the determinism and resume tests.
+// the input of the order-independence test.
 func syntheticStats(j Job) RunStats {
 	k := int(j.Seed)*7 + j.Attempt*3
 	h := &Hist{}
@@ -438,39 +458,6 @@ func TestAggregatorOrderIndependence(t *testing.T) {
 	}
 	if !bytes.Equal(fwd, render(rev)) {
 		t.Fatal("report bytes depend on add order")
-	}
-}
-
-// TestRunnerResume: pre-loading the aggregator with half the results and
-// executing only the other half yields a report byte-identical to a full
-// uninterrupted execution — the in-memory form of crash recovery.
-func TestRunnerResume(t *testing.T) {
-	jobs := Grid([]CellKey{simCell, liveCell}, 1, 8, 1)
-	full := &Runner{Workers: 3, Run: syntheticStats}
-	fullRep, err := full.Execute(context.Background(), jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fullBuf bytes.Buffer
-	if err := fullRep.WriteJSON(&fullBuf); err != nil {
-		t.Fatal(err)
-	}
-
-	agg := NewAggregator()
-	for _, j := range jobs[:len(jobs)/2] { // "replayed from the store"
-		agg.Add(j, syntheticStats(j))
-	}
-	resumed := &Runner{Workers: 3, Run: syntheticStats, Agg: agg}
-	resRep, err := resumed.Execute(context.Background(), jobs[len(jobs)/2:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	var resBuf bytes.Buffer
-	if err := resRep.WriteJSON(&resBuf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(fullBuf.Bytes(), resBuf.Bytes()) {
-		t.Fatal("resumed report differs from uninterrupted report")
 	}
 }
 

@@ -6,40 +6,43 @@ import (
 	"cliffedge/internal/obs"
 )
 
-// Pool metrics cost a handful of atomics per job — each job is a full
-// protocol run, so the overhead is invisible next to the work it counts.
+// Pool metrics cost a handful of atomics and two clock reads per job —
+// each job is a full protocol run, so the overhead is invisible next to
+// the work it counts. Every executor is the Scheduler, so these series
+// cover dedicated runs, served sweeps and fleet workers alike; once the
+// pool drains, started = completed + aborted.
 var (
 	mJobsStarted = obs.NewCounter("cliffedge_campaign_jobs_started_total",
 		"Campaign jobs handed to a worker.")
 	mJobsCompleted = obs.NewCounter("cliffedge_campaign_jobs_completed_total",
-		"Campaign jobs that ran to completion (including skips and errors).")
+		"Campaign jobs that ran to completion and were committed (including skips and errors).")
 	mJobErrors = obs.NewCounter("cliffedge_campaign_job_errors_total",
-		"Campaign jobs whose run reported an error.")
+		"Completed campaign jobs whose run reported an error.")
 	mJobsSkipped = obs.NewCounter("cliffedge_campaign_jobs_skipped_total",
-		"Campaign jobs skipped by the workload generator.")
+		"Completed campaign jobs skipped by the workload generator.")
+	mJobsAborted = obs.NewCounter("cliffedge_campaign_jobs_aborted_total",
+		"Campaign jobs aborted by cancellation or shutdown (not persisted).")
 	mQueueDepth = obs.NewGauge("cliffedge_campaign_queue_depth",
-		"Jobs accepted by Execute and not yet handed to a worker.")
+		"Jobs accepted by the scheduler and not yet handed to a worker.")
 	mBusyWorkers = obs.NewGauge("cliffedge_campaign_busy_workers",
-		"Worker goroutines currently inside a run.")
+		"Scheduler workers currently inside a run.")
 	mJobDuration = obs.NewHistogram("cliffedge_campaign_job_duration_us",
 		"Wall-clock duration of one campaign job, microseconds.")
 )
 
-// runJob wraps one worker iteration with its occupancy and latency
-// bookkeeping.
-func (r *Runner) runJob(job Job) RunStats {
-	mJobsStarted.Inc()
-	mBusyWorkers.Add(1)
-	start := time.Now()
-	res := r.Run(job)
-	mJobDuration.Observe(time.Since(start).Microseconds())
-	mBusyWorkers.Add(-1)
+// countJob records one finished run: its duration, and its outcome as
+// either completed (with its error and skip flags) or aborted.
+func countJob(stats RunStats, persist bool, took time.Duration) {
+	mJobDuration.Observe(took.Microseconds())
+	if !persist {
+		mJobsAborted.Inc()
+		return
+	}
 	mJobsCompleted.Inc()
-	if res.Err != "" {
+	if stats.Err != "" {
 		mJobErrors.Inc()
 	}
-	if res.Skipped {
+	if stats.Skipped {
 		mJobsSkipped.Inc()
 	}
-	return res
 }

@@ -1,23 +1,25 @@
-package serve
+package campaign
 
 import (
 	"context"
+	"runtime"
 	"sync"
-
-	"cliffedge/internal/campaign"
+	"time"
 )
 
 // Task is one sweep's worth of work submitted to the scheduler. Run and
 // Commit are injected so the scheduler stays a pure dispatch policy —
-// the server wires them to Sweep.RunJob/Sweep.Commit, tests to recorders.
+// the server wires them to Sweep.RunJob/Sweep.Commit, a dedicated run to
+// its aggregator, tests to recorders.
 type Task struct {
 	ID   string
-	Jobs []campaign.Job
+	Jobs []Job
 	// Run executes one job under the task's context.
-	Run func(ctx context.Context, job campaign.Job) campaign.RunStats
+	Run func(ctx context.Context, job Job) RunStats
 	// Commit records one finished run. persist is false when the run was
-	// aborted by cancellation or shutdown (see Sweep.Commit).
-	Commit func(job campaign.Job, stats campaign.RunStats, persist bool)
+	// aborted by cancellation or shutdown: its context-error stats must be
+	// dropped, not aggregated or logged, so a resume re-runs the job.
+	Commit func(job Job, stats RunStats, persist bool)
 	// Done fires exactly once, after every job of a task has committed
 	// with persist=true (or the task was cancelled) and its last in-flight
 	// run has drained. It is NOT called for tasks interrupted by Stop —
@@ -35,11 +37,12 @@ type Task struct {
 	cancel    context.CancelFunc
 }
 
-// Scheduler fair-shares one worker pool across concurrently running
-// sweeps: workers pick jobs strictly round-robin over the active tasks,
-// one job per turn, so an 8-cell quick sweep submitted behind a
-// 10000-job marathon starts making progress immediately and both advance
-// at the same per-task rate.
+// Scheduler is the one worker pool every campaign run goes through. It
+// fair-shares its workers across concurrently running tasks: workers pick
+// jobs strictly round-robin over the active tasks, one job per turn, so
+// an 8-cell quick sweep submitted behind a 10000-job marathon starts
+// making progress immediately and both advance at the same per-task rate.
+// Its worker loop is the one place a job is counted (metrics.go).
 type Scheduler struct {
 	workers int
 
@@ -53,20 +56,49 @@ type Scheduler struct {
 	closed bool
 }
 
-// NewScheduler builds a scheduler with the given pool size (≥ 1) and
-// starts its workers.
-func NewScheduler(workers int) *Scheduler {
-	if workers < 1 {
-		workers = 1
+// NewScheduler builds a scheduler with the given pool size (≤ 0:
+// GOMAXPROCS) and starts its workers.
+func NewScheduler(workers int) *Scheduler { return newScheduler(context.Background(), workers) }
+
+// newScheduler is NewScheduler under a parent context: once ctx is done,
+// no further job is dispatched and in-flight runs see their context
+// cancelled, as after Stop — which must still be called to join the
+// workers.
+func newScheduler(ctx context.Context, workers int) *Scheduler {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
 	sc := &Scheduler{workers: workers}
 	sc.cond = sync.NewCond(&sc.mu)
-	sc.ctx, sc.stop = context.WithCancel(context.Background())
+	sc.ctx, sc.stop = context.WithCancel(ctx)
 	for i := 0; i < workers; i++ {
 		sc.wg.Add(1)
 		go sc.worker()
 	}
 	return sc
+}
+
+// RunAll executes jobs on a dedicated pool of workers (≤ 0: GOMAXPROCS) —
+// a scheduler of its own with jobs as its one task — and returns nil once
+// every job has committed with persist=true. Cancelling ctx stops the
+// pool instead: undispatched jobs never run, in-flight runs abort and
+// commit with persist=false, and RunAll returns ctx's error after they
+// have drained.
+func RunAll(ctx context.Context, workers int, jobs []Job, run func(context.Context, Job) RunStats, commit func(Job, RunStats, bool)) error {
+	sc := newScheduler(ctx, workers)
+	done := make(chan struct{})
+	sc.Submit(&Task{Jobs: jobs, Run: run, Commit: commit, Done: func(bool) { close(done) }})
+	select {
+	case <-done:
+	case <-ctx.Done():
+	}
+	sc.Stop()
+	select {
+	case <-done:
+		return nil
+	default:
+		return ctx.Err()
+	}
 }
 
 // Workers returns the pool size.
@@ -98,7 +130,7 @@ func (sc *Scheduler) Submit(t *Task) {
 	}
 	t.ctx, t.cancel = context.WithCancel(sc.ctx)
 	sc.tasks = append(sc.tasks, t)
-	mSchedQueueDepth.Add(int64(len(t.Jobs)))
+	mQueueDepth.Add(int64(len(t.Jobs)))
 	done := sc.maybeFinishLocked(t)
 	sc.cond.Broadcast()
 	sc.mu.Unlock()
@@ -162,7 +194,9 @@ func (sc *Scheduler) Stop() {
 // pickLocked claims the next job in strict round-robin order: scan the
 // ring starting at next, take one job from the first task that has any,
 // and advance next past it so the following pick starts at the next task.
-func (sc *Scheduler) pickLocked() (*Task, campaign.Job, bool) {
+// next is not wrapped here: when the pick was the ring's last task, a task
+// submitted before the following pick is the next one, not the first.
+func (sc *Scheduler) pickLocked() (*Task, Job, bool) {
 	n := len(sc.tasks)
 	for i := 0; i < n; i++ {
 		idx := (sc.next + i) % n
@@ -173,11 +207,11 @@ func (sc *Scheduler) pickLocked() (*Task, campaign.Job, bool) {
 		job := t.Jobs[t.cursor]
 		t.cursor++
 		t.inflight++
-		mSchedQueueDepth.Add(-1)
-		sc.next = (idx + 1) % n
+		mQueueDepth.Add(-1)
+		sc.next = idx + 1
 		return t, job, true
 	}
-	return nil, campaign.Job{}, false
+	return nil, Job{}, false
 }
 
 // maybeFinishLocked retires a task that was cancelled, or whose every
@@ -197,7 +231,7 @@ func (sc *Scheduler) maybeFinishLocked(t *Task) func() {
 	t.cancel()
 	// A cancelled task retires with its tail undispatched; give the
 	// depth gauge those jobs back (zero for completed tasks).
-	mSchedQueueDepth.Add(-int64(len(t.Jobs) - t.cursor))
+	mQueueDepth.Add(-int64(len(t.Jobs) - t.cursor))
 	// Compact the ring so long-retired tasks don't slow the scan.
 	live := sc.tasks[:0]
 	for _, c := range sc.tasks {
@@ -222,9 +256,9 @@ func (sc *Scheduler) worker() {
 	for {
 		sc.mu.Lock()
 		var t *Task
-		var job campaign.Job
+		var job Job
 		for {
-			if sc.closed {
+			if sc.closed || sc.ctx.Err() != nil {
 				sc.mu.Unlock()
 				return
 			}
@@ -237,17 +271,18 @@ func (sc *Scheduler) worker() {
 		ctx := t.ctx
 		sc.mu.Unlock()
 
-		mSchedBusy.Add(1)
+		mJobsStarted.Inc()
+		mBusyWorkers.Add(1)
+		start := time.Now()
 		stats := t.Run(ctx, job)
-		mSchedBusy.Add(-1)
+		took := time.Since(start)
+		mBusyWorkers.Add(-1)
 		// A run aborted by cancellation or shutdown must not be persisted:
 		// its context-error stats would replay on resume as a completed
 		// job. Clean results are kept even when cancellation raced in
 		// after the run finished.
 		persist := ctx.Err() == nil || stats.Err == ""
-		if !persist {
-			mJobsAborted.Inc()
-		}
+		countJob(stats, persist, took)
 		if t.Commit != nil {
 			t.Commit(job, stats, persist)
 		}

@@ -1,19 +1,17 @@
-package serve
+package campaign
 
 import (
 	"context"
 	"sync"
 	"testing"
 	"time"
-
-	"cliffedge/internal/campaign"
 )
 
-func schedJobs(cell string, n int) []campaign.Job {
-	jobs := make([]campaign.Job, n)
+func schedJobs(cell string, n int) []Job {
+	jobs := make([]Job, n)
 	for i := range jobs {
-		jobs[i] = campaign.Job{
-			Cell: campaign.CellKey{Topology: cell, Regime: "r", Engine: "sim"},
+		jobs[i] = Job{
+			Cell: CellKey{Topology: cell, Regime: "r", Engine: "sim"},
 			Seed: int64(i),
 		}
 	}
@@ -36,11 +34,11 @@ func TestSchedulerFairShare(t *testing.T) {
 		return &Task{
 			ID:   id,
 			Jobs: schedJobs(id, n),
-			Run: func(ctx context.Context, job campaign.Job) campaign.RunStats {
+			Run: func(ctx context.Context, job Job) RunStats {
 				<-gate // hold the single worker until both tasks are queued
-				return campaign.RunStats{}
+				return RunStats{}
 			},
-			Commit: func(job campaign.Job, stats campaign.RunStats, persist bool) {
+			Commit: func(job Job, stats RunStats, persist bool) {
 				if !persist {
 					t.Errorf("job %v committed with persist=false", job)
 				}
@@ -97,15 +95,15 @@ func TestSchedulerCancel(t *testing.T) {
 	sc.Submit(&Task{
 		ID:   "c",
 		Jobs: schedJobs("c", 5),
-		Run: func(ctx context.Context, job campaign.Job) campaign.RunStats {
+		Run: func(ctx context.Context, job Job) RunStats {
 			started <- struct{}{}
 			<-release
 			if ctx.Err() != nil {
-				return campaign.RunStats{Err: ctx.Err().Error()}
+				return RunStats{Err: ctx.Err().Error()}
 			}
-			return campaign.RunStats{}
+			return RunStats{}
 		},
-		Commit: func(job campaign.Job, stats campaign.RunStats, persist bool) {
+		Commit: func(job Job, stats RunStats, persist bool) {
 			mu.Lock()
 			commits = append(commits, persist)
 			mu.Unlock()
@@ -156,13 +154,13 @@ func TestSchedulerStopAbandonsPending(t *testing.T) {
 	sc.Submit(&Task{
 		ID:   "s",
 		Jobs: schedJobs("s", 100),
-		Run: func(ctx context.Context, job campaign.Job) campaign.RunStats {
+		Run: func(ctx context.Context, job Job) RunStats {
 			select {
 			case started <- struct{}{}:
 			default:
 			}
 			<-ctx.Done()
-			return campaign.RunStats{Err: ctx.Err().Error()}
+			return RunStats{Err: ctx.Err().Error()}
 		},
 		Done: func(cancelled bool) { doneFired <- cancelled },
 	})
@@ -189,12 +187,12 @@ func TestSchedulerStopDoesNotFinalizeTail(t *testing.T) {
 	sc.Submit(&Task{
 		ID:   "tail",
 		Jobs: schedJobs("tail", 2), // one per worker: dispatch exhausts immediately
-		Run: func(ctx context.Context, job campaign.Job) campaign.RunStats {
+		Run: func(ctx context.Context, job Job) RunStats {
 			started <- struct{}{}
 			<-ctx.Done()
-			return campaign.RunStats{Err: ctx.Err().Error()}
+			return RunStats{Err: ctx.Err().Error()}
 		},
-		Commit: func(job campaign.Job, stats campaign.RunStats, persist bool) {
+		Commit: func(job Job, stats RunStats, persist bool) {
 			mu.Lock()
 			persisted = append(persisted, persist)
 			mu.Unlock()

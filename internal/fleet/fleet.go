@@ -54,12 +54,6 @@ type Config struct {
 	// counts.
 	WorkerTimeout time.Duration
 
-	// SyncEvery batches the incremental merge: after this many new result
-	// events on a shard's feed the coordinator fetches what the shard's log
-	// gained since the last sync and commits it (default 16). A flush tick
-	// (1s) bounds staleness for slow shards.
-	SyncEvery int
-
 	// Client is the HTTP client for worker traffic. It must not carry a
 	// global timeout (SSE streams are long-lived); per-request deadlines
 	// are applied by the coordinator. Defaults to a fresh client.
@@ -79,9 +73,6 @@ func (c Config) withDefaults() Config {
 	if c.WorkerTimeout <= 0 {
 		c.WorkerTimeout = 15 * time.Second
 	}
-	if c.SyncEvery <= 0 {
-		c.SyncEvery = 16
-	}
 	if c.Client == nil {
 		c.Client = &http.Client{}
 	}
@@ -94,9 +85,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// flushEvery bounds how stale the merged log may run behind a slow
-// shard's feed, and paces lost-worker probes.
-const flushEvery = time.Second
+// syncEvery batches the incremental merge: after this many new result
+// events on a shard's feed the coordinator fetches what the shard's log
+// gained since the last sync and commits it. flushEvery bounds how stale
+// the merged log may run behind a slow shard's feed, and paces lost-worker
+// probes.
+const (
+	syncEvery  = 16
+	flushEvery = time.Second
+)
 
 // worker is one pool member's lease accounting. All fields are guarded by
 // the coordinator's wmu — fleets lease from a shared pool.
@@ -268,12 +265,8 @@ func (co *Coordinator) newFleet(id string, sw *serve.Sweep, spec cliffedge.Campa
 		sw:     sw,
 		spec:   spec,
 		shards: shards,
-		inGrid: make(map[campaign.Job]bool, len(jobs)),
 	}
 	f.ctx, f.stop = context.WithCancel(context.Background())
-	for _, j := range jobs {
-		f.inGrid[j] = true
-	}
 	f.shardJobs = make([][]campaign.Job, len(shards))
 	for i, sh := range shards {
 		end := sh.SeedStart + int64(sh.Seeds)
@@ -399,11 +392,6 @@ type Fleet struct {
 	ctx  context.Context
 	stop context.CancelFunc
 
-	// inGrid is the fleet grid's membership set — every record a worker
-	// hands back must be one of the fleet's own jobs. Like shardJobs it
-	// serves the drives only and is dropped when the run loop ends.
-	inGrid map[campaign.Job]bool
-
 	mu        sync.Mutex
 	shards    []*Shard
 	shardJobs [][]campaign.Job
@@ -471,7 +459,7 @@ func (f *Fleet) run() {
 		// Every drive has reported by the time the loop returns, so the
 		// lease tables have no reader left.
 		f.mu.Lock()
-		f.inGrid, f.shardJobs = nil, nil
+		f.shardJobs = nil
 		f.mu.Unlock()
 		if terminal {
 			f.co.fleets.Finish(f.ID)
@@ -742,7 +730,7 @@ func (f *Fleet) driveShard(w *worker, lease shardLease, out chan<- shardMsg) {
 				switch ev.Type {
 				case "result":
 					pending++
-					if pending >= cfg.SyncEvery {
+					if pending >= syncEvery {
 						syncNow()
 					}
 				case "done":
@@ -865,7 +853,7 @@ func (fd *shardFeed) sync(ctx context.Context) error {
 // CommitUnique dedups: records already merged (a lost worker's partial
 // progress re-delivered by the re-run, a re-attach reading from 0) commit
 // nothing and emit no event, so the merged feed stays exactly-once per
-// job.
+// job; a record outside the fleet's grid is its error.
 func (fd *shardFeed) fetch(ctx context.Context) error {
 	f := fd.f
 	sctx, cancel := context.WithTimeout(ctx, f.co.cfg.WorkerTimeout)
@@ -876,10 +864,6 @@ func (fd *shardFeed) fetch(ctx context.Context) error {
 	}
 	mSyncBatches.Inc()
 	for _, rec := range recs {
-		if !f.inGrid[rec.Job()] {
-			return fmt.Errorf("worker returned record outside the fleet grid: %s seed %d attempt %d",
-				rec.Cell, rec.Seed, rec.Attempt)
-		}
 		added, err := f.sw.CommitUnique(rec.Job(), rec.Stats)
 		if err != nil {
 			return err

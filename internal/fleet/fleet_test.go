@@ -119,7 +119,6 @@ func TestFleetByteIdenticalToSingleBox(t *testing.T) {
 	co, err := NewCoordinator(filepath.Join(t.TempDir(), "coord"), Config{
 		Workers:       urls,
 		Shards:        4,
-		SyncEvery:     2,
 		WorkerTimeout: 30 * time.Second,
 		Logger:        testLogger(t),
 	})
@@ -198,7 +197,6 @@ func TestFleetWorkerLossReassigns(t *testing.T) {
 	co, err := NewCoordinator(filepath.Join(t.TempDir(), "coord"), Config{
 		Workers:       urls,
 		Shards:        6,
-		SyncEvery:     1,
 		WorkerTimeout: 500 * time.Millisecond,
 		Logger:        testLogger(t),
 	})
@@ -266,7 +264,6 @@ func TestFleetCoordinatorResume(t *testing.T) {
 		Workers:       []string{ts.URL},
 		Shards:        2,
 		PerWorker:     1, // shards run one after the other
-		SyncEvery:     1,
 		WorkerTimeout: 10 * time.Second,
 		Logger:        testLogger(t),
 	}

@@ -8,18 +8,12 @@ import (
 var (
 	mJobsCommitted = obs.NewCounter("cliffedge_serve_jobs_committed_total",
 		"Sweep jobs durably committed to a result log.")
-	mJobsAborted = obs.NewCounter("cliffedge_serve_jobs_aborted_total",
-		"Scheduled runs aborted by cancellation or shutdown (not persisted).")
 	mAdmissionRejects = obs.NewCounter("cliffedge_serve_admission_rejects_total",
 		"Campaign submissions rejected 429 by the per-client admission cap.")
 	mSSESubscribers = obs.NewGauge("cliffedge_serve_sse_subscribers",
 		"SSE progress streams currently connected.")
 	mSSEReplays = obs.NewCounter("cliffedge_serve_sse_replays_total",
 		"SSE connections that resumed from a Last-Event-ID/since cursor.")
-	mSchedQueueDepth = obs.NewGauge("cliffedge_serve_queue_depth",
-		"Jobs accepted by the scheduler and not yet dispatched to a worker.")
-	mSchedBusy = obs.NewGauge("cliffedge_serve_busy_workers",
-		"Scheduler workers currently inside a run.")
 	mActiveSweeps = obs.NewGauge("cliffedge_serve_active_sweeps",
 		"Sweeps currently running on this server.")
 )

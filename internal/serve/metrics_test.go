@@ -12,27 +12,44 @@ import (
 // TestMetricsAndHealthz drives one small campaign to completion and
 // checks the two operational endpoints: /metrics must expose valid
 // Prometheus text covering the instrumented layers with committed work
-// counted, and /healthz must carry the JSON status document while still
-// answering 200 for status-code-only probes.
+// counted — the served jobs in the campaign pool series too — and
+// /healthz must carry the JSON status document while still answering 200
+// for status-code-only probes.
 func TestMetricsAndHealthz(t *testing.T) {
 	_, ts := newTestServer(t, t.TempDir(), 2, 4)
+	scrape := func() map[string]float64 {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("metrics: %s", resp.Status)
+		}
+		samples, err := obs.ParseText(resp.Body)
+		if err != nil {
+			t.Fatalf("metrics do not parse: %v", err)
+		}
+		return samples
+	}
+	before := scrape()
 	id, total := submitCampaign(t, ts.URL, "mx", 3)
 	events := followSSE(t, ts.URL, id, 0)
 	if events[len(events)-1].Type != "done" {
 		t.Fatalf("campaign did not finish: %+v", events[len(events)-1])
 	}
 
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("metrics: %s", resp.Status)
-	}
-	samples, err := obs.ParseText(resp.Body)
-	if err != nil {
-		t.Fatalf("metrics do not parse: %v", err)
+	samples := scrape()
+	// Other tests of the package run jobs through the same process-global
+	// registry: the pool series are checked as deltas over this campaign.
+	for _, name := range []string{
+		"cliffedge_campaign_jobs_completed_total",
+		"cliffedge_campaign_job_duration_us_count",
+	} {
+		if got := samples[name] - before[name]; got < float64(total) {
+			t.Errorf("%s grew by %g over a %d-job campaign, want >= %d", name, got, total, total)
+		}
 	}
 	// The registry is process-global, so assert lower bounds, not equality.
 	if got := samples["cliffedge_serve_jobs_committed_total"]; got < float64(total) {

@@ -16,8 +16,7 @@ import (
 
 // Config parameterises a Server.
 type Config struct {
-	// Workers is the shared pool size; ≤ 0 means 1 (cliffedged resolves an
-	// unset -workers to GOMAXPROCS before it calls NewServer).
+	// Workers is the shared pool size; ≤ 0 means GOMAXPROCS.
 	Workers int
 	// MaxPerClient caps a single client's concurrently active campaigns
 	// (≤ 0: 4). Clients identify via the X-Client-ID header; without one,
@@ -44,7 +43,7 @@ type Config struct {
 // merely means the next start resumes every running sweep.
 type Server struct {
 	st      *store.Store
-	sched   *Scheduler
+	sched   *campaign.Scheduler
 	cfg     Config
 	log     *slog.Logger
 	started time.Time
@@ -66,9 +65,6 @@ func NewServer(dataDir string, cfg Config) (*Server, error) {
 	if cfg.MaxPerClient <= 0 {
 		cfg.MaxPerClient = 4
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
 	if cfg.now == nil {
 		cfg.now = time.Now
 	}
@@ -78,7 +74,7 @@ func NewServer(dataDir string, cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		st:      st,
-		sched:   NewScheduler(cfg.Workers),
+		sched:   campaign.NewScheduler(cfg.Workers),
 		cfg:     cfg,
 		log:     logger,
 		started: time.Now(),
@@ -180,7 +176,7 @@ func (s *Server) start(sw *Sweep, client string) {
 	s.owner[sw.ID] = client
 	s.mu.Unlock()
 	mActiveSweeps.Add(1)
-	s.sched.Submit(&Task{
+	s.sched.Submit(&campaign.Task{
 		ID:   sw.ID,
 		Jobs: sw.Remaining(),
 		Run:  sw.RunJob,

@@ -193,9 +193,9 @@ func TestServerRestartResumes(t *testing.T) {
 	srv1, ts1 := newTestServer(t, dir, 1, 4)
 	// Park the single worker on a task that only ends at shutdown, so the
 	// submitted campaign deterministically stays mid-sweep.
-	srv1.sched.Submit(&Task{
+	srv1.sched.Submit(&campaign.Task{
 		ID:   "parked",
-		Jobs: schedJobs("x", 1),
+		Jobs: []campaign.Job{{Cell: campaign.CellKey{Topology: "x", Regime: "r", Engine: "sim"}}},
 		Run: func(ctx context.Context, job campaign.Job) campaign.RunStats {
 			<-ctx.Done()
 			return campaign.RunStats{Err: ctx.Err().Error()}

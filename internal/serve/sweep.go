@@ -1,10 +1,10 @@
 // Package serve turns campaigns into a service: a Sweep binds one
 // campaign to its persisted state (manifest, append-only result log,
-// final report) and a seq-numbered event history; a Scheduler fair-shares
-// a single worker pool across any number of concurrent sweeps; a Server
-// exposes both over HTTP with SSE progress streaming. Because every run
-// is a pure function of its job, the persisted result multiset fully
-// determines the report — a sweep resumed after a crash merges on-disk
+// final report) and a seq-numbered event history; a Server runs any
+// number of concurrent sweeps on one campaign.Scheduler and exposes them
+// over HTTP with SSE progress streaming. Because every run is a pure
+// function of its job, the persisted result multiset fully determines
+// the report — a sweep resumed after a crash merges on-disk
 // and re-run results into a report byte-identical to an uninterrupted
 // sweep's.
 package serve
@@ -65,7 +65,8 @@ type Sweep struct {
 
 	// jobs, agg and done serve a sweep that can still commit; Close drops
 	// them, so a finished sweep kept for its event history costs the
-	// history only.
+	// history only. done holds every grid job, true once committed: one
+	// map answers both "in the grid?" and "committed?".
 	mu         sync.Mutex
 	jobs       []campaign.Job
 	agg        *campaign.Aggregator
@@ -104,7 +105,7 @@ func Create(st *store.Store, id, client string, created time.Time, spec cliffedg
 	if err != nil {
 		return nil, err
 	}
-	return newSweep(st, id, camp, results, nil), nil
+	return newSweep(st, id, camp, results, nil)
 }
 
 // Open rebinds a persisted campaign: the manifest's spec rebuilds the
@@ -129,40 +130,40 @@ func Open(st *store.Store, id string, extra ...cliffedge.CampaignOption) (*Sweep
 	if err != nil {
 		return nil, err
 	}
-	s := newSweep(st, id, camp, results, recs)
-	if s == nil {
+	s, err := newSweep(st, id, camp, results, recs)
+	if err != nil {
 		results.Close()
-		return nil, fmt.Errorf("serve: campaign %s: result log does not match spec grid", id)
+		return nil, err
 	}
 	return s, nil
 }
 
 // newSweep assembles the in-memory state, folding replayed records into
-// the aggregator and the event history. Returns nil if a record does not
-// belong to the grid or repeats a job.
-func newSweep(st *store.Store, id string, camp *cliffedge.Campaign, results *store.Results, recs []store.Record) *Sweep {
+// the aggregator and the event history. A record outside the grid or
+// repeating a job is an error.
+func newSweep(st *store.Store, id string, camp *cliffedge.Campaign, results *store.Results, recs []store.Record) (*Sweep, error) {
 	jobs := camp.Jobs()
 	s := &Sweep{
 		ID: id, st: st, camp: camp, total: len(jobs), jobs: jobs,
 		agg:     campaign.NewAggregator(),
 		results: results,
-		done:    make(map[campaign.Job]bool),
+		done:    make(map[campaign.Job]bool, len(jobs)),
 		notify:  make(chan struct{}),
 	}
-	inGrid := make(map[campaign.Job]bool, len(s.jobs))
-	for _, j := range s.jobs {
-		inGrid[j] = true
+	for _, j := range jobs {
+		s.done[j] = false
 	}
 	for _, rec := range recs {
 		job := rec.Job()
-		if !inGrid[job] || s.done[job] {
-			return nil
+		if committed, inGrid := s.done[job]; !inGrid || committed {
+			return nil, fmt.Errorf("serve: campaign %s: result log does not match spec grid at %s seed %d attempt %d",
+				id, job.Cell, job.Seed, job.Attempt)
 		}
 		s.agg.Add(job, rec.Stats)
 		s.done[job] = true
 		s.appendEventLocked(job, rec.Stats)
 	}
-	return s
+	return s, nil
 }
 
 // Total returns the size of the campaign's full grid.
@@ -195,13 +196,13 @@ func (s *Sweep) RunJob(ctx context.Context, job campaign.Job) campaign.RunStats 
 }
 
 // Commit folds one completed run into the aggregate, durably appends it
-// to the result log and publishes its progress event. Callers pass
-// persist=false for runs aborted by cancellation or shutdown, and those
-// are dropped entirely: not aggregated (their context-error stats would
-// poison partial reports and, replayed on resume, the final one), not
-// logged (resume must re-run them) and not published (the seq space then
-// contains exactly the committed runs, keeping seqs stable across
-// restarts).
+// to the result log and publishes its progress event; a job outside the
+// grid is an error. Callers pass persist=false for runs aborted by
+// cancellation or shutdown, and those are dropped entirely: not
+// aggregated (their context-error stats would poison partial reports
+// and, replayed on resume, the final one), not logged (resume must re-run
+// them) and not published (the seq space then contains exactly the
+// committed runs, keeping seqs stable across restarts).
 func (s *Sweep) Commit(job campaign.Job, stats campaign.RunStats, persist bool) error {
 	if !persist {
 		return nil
@@ -212,10 +213,12 @@ func (s *Sweep) Commit(job campaign.Job, stats campaign.RunStats, persist bool) 
 }
 
 // CommitUnique folds the run in unless its job has already committed, and
-// reports whether it was added. This is the fleet-merge write path: a
-// re-assigned shard re-contributes records its lost worker already
-// delivered, and the check-and-append must be one critical section so two
-// shard followers racing on the same job cannot both log it.
+// reports whether it was added; a job outside the grid is an error. This
+// is the fleet-merge write path, and the only check a worker's record
+// gets: a re-assigned shard re-contributes records its lost worker
+// already delivered, and the check-and-append must be one critical
+// section so two shard followers racing on the same job cannot both log
+// it.
 func (s *Sweep) CommitUnique(job campaign.Job, stats campaign.RunStats) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -237,6 +240,10 @@ func (s *Sweep) IsCommitted(job campaign.Job) bool {
 }
 
 func (s *Sweep) commitLocked(job campaign.Job, stats campaign.RunStats) error {
+	if _, inGrid := s.done[job]; !inGrid {
+		return fmt.Errorf("serve: campaign %s: %s seed %d attempt %d is outside the spec grid",
+			s.ID, job.Cell, job.Seed, job.Attempt)
+	}
 	if err := s.results.Append(store.Record{
 		Cell: job.Cell, Seed: job.Seed, Attempt: job.Attempt, Stats: stats,
 	}); err != nil {
@@ -266,46 +273,28 @@ func (s *Sweep) appendEventLocked(job campaign.Job, stats campaign.RunStats) {
 }
 
 // Run executes every remaining job on a dedicated pool (workers ≤ 0:
-// GOMAXPROCS) — the CLI frontend's loop. On clean completion it finishes
-// the sweep (report rendered and persisted, manifest marked done);
-// cancelled sweeps return the partial report with the manifest left
-// running, so a later -resume carries on.
+// GOMAXPROCS) — the CLI frontend's loop, one task on a scheduler of its
+// own. On clean completion it finishes the sweep (report rendered and
+// persisted, manifest marked done). A cancelled sweep aborts its
+// in-flight runs and returns the partial report over the committed runs
+// with the manifest left running, so a later -resume carries on; the
+// first commit error is returned the same way.
 func (s *Sweep) Run(ctx context.Context, workers int) (*campaign.Report, error) {
-	var cmu sync.Mutex
+	var once sync.Once
 	var commitErr error
-	runner := &campaign.Runner{
-		Workers: workers,
-		Run: func(j campaign.Job) campaign.RunStats {
-			return s.RunJob(ctx, j)
-		},
-		// Everything flows through Commit: the sweep's own aggregator (not
-		// the Runner's throwaway one) is the source of truth, and aborted
-		// runs never touch it — the partial report of a cancelled sweep
-		// covers exactly the committed runs, like the server's.
-		OnResult: func(j campaign.Job, st campaign.RunStats) {
-			persist := ctx.Err() == nil || st.Err == ""
+	err := campaign.RunAll(ctx, workers, s.Remaining(), s.RunJob,
+		func(j campaign.Job, st campaign.RunStats, persist bool) {
 			if err := s.Commit(j, st, persist); err != nil {
-				cmu.Lock()
-				if commitErr == nil {
-					commitErr = err
-				}
-				cmu.Unlock()
+				once.Do(func() { commitErr = err })
 			}
-		},
-	}
-	_, err := runner.Execute(ctx, s.Remaining())
+		})
 	if err == nil {
-		cmu.Lock()
 		err = commitErr
-		cmu.Unlock()
 	}
-	if err != nil {
-		return s.Report(), err
+	if err == nil {
+		err = s.Finish()
 	}
-	if err := s.Finish(); err != nil {
-		return s.Report(), err
-	}
-	return s.Report(), nil
+	return s.Report(), err
 }
 
 // Report snapshots the aggregate over everything committed so far; nil
