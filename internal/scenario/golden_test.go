@@ -125,3 +125,46 @@ func TestShardedMultiDomainTraceHash(t *testing.T) {
 		}
 	}
 }
+
+// TestZeroDelayTraceHash pins runs that schedule events into the tick
+// being processed: zero latencies and zero trigger delays. The event
+// queue must order such a push among that tick's unpopped events, at any
+// shard count. The hashes are those of the 4-ary heap queue the calendar
+// queue replaced.
+func TestZeroDelayTraceHash(t *testing.T) {
+	g := graph.Grid(8, 8)
+	crashes := []sim.CrashAt{{Time: 10, Node: graph.GridID(2, 2)}, {Time: 10, Node: graph.GridID(2, 3)},
+		{Time: 40, Node: graph.GridID(5, 5)}}
+	firstPropose := func(e trace.Event) bool { return e.Kind == trace.KindPropose }
+	for _, tc := range []struct {
+		name string
+		spec Spec
+		want uint64
+	}{
+		{"constant-0", Spec{NetLatency: sim.Constant{D: 0}, FDLatency: sim.Constant{D: 0}}, 0x287d44f87399b531},
+		{"net-constant-0", Spec{NetLatency: sim.Constant{D: 0}}, 0x11f8f66d18e07d06},
+		{"trigger-delay-0", Spec{Triggers: []sim.Trigger{
+			{Node: graph.GridID(2, 1), Delay: 0, When: firstPropose},
+			{Node: graph.GridID(4, 5), Delay: 0, When: func(e trace.Event) bool {
+				return e.Kind == trace.KindDetect && e.Peer == graph.GridID(5, 5)
+			}},
+		}}, 0xe97e394404e612c},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, shards := range []int{1, 8} {
+				spec := tc.spec
+				spec.Graph, spec.Seed, spec.Crashes, spec.Shards = g, 5, crashes, shards
+				res, err := spec.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Decisions) == 0 {
+					t.Fatal("no decisions")
+				}
+				if got := traceHash(res.Events); got != tc.want {
+					t.Errorf("shards=%d: trace hash %#x, want %#x (%d events)", shards, got, tc.want, len(res.Events))
+				}
+			}
+		})
+	}
+}

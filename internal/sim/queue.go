@@ -1,63 +1,317 @@
 package sim
 
-// eventQueue is a value-based 4-ary min-heap ordered by the event key
-// (time, src, sseq). Because every event carries a unique key the order
-// is a strict total order, so the pop sequence is exactly the sorted
-// event order — independent of heap internals — which is what makes runs
-// reproducible bit for bit (and what made the binary → 4-ary switch a
-// pure constant-factor change: the golden-hash test pins the traces).
-// The key is also shard-stable: src/sseq are assigned by the scheduling
-// node, not by a global counter, so the sorted order is identical no
-// matter how events are distributed over per-shard sub-queues.
+import (
+	"fmt"
+	"slices"
+)
+
+// eventQueue is the kernel's event queue: a calendar queue (Brown,
+// "Calendar queues", CACM 1988) with one bucket per virtual tick. It pops
+// events in the strict total order of their key (time, src, sseq).
+// Because every event carries a unique key, the pop sequence is exactly
+// the sorted event order, independent of the queue's internals. This is
+// what makes runs reproducible bit for bit, and what made each change of
+// queue a pure constant-factor change: the golden-hash test pins the
+// traces. The key is also shard-stable: src/sseq are assigned by the
+// scheduling node, not by a global counter, so the sorted order is
+// identical no matter how events are distributed over per-shard
+// sub-queues.
 //
-// Why 4-ary: heap sift/compare was ~10% of kernel time with a binary
-// heap. A branching factor of 4 halves the tree depth, so sift-up does
-// half the swaps; sift-down does up to three extra comparisons per level
-// but over adjacent slots of the same backing array (one or two cache
-// lines), which on balance wins for the kernel's push/pop mix — pops
-// carry a full sift-down either way, and pushes (the majority during
-// multicast scheduling) get strictly cheaper.
+// Why a calendar: every pending event lies within a few ticks of the
+// open one. Message and detection latencies are small, FIFO floors never
+// exceed the latest delivery already drawn on a channel, and
+// subscriptions land one lookahead later. So a ring of ringTicks buckets
+// covers [base, base+ringTicks), where base is the open tick. Events
+// further out (scheduled crashes and injections, long link-fault delays)
+// wait in a small 4-ary overflow min-heap. They move into the ring when
+// the window reaches them.
 //
-// Events are stored by value in one backing slice: pushing reuses the
-// slice's capacity (the free list left behind by earlier pops), so
-// steady-state scheduling performs no per-event heap allocation, unlike
-// the historical *event + container/heap implementation which allocated
-// every event and boxed it through interface{}.
+// Opening a tick orders its bucket once. A bucket lists its events in
+// push order, and every source pushes its events in sseq order. So a
+// stable counting sort on src yields (src, sseq) order without a single
+// key comparison. The counting sort checks each source's run and falls
+// back to a comparison sort if a run is out of order. That happens only
+// when events are pushed out of their source's order. Buckets that are
+// small next to the node count skip the counting sort: its prefix pass
+// costs one step per source.
+//
+// A push into the open tick is inserted in order among its unpopped
+// events; zero latencies and zero trigger delays produce such pushes. A
+// push below the open tick panics. Latencies are clamped at ≥ 0, config
+// times and trigger delays are validated ≥ 0, and the sharded scheduler
+// rejects events inside its window, so no kernel path does this. A queue
+// that accepted the push would have to pop out of order.
+//
+// Events are stored by value in one pool of fixed-size chunks owned by
+// the queue. A bucket is a list threaded through the pool's slots, and a
+// popped slot goes back on a free list. Retained memory therefore
+// follows the live events, not the busiest tick, and steady-state
+// scheduling allocates nothing. The zero value is an empty queue that
+// orders every tick by comparison; lanes set nodes to enable the
+// counting sort.
 type eventQueue struct {
-	items []event
+	// nodes bounds the sources: src ∈ [-1, nodes).
+	nodes int32
+	n     int // pending events
+
+	// The ring holds ringN events, each with base ≤ time < base+ringTicks,
+	// in bucket time&ringMask. base only moves when pop opens a tick.
+	base  int64
+	ring  []bucket
+	ringN int
+	// open is whether tick base has been opened: order[pos:] are its
+	// unpopped events, in key order, and its ring bucket stays empty.
+	open  bool
+	order []int32
+	pos   int
+	// peek caches head's answer (a ring slot) while order is used up: the
+	// sharded driver asks for the head several times per window, and a
+	// window is often a single tick.
+	peek   int32
+	peeked bool
+
+	overflow []int32 // 4-ary min-heap of the slots at base+ringTicks and beyond
+
+	chunks  []*chunk
+	free    int32   // free-slot list through chunk.next, ended by -1
+	scratch []int32 // counting-sort output, swapped with order
+	counts  []int32 // counting-sort histogram by src+1; all zero between sorts
 }
 
-func (q *eventQueue) len() int { return len(q.items) }
+const (
+	ringTicks = 64 // a power of two
+	ringMask  = ringTicks - 1
+	chunkBits = 4
+	chunkLen  = 1 << chunkBits
+	chunkMask = chunkLen - 1
+	// A tick is ordered by counting sort when it holds at least countMin
+	// events and the queue has at most countRatio sources per event.
+	// Timed per tick against the comparison sort, the counting sort wins
+	// from 16 events at up to 32 sources per event, and loses at 8 events
+	// or at 64 sources per 16-event tick.
+	countMin   = 16
+	countRatio = 32
+)
+
+// bucket is one tick of the ring: n events in a list through the pool's
+// next links, newest first.
+type bucket struct {
+	head, n int32
+}
+
+// chunk is a fixed-size block of pool slots. next links a slot into its
+// bucket's list or, once the slot is free, into the free list.
+type chunk struct {
+	ev   [chunkLen]event
+	next [chunkLen]int32
+}
+
+func (q *eventQueue) len() int { return q.n }
+
+func (q *eventQueue) slot(id int32) *event { return &q.chunks[id>>chunkBits].ev[id&chunkMask] }
+
+func (q *eventQueue) link(id int32) *int32 { return &q.chunks[id>>chunkBits].next[id&chunkMask] }
 
 // head returns the earliest event without removing it. Callers must
-// check len() > 0 first. The sharded driver uses it to compute the next
-// time window without disturbing the heap.
-func (q *eventQueue) head() *event { return &q.items[0] }
+// check len() > 0 first. It opens no tick: the sharded driver peeks at
+// every lane, then routes events that may land below a lane's head.
+func (q *eventQueue) head() *event {
+	if q.open && q.pos < len(q.order) {
+		return q.slot(q.order[q.pos])
+	}
+	if q.ringN == 0 {
+		return q.slot(q.overflow[0])
+	}
+	if !q.peeked {
+		t := q.base
+		for q.ring[t&ringMask].n == 0 {
+			t++
+		}
+		b := q.ring[t&ringMask]
+		q.peek = b.head
+		for id, k := b.head, int32(1); k < b.n; k++ {
+			id = *q.link(id)
+			if q.slot(id).key().less(q.slot(q.peek).key()) {
+				q.peek = id
+			}
+		}
+		q.peeked = true
+	}
+	return q.slot(q.peek)
+}
 
 func (q *eventQueue) push(ev event) {
-	q.items = append(q.items, ev)
-	// Sift up.
-	i := len(q.items) - 1
-	for i > 0 {
-		parent := (i - 1) >> 2
-		if !eventLess(&q.items[i], &q.items[parent]) {
-			break
-		}
-		q.items[i], q.items[parent] = q.items[parent], q.items[i]
-		i = parent
+	if ev.time < q.base {
+		panic(fmt.Sprintf("sim: event at t=%d pushed below the open tick t=%d", ev.time, q.base))
+	}
+	if q.ring == nil {
+		q.ring = make([]bucket, ringTicks)
+		q.free = -1
+	}
+	id := q.alloc()
+	*q.slot(id) = ev
+	q.n++
+	switch {
+	case ev.time == q.base && q.open:
+		i, _ := slices.BinarySearchFunc(q.order[q.pos:], ev.key(), func(id int32, k eventKey) int {
+			return q.slot(id).key().compare(k)
+		})
+		q.order = slices.Insert(q.order, q.pos+i, id)
+	case ev.time < q.base+ringTicks:
+		q.toRing(id)
+	default:
+		q.overflowPush(id)
 	}
 }
 
 func (q *eventQueue) pop() event {
-	top := q.items[0]
-	last := len(q.items) - 1
-	q.items[0] = q.items[last]
-	q.items[last] = event{} // release the payload reference
-	q.items = q.items[:last]
-	// Sift down: find the least of up to four children, in slot order —
-	// the key is a strict total order, so the scan order cannot change
-	// which child is least, only how ties in the comparison chain are
-	// walked.
+	if !q.open || q.pos == len(q.order) {
+		q.advance()
+	}
+	id := q.order[q.pos]
+	q.pos++
+	p := q.slot(id)
+	ev := *p
+	*p = event{} // release the payload reference
+	*q.link(id) = q.free
+	q.free = id
+	q.n--
+	return ev
+}
+
+// drain pops every pending event and returns them in order.
+func (q *eventQueue) drain() []event {
+	out := make([]event, 0, q.n)
+	for q.n > 0 {
+		out = append(out, q.pop())
+	}
+	return out
+}
+
+// alloc takes a slot from the free list, adding a chunk when it is empty.
+func (q *eventQueue) alloc() int32 {
+	if q.free < 0 {
+		c := new(chunk)
+		first := int32(len(q.chunks)) << chunkBits
+		q.chunks = append(q.chunks, c)
+		for k := chunkLen - 1; k >= 0; k-- {
+			c.next[k] = q.free
+			q.free = first + int32(k)
+		}
+	}
+	id := q.free
+	q.free = *q.link(id)
+	return id
+}
+
+// toRing links slot id into its tick's bucket.
+func (q *eventQueue) toRing(id int32) {
+	ev := q.slot(id)
+	b := &q.ring[ev.time&ringMask]
+	*q.link(id) = b.head
+	b.head = id
+	b.n++
+	q.ringN++
+	if q.peeked && ev.key().less(q.slot(q.peek).key()) {
+		q.peek = id
+	}
+}
+
+// advance opens the next tick: the earliest non-empty bucket, or the
+// overflow's earliest tick when the ring is empty. Moving base first
+// lets the overflow hand over every event the window now covers; those
+// all lie beyond the ring's events, so no bucket mixes two ticks.
+func (q *eventQueue) advance() {
+	q.peeked = false
+	if q.ringN > 0 {
+		for q.ring[q.base&ringMask].n == 0 {
+			q.base++
+		}
+	} else {
+		q.base = q.slot(q.overflow[0]).time
+	}
+	for len(q.overflow) > 0 && q.slot(q.overflow[0]).time < q.base+ringTicks {
+		q.toRing(q.overflowPop())
+	}
+	b := &q.ring[q.base&ringMask]
+	m := int(b.n)
+	q.order = slices.Grow(q.order[:0], m)[:m]
+	// The walk also fills the counting sort's histogram: the src load is
+	// off the list's dependency chain, so it overlaps the next hop.
+	counting := q.nodes > 0 && m >= countMin && int(q.nodes) <= countRatio*m
+	if counting && q.counts == nil {
+		q.counts = make([]int32, q.nodes+1)
+	}
+	for k, id := m-1, b.head; k >= 0; k-- {
+		q.order[k] = id
+		if counting {
+			q.counts[q.slot(id).src+1]++
+		}
+		id = *q.link(id)
+	}
+	b.n = 0
+	q.ringN -= m
+	q.pos = 0
+	q.open = true
+	if m > 1 && !(counting && q.countingSort()) {
+		slices.SortFunc(q.order, func(a, b int32) int { return q.slot(a).key().compare(q.slot(b).key()) })
+	}
+}
+
+// countingSort orders the open tick, listed in push order in q.order with
+// its sources counted in q.counts, by a stable counting sort on src. It
+// reports whether every source's run came out in sseq order; if not,
+// q.order is left grouped by source.
+func (q *eventQueue) countingSort() bool {
+	counts := q.counts
+	sum := int32(0)
+	for s, c := range counts {
+		counts[s] = sum
+		sum += c
+	}
+	out := slices.Grow(q.scratch[:0], len(q.order))[:len(q.order)]
+	for _, id := range q.order {
+		s := q.slot(id).src + 1
+		out[counts[s]] = id
+		counts[s]++
+	}
+	clear(counts)
+	q.scratch, q.order = q.order, out
+	for k := 1; k < len(out); k++ {
+		a, b := q.slot(out[k-1]), q.slot(out[k])
+		if a.src == b.src && a.sseq > b.sseq {
+			return false
+		}
+	}
+	return true
+}
+
+// overflowPush and overflowPop keep q.overflow a 4-ary min-heap of slots
+// by key: a branching factor of 4 halves the depth of a binary heap, so a
+// push does half the swaps.
+func (q *eventQueue) overflowPush(id int32) {
+	h := append(q.overflow, id)
+	k := q.slot(id).key()
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) >> 2
+		if !k.less(q.slot(h[parent]).key()) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = id
+	q.overflow = h
+}
+
+func (q *eventQueue) overflowPop() int32 {
+	h := q.overflow
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	q.overflow = h
 	i := 0
 	for {
 		first := i<<2 + 1
@@ -65,30 +319,16 @@ func (q *eventQueue) pop() event {
 			break
 		}
 		least := first
-		end := first + 4
-		if end > last {
-			end = last
-		}
-		for c := first + 1; c < end; c++ {
-			if eventLess(&q.items[c], &q.items[least]) {
+		for c := first + 1; c < min(first+4, last); c++ {
+			if q.slot(h[c]).key().less(q.slot(h[least]).key()) {
 				least = c
 			}
 		}
-		if !eventLess(&q.items[least], &q.items[i]) {
+		if !q.slot(h[least]).key().less(q.slot(h[i]).key()) {
 			break
 		}
-		q.items[i], q.items[least] = q.items[least], q.items[i]
+		h[i], h[least] = h[least], h[i]
 		i = least
 	}
 	return top
-}
-
-func eventLess(a, b *event) bool {
-	if a.time != b.time {
-		return a.time < b.time
-	}
-	if a.src != b.src {
-		return a.src < b.src
-	}
-	return a.sseq < b.sseq
 }

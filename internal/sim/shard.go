@@ -181,7 +181,10 @@ func (r *Runner) runSharded(ctx context.Context, lanes []*lane) error {
 		}
 		r.mergeTrace(lanes)
 		// Route the outboxes. Push order across sources is irrelevant:
-		// the queue key is a strict total order.
+		// the queue orders each tick by (src, sseq). A source's events
+		// reach a lane by one route (its owner's home queue or one
+		// outbox), in sseq order, so the tick's counting sort needs no
+		// fallback.
 		for _, src := range lanes {
 			for dst, box := range src.out {
 				if len(box) == 0 {
@@ -210,14 +213,8 @@ func (r *Runner) runSharded(ctx context.Context, lanes []*lane) error {
 // schedule), so the frontier only ever moves forward within the window.
 func (ln *lane) runWindow() {
 	for ln.queue.len() > 0 && ln.queue.head().time < ln.limit {
-		ev := ln.queue.pop()
-		if ev.time < ln.now {
-			ln.err = fmt.Errorf("sim: kernel event at t=%d after virtual time reached t=%d (non-monotone LatencyModel?)",
-				ev.time, ln.now)
-			return
-		}
 		ln.processed++
-		ln.dispatch(ev)
+		ln.dispatch(ln.queue.pop())
 		if ln.err != nil {
 			return
 		}
@@ -237,7 +234,7 @@ func (r *Runner) mergeTrace(lanes []*lane) {
 			if ln.bufPos >= len(ln.buf) {
 				continue
 			}
-			if best == nil || keyLess(ln.buf[ln.bufPos].key, best.buf[best.bufPos].key) {
+			if best == nil || ln.buf[ln.bufPos].key.less(best.buf[best.bufPos].key) {
 				best = ln
 			}
 		}

@@ -21,8 +21,9 @@
 // The kernel addresses nodes by their dense graph index (graph.Index) and
 // keeps all per-node and per-channel state in index-addressed flat
 // structures — crash and subscription state in bitsets, FIFO floors in
-// per-sender slices, the event queue as a value-based min-heap — so the
-// hot loop performs no string hashing and no steady-state allocation.
+// per-sender slices, the event queue as a calendar of per-tick buckets
+// over one pool of value-stored events — so the hot loop performs no
+// string hashing and no steady-state allocation.
 // Three invariants make this safe, keep traces bit-identical to the
 // sequential kernel at any shard count, and keep virtual time monotone:
 //
@@ -43,15 +44,17 @@
 //     the values are identical and the per-delivery interface assertion
 //     disappears from the hot path.
 //
-// Latency draws are clamped to ≥ 0 at every call site and popped event
-// times are checked non-decreasing, so a misbehaving LatencyModel cannot
-// run virtual time backwards.
+// Latency draws are clamped to ≥ 0 at every call site and config times
+// are validated ≥ 0, so a misbehaving LatencyModel cannot run virtual
+// time backwards. The event queue panics on a push below its open tick,
+// which makes that a checked invariant rather than a silent misorder.
 //
 // NodeIDs appear only at the boundaries: config validation, trace events
 // and the final Result.
 package sim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 
@@ -185,7 +188,11 @@ const (
 // payload, precomputed at scheduling time. (src, sseq) identify the
 // scheduling site: src is the node whose event processing created this
 // event (-1 for events born from the config), sseq a per-source counter —
-// together with time they form the queue's strict total order.
+// together with time they form the event's key (see key).
+//
+// The key fields are spelled out rather than embedded as an eventKey:
+// Go does not reuse an embedded struct's tail padding, so embedding
+// would grow an event from 72 to 80 bytes.
 type event struct {
 	time    int64
 	sseq    int64
@@ -199,23 +206,28 @@ type event struct {
 	payload proto.Payload
 }
 
-// eventKey is an event's total-order key, used to merge per-shard trace
-// buffers back into the sequential emission order.
+func (e *event) key() eventKey { return eventKey{time: e.time, sseq: e.sseq, src: e.src} }
+
+// eventKey is an event's total-order key. It orders the event queue and
+// merges per-shard trace buffers back into the sequential emission order.
 type eventKey struct {
 	time int64
 	sseq int64
 	src  int32
 }
 
-func keyLess(a, b eventKey) bool {
+// compare orders keys by (time, src, sseq): the kernel's one total order.
+func (a eventKey) compare(b eventKey) int {
 	if a.time != b.time {
-		return a.time < b.time
+		return cmp.Compare(a.time, b.time)
 	}
 	if a.src != b.src {
-		return a.src < b.src
+		return cmp.Compare(a.src, b.src)
 	}
-	return a.sseq < b.sseq
+	return cmp.Compare(a.sseq, b.sseq)
 }
+
+func (a eventKey) less(b eventKey) bool { return a.compare(b) < 0 }
 
 // Runner executes one simulation. Create with NewRunner, execute with Run.
 // A Runner is consumed by its run: a second Run/RunContext returns an
@@ -424,13 +436,12 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 		for s := range shards {
 			shards[s] = r.newLane(s, nshards)
 		}
-		// Distribute the init-phase backlog to its owner shards. Heap
-		// slice order is irrelevant: the key is a strict total order, so
-		// per-shard pop order is independent of push order.
-		for _, ev := range stem.queue.items {
+		// Distribute the init-phase backlog to its owner shards. drain
+		// hands it over in key order, so every source's events reach a
+		// shard in sseq order, as the calendar's counting sort expects.
+		for _, ev := range stem.queue.drain() {
 			shards[owner[ev.node]].queue.push(ev)
 		}
-		stem.queue.items = nil
 		if err := r.runSharded(ctx, shards); err != nil {
 			return nil, err
 		}
@@ -477,12 +488,7 @@ func (r *Runner) runSequential(ctx context.Context, ln *lane) error {
 			return fmt.Errorf("sim: event budget %d exhausted at t=%d (livelock?)",
 				r.cfg.MaxEvents, ln.now)
 		}
-		ev := ln.queue.pop()
-		if ev.time < ln.now {
-			return fmt.Errorf("sim: kernel event at t=%d after virtual time reached t=%d (non-monotone LatencyModel?)",
-				ev.time, ln.now)
-		}
-		ln.dispatch(ev)
+		ln.dispatch(ln.queue.pop())
 		if ln.err != nil {
 			return ln.err
 		}
@@ -597,6 +603,7 @@ func (r *Runner) newLane(id, nshards int) *lane {
 	ln := &lane{
 		r:            r,
 		id:           id,
+		queue:        eventQueue{nodes: int32(n)},
 		direct:       nshards <= 1,
 		crashed:      graph.NewBitset(n),
 		participants: graph.NewBitset(n),
@@ -638,12 +645,12 @@ func (ln *lane) schedule(ev event) {
 	}
 }
 
-// dispatch processes one popped event. Callers have already checked the
-// monotone-time invariant.
+// dispatch processes one popped event. Its time is never below ln.now:
+// the queue refuses pushes below the open tick.
 func (ln *lane) dispatch(ev event) {
 	ln.now = ev.time
 	ln.cur = ev.node
-	ln.curKey = eventKey{time: ev.time, src: ev.src, sseq: ev.sseq}
+	ln.curKey = ev.key()
 	switch ev.kind {
 	case evCrash:
 		ln.handleCrash(ev)
