@@ -262,8 +262,8 @@ func BenchmarkMCExhaustive(b *testing.B) {
 // loses its centre 16×16 block at once and then eight more nodes one by
 // one while agreement is underway. The trace is discarded (streaming
 // posture), so time and allocations measure the simulator kernel and the
-// protocol automata, not trace retention. BENCH_kernel.json tracks this
-// benchmark across PRs.
+// protocol automata, not trace retention. TestKernelCascade64Counts pins
+// its messages, bytes, decisions and end time.
 func BenchmarkKernelCascade64(b *testing.B) {
 	benchCascade(b, 64, 1)
 }
@@ -297,8 +297,8 @@ func BenchmarkKernelCascade64Sharded(b *testing.B) {
 }
 
 // BenchmarkKernelCascade128Sharded is the doubled workload on the
-// sharded kernel; BENCH_kernel.json records this point alongside the
-// sequential BenchmarkKernelCascade128.
+// sharded kernel, the same trace as BenchmarkKernelCascade128 executed
+// over 8 shards.
 func BenchmarkKernelCascade128Sharded(b *testing.B) {
 	benchCascade(b, 128, 8)
 }
@@ -341,7 +341,7 @@ func benchCascade(b *testing.B, dim, shards int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(msgs), "ns/msg")
 }
 
-// BenchmarkLiveCascade32 is the live counterpart of the KERNEL workload:
+// BenchmarkLiveCascade32 is the live counterpart of BenchmarkKernelCascade64:
 // a 32×32 grid (one goroutine per node) loses its centre 8×8 block at
 // once, then four more nodes race into the in-flight agreement with no
 // quiescence in between, mirroring the cascade shape. The trace is

@@ -144,9 +144,7 @@ func runLiveWaves(ctx context.Context, c *Cluster, net *netem.Net, marks bool, w
 	}
 	for i, w := range waves {
 		rt.CrashAll(w.crash...)
-		for _, n := range w.mark {
-			rt.Inject(n, predicate.Mark{})
-		}
+		rt.InjectAll(predicate.Mark{}, w.mark...)
 		switch {
 		case barrier:
 			if err := rt.WaitIdleContext(ctx, c.liveTimeout); err != nil {

@@ -20,6 +20,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,6 +62,13 @@ type mailbox struct {
 	count  int
 	peak   int // deepest backlog this run; flushed to metrics at Result
 	closed bool
+
+	// turn is the node's step lock. The node's loop holds it for the whole
+	// of one envelope: the crash check, the handler and every effect. A
+	// wave (CrashAll, InjectAll) holds it for each of its members. So a
+	// crash lands between two steps of the node, never inside one, and a
+	// crashed node sends nothing more.
+	turn sync.Mutex
 }
 
 func (m *mailbox) init() { m.cond.L = &m.mu }
@@ -405,6 +413,9 @@ func (rt *Runtime) process(i int32, env envelope) {
 		// queue order and cannot reorder the channel's FIFO.
 		time.Sleep(time.Duration(env.delay) * rt.tick)
 	}
+	turn := &rt.boxes[i].turn
+	turn.Lock()
+	defer turn.Unlock()
 	rt.mu.Lock()
 	dead := rt.crashed.Has(i)
 	rt.mu.Unlock()
@@ -526,10 +537,14 @@ func (rt *Runtime) Crash(n graph.NodeID) { rt.CrashAll(n) }
 // the individual crashes — mirroring the simulator, where all crashes
 // scheduled at one virtual instant precede every detection of them.
 // Subscribers of each crashed node are then notified in index (= NodeID)
-// order, per node in wave order.
+// order, per node in wave order. Every member's turn is held from before
+// the flag until the wave is traced and notified, so a handler a member
+// is running when the wave arrives finishes first, and traces its sends
+// before the crash.
 func (rt *Runtime) CrashAll(ns ...graph.NodeID) {
 	rt.trackEnter()
 	defer rt.trackExit()
+	defer rt.unlockTurns(rt.lockTurns(ns))
 	rt.mu.Lock()
 	newly := make([]int32, 0, len(ns))
 	for _, n := range ns {
@@ -561,16 +576,42 @@ func (rt *Runtime) CrashAll(ns ...graph.NodeID) {
 	}
 }
 
-// Inject delivers payload to n as a message from itself — the live
-// counterpart of sim.InjectAt, used e.g. to mark nodes in the
-// stable-predicate extension.
-func (rt *Runtime) Inject(n graph.NodeID, payload proto.Payload) {
-	i := rt.g.Index(n)
-	if i < 0 {
-		return
+// InjectAll delivers payload to every node of ns as a message from itself
+// — the live counterpart of sim.InjectAt, used e.g. to mark nodes in the
+// stable-predicate extension. Like CrashAll it is atomic: no member
+// handles anything until every member's envelope is queued, so the
+// effects of one member's injection reach the others behind their own.
+func (rt *Runtime) InjectAll(payload proto.Payload, ns ...graph.NodeID) {
+	defer rt.unlockTurns(rt.lockTurns(ns))
+	for _, n := range ns {
+		if i := rt.g.Index(n); i >= 0 {
+			rt.trackEnter()
+			rt.boxes[i].put(envelope{from: i, payload: payload})
+		}
 	}
-	rt.trackEnter()
-	rt.boxes[i].put(envelope{from: i, payload: payload})
+}
+
+// lockTurns takes the turn of every graph member of ns and returns their
+// indices. It locks in index order, so two waves never deadlock.
+func (rt *Runtime) lockTurns(ns []graph.NodeID) []int32 {
+	wave := make([]int32, 0, len(ns))
+	for _, n := range ns {
+		if i := rt.g.Index(n); i >= 0 {
+			wave = append(wave, i)
+		}
+	}
+	slices.Sort(wave)
+	wave = slices.Compact(wave)
+	for _, i := range wave {
+		rt.boxes[i].turn.Lock()
+	}
+	return wave
+}
+
+func (rt *Runtime) unlockTurns(wave []int32) {
+	for _, i := range wave {
+		rt.boxes[i].turn.Unlock()
+	}
 }
 
 // WaitIdle blocks until no envelope is queued or being processed, i.e. the

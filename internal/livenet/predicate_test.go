@@ -10,16 +10,14 @@ import (
 )
 
 // TestLivePredicateMarkedRegion runs the stable-predicate extension on the
-// goroutine runtime: markings are injected live and the border must agree
-// on the full marked block. Run with -race.
+// goroutine runtime: the block is marked live in one wave and the border
+// must agree on the full marked block. Run with -race.
 func TestLivePredicateMarkedRegion(t *testing.T) {
 	g := graph.Grid(6, 6)
 	block := graph.GridBlock(2, 2, 2)
 	for i := 0; i < 5; i++ {
 		rt := New(g, predicate.Factory(core.Config{Graph: g}))
-		for _, n := range block {
-			rt.Inject(n, predicate.Mark{})
-		}
+		rt.InjectAll(predicate.Mark{}, block...)
 		if err := rt.WaitIdle(timeout); err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +57,7 @@ func TestLivePredicateStaggeredMarking(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		rt := New(g, predicate.Factory(core.Config{Graph: g}))
 		for _, n := range block {
-			rt.Inject(n, predicate.Mark{}) // back to back, racing the gossip
+			rt.InjectAll(predicate.Mark{}, n) // one wave per node, racing the gossip
 		}
 		if err := rt.WaitIdle(timeout); err != nil {
 			t.Fatal(err)

@@ -64,11 +64,6 @@ type eventQueue struct {
 	open  bool
 	order []int32
 	pos   int
-	// peek caches head's answer (a ring slot) while order is used up: the
-	// sharded driver asks for the head several times per window, and a
-	// window is often a single tick.
-	peek   int32
-	peeked bool
 
 	overflow []int32 // 4-ary min-heap of the slots at base+ringTicks and beyond
 
@@ -112,32 +107,21 @@ func (q *eventQueue) slot(id int32) *event { return &q.chunks[id>>chunkBits].ev[
 
 func (q *eventQueue) link(id int32) *int32 { return &q.chunks[id>>chunkBits].next[id&chunkMask] }
 
-// head returns the earliest event without removing it. Callers must
-// check len() > 0 first. It opens no tick: the sharded driver peeks at
-// every lane, then routes events that may land below a lane's head.
-func (q *eventQueue) head() *event {
+// nextTime returns the tick of the earliest pending event. Callers must
+// check len() > 0 first. It opens no tick: the sharded driver asks every
+// lane, then routes events that may land below a lane's next tick.
+func (q *eventQueue) nextTime() int64 {
 	if q.open && q.pos < len(q.order) {
-		return q.slot(q.order[q.pos])
+		return q.base
 	}
 	if q.ringN == 0 {
-		return q.slot(q.overflow[0])
+		return q.slot(q.overflow[0]).time
 	}
-	if !q.peeked {
-		t := q.base
-		for q.ring[t&ringMask].n == 0 {
-			t++
-		}
-		b := q.ring[t&ringMask]
-		q.peek = b.head
-		for id, k := b.head, int32(1); k < b.n; k++ {
-			id = *q.link(id)
-			if q.slot(id).key().less(q.slot(q.peek).key()) {
-				q.peek = id
-			}
-		}
-		q.peeked = true
+	t := q.base
+	for q.ring[t&ringMask].n == 0 {
+		t++
 	}
-	return q.slot(q.peek)
+	return t
 }
 
 func (q *eventQueue) push(ev event) {
@@ -212,9 +196,6 @@ func (q *eventQueue) toRing(id int32) {
 	b.head = id
 	b.n++
 	q.ringN++
-	if q.peeked && ev.key().less(q.slot(q.peek).key()) {
-		q.peek = id
-	}
 }
 
 // advance opens the next tick: the earliest non-empty bucket, or the
@@ -222,7 +203,6 @@ func (q *eventQueue) toRing(id int32) {
 // lets the overflow hand over every event the window now covers; those
 // all lie beyond the ring's events, so no bucket mixes two ticks.
 func (q *eventQueue) advance() {
-	q.peeked = false
 	if q.ringN > 0 {
 		for q.ring[q.base&ringMask].n == 0 {
 			q.base++

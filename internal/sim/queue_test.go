@@ -8,9 +8,9 @@ import (
 	"unsafe"
 )
 
-// qop is one step of a queue script: a push, pop, head or drain.
+// qop is one step of a queue script: a push, pop, next-time query or drain.
 type qop struct {
-	kind byte // 'p'ush, 'o' pop, 'h'ead, 'd'rain
+	kind byte // 'p'ush, 'o' pop, 'h' nextTime, 'd'rain
 	// push: the event lands dt ticks after the last popped time (the
 	// open tick), from src; back draws the source's sseq from below its
 	// earlier pushes, out of push order.
@@ -20,9 +20,10 @@ type qop struct {
 }
 
 // checkQueueScript runs ops on an eventQueue and on a reference that
-// keeps pending events unsorted and pops the least key. Every pop, head
-// and drain must agree, event for event. Pushes are never below the last
-// popped time, the queue's contract.
+// keeps pending events unsorted and pops the least key. Every pop and
+// drain must agree event for event, and every nextTime with the least
+// key's time. Pushes are never below the last popped time, the queue's
+// contract.
 func checkQueueScript(t testing.TB, nodes int32, ops []qop) {
 	t.Helper()
 	q := eventQueue{nodes: nodes}
@@ -65,8 +66,8 @@ func checkQueueScript(t testing.TB, nodes int32, ops []qop) {
 			}
 			floor = want.time
 		case op.kind == 'h':
-			if got, want := *q.head(), ref[least()]; got != want {
-				t.Fatalf("step %d: head = %+v, reference %+v", step, got, want)
+			if got, want := q.nextTime(), ref[least()].time; got != want {
+				t.Fatalf("step %d: nextTime = %d, reference %d", step, got, want)
 			}
 		case op.kind == 'd':
 			want := slices.Clone(ref)
@@ -123,7 +124,7 @@ func randomScript(rng *rand.Rand, nodes int32, n int) []qop {
 	return ops
 }
 
-// TestQueuePopsSortedOrder: under random push/pop/head/drain interleavings
+// TestQueuePopsSortedOrder: under random push/pop/nextTime/drain interleavings
 // the queue emits events in strict (time, src, sseq) order, the total
 // order every kernel invariant rests on. It covers the zero-value queue
 // (comparison sort only) and node counts that make large ticks take the
@@ -267,7 +268,7 @@ func TestQueueSteadyStateAllocs(t *testing.T) {
 // FuzzEventQueue decodes op scripts from bytes and checks them against the
 // sorted reference. The first byte picks the node count; every following
 // pair is one op: pushes at the open tick, nearby, at the ring's edge and
-// far beyond it, pops, heads and drains.
+// far beyond it, pops, nextTime queries and drains.
 func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{0, 0x10, 3, 0x20, 4, 0xF0, 0, 0xF1, 0, 0xF2, 0})
 	burst := []byte{9}

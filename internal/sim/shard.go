@@ -140,7 +140,7 @@ func (r *Runner) runSharded(ctx context.Context, lanes []*lane) error {
 		w := int64(-1)
 		for _, ln := range lanes {
 			if ln.queue.len() > 0 {
-				if t := ln.queue.head().time; w < 0 || t < w {
+				if t := ln.queue.nextTime(); w < 0 || t < w {
 					w = t
 				}
 			}
@@ -154,7 +154,7 @@ func (r *Runner) runSharded(ctx context.Context, lanes []*lane) error {
 		limit := w + r.lookahead
 		active = active[:0]
 		for _, ln := range lanes {
-			if ln.queue.len() > 0 && ln.queue.head().time < limit {
+			if ln.queue.len() > 0 && ln.queue.nextTime() < limit {
 				ln.limit = limit
 				active = append(active, ln)
 			}
@@ -212,7 +212,7 @@ func (r *Runner) runSharded(ctx context.Context, lanes []*lane) error {
 // handler schedules lands at ≥ now + lookahead ≥ limit (enforced in
 // schedule), so the frontier only ever moves forward within the window.
 func (ln *lane) runWindow() {
-	for ln.queue.len() > 0 && ln.queue.head().time < ln.limit {
+	for ln.queue.len() > 0 && ln.queue.nextTime() < ln.limit {
 		ln.processed++
 		ln.dispatch(ln.queue.pop())
 		if ln.err != nil {

@@ -53,6 +53,35 @@ func TestKernelCascadeAllocBudget(t *testing.T) {
 	}
 }
 
+// TestKernelCascade64Counts pins the timing-free outcome of the 64×64
+// cascade (centre 16×16 block, eight stragglers 25 ticks apart, seed 1,
+// sequential kernel): messages, modelled bytes, decisions and end time.
+// These counts have been the same since the counter-based latency draws;
+// the frozen trajectory in docs/KERNEL_PROFILE.md records them. A kernel
+// or protocol change that moves one changes what the benchmarks measure,
+// so it must say so.
+func TestKernelCascade64Counts(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the 64×64 cascade takes ~7 s under the race detector; the counts do not depend on it")
+	}
+	res, err := cascadeRunner(t, scenario.CascadeSpec(64, 64, 16, 8, 25, 1), 1).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Stats.Messages; got != 937_675 {
+		t.Errorf("messages = %d, want 937 675", got)
+	}
+	if got := res.Stats.Bytes; got != 115_978_455_838 {
+		t.Errorf("bytes = %d, want 115 978 455 838", got)
+	}
+	if got := res.Stats.Decisions; got != 79 {
+		t.Errorf("decisions = %d, want 79", got)
+	}
+	if got := res.EndTime; got != 3898 {
+		t.Errorf("end time = %d, want 3898", got)
+	}
+}
+
 // TestSmallRunAllocBudget is the other side of TestKernelCascadeAllocBudget:
 // what one Campaign.RunJob — a 16–56-node topology, borders of a handful of
 // nodes, the online checker attached: the posture of every job of a sweep —

@@ -78,7 +78,10 @@ func (p *Plan) Crash(nodes ...NodeID) *Plan { return p.add(false, nodes) }
 // The borders agree on (region, value) with the same guarantees and
 // locality as the crash protocol. A plan containing marks runs every node
 // as a predicate automaton and cannot be combined with WithChecker, whose
-// properties are specified against crash ground truth.
+// properties are specified against crash ground truth. Under the Live
+// engine the nodes marked at one time are marked as one atomic wave, as
+// the nodes crashed at one time are: no marked node's gossip reaches
+// another before that node's own mark.
 func (p *Plan) Mark(nodes ...NodeID) *Plan { return p.add(true, nodes) }
 
 // FlapLink schedules an outage of the link between a and b (both
