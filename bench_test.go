@@ -392,7 +392,8 @@ func BenchmarkLiveCascade32(b *testing.B) {
 // The view is the hub of a star, its border the |B| leaves; the receiver
 // has proposed it and waits in round 1, and the message is the round-1
 // multicast of another leaf, taken from that node's own Effects (so it
-// carries the sender-built masks, as every message inside a run does).
+// carries the sender-built masks and sender slot, as every message inside
+// a run does).
 // After the first iteration the delivery brings nothing new — the common
 // case in a run, where a node hears each round's vector from |B| peers —
 // which leaves the per-delivery work itself: view lookup, the checks, the

@@ -85,6 +85,10 @@ type GlobalNode struct {
 	cfg     GlobalConfig
 	all     []graph.NodeID // every participant: the whole system
 	crashed graph.Bitset   // locally detected crashes, by dense index
+	// everyone is every dense graph index, the recipients of each flood.
+	// The node's own index is among them, which runtimes skip (see
+	// proto.Send), so one immutable slice serves every node of a run.
+	everyone []int32
 	// regions is the shared incremental union-find over the crashed set:
 	// each detection unites q with its already-crashed neighbours, so
 	// maxView tracking costs amortised near-O(1) per crash instead of a
@@ -114,10 +118,20 @@ type GlobalNode struct {
 	rankCache map[string][2]int
 }
 
-// NewGlobal builds a participant.
-func NewGlobal(cfg GlobalConfig) *GlobalNode {
+// allIndices returns 0, 1, …, g.Len()−1.
+func allIndices(g *graph.Graph) []int32 {
+	out := make([]int32, g.Len())
+	for i := range out {
+		out[i] = int32(i)
+	}
+	return out
+}
+
+// newGlobal builds a participant whose floods go to everyone, every index
+// of cfg.Graph (see GlobalNode.everyone).
+func newGlobal(cfg GlobalConfig, everyone []int32) *GlobalNode {
 	if cfg.ID == "" || cfg.Graph == nil {
-		panic("baseline.NewGlobal: Config.ID and Config.Graph are required")
+		panic("baseline: GlobalConfig.ID and GlobalConfig.Graph are required")
 	}
 	if cfg.Propose == nil {
 		cfg.Propose = func(v region.Region) proto.Value {
@@ -127,6 +141,7 @@ func NewGlobal(cfg GlobalConfig) *GlobalNode {
 	return &GlobalNode{
 		cfg:       cfg,
 		all:       cfg.Graph.Nodes(),
+		everyone:  everyone,
 		crashed:   graph.NewBitset(cfg.Graph.Len()),
 		proposals: make(map[graph.NodeID]Proposal),
 		gotRound:  make(map[graph.NodeID]int),
@@ -146,9 +161,9 @@ func (n *GlobalNode) Decided() *proto.Decision { return n.decided }
 // non-local monitoring burden that motivates cliff-edge consensus.
 func (n *GlobalNode) Start() proto.Effects {
 	var eff proto.Effects
-	for _, q := range n.all {
+	for i, q := range n.all {
 		if q != n.cfg.ID {
-			eff.Monitor = append(eff.Monitor, q)
+			eff.Monitor = append(eff.Monitor, int32(i))
 		}
 	}
 	return eff
@@ -294,12 +309,6 @@ func (n *GlobalNode) begin(eff *proto.Effects) {
 // the previous snapshot when nothing changed (payloads are immutable by
 // convention, so sharing is safe).
 func (n *GlobalNode) flood(eff *proto.Effects) {
-	to := make([]graph.NodeID, 0, len(n.all)-1)
-	for _, q := range n.all {
-		if q != n.cfg.ID {
-			to = append(to, q)
-		}
-	}
 	if n.snapVer != n.version {
 		snapshot := make(map[graph.NodeID]Proposal, len(n.proposals))
 		for q, p := range n.proposals {
@@ -308,7 +317,7 @@ func (n *GlobalNode) flood(eff *proto.Effects) {
 		n.snapshot = snapshot
 		n.snapVer = n.version
 	}
-	eff.Sends = append(eff.Sends, proto.Send{To: to,
+	eff.Sends = append(eff.Sends, proto.Send{To: n.everyone,
 		Payload: GlobalMsg{Round: n.round, Version: n.version, Proposals: n.snapshot}})
 }
 
@@ -390,13 +399,7 @@ func (n *GlobalNode) decide(eff *proto.Effects) {
 		return cands[i].value < cands[j].value
 	})
 	n.adoptDecision(cands[0].view, cands[0].value, eff)
-	to := make([]graph.NodeID, 0, len(n.all)-1)
-	for _, q := range n.all {
-		if q != n.cfg.ID {
-			to = append(to, q)
-		}
-	}
-	eff.Sends = append(eff.Sends, proto.Send{To: to, Payload: GlobalMsg{
+	eff.Sends = append(eff.Sends, proto.Send{To: n.everyone, Payload: GlobalMsg{
 		Decided:  true,
 		Decision: Proposal{ViewKey: cands[0].view.Key(), Value: cands[0].value},
 	}})
@@ -418,7 +421,8 @@ var _ proto.Automaton = (*GlobalNode)(nil)
 
 // GlobalFactory builds the factory for a whole-system consensus run.
 func GlobalFactory(g *graph.Graph) proto.Factory {
+	everyone := allIndices(g)
 	return func(id graph.NodeID) proto.Automaton {
-		return NewGlobal(GlobalConfig{ID: id, Graph: g})
+		return newGlobal(GlobalConfig{ID: id, Graph: g}, everyone)
 	}
 }

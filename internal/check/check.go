@@ -93,6 +93,13 @@ type Online struct {
 	sendOrder []sendPair
 	sendCount map[sendPair]int
 
+	// views memoises the decoded Region per view key. Every border node of
+	// a region proposes and decides the same few views, and decoding a key
+	// re-splits, re-sorts and re-borders it, so each is decoded once. It
+	// holds one entry per distinct view proposed or decided: no more than
+	// the proposals and decisions the checker keeps anyway.
+	views map[string]region.Region
+
 	// Streamed sanity state (order-dependent, evaluated as events arrive).
 	lastProposed map[graph.NodeID]region.Region
 	rejectedBy   map[graph.NodeID]map[string]bool
@@ -108,6 +115,7 @@ func NewOnline(g *graph.Graph) *Online {
 		crashed:      make(map[graph.NodeID]bool),
 		crashTime:    make(map[graph.NodeID]int64),
 		sendCount:    make(map[sendPair]int),
+		views:        make(map[string]region.Region),
 		lastProposed: make(map[graph.NodeID]region.Region),
 		rejectedBy:   make(map[graph.NodeID]map[string]bool),
 	}
@@ -125,7 +133,7 @@ func (o *Online) Observe(e trace.Event) {
 				fmt.Sprintf("crashed node %s decided at t=%d", e.Node, e.Time)})
 		}
 		o.decisions = append(o.decisions,
-			decision{node: e.Node, view: region.FromKey(o.g, e.View), value: e.Value, time: e.Time})
+			decision{node: e.Node, view: o.view(e.View), value: e.Value, time: e.Time})
 	case trace.KindSend:
 		o.sends++
 		if o.crashed[e.Node] {
@@ -140,7 +148,7 @@ func (o *Online) Observe(e trace.Event) {
 	case trace.KindDeliver, trace.KindDrop:
 		o.delivered++
 	case trace.KindPropose:
-		v := region.FromKey(o.g, e.View)
+		v := o.view(e.View)
 		if prev, ok := o.lastProposed[e.Node]; ok && !region.Less(prev, v) {
 			o.streamViol = append(o.streamViol, Violation{"LEMMA2",
 				fmt.Sprintf("node %s proposed %s after %s (not strictly increasing)", e.Node, v, prev)})
@@ -162,6 +170,16 @@ func (o *Online) Observe(e trace.Event) {
 		}
 		set[e.View] = true
 	}
+}
+
+// view returns the Region the key names, decoding it on first sight.
+func (o *Online) view(key string) region.Region {
+	v, ok := o.views[key]
+	if !ok {
+		v = region.FromKey(o.g, key)
+		o.views[key] = v
+	}
+	return v
 }
 
 // Run checks a quiescent run. events is the full trace; the ground-truth

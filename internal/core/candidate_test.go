@@ -45,7 +45,7 @@ func sameRegion(a, b region.Region) bool {
 // a round-1 vector in which every other participant rejects, so every
 // round completes through known rejectors and the final row is not
 // all-accept.
-func forceReset(n *Node) (graph.NodeID, Message) {
+func forceReset(n *Node) (graph.NodeID, *Message) {
 	vp := n.CurrentView()
 	op := make(Vector, len(vp.Border()))
 	var from graph.NodeID
@@ -55,7 +55,7 @@ func forceReset(n *Node) (graph.NodeID, Message) {
 			from = q
 		}
 	}
-	return from, Message{Round: 1, View: vp, Border: vp.Border(), Opinions: op}
+	return from, &Message{Round: 1, View: vp, Border: vp.Border(), Opinions: op}
 }
 
 func runCandidateProperty(t *testing.T, g *graph.Graph, seed int64) (ties, merges, deferred, resets int) {
@@ -69,7 +69,7 @@ func runCandidateProperty(t *testing.T, g *graph.Graph, seed int64) (ties, merge
 	// crashed component adjacent to me (the invariant that makes proposed
 	// views self-bordered).
 	var monitored []graph.NodeID
-	monitored = append(monitored, lazy.Start().Monitor...)
+	monitored = append(monitored, monitorIDs(g, lazy.Start())...)
 	eager.Start()
 
 	check := func(step int, what string, effLazy, effEager proto.Effects) {
@@ -141,7 +141,7 @@ func runCandidateProperty(t *testing.T, g *graph.Graph, seed int64) (ties, merge
 			}
 		}
 		effLazy := lazy.OnCrash(q)
-		monitored = append(monitored, effLazy.Monitor...)
+		monitored = append(monitored, monitorIDs(g, effLazy)...)
 		check(step, "crash "+string(q), effLazy, eager.OnCrash(q))
 	}
 	if v := append(lazy.Violations(), eager.Violations()...); len(v) != 0 {

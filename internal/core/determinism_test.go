@@ -26,7 +26,7 @@ func TestRenderingDeterminism(t *testing.T) {
 		t.Errorf("Vector.String = %q, want %q", got, wantV)
 	}
 
-	m := Message{Round: 2, View: view, Border: border, Opinions: v}
+	m := &Message{Round: 2, View: view, Border: border, Opinions: v}
 	wantM := "[r=2 V={b} B=[a c] op=[accept(va) reject]]"
 	if got := m.String(); got != wantM {
 		t.Errorf("Message.String = %q, want %q", got, wantM)
@@ -57,7 +57,7 @@ func driveFingerprintNode() *Node {
 	n.Start()
 	n.OnCrash("b")
 	view := region.New(g, []graph.NodeID{"b"})
-	n.OnMessage("c", Message{Round: 1, View: view, Border: view.Border(),
+	n.OnMessage("c", &Message{Round: 1, View: view, Border: view.Border(),
 		Opinions: VectorOf(view.Border(), ops{"c": {Kind: Accept, Value: "vc"}})})
 	return n
 }
@@ -106,7 +106,7 @@ func TestUnwrittenRoundsAreNotAllocated(t *testing.T) {
 	n.Start()
 	view := region.New(g, []graph.NodeID{"b"})
 	border := view.Border()
-	n.OnMessage("c", Message{Round: 1, View: view, Border: border,
+	n.OnMessage("c", &Message{Round: 1, View: view, Border: border,
 		Opinions: VectorOf(border, ops{"c": {Kind: Accept, Value: "vc"}})})
 
 	inst := instanceOf(n, view)

@@ -94,6 +94,6 @@ func writeIndexSet(sb *strings.Builder, g *graph.Graph, set graph.Bitset) {
 
 // MessageFingerprint serialises a message canonically (model checker
 // channel-state hashing).
-func MessageFingerprint(m Message) string {
+func MessageFingerprint(m *Message) string {
 	return fmt.Sprintf("%d|%s|%v|%s", m.Round, m.View.Key(), m.Border, m.Opinions)
 }

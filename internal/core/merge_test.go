@@ -74,12 +74,15 @@ func (c *choices) byte() int {
 // checkMergeScenario delivers a generated sequence of messages about one
 // view with a border of `size` nodes to a border node — fresh ones in
 // arbitrary round order, repeats of earlier ones, with sender-built masks
-// and without, the node swapped for its Clone now and then (which must
-// leave the node it came from alone) — and after every delivery compares
-// the instance with the scan reference: every round's opinion row, waiting
-// set and outgoing vector, the vector's masks, and the masks' own invariant
-// (bit j of known ⇔ slot j ≠ ⊥; rejects ⊆ known, bit j ⇔ slot j is a
-// reject; no bit at or beyond |B|).
+// and without, with the sender's slot and without, the node swapped for
+// its Clone now and then (which must leave the node it came from alone) —
+// and after every delivery compares the instance with the scan reference:
+// every round's opinion row, waiting set and outgoing vector, the vector's
+// masks, and the masks' own invariant (bit j of known ⇔ slot j ≠ ⊥;
+// rejects ⊆ known, bit j ⇔ slot j is a reject; no bit at or beyond |B|).
+// A twin node gets every message with its sender slot flipped (carried ⇔
+// not carried) and must stay fingerprint-identical, and no delivery may
+// write to the message, which its other recipients share.
 func checkMergeScenario(t *testing.T, size, steps int, c *choices) {
 	t.Helper()
 	// A star: the view {hub} is bordered by its `size` leaves. The outsider
@@ -95,17 +98,18 @@ func checkMergeScenario(t *testing.T, size, steps int, c *choices) {
 	if len(border) != size {
 		t.Fatalf("border of %d nodes, want %d", len(border), size)
 	}
-	n := New(Config{ID: border[0], Graph: g})
+	n, twin := New(Config{ID: border[0], Graph: g}), New(Config{ID: border[0], Graph: g})
 	n.Start()
+	twin.Start()
 	// Rounds 1..3 (or fewer): few enough that deliveries collide on a row.
 	lastRound := min(size, 3)
 	checked := min(size, lastRound+2) // and two rounds nothing touches
 	ref := newScanInstance(size, checked)
 
-	var sent []Message
+	var sent []*Message
 	var senders []graph.NodeID
 	for step := 0; step < steps; step++ {
-		var m Message
+		var m *Message
 		var from graph.NodeID
 		if len(sent) > 0 && c.byte()%4 == 0 { // a duplicate, out of order
 			i := c.byte() % len(sent)
@@ -124,7 +128,7 @@ func checkMergeScenario(t *testing.T, size, steps int, c *choices) {
 					ops[j] = Opinion{Kind: Accept, Value: proto.Value(fmt.Sprintf("v%d.%d", j, step))}
 				}
 			}
-			m = Message{Round: 1 + c.byte()%lastRound, View: view, Border: border, Opinions: ops}
+			m = &Message{Round: 1 + c.byte()%lastRound, View: view, Border: border, Opinions: ops}
 			if c.byte()%2 == 0 { // as a sending node builds it
 				m.masks = make([]uint64, 2*maskWords(size))
 				fillMasks(m.masks, ops)
@@ -132,6 +136,9 @@ func checkMergeScenario(t *testing.T, size, steps int, c *choices) {
 			from = border[c.byte()%size]
 			if c.byte()%8 == 0 {
 				from = "outsider" // not a participant: nothing to stop waiting for
+			}
+			if c.byte()%2 == 0 { // as a sending node builds it
+				m.sender = slotOf(border, from)
 			}
 			sent, senders = append(sent, m), append(senders, from)
 		}
@@ -141,10 +148,25 @@ func checkMergeScenario(t *testing.T, size, steps int, c *choices) {
 			original, untouched = n, n.Fingerprint()
 			n = n.Clone()
 		}
+		before := *m
 		n.deliver(from, m)
+		flipped := *m
+		if flipped.sender == 0 {
+			flipped.sender = slotOf(border, from)
+		} else {
+			flipped.sender = 0
+		}
+		twin.deliver(from, &flipped)
 		ref.merge(m.Round, borderPos(border, from), m.Opinions)
 		if v := n.Violations(); len(v) != 0 {
 			t.Fatalf("step %d: %v", step, v)
+		}
+		if m.sender != before.sender || (m.masks == nil) != (before.masks == nil) {
+			t.Fatalf("step %d: the delivery wrote to the message", step)
+		}
+		if got, want := twin.Fingerprint(), n.Fingerprint(); got != want {
+			t.Fatalf("step %d: with the sender slot flipped (%d → %d) the node reads\n%s\nnot\n%s",
+				step, m.sender, flipped.sender, got, want)
 		}
 		if original != nil && original.Fingerprint() != untouched {
 			t.Fatalf("step %d: a delivery to the clone reached the node it was cloned from", step)
@@ -195,6 +217,12 @@ func checkMergeScenario(t *testing.T, size, steps int, c *choices) {
 			}
 		}
 	}
+}
+
+// slotOf returns Message.sender for a message from `from` about a view
+// with this border.
+func slotOf(border []graph.NodeID, from graph.NodeID) int32 {
+	return int32(borderPos(border, from) + 1)
 }
 
 // TestMaskMergeMatchesScanMerge runs seeded scenarios at every size of

@@ -158,6 +158,17 @@ func (v Vector) String() string {
 // and gets them computed from its vector when it is delivered. Opinions is
 // immutable once the message exists, like every payload, so the masks
 // cannot go stale.
+//
+// The sender's border position is derived state of the same kind: the
+// sending node knows it when it builds the message, so the receiver does
+// not search the border for the sender's name on every delivery (line 25
+// stops waiting for the sender). A message assembled by hand does not
+// carry it and gets it computed, from the name it was delivered from, by
+// the same rule that fills its masks.
+//
+// A Message travels by pointer (*Message is the payload type): the one
+// message a multicast builds is shared by all its recipients and by the
+// sender's own queued copy, never copied or changed after it is sent.
 type Message struct {
 	Round    int
 	View     region.Region
@@ -165,6 +176,9 @@ type Message struct {
 	Opinions Vector
 	// masks is Opinions' two bitmasks as fillMasks lays them out, or nil.
 	masks []uint64
+	// sender is 1 + the sender's position in Border, or 0 if the message
+	// does not carry it.
+	sender int32
 }
 
 // maskWords is the number of 64-bit words in a bitmask over n border
@@ -188,17 +202,17 @@ func fillMasks(masks []uint64, v Vector) {
 }
 
 // Kind labels the payload for traces.
-func (m Message) Kind() string { return "cliffedge" }
+func (m *Message) Kind() string { return "cliffedge" }
 
 // TraceView exposes the view key and round for trace annotation; runtimes
 // discover it through an interface assertion so they stay payload-agnostic.
-func (m Message) TraceView() (string, int) { return m.View.Key(), m.Round }
+func (m *Message) TraceView() (string, int) { return m.View.Key(), m.Round }
 
 // WireSize estimates the encoded payload size in bytes: the round tag, the
 // view's node IDs, the border IDs, one tag byte per opinion slot, and the
 // value bytes of each accept. The indexed vector format never repeats a
 // NodeID per slot — the border listing already fixes every position.
-func (m Message) WireSize() int {
+func (m *Message) WireSize() int {
 	size := 4 // round
 	for _, n := range m.View.Nodes() {
 		size += len(n) + 1
@@ -217,7 +231,7 @@ func (m Message) WireSize() int {
 
 // Opinion returns the opinion of border node q (⊥ for non-border nodes),
 // resolving q's slot by binary search over the sorted border.
-func (m Message) Opinion(q graph.NodeID) Opinion {
+func (m *Message) Opinion(q graph.NodeID) Opinion {
 	if j := borderPos(m.Border, q); j >= 0 && j < len(m.Opinions) {
 		return m.Opinions[j]
 	}
@@ -225,11 +239,11 @@ func (m Message) Opinion(q graph.NodeID) Opinion {
 }
 
 // String renders the message compactly for traces and debugging.
-func (m Message) String() string {
+func (m *Message) String() string {
 	return fmt.Sprintf("[r=%d V=%s B=%v op=%s]", m.Round, m.View, m.Border, m.Opinions)
 }
 
-var _ proto.Payload = Message{}
+var _ proto.Payload = (*Message)(nil)
 
 // instance is the per-view consensus bookkeeping: opinions[V][·][·] and
 // waiting[V][·] (the data structures initialised at lines 20–22), indexed
@@ -257,12 +271,14 @@ var _ proto.Payload = Message{}
 // full matrix would be 223 kB).
 type instance struct {
 	view region.Region
-	// border is B from the first message received for the view. Borders
-	// are immutable wherever they travel (Region.Border, Message.Border,
-	// proto.Send.To), so the slice is shared, not copied.
+	// border is B, the view's own border, and borderIdx the same nodes as
+	// dense graph indices. Both are shared with the view, not copied:
+	// Region slices are immutable, and borderIdx is also handed to the
+	// network as the recipients (proto.Send.To) of every multicast about
+	// the view.
 	border    []graph.NodeID
-	borderIdx []int32 // dense graph indices of border (-1 if unknown)
-	lastRound int     // |B| (default) or |B|−1 (LiteralPaperRounds)
+	borderIdx []int32
+	lastRound int // |B| (default) or |B|−1 (LiteralPaperRounds)
 	// rows[r] is round r's opinions (column j = border[j]), allocated by
 	// the first write to that round. A nil row, and every r ≥ len(rows),
 	// reads as all-⊥ — exactly what lines 20–21 initialise.
@@ -285,22 +301,19 @@ type instance struct {
 	words int // maskWords(len(border))
 }
 
-func newInstance(g *graph.Graph, view region.Region, border []graph.NodeID, literalRounds bool) *instance {
+func newInstance(view region.Region, literalRounds bool) *instance {
+	border := view.Border()
 	last := len(border)
 	if literalRounds {
 		last = len(border) - 1
 	}
-	inst := &instance{
+	return &instance{
 		view:      view,
 		border:    border,
-		borderIdx: make([]int32, len(border)),
+		borderIdx: view.BorderIndices(),
 		lastRound: last,
 		words:     maskWords(len(border)),
 	}
-	for j, q := range border {
-		inst.borderIdx[j] = g.Index(q)
-	}
-	return inst
 }
 
 // validRound reports whether r is a round of this instance.
@@ -381,13 +394,13 @@ func (inst *instance) waitingFor(r, j int) bool {
 	return waiting == nil || waiting[j>>6]&(1<<uint(j&63)) != 0
 }
 
-// merge folds the opinion vector of a round-r message from `from` into the
-// instance (lines 23–25): ⊥ slots take the message's opinion, and the round
-// stops waiting for the sender and for every rejector the message knows
-// of. ops has |B| slots and opMasks are its bitmasks, so the work is a
-// few operations per 64 border positions plus one slot copy per opinion
-// that is news to the row.
-func (inst *instance) merge(r int, from graph.NodeID, ops Vector, opMasks []uint64) {
+// merge folds the opinion vector of a round-r message into the instance
+// (lines 23–25): ⊥ slots take the message's opinion, and the round stops
+// waiting for the sender, at border position senderPos (-1 for none), and
+// for every rejector the message knows of. ops has |B| slots and opMasks
+// are its bitmasks, so the work is a few operations per 64 border
+// positions plus one slot copy per opinion that is news to the row.
+func (inst *instance) merge(r, senderPos int, ops Vector, opMasks []uint64) {
 	row := inst.row(r)
 	waiting, known, rejects := inst.masks(r)
 	opKnown, opRejects := opMasks[:inst.words], opMasks[inst.words:]
@@ -401,8 +414,8 @@ func (inst *instance) merge(r int, from graph.NodeID, ops Vector, opMasks []uint
 			row[j] = ops[j]
 		}
 	}
-	if j := inst.pos(from); j >= 0 { // line 25, the sender
-		waiting[j>>6] &^= 1 << uint(j&63)
+	if senderPos >= 0 { // line 25, the sender
+		waiting[senderPos>>6] &^= 1 << uint(senderPos&63)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"cliffedge/internal/dsu"
 	"cliffedge/internal/graph"
@@ -70,7 +71,9 @@ func DefaultPick(values []proto.Value) proto.Value {
 type Node struct {
 	cfg Config
 	// selfIdx is the dense graph index of cfg.ID (-1 if the node is not a
-	// graph member, which only happens in synthetic tests).
+	// graph member, which only happens in synthetic tests). Effects name
+	// nodes by dense index (see proto.Send), so this is the form of the
+	// node's own identity the hot path compares against.
 	selfIdx int32
 	// keys is the view-key table this node shares with the other nodes of
 	// its run (see Factory); nil for a node built on its own.
@@ -105,7 +108,7 @@ type Node struct {
 	// a fresh Node lazily regrows them.
 	compScratch    []int32
 	borderSeen     graph.Bitset
-	monitorScratch []graph.NodeID
+	monitorScratch []int32
 	sendScratch    []proto.Send
 	// maskChunk is the unused rest of the chunk maskSpace cuts from. A
 	// clone starts a chunk of its own: what was cut is immutable, what is
@@ -144,8 +147,9 @@ type Node struct {
 	// self-channel — so the network layer never sees them. psHead is the
 	// dequeue cursor: popping by index instead of re-slicing lets the
 	// buffer's capacity be reused once the queue drains, instead of every
-	// enqueue-after-drain reallocating.
-	pendingSelf []Message
+	// enqueue-after-drain reallocating. The queue holds the very message
+	// the network carries to the other recipients (see Message).
+	pendingSelf []*Message
 	psHead      int
 
 	// violations records internal invariant breaches (bugs, not protocol
@@ -236,25 +240,27 @@ func (n *Node) violatef(format string, args ...any) {
 // Start handles 〈init〉 (lines 1–4): subscribe to crashes of border(p).
 func (n *Node) Start() proto.Effects {
 	var eff proto.Effects
-	n.subscribe(n.cfg.Graph.Neighbors(n.cfg.ID), &eff)
+	if n.selfIdx >= 0 {
+		n.subscribe(n.cfg.Graph.NeighborIndices(n.selfIdx), &eff)
+	}
 	return eff
 }
 
 // subscribe issues 〈monitorCrash | S〉 for not-yet-monitored, not-yet-known
-// crashed nodes (the \locallyCrashed of line 7). eff.Monitor is backed by
-// a buffer the node reuses across calls (see proto.Effects: effect slices
-// are valid only until the next call into the automaton).
-func (n *Node) subscribe(nodes []graph.NodeID, eff *proto.Effects) {
-	for _, q := range nodes {
-		qi := n.cfg.Graph.Index(q)
-		if qi < 0 || qi == n.selfIdx || n.monitored.Has(qi) || n.locallyCrashed.Has(qi) {
+// crashed nodes (the \locallyCrashed of line 7); nodes holds dense graph
+// indices, a CSR adjacency row. eff.Monitor is backed by a buffer the node
+// reuses across calls (see proto.Effects: effect slices are valid only
+// until the next call into the automaton).
+func (n *Node) subscribe(nodes []int32, eff *proto.Effects) {
+	for _, qi := range nodes {
+		if qi == n.selfIdx || n.monitored.Has(qi) || n.locallyCrashed.Has(qi) {
 			continue
 		}
 		n.monitored.Set(qi)
 		if eff.Monitor == nil {
 			eff.Monitor = n.monitorScratch[:0]
 		}
-		eff.Monitor = append(eff.Monitor, q)
+		eff.Monitor = append(eff.Monitor, qi)
 	}
 	if len(eff.Monitor) > cap(n.monitorScratch) {
 		n.monitorScratch = eff.Monitor
@@ -299,8 +305,8 @@ func (n *Node) OnCrash(q graph.NodeID) proto.Effects {
 	if n.locallyCrashed.Has(qi) {
 		return eff // duplicate notification; idempotent
 	}
-	n.locallyCrashed.Set(qi)                    // line 6
-	n.subscribe(n.cfg.Graph.Neighbors(q), &eff) // line 7
+	n.locallyCrashed.Set(qi)                           // line 6
+	n.subscribe(n.cfg.Graph.NeighborIndices(qi), &eff) // line 7
 	if n.uf == nil {
 		n.uf = dsu.New(n.cfg.Graph.Len())
 	}
@@ -361,11 +367,11 @@ func (n *Node) materialise() {
 }
 
 // OnMessage handles 〈mDeliver | from, payload〉 (lines 18–25), then runs
-// the guard loop.
+// the guard loop. The protocol's payload is a *Message.
 func (n *Node) OnMessage(from graph.NodeID, payload proto.Payload) proto.Effects {
 	var eff proto.Effects
-	m, ok := payload.(Message)
-	if !ok {
+	m, ok := payload.(*Message)
+	if !ok || m == nil {
 		n.violatef("foreign payload %T from %s", payload, from)
 		return eff
 	}
@@ -374,12 +380,14 @@ func (n *Node) OnMessage(from graph.NodeID, payload proto.Payload) proto.Effects
 	return eff
 }
 
-// deliver merges one message into the per-view bookkeeping (lines 18–25).
-func (n *Node) deliver(from graph.NodeID, m Message) {
-	hash, key := m.View.Hash(), m.View.Key()
+// deliver merges one message from `from` into the per-view bookkeeping
+// (lines 18–25). The message is shared with its other recipients, so
+// nothing here writes to it.
+func (n *Node) deliver(from graph.NodeID, m *Message) {
+	hash, key := m.View.Identity()
 	slot := n.views.lookup(hash, key)
 	if slot == nil { // lines 19–22: initialise data structures for V
-		inst := newInstance(n.cfg.Graph, m.View, m.Border, n.cfg.LiteralPaperRounds)
+		inst := newInstance(m.View, n.cfg.LiteralPaperRounds)
 		slot = n.views.insert(hash, key, inst)
 		n.rejectDirty = true
 	}
@@ -404,11 +412,15 @@ func (n *Node) deliver(from graph.NodeID, m Message) {
 			m.Border, inst.border, m.View)
 		return
 	}
-	if m.masks == nil { // assembled by hand: see Message
-		m.masks = n.maskSpace(inst.words)
-		fillMasks(m.masks, m.Opinions)
+	masks, sender := m.masks, int(m.sender)-1
+	if masks == nil { // assembled by hand: see Message
+		masks = n.maskSpace(inst.words)
+		fillMasks(masks, m.Opinions)
 	}
-	inst.merge(m.Round, from, m.Opinions, m.masks)
+	if m.sender == 0 { // likewise
+		sender = inst.pos(from)
+	}
+	inst.merge(m.Round, sender, m.Opinions, masks)
 }
 
 // sameBorder reports whether two sorted borders agree in length and in
@@ -481,8 +493,7 @@ func (n *Node) guardPropose(eff *proto.Effects) bool {
 	}
 	eff.Proposed = append(eff.Proposed, n.vp)
 
-	border := n.vp.Border()
-	if len(border) == 1 {
+	if n.vp.BorderLen() == 1 {
 		// Deviation from Algorithm 1: there is nobody to flood to when
 		// this node is the region's only border (the printed |B|−1 round
 		// count is zero, and the multicast of line 17 would reach only the
@@ -494,8 +505,8 @@ func (n *Node) guardPropose(eff *proto.Effects) bool {
 		eff.Decision = n.decided
 		return true
 	}
-	msg := n.firstMessage(n.vp, border, Opinion{Kind: Accept, Value: n.proposedValue}) // lines 15–16
-	n.multicast(border, msg, eff)                                                      // line 17
+	msg := n.firstMessage(n.vp, Opinion{Kind: Accept, Value: n.proposedValue}) // lines 15–16
+	n.multicast(n.vp.BorderIndices(), msg, eff)                                // line 17
 	return true
 }
 
@@ -526,11 +537,10 @@ func (n *Node) guardReject(eff *proto.Effects) bool {
 		n.rejectDirty = false
 		return false
 	}
-	inst := lowest.inst
-	l := inst.view
-	lowest.inst = nil                                            // line 30: received ← received\{L}, rejected ← rejected ∪ {L}
-	msg := n.firstMessage(l, inst.border, Opinion{Kind: Reject}) // lines 29–30
-	n.multicast(inst.border, msg, eff)                           // line 31
+	l := lowest.inst.view
+	lowest.inst = nil                               // line 30: received ← received\{L}, rejected ← rejected ∪ {L}
+	msg := n.firstMessage(l, Opinion{Kind: Reject}) // lines 29–30
+	n.multicast(l.BorderIndices(), msg, eff)        // line 31
 	eff.Rejected = append(eff.Rejected, l)
 	return true
 }
@@ -585,30 +595,43 @@ func (n *Node) guardRound(eff *proto.Effects) bool {
 		}
 		return true
 	}
-	n.round++       // line 39
-	msg := Message{ // line 40
+	n.round++        // line 39
+	msg := &Message{ // line 40
 		Round:    n.round,
 		View:     n.vp,
 		Border:   inst.border,
 		Opinions: inst.vector(n.round - 1),
 		masks:    n.maskSpace(inst.words),
+		sender:   n.senderSlot(inst.borderIdx),
 	}
 	inst.vectorMasks(msg.masks, n.round-1)
-	n.multicast(inst.border, msg, eff)
+	n.multicast(inst.borderIdx, msg, eff)
 	return true
+}
+
+// senderSlot returns Message.sender for a message from this node to the
+// participants borderIdx: 1 + the node's position among them, 0 if it is
+// not one of them.
+func (n *Node) senderSlot(borderIdx []int32) int32 {
+	if j, ok := slices.BinarySearch(borderIdx, n.selfIdx); ok {
+		return int32(j) + 1
+	}
+	return 0
 }
 
 // firstMessage builds this node's round-1 message about view: op in the
 // node's own slot of the vector, ⊥ in every other (lines 15–16 and 29–30).
 // Senders are border members, so the slot is always found.
-func (n *Node) firstMessage(view region.Region, border []graph.NodeID, op Opinion) Message {
+func (n *Node) firstMessage(view region.Region, op Opinion) *Message {
+	border := view.Border()
 	v := make(Vector, len(border))
-	if j := borderPos(border, n.cfg.ID); j >= 0 {
-		v[j] = op
+	sender := n.senderSlot(view.BorderIndices())
+	if sender != 0 {
+		v[sender-1] = op
 	}
 	masks := n.maskSpace(maskWords(len(border)))
 	fillMasks(masks, v)
-	return Message{Round: 1, View: view, Border: border, Opinions: v, masks: masks}
+	return &Message{Round: 1, View: view, Border: border, Opinions: v, masks: masks, sender: sender}
 }
 
 // maskSpace returns 2·words zero words for the bitmasks of one vector,
@@ -625,15 +648,17 @@ func (n *Node) maskSpace(words int) []uint64 {
 }
 
 // multicast implements 〈multicast | recipients, m〉 (§3.1): one copy per
-// recipient over the point-to-point FIFO channels. recipients is always a
-// sorted border slice, shared with the instance and never mutated, so it
-// is handed to the network as-is: Send.To may include the sender, whose
-// copy is queued here for synchronous self-delivery and skipped by every
-// network layer (see proto.Send). eff.Sends is backed by a buffer the
-// node reuses across calls, like eff.Monitor (see proto.Effects: effect
-// slices are valid only until the next call into the automaton).
-func (n *Node) multicast(recipients []graph.NodeID, m Message, eff *proto.Effects) {
-	self := borderPos(recipients, n.cfg.ID) >= 0
+// recipient over the point-to-point FIFO channels. recipients is always
+// the border indices of m's view — the view's own BorderIndices slice,
+// never copied or mutated — so it is handed to the network as-is: Send.To
+// may include the sender, whose copy is queued here for synchronous
+// self-delivery and skipped by every network layer (see proto.Send). The
+// sender is a recipient exactly when m carries its slot. eff.Sends is
+// backed by a buffer the node reuses across calls, like eff.Monitor (see
+// proto.Effects: effect slices are valid only until the next call into the
+// automaton).
+func (n *Node) multicast(recipients []int32, m *Message, eff *proto.Effects) {
+	self := m.sender != 0
 	if len(recipients) > 1 || !self {
 		if eff.Sends == nil {
 			eff.Sends = n.sendScratch[:0]
@@ -677,7 +702,7 @@ func (n *Node) Clone() *Node {
 	if n.uf != nil {
 		out.uf = n.uf.Clone()
 	}
-	out.pendingSelf = append([]Message(nil), n.pendingSelf[n.psHead:]...)
+	out.pendingSelf = append([]*Message(nil), n.pendingSelf[n.psHead:]...)
 	out.violations = append([]string(nil), n.violations...)
 	return out
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"cliffedge/internal/graph"
@@ -35,21 +36,25 @@ func instanceOf(n *Node, view region.Region) *instance {
 	return nil
 }
 
-func hasMonitor(eff proto.Effects, q graph.NodeID) bool {
-	for _, m := range eff.Monitor {
-		if m == q {
-			return true
-		}
+// monitorIDs names the nodes eff subscribes to.
+func monitorIDs(g *graph.Graph, eff proto.Effects) []graph.NodeID {
+	out := make([]graph.NodeID, len(eff.Monitor))
+	for i, q := range eff.Monitor {
+		out[i] = g.ID(q)
 	}
-	return false
+	return out
+}
+
+func hasMonitor(g *graph.Graph, eff proto.Effects, q graph.NodeID) bool {
+	return slices.Contains(monitorIDs(g, eff), q)
 }
 
 func TestStartMonitorsOwnBorder(t *testing.T) {
 	g := lineABC()
 	n := mkNode(t, g, "b", "vb")
 	eff := n.Start()
-	if len(eff.Monitor) != 2 || !hasMonitor(eff, "a") || !hasMonitor(eff, "c") {
-		t.Fatalf("Start should monitor border(b) = {a, c}, got %v", eff.Monitor)
+	if len(eff.Monitor) != 2 || !hasMonitor(g, eff, "a") || !hasMonitor(g, eff, "c") {
+		t.Fatalf("Start should monitor border(b) = {a, c}, got %v", monitorIDs(g, eff))
 	}
 	if len(eff.Sends) != 0 || eff.Decision != nil {
 		t.Fatal("Start must not send or decide")
@@ -62,8 +67,8 @@ func TestCrashTriggersProposal(t *testing.T) {
 	a.Start()
 	eff := a.OnCrash("b")
 
-	if !hasMonitor(eff, "c") {
-		t.Errorf("crash of b should widen monitoring to border(b) ∋ c, got %v", eff.Monitor)
+	if !hasMonitor(g, eff, "c") {
+		t.Errorf("crash of b should widen monitoring to border(b) ∋ c, got %v", monitorIDs(g, eff))
 	}
 	if len(eff.Proposed) != 1 || eff.Proposed[0].Key() != "b" {
 		t.Fatalf("expected proposal of {b}, got %v", eff.Proposed)
@@ -75,10 +80,10 @@ func TestCrashTriggersProposal(t *testing.T) {
 		t.Fatalf("expected 1 multicast, got %d", len(eff.Sends))
 	}
 	send := eff.Sends[0]
-	if len(send.To) != 2 || send.To[0] != "a" || send.To[1] != "c" {
+	if len(send.To) != 2 || send.To[0] != g.Index("a") || send.To[1] != g.Index("c") {
 		t.Errorf("round-1 multicast To should be the border {a, c} (network skips the sender), got %v", send.To)
 	}
-	m := send.Payload.(Message)
+	m := send.Payload.(*Message)
 	if m.Round != 1 || m.View.Key() != "b" {
 		t.Errorf("bad round-1 message %s", m)
 	}
@@ -87,6 +92,49 @@ func TestCrashTriggersProposal(t *testing.T) {
 	}
 	if op := m.Opinion("c"); op.Kind != Unknown {
 		t.Errorf("other slots must be ⊥, got %v", op)
+	}
+}
+
+// TestMulticastSharesBorderIndices: every multicast — a proposal, a
+// rejection and a later round — names its recipients by the view's own
+// BorderIndices slice, handed over as is rather than copied.
+func TestMulticastSharesBorderIndices(t *testing.T) {
+	shared := func(what string, to, want []int32) {
+		t.Helper()
+		if len(to) == 0 || len(to) != len(want) || &to[0] != &want[0] {
+			t.Errorf("%s: Send.To %v is not the view's BorderIndices %v itself", what, to, want)
+		}
+	}
+	// a borders {b} (border {a, c}) and {d} (border {a, e}); "b" < "d".
+	g := graph.NewBuilder().
+		AddEdge("a", "b").AddEdge("b", "c").
+		AddEdge("a", "d").AddEdge("d", "e").
+		Build()
+	a := mkNode(t, g, "a", "va")
+	a.Start()
+	eff := a.OnCrash("d")
+	if len(eff.Sends) != 1 {
+		t.Fatalf("expected the proposal multicast, got %+v", eff)
+	}
+	own := a.CurrentView()
+	shared("proposal", eff.Sends[0].To, own.BorderIndices())
+
+	low := region.New(g, []graph.NodeID{"b"})
+	eff = a.OnMessage("c", &Message{Round: 1, View: low, Border: low.Border(),
+		Opinions: VectorOf(low.Border(), ops{"c": {Kind: Accept, Value: "vc"}})})
+	if len(eff.Rejected) != 1 || len(eff.Sends) != 1 {
+		t.Fatalf("expected the rejection of {b}, got %+v", eff)
+	}
+	shared("rejection", eff.Sends[0].To, low.BorderIndices())
+
+	eff = a.OnMessage("e", &Message{Round: 1, View: own, Border: own.Border(),
+		Opinions: VectorOf(own.Border(), ops{"e": {Kind: Accept, Value: "ve"}})})
+	if a.Round() != 2 || len(eff.Sends) != 1 {
+		t.Fatalf("expected the round-2 multicast, got round %d and %+v", a.Round(), eff)
+	}
+	shared("round 2", eff.Sends[0].To, own.BorderIndices())
+	if len(a.Violations()) != 0 {
+		t.Errorf("violations: %v", a.Violations())
 	}
 }
 
@@ -101,7 +149,7 @@ func TestTwoPartyAgreement(t *testing.T) {
 	// merged vector.
 	view := region.New(g, []graph.NodeID{"b"})
 	border := []graph.NodeID{"a", "c"}
-	eff := a.OnMessage("c", Message{Round: 1, View: view, Border: border,
+	eff := a.OnMessage("c", &Message{Round: 1, View: view, Border: border,
 		Opinions: VectorOf(border, ops{"c": {Kind: Accept, Value: "vc"}})})
 	if eff.Decision != nil {
 		t.Fatal("uniform agreement must not decide after a single round")
@@ -112,13 +160,13 @@ func TestTwoPartyAgreement(t *testing.T) {
 	if len(eff.Sends) != 1 {
 		t.Fatalf("expected the round-2 multicast, got %d sends", len(eff.Sends))
 	}
-	r2 := eff.Sends[0].Payload.(Message)
+	r2 := eff.Sends[0].Payload.(*Message)
 	if r2.Round != 2 || r2.Opinion("c").Kind != Accept || r2.Opinion("a").Kind != Accept {
 		t.Errorf("round-2 message must carry the merged round-1 vector, got %s", r2)
 	}
 
 	// c's round-2 message completes the final round: all-accept → decide.
-	eff = a.OnMessage("c", Message{Round: 2, View: view, Border: border,
+	eff = a.OnMessage("c", &Message{Round: 2, View: view, Border: border,
 		Opinions: r2.Opinions.Clone()})
 	if eff.Decision == nil {
 		t.Fatal("a should decide after the final round")
@@ -144,9 +192,9 @@ func TestDecisionIsPickOfAllValues(t *testing.T) {
 	a.OnCrash("b")
 	view := region.New(g, []graph.NodeID{"b"})
 	border := []graph.NodeID{"a", "c"}
-	a.OnMessage("c", Message{Round: 1, View: view, Border: border,
+	a.OnMessage("c", &Message{Round: 1, View: view, Border: border,
 		Opinions: VectorOf(border, ops{"c": {Kind: Accept, Value: "aa-first"}})})
-	eff := a.OnMessage("c", Message{Round: 2, View: view, Border: border,
+	eff := a.OnMessage("c", &Message{Round: 2, View: view, Border: border,
 		Opinions: VectorOf(border, ops{"c": {Kind: Accept, Value: "aa-first"}, "a": {Kind: Accept, Value: "zz-last"}})})
 	if eff.Decision == nil || eff.Decision.Value != "aa-first" {
 		t.Fatalf("deterministicPick should take the minimum of all accepted values, got %v", eff.Decision)
@@ -164,7 +212,7 @@ func TestLiteralPaperRoundsDecidesEarlier(t *testing.T) {
 	a.OnCrash("b")
 	view := region.New(g, []graph.NodeID{"b"})
 	border := []graph.NodeID{"a", "c"}
-	eff := a.OnMessage("c", Message{Round: 1, View: view, Border: border,
+	eff := a.OnMessage("c", &Message{Round: 1, View: view, Border: border,
 		Opinions: VectorOf(border, ops{"c": {Kind: Accept, Value: "vc"}})})
 	if eff.Decision == nil {
 		t.Fatal("literal round count should decide after round 1 with |B| = 2")
@@ -202,7 +250,7 @@ func TestRejectLowerRankedView(t *testing.T) {
 	if b.CurrentView().Key() != "d" {
 		t.Fatalf("setup: vp = %s, want {d}", b.CurrentView())
 	}
-	msg := Message{Round: 1, View: region.New(g, []graph.NodeID{"b"}),
+	msg := &Message{Round: 1, View: region.New(g, []graph.NodeID{"b"}),
 		Border:   []graph.NodeID{"a", "c"},
 		Opinions: VectorOf([]graph.NodeID{"a", "c"}, ops{"c": {Kind: Accept, Value: "vc"}})}
 	eff := b.OnMessage("c", msg)
@@ -212,7 +260,7 @@ func TestRejectLowerRankedView(t *testing.T) {
 	if len(eff.Sends) != 1 {
 		t.Fatalf("expected reject multicast, got %d sends", len(eff.Sends))
 	}
-	rm := eff.Sends[0].Payload.(Message)
+	rm := eff.Sends[0].Payload.(*Message)
 	if rm.View.Key() != "b" || rm.Opinion("a").Kind != Reject {
 		t.Errorf("bad reject message %s", rm)
 	}
@@ -232,7 +280,7 @@ func TestIncomingRejectForcesReset(t *testing.T) {
 	a := mkNode(t, g, "a", "va")
 	a.Start()
 	a.OnCrash("b") // proposes {b}, border {a, c}
-	msg := Message{Round: 1, View: region.New(g, []graph.NodeID{"b"}),
+	msg := &Message{Round: 1, View: region.New(g, []graph.NodeID{"b"}),
 		Border:   []graph.NodeID{"a", "c"},
 		Opinions: VectorOf([]graph.NodeID{"a", "c"}, ops{"c": {Kind: Reject}})}
 	eff := a.OnMessage("c", msg)
@@ -268,9 +316,9 @@ func TestMergeFillsBottomSlotsOnly(t *testing.T) {
 
 	// e's vector (wrongly) claims c rejected; then c's own accept arrives.
 	// Fill-⊥-only (line 24) keeps the first value.
-	a.OnMessage("e", Message{Round: 1, View: view, Border: border,
+	a.OnMessage("e", &Message{Round: 1, View: view, Border: border,
 		Opinions: VectorOf(border, ops{"e": {Kind: Accept, Value: "ve"}, "c": {Kind: Reject}})})
-	a.OnMessage("c", Message{Round: 1, View: view, Border: border,
+	a.OnMessage("c", &Message{Round: 1, View: view, Border: border,
 		Opinions: VectorOf(border, ops{"c": {Kind: Accept, Value: "vc"}})})
 
 	inst := instanceOf(a, view)
@@ -292,10 +340,10 @@ func TestRejectorsClearWaitingAcrossRounds(t *testing.T) {
 	view := region.New(g, []graph.NodeID{"b"})
 	border := []graph.NodeID{"a", "c", "e"}
 
-	a.OnMessage("c", Message{Round: 1, View: view, Border: border,
+	a.OnMessage("c", &Message{Round: 1, View: view, Border: border,
 		Opinions: VectorOf(border, ops{"c": {Kind: Reject}})})
 	// waiting[1] = {e}; e's round-1 accept completes round 1 → round 2.
-	eff := a.OnMessage("e", Message{Round: 1, View: view, Border: border,
+	eff := a.OnMessage("e", &Message{Round: 1, View: view, Border: border,
 		Opinions: VectorOf(border, ops{"e": {Kind: Accept, Value: "ve"}})})
 	if a.Round() != 2 {
 		t.Fatalf("round = %d, want 2", a.Round())
@@ -303,7 +351,7 @@ func TestRejectorsClearWaitingAcrossRounds(t *testing.T) {
 	if len(eff.Sends) != 1 {
 		t.Fatalf("round-2 multicast missing")
 	}
-	m := eff.Sends[0].Payload.(Message)
+	m := eff.Sends[0].Payload.(*Message)
 	if m.Round != 2 || m.Opinion("c").Kind != Reject || m.Opinion("e").Kind != Accept {
 		t.Errorf("round-2 message must carry the round-1 vector, got %s", m)
 	}
@@ -315,12 +363,12 @@ func TestRejectorsClearWaitingAcrossRounds(t *testing.T) {
 	// e's round-2 and round-3 messages complete the remaining rounds
 	// (|B| = 3 → 3 uniform rounds); the vector contains a reject, so a
 	// resets instead of deciding.
-	eff = a.OnMessage("e", Message{Round: 2, View: view, Border: border,
+	eff = a.OnMessage("e", &Message{Round: 2, View: view, Border: border,
 		Opinions: m.Opinions.Clone()})
 	if a.Round() != 3 {
 		t.Fatalf("round = %d, want 3", a.Round())
 	}
-	eff = a.OnMessage("e", Message{Round: 3, View: view, Border: border,
+	eff = a.OnMessage("e", &Message{Round: 3, View: view, Border: border,
 		Opinions: m.Opinions.Clone()})
 	if eff.Resets != 1 || a.HasProposed() {
 		t.Fatalf("expected reset on non-all-accept final vector, got %+v", eff)
@@ -343,7 +391,7 @@ func TestNoProposalWithoutDetection(t *testing.T) {
 	a := mkNode(t, g, "a", "va")
 	a.Start()
 	// A proposal for {b} arrives before a's own failure detector fired.
-	msg := Message{Round: 1, View: region.New(g, []graph.NodeID{"b"}),
+	msg := &Message{Round: 1, View: region.New(g, []graph.NodeID{"b"}),
 		Border:   []graph.NodeID{"a", "c"},
 		Opinions: VectorOf([]graph.NodeID{"a", "c"}, ops{"c": {Kind: Accept, Value: "vc"}})}
 	eff := a.OnMessage("c", msg)
@@ -360,7 +408,7 @@ func TestNoProposalWithoutDetection(t *testing.T) {
 	if a.Round() != 2 {
 		t.Fatalf("round = %d, want 2 (round 1 already satisfied)", a.Round())
 	}
-	eff = a.OnMessage("c", Message{Round: 2, View: region.New(g, []graph.NodeID{"b"}),
+	eff = a.OnMessage("c", &Message{Round: 2, View: region.New(g, []graph.NodeID{"b"}),
 		Border: []graph.NodeID{"a", "c"},
 		Opinions: VectorOf([]graph.NodeID{"a", "c"},
 			ops{"c": {Kind: Accept, Value: "vc"}, "a": {Kind: Accept, Value: "va"}})})
@@ -377,11 +425,11 @@ func TestMonitorDeduplication(t *testing.T) {
 	a := mkNode(t, g, "a", "va")
 	a.Start()
 	eff1 := a.OnCrash("b")
-	if !hasMonitor(eff1, "d") {
+	if !hasMonitor(g, eff1, "d") {
 		t.Fatal("first crash should subscribe to d")
 	}
 	eff2 := a.OnCrash("c")
-	if hasMonitor(eff2, "d") {
+	if hasMonitor(g, eff2, "d") {
 		t.Error("second crash must not re-subscribe to d")
 	}
 }
@@ -394,7 +442,7 @@ func TestProposalsStrictlyMonotonic(t *testing.T) {
 	a.Start()
 	a.OnCrash("b")
 	first := a.CurrentView()
-	a.OnMessage("c", Message{Round: 1, View: first, Border: first.Border(),
+	a.OnMessage("c", &Message{Round: 1, View: first, Border: first.Border(),
 		Opinions: VectorOf(first.Border(), ops{"c": {Kind: Reject}})})
 	if a.HasProposed() {
 		t.Fatal("reset expected")
@@ -437,9 +485,9 @@ func TestCloneIndependence(t *testing.T) {
 	// Mutate the original: c's round-1 and round-2 accepts complete the
 	// two-party instance.
 	view := region.New(g, []graph.NodeID{"b"})
-	a.OnMessage("c", Message{Round: 1, View: view, Border: view.Border(),
+	a.OnMessage("c", &Message{Round: 1, View: view, Border: view.Border(),
 		Opinions: VectorOf(view.Border(), ops{"c": {Kind: Accept, Value: "vc"}})})
-	a.OnMessage("c", Message{Round: 2, View: view, Border: view.Border(),
+	a.OnMessage("c", &Message{Round: 2, View: view, Border: view.Border(),
 		Opinions: VectorOf(view.Border(),
 			ops{"c": {Kind: Accept, Value: "vc"}, "a": {Kind: Accept, Value: "va"}})})
 	if a.Decided() == nil {
@@ -449,7 +497,7 @@ func TestCloneIndependence(t *testing.T) {
 		t.Fatal("clone must not observe the original's decision")
 	}
 	// And the clone can take its own path.
-	eff := c.OnMessage("c", Message{Round: 1, View: view, Border: view.Border(),
+	eff := c.OnMessage("c", &Message{Round: 1, View: view, Border: view.Border(),
 		Opinions: VectorOf(view.Border(), ops{"c": {Kind: Reject}})})
 	if eff.Resets != 1 {
 		t.Errorf("clone should reset independently, got %+v", eff)
@@ -505,12 +553,12 @@ func TestVectorHelpers(t *testing.T) {
 func TestMessageWireSizeAndString(t *testing.T) {
 	g := lineABC()
 	view := region.New(g, []graph.NodeID{"b"})
-	m := Message{Round: 1, View: view, Border: view.Border(),
+	m := &Message{Round: 1, View: view, Border: view.Border(),
 		Opinions: VectorOf(view.Border(), ops{"a": {Kind: Accept, Value: "va"}})}
 	if m.WireSize() <= 0 {
 		t.Error("WireSize should be positive")
 	}
-	bigger := Message{Round: 1, View: view, Border: view.Border(),
+	bigger := &Message{Round: 1, View: view, Border: view.Border(),
 		Opinions: VectorOf(view.Border(),
 			ops{"a": {Kind: Accept, Value: "va"}, "c": {Kind: Accept, Value: "vc"}})}
 	if bigger.WireSize() <= m.WireSize() {

@@ -29,7 +29,7 @@ func fuzzDriver(seed int64) (violations []string, decisions int, ok bool) {
 	// contract.
 	var monitored []graph.NodeID
 	track := func(eff proto.Effects) {
-		monitored = append(monitored, eff.Monitor...)
+		monitored = append(monitored, monitorIDs(g, eff)...)
 	}
 	track(n.Start())
 
@@ -76,7 +76,7 @@ func fuzzDriver(seed int64) (violations []string, decisions int, ok bool) {
 				}
 			}
 			round := 1 + rng.Intn(len(border))
-			eff := n.OnMessage(from, Message{Round: round, View: v, Border: border, Opinions: op})
+			eff := n.OnMessage(from, &Message{Round: round, View: v, Border: border, Opinions: op})
 			decisions += checkEffects(&eff, &lastProposed, &proposedOnce, &violations)
 		}
 	}
@@ -141,7 +141,7 @@ func TestQuickVectorMergeIdempotent(t *testing.T) {
 				op[j] = Opinion{Kind: Accept, Value: "x"}
 			}
 		}
-		msg := Message{Round: 1, View: v, Border: border, Opinions: op}
+		msg := &Message{Round: 1, View: v, Border: border, Opinions: op}
 		from := border[0]
 		if from == me {
 			from = border[1]

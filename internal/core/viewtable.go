@@ -6,6 +6,7 @@ package core
 // stays so later messages for the view are ignored (line 18).
 type viewSlot struct {
 	key  string
+	hash uint64    // the key's Region.Hash
 	inst *instance // nil ⇔ rejected
 	next *viewSlot // further views whose keys hash alike
 }
@@ -22,14 +23,23 @@ type viewSlot struct {
 // first insert, since most nodes of a large system never hear of a view.
 type viewTable struct {
 	slots map[uint64]*viewSlot
+	// last is the slot the previous successful lookup found. A node hears
+	// about the view of its own instance from every participant in every
+	// round, so most lookups repeat the previous one and end here, without
+	// probing the map. Slots are never removed, so the cache cannot dangle.
+	last *viewSlot
 }
 
 // lookup returns the slot of the view with the given key, or nil. hash must
 // be the key's Region.Hash; it is a parameter so that the collision chain
 // can be tested with hashes forced equal.
 func (t *viewTable) lookup(hash uint64, key string) *viewSlot {
+	if s := t.last; s != nil && s.hash == hash && s.key == key {
+		return s
+	}
 	for s := t.slots[hash]; s != nil; s = s.next {
 		if s.key == key {
+			t.last = s
 			return s
 		}
 	}
@@ -41,7 +51,7 @@ func (t *viewTable) insert(hash uint64, key string, inst *instance) *viewSlot {
 	if t.slots == nil {
 		t.slots = make(map[uint64]*viewSlot)
 	}
-	s := &viewSlot{key: key, inst: inst, next: t.slots[hash]}
+	s := &viewSlot{key: key, hash: hash, inst: inst, next: t.slots[hash]}
 	t.slots[hash] = s
 	return s
 }
@@ -58,7 +68,8 @@ func (t *viewTable) all(yield func(*viewSlot) bool) {
 	}
 }
 
-// clone deep-copies the table and its instances.
+// clone deep-copies the table and its instances; the copy starts with an
+// empty cache.
 func (t *viewTable) clone() viewTable {
 	var out viewTable
 	for hash, s := range t.slots {

@@ -82,7 +82,7 @@ func TestRejectedViewStaysRejectedBesideLiveOnes(t *testing.T) {
 	a.Start()
 	a.OnCrash("d") // proposes {d}
 	low := region.New(g, []graph.NodeID{"b"})
-	msg := Message{Round: 1, View: low, Border: low.Border(),
+	msg := &Message{Round: 1, View: low, Border: low.Border(),
 		Opinions: VectorOf(low.Border(), ops{"c": {Kind: Accept, Value: "vc"}})}
 	if eff := a.OnMessage("c", msg); len(eff.Rejected) != 1 {
 		t.Fatalf("expected {b} to be rejected, got %+v", eff)
@@ -114,10 +114,10 @@ func TestDeliverRejectsForeignBorder(t *testing.T) {
 	} {
 		a := mkNode(t, g, "a", "va")
 		a.Start()
-		a.OnMessage("c", Message{Round: 1, View: view, Border: border,
+		a.OnMessage("c", &Message{Round: 1, View: view, Border: border,
 			Opinions: VectorOf(border, ops{"c": {Kind: Accept, Value: "vc"}})})
 		before := a.Fingerprint()
-		a.OnMessage("e", Message{Round: 1, View: view, Border: foreign,
+		a.OnMessage("e", &Message{Round: 1, View: view, Border: foreign,
 			Opinions: Vector{{Kind: Reject}, {Kind: Reject}, {Kind: Reject}}})
 		if len(a.Violations()) != 1 {
 			t.Errorf("%s: want one violation for a foreign border, got %v", name, a.Violations())

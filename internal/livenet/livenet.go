@@ -446,9 +446,7 @@ func (rt *Runtime) process(i int32, env envelope) {
 func (rt *Runtime) applyEffects(i int32, eff proto.Effects) {
 	id := rt.g.ID(i)
 	for _, q := range eff.Monitor {
-		if qi := rt.g.Index(q); qi >= 0 {
-			rt.subscribe(i, qi)
-		}
+		rt.subscribe(i, q)
 	}
 	for _, v := range eff.Proposed {
 		rt.emit(trace.Event{Kind: trace.KindPropose, Node: id, View: v.Key()}, i)
@@ -466,19 +464,16 @@ func (rt *Runtime) applyEffects(i int32, eff proto.Effects) {
 		if m, ok := s.Payload.(interface{ TraceView() (string, int) }); ok {
 			view, round = m.TraceView()
 		}
-		for _, to := range s.To {
-			ti := rt.g.Index(to)
-			if ti < 0 {
-				continue // automata only address graph members
-			}
+		for _, ti := range s.To {
 			if ti == i {
 				continue // sender's own copy is self-delivered by the automaton
 			}
+			to := rt.g.ID(ti)
 			sentAt := rt.emitT(trace.Event{Kind: trace.KindSend, Node: id, Peer: to,
 				View: view, Round: round, Bytes: size}, i)
 			duplicate := false
 			var delay int64
-			if rt.net != nil && ti != i {
+			if rt.net != nil {
 				// Nonce 0: the logical clock already gives every send a
 				// unique adjudication time.
 				v := rt.net.Adjudicate(i, ti, sentAt, 0)

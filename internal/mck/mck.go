@@ -76,7 +76,7 @@ type decisionRec struct {
 // state is one node of the exploration tree.
 type state struct {
 	nodes     map[graph.NodeID]*core.Node
-	channels  map[channelKey][]core.Message
+	channels  map[channelKey][]*core.Message
 	detects   map[graph.NodeID][]graph.NodeID // subscriber → crashed nodes to notify
 	subs      map[graph.NodeID]map[graph.NodeID]bool
 	crashed   map[graph.NodeID]bool
@@ -88,7 +88,7 @@ type state struct {
 func (s *state) clone() *state {
 	out := &state{
 		nodes:     make(map[graph.NodeID]*core.Node, len(s.nodes)),
-		channels:  make(map[channelKey][]core.Message, len(s.channels)),
+		channels:  make(map[channelKey][]*core.Message, len(s.channels)),
 		detects:   make(map[graph.NodeID][]graph.NodeID, len(s.detects)),
 		subs:      make(map[graph.NodeID]map[graph.NodeID]bool, len(s.subs)),
 		crashed:   make(map[graph.NodeID]bool, len(s.crashed)),
@@ -101,7 +101,7 @@ func (s *state) clone() *state {
 	}
 	for k, q := range s.channels {
 		if len(q) > 0 {
-			out.channels[k] = append([]core.Message(nil), q...)
+			out.channels[k] = append([]*core.Message(nil), q...)
 		}
 	}
 	for k, q := range s.detects {
@@ -225,7 +225,7 @@ func Explore(cfg Config) (*Outcome, error) {
 
 	root := &state{
 		nodes:    make(map[graph.NodeID]*core.Node, cfg.Graph.Len()),
-		channels: make(map[channelKey][]core.Message),
+		channels: make(map[channelKey][]*core.Message),
 		detects:  make(map[graph.NodeID][]graph.NodeID),
 		subs:     make(map[graph.NodeID]map[graph.NodeID]bool),
 		crashed:  make(map[graph.NodeID]bool),
@@ -364,7 +364,8 @@ func (e *explorer) apply(s *state, a action) {
 }
 
 func (e *explorer) applyEffects(s *state, id graph.NodeID, eff proto.Effects) {
-	for _, q := range eff.Monitor {
+	for _, qi := range eff.Monitor {
+		q := e.g.ID(qi)
 		set := s.subs[q]
 		if set == nil {
 			set = make(map[graph.NodeID]bool)
@@ -378,12 +379,13 @@ func (e *explorer) applyEffects(s *state, id graph.NodeID, eff proto.Effects) {
 		}
 	}
 	for _, send := range eff.Sends {
-		m, ok := send.Payload.(core.Message)
+		m, ok := send.Payload.(*core.Message)
 		if !ok {
 			e.violatef("non-core payload %T from %s", send.Payload, id)
 			continue
 		}
-		for _, to := range send.To {
+		for _, ti := range send.To {
+			to := e.g.ID(ti)
 			if to == id {
 				continue // sender's own copy is self-delivered by the automaton
 			}

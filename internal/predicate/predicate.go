@@ -62,6 +62,7 @@ func (Announce) Kind() string { return "predicate.announce" }
 // Once marked it abandons coordination and only relays marked-set gossip.
 type Node struct {
 	id     graph.NodeID
+	idx    int32 // id's dense graph index
 	g      *graph.Graph
 	marked bool
 	// known is the marked set learned so far (including self if marked).
@@ -75,6 +76,7 @@ func New(cfg core.Config) *Node { return wrap(cfg.Graph, core.New(cfg)) }
 func wrap(g *graph.Graph, inner *core.Node) *Node {
 	return &Node{
 		id:    inner.ID(),
+		idx:   g.Index(inner.ID()),
 		g:     g,
 		known: make(map[graph.NodeID]bool),
 		inner: inner,
@@ -124,7 +126,7 @@ func (n *Node) OnMessage(from graph.NodeID, payload proto.Payload) proto.Effects
 		return n.mark()
 	case Announce:
 		return n.learn(m.Marked)
-	case core.Message:
+	case *core.Message:
 		if n.marked {
 			// Marked nodes have left coordination; their silence is what
 			// the border observes, mirroring a crashed node.
@@ -224,16 +226,15 @@ func (n *Node) bfsOrder(fresh map[graph.NodeID]bool) []graph.NodeID {
 	return append(order, rest...)
 }
 
-// announce floods the current marked set to every neighbour.
+// announce floods the current marked set to every neighbour. The
+// recipients are the graph's own adjacency row, which is immutable, so it
+// is handed to the network without a copy.
 func (n *Node) announce(eff *proto.Effects) {
-	to := make([]graph.NodeID, 0, n.g.Degree(n.id))
-	for _, q := range n.g.Neighbors(n.id) {
-		to = append(to, q)
-	}
-	if len(to) == 0 {
+	if n.idx < 0 || n.g.DegreeOf(n.idx) == 0 {
 		return
 	}
-	eff.Sends = append(eff.Sends, proto.Send{To: to, Payload: Announce{Marked: n.Known()}})
+	eff.Sends = append(eff.Sends, proto.Send{To: n.g.NeighborIndices(n.idx),
+		Payload: Announce{Marked: n.Known()}})
 }
 
 var _ proto.Automaton = (*Node)(nil)

@@ -33,13 +33,16 @@ type Payload interface {
 
 // Send is one multicast: the same payload delivered to each recipient over
 // the underlying point-to-point FIFO channels (the paper's best-effort
-// multicast of §3.1). To may include the sender — automata self-deliver
-// synchronously (see the core package), so network layers must skip the
-// sender's own entry rather than loop the message back. This lets an
-// automaton hand its (immutable) recipient list to the network as-is
-// instead of copying it minus itself on every multicast.
+// multicast of §3.1). To lists the recipients by dense graph index
+// (graph.Index), so that no runtime resolves a name per message. To may
+// include the sender — automata self-deliver synchronously (see the core
+// package), so network layers must skip the sender's own entry rather than
+// loop the message back. This lets an automaton hand an immutable index
+// list it already holds (a view's border indices, a node's CSR adjacency)
+// to the network as-is instead of building one per multicast. The payload
+// is shared by every recipient and must not change once sent.
 type Send struct {
-	To      []graph.NodeID
+	To      []int32
 	Payload Payload
 }
 
@@ -59,8 +62,9 @@ type Decision struct {
 // consumer that retains effects past that point must copy them.
 type Effects struct {
 	// Monitor lists nodes to subscribe crash notifications for
-	// (〈monitorCrash | S〉). Duplicate subscriptions are harmless.
-	Monitor []graph.NodeID
+	// (〈monitorCrash | S〉), by dense graph index. Duplicate subscriptions
+	// are harmless.
+	Monitor []int32
 	// Sends lists multicasts to hand to the network, in emission order
 	// (FIFO channels preserve this order per destination).
 	Sends []Send

@@ -3,7 +3,6 @@ package proto
 import (
 	"testing"
 
-	"cliffedge/internal/graph"
 	"cliffedge/internal/region"
 )
 
@@ -14,10 +13,10 @@ func (fakePayload) Kind() string  { return "fake" }
 
 func TestEffectsMerge(t *testing.T) {
 	var a Effects
-	a.Monitor = []graph.NodeID{"x"}
+	a.Monitor = []int32{0}
 	b := Effects{
-		Monitor:  []graph.NodeID{"y"},
-		Sends:    []Send{{To: []graph.NodeID{"z"}, Payload: fakePayload{}}},
+		Monitor:  []int32{1},
+		Sends:    []Send{{To: []int32{2}, Payload: fakePayload{}}},
 		Decision: &Decision{Value: "v"},
 		Resets:   2,
 	}

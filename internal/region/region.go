@@ -254,6 +254,10 @@ func (r Region) Nodes() []graph.NodeID { return r.nodes }
 // Border returns the sorted border nodes. Callers must not mutate the slice.
 func (r Region) Border() []graph.NodeID { return r.border }
 
+// BorderIndices returns the dense graph indices of Border(), in the same
+// (ascending) order; nil for ∅. Callers must not mutate the slice.
+func (r Region) BorderIndices() []int32 { return r.borderIdx }
+
 // Key returns the canonical identity of the region, suitable as a map key.
 // Two regions built from the same node set over any graph share a key (the
 // key identifies the *set*, not the border, matching the paper where a view
@@ -264,6 +268,12 @@ func (r Region) Key() string { return r.key }
 // keys have equal hashes; distinct keys may collide, so a table indexed by
 // Hash must still compare keys within a bucket.
 func (r Region) Hash() uint64 { return r.hash }
+
+// Identity returns Hash() and Key() together. It takes a pointer so that a
+// caller holding one — the view of a message shared by reference — reads
+// the region's identity without copying the whole struct, which a call to
+// either value method through a pointer does.
+func (r *Region) Identity() (hash uint64, key string) { return r.hash, r.key }
 
 // Len returns |R|.
 func (r Region) Len() int { return len(r.nodes) }

@@ -43,6 +43,10 @@ func TestHashIsAFixedFunctionOfTheKey(t *testing.T) {
 	if Empty.Hash() != 0 {
 		t.Errorf("Empty.Hash() = %#x, want 0", Empty.Hash())
 	}
+	r := New(g, []graph.NodeID{"c", "b"})
+	if h, k := r.Identity(); h != r.Hash() || k != r.Key() {
+		t.Errorf("Identity() = %#x, %q; want Hash() %#x, Key() %q", h, k, r.Hash(), r.Key())
+	}
 }
 
 func TestEmptyRegion(t *testing.T) {

@@ -78,6 +78,10 @@ type Sweep struct {
 	violations int
 	notify     chan struct{}
 	closed     bool
+	// cancelled is set before the "cancelled" event is published: a
+	// cancelled campaign has no report, so a client that has seen the
+	// event must not be served the live one in the moment before Close.
+	cancelled bool
 }
 
 // Create validates spec, persists the campaign's manifest and empty
@@ -298,11 +302,12 @@ func (s *Sweep) Run(ctx context.Context, workers int) (*campaign.Report, error) 
 }
 
 // Report snapshots the aggregate over everything committed so far; nil
-// once the sweep is closed (a finished sweep's report is in the store).
+// once the sweep is closed (a finished sweep's report is in the store) or
+// cancelled (a cancelled one has none).
 func (s *Sweep) Report() *campaign.Report {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.closed || s.cancelled {
 		return nil
 	}
 	return s.agg.Report()
@@ -331,6 +336,9 @@ func (s *Sweep) Cancel() error {
 	if err := s.st.SetStatus(s.ID, store.StatusCancelled); err != nil {
 		return err
 	}
+	s.mu.Lock()
+	s.cancelled = true
+	s.mu.Unlock()
 	s.terminal("cancelled", nil)
 	return nil
 }

@@ -212,6 +212,32 @@ func TestSweepEventStream(t *testing.T) {
 	}
 }
 
+// TestSweepCancelledHasNoReport: once the "cancelled" event is out, the
+// sweep serves no report, even before the server gets round to Close.
+func TestSweepCancelledHasNoReport(t *testing.T) {
+	st, err := store.Open(filepath.Join(t.TempDir(), "data"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := Create(st, "c000001", "t", testCreated, testSpec(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sw.Close()
+	if sw.Report() == nil {
+		t.Fatal("a running sweep serves its live report")
+	}
+	if err := sw.Cancel(); err != nil {
+		t.Fatal(err)
+	}
+	if events, _ := sw.EventsSince(0); len(events) != 1 || events[0].Type != "cancelled" {
+		t.Fatalf("events after Cancel = %+v, want one \"cancelled\"", events)
+	}
+	if rep := sw.Report(); rep != nil {
+		t.Fatalf("a cancelled sweep served a report: %+v", rep)
+	}
+}
+
 // TestCommitUnique covers the fleet merge's write primitive: committing
 // the same job twice persists and aggregates it once, emits one event,
 // and reports the duplicate without error — which is what lets a

@@ -151,7 +151,7 @@ func TestNetemPreservesFIFO(t *testing.T) {
 		Factory: func(id graph.NodeID) proto.Automaton {
 			c := &chatter{id: id, burst: 60}
 			if id == "a" {
-				c.targets = []graph.NodeID{"b"}
+				c.targets = []int32{g.Index("b")}
 			}
 			chatters[id] = c
 			return c

@@ -49,8 +49,10 @@
 // time backwards. The event queue panics on a push below its open tick,
 // which makes that a checked invariant rather than a silent misorder.
 //
-// NodeIDs appear only at the boundaries: config validation, trace events
-// and the final Result.
+// NodeIDs appear only at the boundaries: config validation, trace events,
+// the automaton handlers' arguments and the final Result. Automata name
+// their recipients and subscriptions by dense index too (proto.Send.To,
+// proto.Effects.Monitor), so the kernel never resolves a name per message.
 package sim
 
 import (
@@ -409,7 +411,8 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 	for i, id := range r.g.Nodes() {
 		a := r.cfg.Factory(id)
 		r.automata[i] = a
-		stem.applyEffects(int32(i), id, a.Start())
+		eff := a.Start()
+		stem.applyEffects(int32(i), id, &eff)
 	}
 	r.initPhase = false
 	stem.cur = -1
@@ -730,7 +733,8 @@ func (ln *lane) handleDetect(ev event) {
 	if r.tracing {
 		ln.emit(trace.Event{Kind: trace.KindDetect, Node: id, Peer: peer})
 	}
-	ln.applyEffects(ev.node, id, r.automata[ev.node].OnCrash(peer))
+	eff := r.automata[ev.node].OnCrash(peer)
+	ln.applyEffects(ev.node, id, &eff)
 }
 
 func (ln *lane) handleDeliver(ev event) {
@@ -754,7 +758,8 @@ func (ln *lane) handleDeliver(ev event) {
 		ln.emit(trace.Event{Kind: trace.KindDeliver, Node: id, Peer: peer,
 			View: ev.view, Round: int(ev.round), Bytes: int(ev.bytes)})
 	}
-	ln.applyEffects(ev.node, id, r.automata[ev.node].OnMessage(peer, ev.payload))
+	eff := r.automata[ev.node].OnMessage(peer, ev.payload)
+	ln.applyEffects(ev.node, id, &eff)
 }
 
 // handleSubscribe registers ev.peer for 〈crash | ev.node〉, in the
@@ -784,8 +789,8 @@ func (ln *lane) handleSubscribe(ev event) {
 
 // applyEffects realises an automaton's effects: subscriptions first, then
 // sends (scheduled on the FIFO channels), then trace annotations and the
-// decision.
-func (ln *lane) applyEffects(idx int32, id graph.NodeID, eff proto.Effects) {
+// decision. eff is a pointer only to spare a copy of the struct per event.
+func (ln *lane) applyEffects(idx int32, id graph.NodeID, eff *proto.Effects) {
 	ln.cur = idx
 	for _, q := range eff.Monitor {
 		ln.subscribe(idx, q)
@@ -821,18 +826,12 @@ func (ln *lane) applyEffects(idx int32, id graph.NodeID, eff proto.Effects) {
 	}
 }
 
-// subscribe registers p for 〈crash | q〉. During 〈init〉 the subscription
+// subscribe registers p for 〈crash | qi〉. During 〈init〉 the subscription
 // takes effect immediately (nothing has crashed yet); during the run it
-// becomes an evSubscribe kernel event processed in q's shard one
+// becomes an evSubscribe kernel event processed in qi's shard one
 // lookahead later, keeping all subscription state shard-local.
-// Subscriptions to nodes outside the graph are inert (they can never
-// crash) and are dropped.
-func (ln *lane) subscribe(p int32, q graph.NodeID) {
+func (ln *lane) subscribe(p, qi int32) {
 	r := ln.r
-	qi := r.g.Index(q)
-	if qi < 0 {
-		return
-	}
 	if r.initPhase {
 		set := r.subs[qi]
 		if set == nil {
@@ -858,17 +857,18 @@ func (ln *lane) send(from int32, fromID graph.NodeID, s proto.Send) {
 		floors = make([]int64, r.g.Len())
 		r.fifoFloor[from] = floors
 	}
-	for _, to := range s.To {
-		if to == fromID {
+	for _, toIdx := range s.To {
+		if toIdx == from {
 			continue // sender's own copy is self-delivered by the automaton
 		}
-		toIdx := r.g.Index(to)
-		if toIdx < 0 {
-			// A send to a node outside the graph is a programmer error in
+		if uint(toIdx) >= uint(len(floors)) {
+			// A send to an index outside the graph is a programmer error in
 			// the automaton under test; fail loudly rather than with a bare
 			// index panic deep in the bookkeeping.
-			panic(fmt.Sprintf("sim: %s sends to unknown node %q", fromID, to))
+			panic(fmt.Sprintf("sim: %s sends to node index %d, outside the graph's %d nodes",
+				fromID, toIdx, len(floors)))
 		}
+		to := r.g.ID(toIdx)
 		// One nonce per transmission, shared by the latency draw and the
 		// link-fault verdict: both are pure functions of (seed, from, to,
 		// sendTime, nonce), so neither perturbs the other and neither

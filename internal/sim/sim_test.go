@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"cliffedge/internal/graph"
@@ -18,7 +19,7 @@ func (echoPayload) Kind() string  { return "echo" }
 // to its targets; it records the order of everything it receives.
 type chatter struct {
 	id       graph.NodeID
-	targets  []graph.NodeID
+	targets  []int32
 	burst    int
 	received []int
 	from     []graph.NodeID
@@ -53,7 +54,7 @@ func TestFIFOPerChannel(t *testing.T) {
 		Factory: func(id graph.NodeID) proto.Automaton {
 			c := &chatter{id: id, burst: 50}
 			if id == "a" {
-				c.targets = []graph.NodeID{"b"}
+				c.targets = []int32{g.Index("b")}
 			}
 			chatters[id] = c
 			return c
@@ -73,6 +74,36 @@ func TestFIFOPerChannel(t *testing.T) {
 		if n != i {
 			t.Fatalf("FIFO violated: position %d got message %d", i, n)
 		}
+	}
+}
+
+// TestSendOutsideGraphPanics: a recipient index outside the graph is a bug
+// in the automaton under test, and the kernel says whose.
+func TestSendOutsideGraphPanics(t *testing.T) {
+	g := graph.NewBuilder().AddEdge("a", "b").Build()
+	for _, to := range []int32{int32(g.Len()), -2} {
+		r, err := NewRunner(Config{
+			Graph: g,
+			Factory: func(id graph.NodeID) proto.Automaton {
+				c := &chatter{id: id}
+				if id == "b" {
+					c.burst, c.targets = 1, []int32{to}
+				}
+				return c
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "b sends to node index") {
+					t.Errorf("send to index %d: panic %q, want one naming the sender b", to, msg)
+				}
+			}()
+			r.Run()
+		}()
 	}
 }
 
