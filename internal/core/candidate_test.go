@@ -47,15 +47,15 @@ func sameRegion(a, b region.Region) bool {
 // all-accept.
 func forceReset(n *Node) (graph.NodeID, *Message) {
 	vp := n.CurrentView()
-	op := make(Vector, len(vp.Border()))
+	o := ops{}
 	var from graph.NodeID
-	for j, q := range vp.Border() {
+	for _, q := range vp.Border() {
 		if q != n.ID() {
-			op[j] = Opinion{Kind: Reject}
+			o[q] = reject
 			from = q
 		}
 	}
-	return from, &Message{Round: 1, View: vp, Border: vp.Border(), Opinions: op}
+	return from, message(1, vp, from, o)
 }
 
 func runCandidateProperty(t *testing.T, g *graph.Graph, seed int64) (ties, merges, deferred, resets int) {

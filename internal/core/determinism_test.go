@@ -10,23 +10,21 @@ import (
 
 // The canonical textual forms below are load-bearing: traces, golden
 // hashes and the model checker's state deduplication all assume that
-// rendering the same protocol state twice yields the same bytes. The
-// positional Vector made this true by construction (slices render in
-// index order; no map iteration order can leak), and these tests pin
-// both the exact forms and their stability under repetition.
+// rendering the same protocol state twice yields the same bytes. Opinion
+// vectors render position by position from their masks and value column,
+// which makes this true by construction (no map iteration order can leak),
+// and these tests pin both the exact forms and their stability under
+// repetition.
 
 func TestRenderingDeterminism(t *testing.T) {
 	g := lineABC()
 	view := region.New(g, []graph.NodeID{"b"})
-	border := view.Border() // {a, c}, sorted
-
-	v := VectorOf(border, ops{"a": {Kind: Accept, Value: "va"}, "c": {Kind: Reject}})
+	m := message(2, view, "a", ops{"a": accept("va"), "c": reject})
 	wantV := "[accept(va) reject]"
-	if got := v.String(); got != wantV {
-		t.Errorf("Vector.String = %q, want %q", got, wantV)
+	if got := m.opinions(); got != wantV {
+		t.Errorf("opinions = %q, want %q", got, wantV)
 	}
 
-	m := &Message{Round: 2, View: view, Border: border, Opinions: v}
 	wantM := "[r=2 V={b} B=[a c] op=[accept(va) reject]]"
 	if got := m.String(); got != wantM {
 		t.Errorf("Message.String = %q, want %q", got, wantM)
@@ -37,7 +35,7 @@ func TestRenderingDeterminism(t *testing.T) {
 	}
 
 	for i := 0; i < 100; i++ {
-		if v.String() != wantV || m.String() != wantM || MessageFingerprint(m) != wantFP {
+		if m.opinions() != wantV || m.String() != wantM || MessageFingerprint(m) != wantFP {
 			t.Fatalf("rendering drifted on repetition %d", i)
 		}
 	}
@@ -57,8 +55,7 @@ func driveFingerprintNode() *Node {
 	n.Start()
 	n.OnCrash("b")
 	view := region.New(g, []graph.NodeID{"b"})
-	n.OnMessage("c", &Message{Round: 1, View: view, Border: view.Border(),
-		Opinions: VectorOf(view.Border(), ops{"c": {Kind: Accept, Value: "vc"}})})
+	n.OnMessage("c", message(1, view, "c", ops{"c": accept("vc")}))
 	return n
 }
 
@@ -96,9 +93,9 @@ func TestFingerprintDeterminism(t *testing.T) {
 }
 
 // TestUnwrittenRoundsAreNotAllocated: an instance that only ever saw round
-// 1 holds one opinion row, and reading it — Fingerprint, Clone, the wire
-// vector of a later round — renders the unwritten rounds as ⊥ without
-// allocating them. The fingerprint literal is the form an eagerly
+// 1 holds the masks of one round, and reading it — Fingerprint, Clone, the
+// outgoing masks of a later round — renders the unwritten rounds as ⊥
+// without allocating them. The fingerprint literal is the form an eagerly
 // allocated (lastRound+1)×|B| matrix renders to.
 func TestUnwrittenRoundsAreNotAllocated(t *testing.T) {
 	g := graph.NewBuilder().AddEdge("a", "b").AddEdge("c", "b").AddEdge("e", "b").Build()
@@ -106,8 +103,7 @@ func TestUnwrittenRoundsAreNotAllocated(t *testing.T) {
 	n.Start()
 	view := region.New(g, []graph.NodeID{"b"})
 	border := view.Border()
-	n.OnMessage("c", &Message{Round: 1, View: view, Border: border,
-		Opinions: VectorOf(border, ops{"c": {Kind: Accept, Value: "vc"}})})
+	n.OnMessage("c", message(1, view, "c", ops{"c": accept("vc")}))
 
 	inst := instanceOf(n, view)
 	if inst == nil {
@@ -116,17 +112,9 @@ func TestUnwrittenRoundsAreNotAllocated(t *testing.T) {
 	if &inst.border[0] != &border[0] {
 		t.Error("the instance should share the message's immutable border, not copy it")
 	}
-	allocated := func(inst *instance) int {
-		rows := 0
-		for _, row := range inst.rows {
-			if row != nil {
-				rows++
-			}
-		}
-		return rows
-	}
+	allocated := func(inst *instance) int { return len(inst.bits) / (3 * inst.words) }
 	if got := allocated(inst); got != 1 {
-		t.Fatalf("after one round-1 message the instance holds %d rows, want 1", got)
+		t.Fatalf("after one round-1 message the instance holds %d rounds, want 1", got)
 	}
 
 	const want = "a#|p=false,|r=0|vp=|mx=|cd=|lc=|mon=b|rej=|" +
@@ -138,10 +126,11 @@ func TestUnwrittenRoundsAreNotAllocated(t *testing.T) {
 	if got := clone.Fingerprint(); got != want {
 		t.Errorf("clone fingerprint\n got %q\nwant %q", got, want)
 	}
-	if v := inst.vector(3); len(v) != 3 || v.Known() != 0 {
-		t.Errorf("wire vector of an unwritten round = %s, want 3 ⊥ slots", v)
+	masks := make([]uint64, 2*inst.words)
+	if inst.opinions(masks, 3); known(opinionsOf(3, masks, inst.values)) != 0 {
+		t.Errorf("outgoing masks of an unwritten round = %x, want 3 ⊥ slots", masks)
 	}
 	if got := allocated(inst) + allocated(instanceOf(clone, view)); got != 2 {
-		t.Errorf("reading allocated rows: original and clone hold %d, want 1 each", got)
+		t.Errorf("reading allocated rounds: original and clone hold %d, want 1 each", got)
 	}
 }

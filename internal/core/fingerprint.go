@@ -46,16 +46,14 @@ func (n *Node) Fingerprint() string {
 	for _, inst := range received {
 		fmt.Fprintf(&sb, "{%s;B=%v;L=%d", inst.view.Key(), inst.border, inst.lastRound)
 		for r := 1; r <= inst.lastRound; r++ {
-			// Vector is positional, so rendering the row directly is
-			// deterministic and avoids the wire-copy inst.vector makes; a
-			// round never written renders as the |B| ⊥ slots it stands for
-			// without being allocated.
+			// A round never written renders as the |B| ⊥ slots it stands
+			// for without being allocated.
 			fmt.Fprintf(&sb, ";r%d=", r)
-			if row := inst.peek(r); row != nil {
-				sb.WriteString(Vector(row).String())
-			} else {
-				sb.WriteString("[⊥" + strings.Repeat(" ⊥", len(inst.border)-1) + "]")
+			var masks []uint64
+			if round := inst.round(r); round != nil {
+				masks = round[inst.words:]
 			}
+			writeOpinions(&sb, len(inst.border), masks, inst.values)
 			fmt.Fprintf(&sb, ";w%d=", r)
 			first := true
 			for j, q := range inst.border {
@@ -95,5 +93,5 @@ func writeIndexSet(sb *strings.Builder, g *graph.Graph, set graph.Bitset) {
 // MessageFingerprint serialises a message canonically (model checker
 // channel-state hashing).
 func MessageFingerprint(m *Message) string {
-	return fmt.Sprintf("%d|%s|%v|%s", m.Round, m.View.Key(), m.Border, m.Opinions)
+	return fmt.Sprintf("%d|%s|%v|%s", m.Round, m.View.Key(), m.Border, m.opinions())
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"cliffedge/internal/graph"
@@ -12,18 +13,18 @@ import (
 )
 
 // scanInstance is the reference for instance.merge: the opinion rows and
-// waiting sets of one view as plain eager matrices, merged the way the
-// package did before rows and vectors carried bitmasks — two loops over
-// all |B| slots of every message.
+// waiting sets of one view as plain eager matrices of per-slot opinions,
+// merged the way the package did before opinions became bitmasks and a
+// value column — two loops over all |B| slots of every message.
 type scanInstance struct {
-	rows    [][]Opinion // rows[r][j], r in 1..lastRound
+	rows    [][]opinion // rows[r][j], r in 1..lastRound
 	waiting [][]bool
 }
 
 func newScanInstance(border, lastRound int) *scanInstance {
-	ref := &scanInstance{rows: make([][]Opinion, lastRound+1), waiting: make([][]bool, lastRound+1)}
+	ref := &scanInstance{rows: make([][]opinion, lastRound+1), waiting: make([][]bool, lastRound+1)}
 	for r := 1; r <= lastRound; r++ {
-		ref.rows[r] = make([]Opinion, border)
+		ref.rows[r] = make([]opinion, border)
 		ref.waiting[r] = make([]bool, border)
 		for j := range ref.waiting[r] {
 			ref.waiting[r][j] = true // line 22: waiting[V][r] ← B
@@ -32,10 +33,10 @@ func newScanInstance(border, lastRound int) *scanInstance {
 	return ref
 }
 
-func (ref *scanInstance) merge(r, fromPos int, ops Vector) {
+func (ref *scanInstance) merge(r, fromPos int, ops []opinion) {
 	row := ref.rows[r]
 	for j := range row { // lines 23–24: fill ⊥ slots only
-		if row[j].Kind == Unknown && ops[j].Kind != Unknown {
+		if row[j].kind == unknown {
 			row[j] = ops[j]
 		}
 	}
@@ -44,7 +45,7 @@ func (ref *scanInstance) merge(r, fromPos int, ops Vector) {
 		ref.waiting[r][fromPos] = false
 	}
 	for j, op := range ops {
-		if op.Kind == Reject {
+		if op.kind == rejected {
 			ref.waiting[r][j] = false
 		}
 	}
@@ -73,16 +74,15 @@ func (c *choices) byte() int {
 
 // checkMergeScenario delivers a generated sequence of messages about one
 // view with a border of `size` nodes to a border node — fresh ones in
-// arbitrary round order, repeats of earlier ones, with sender-built masks
-// and without, with the sender's slot and without, the node swapped for
-// its Clone now and then (which must leave the node it came from alone) —
-// and after every delivery compares the instance with the scan reference:
-// every round's opinion row, waiting set and outgoing vector, the vector's
-// masks, and the masks' own invariant (bit j of known ⇔ slot j ≠ ⊥;
-// rejects ⊆ known, bit j ⇔ slot j is a reject; no bit at or beyond |B|).
-// A twin node gets every message with its sender slot flipped (carried ⇔
-// not carried) and must stay fingerprint-identical, and no delivery may
-// write to the message, which its other recipients share.
+// arbitrary round order, repeats of earlier ones, some from a node that is
+// not a participant, the node swapped for its Clone now and then (which
+// must leave the node it came from alone) — and after every delivery
+// compares the instance with the scan reference: every round's opinions
+// and waiting set, the outgoing masks, the masks' own invariant (rejects ⊆
+// known, no bit at or beyond |B|), and the value column (a participant is
+// valued iff some round holds its accept). Participant j accepts with
+// "v<j>" in every message, as a participant of a run proposes one value.
+// No delivery may write to the message, which its other recipients share.
 func checkMergeScenario(t *testing.T, size, steps int, c *choices) {
 	t.Helper()
 	// A star: the view {hub} is bordered by its `size` leaves. The outsider
@@ -98,9 +98,8 @@ func checkMergeScenario(t *testing.T, size, steps int, c *choices) {
 	if len(border) != size {
 		t.Fatalf("border of %d nodes, want %d", len(border), size)
 	}
-	n, twin := New(Config{ID: border[0], Graph: g}), New(Config{ID: border[0], Graph: g})
+	n := New(Config{ID: border[0], Graph: g})
 	n.Start()
-	twin.Start()
 	// Rounds 1..3 (or fewer): few enough that deliveries collide on a row.
 	lastRound := min(size, 3)
 	checked := min(size, lastRound+2) // and two rounds nothing touches
@@ -115,31 +114,22 @@ func checkMergeScenario(t *testing.T, size, steps int, c *choices) {
 			i := c.byte() % len(sent)
 			m, from = sent[i], senders[i]
 		} else {
-			ops := make(Vector, size)
+			ops := make([]opinion, size)
 			density := c.byte()
 			for j := range ops {
 				switch k := c.byte(); {
 				case k >= density:
-				case k%16 == 15:
-					ops[j] = Opinion{Kind: OpinionKind(3)} // not a kind: known, not a reject
 				case k%2 == 1:
-					ops[j] = Opinion{Kind: Reject}
+					ops[j] = reject
 				default:
-					ops[j] = Opinion{Kind: Accept, Value: proto.Value(fmt.Sprintf("v%d.%d", j, step))}
+					ops[j] = accept(proto.Value(fmt.Sprintf("v%d", j)))
 				}
-			}
-			m = &Message{Round: 1 + c.byte()%lastRound, View: view, Border: border, Opinions: ops}
-			if c.byte()%2 == 0 { // as a sending node builds it
-				m.masks = make([]uint64, 2*maskWords(size))
-				fillMasks(m.masks, ops)
 			}
 			from = border[c.byte()%size]
 			if c.byte()%8 == 0 {
 				from = "outsider" // not a participant: nothing to stop waiting for
 			}
-			if c.byte()%2 == 0 { // as a sending node builds it
-				m.sender = slotOf(border, from)
-			}
+			m = messageOf(1+c.byte()%lastRound, view, from, ops)
 			sent, senders = append(sent, m), append(senders, from)
 		}
 		var original *Node
@@ -148,25 +138,14 @@ func checkMergeScenario(t *testing.T, size, steps int, c *choices) {
 			original, untouched = n, n.Fingerprint()
 			n = n.Clone()
 		}
-		before := *m
-		n.deliver(from, m)
-		flipped := *m
-		if flipped.sender == 0 {
-			flipped.sender = slotOf(border, from)
-		} else {
-			flipped.sender = 0
-		}
-		twin.deliver(from, &flipped)
-		ref.merge(m.Round, borderPos(border, from), m.Opinions)
+		before, beforeMasks := m.String(), slices.Clone(m.masks)
+		n.deliver(m)
+		ref.merge(m.Round, borderPos(border, from), opinionsOf(size, m.masks, m.values))
 		if v := n.Violations(); len(v) != 0 {
 			t.Fatalf("step %d: %v", step, v)
 		}
-		if m.sender != before.sender || (m.masks == nil) != (before.masks == nil) {
+		if m.String() != before || !slices.Equal(m.masks, beforeMasks) {
 			t.Fatalf("step %d: the delivery wrote to the message", step)
-		}
-		if got, want := twin.Fingerprint(), n.Fingerprint(); got != want {
-			t.Fatalf("step %d: with the sender slot flipped (%d → %d) the node reads\n%s\nnot\n%s",
-				step, m.sender, flipped.sender, got, want)
 		}
 		if original != nil && original.Fingerprint() != untouched {
 			t.Fatalf("step %d: a delivery to the clone reached the node it was cloned from", step)
@@ -176,19 +155,22 @@ func checkMergeScenario(t *testing.T, size, steps int, c *choices) {
 		if inst == nil {
 			t.Fatalf("step %d: no instance", step)
 		}
+		valued := make([]bool, size)
 		for r := 1; r <= checked; r++ {
 			want := ref.rows[r]
-			if row := inst.peek(r); row == nil {
-				if Vector(want).Known() != 0 {
-					t.Fatalf("step %d round %d: row unallocated, reference %s", step, r, Vector(want))
-				}
-			} else if !slices.Equal(row, want) {
-				t.Fatalf("step %d round %d: row %s, reference %s", step, r, Vector(row), Vector(want))
+			out := make([]uint64, 2*inst.words)
+			inst.opinions(out, r)
+			if got := opinionsOf(size, out, inst.values); !slices.Equal(got, want) {
+				t.Fatalf("step %d round %d: opinions %v, reference %v", step, r, got, want)
+			}
+			if inst.round(r) == nil && known(want) != 0 {
+				t.Fatalf("step %d round %d: round unallocated, reference %v", step, r, want)
 			}
 			for j := range want {
 				if got := inst.waitingFor(r, j); got != ref.waiting[r][j] {
 					t.Fatalf("step %d round %d: waiting for %s = %v, reference %v", step, r, border[j], got, ref.waiting[r][j])
 				}
+				valued[j] = valued[j] || want[j].kind == accepted
 			}
 			if waiting := inst.waiting(r); waiting != nil {
 				for j := size; j < 64*inst.words; j++ {
@@ -197,32 +179,44 @@ func checkMergeScenario(t *testing.T, size, steps int, c *choices) {
 					}
 				}
 			}
-			wantMasks := make([]uint64, 2*inst.words)
-			fillMasks(wantMasks, want)
-			if out := inst.vector(r); !slices.Equal(out, Vector(want)) {
-				t.Fatalf("step %d round %d: outgoing vector %s, reference %s", step, r, out, Vector(want))
-			}
-			outMasks := make([]uint64, 2*inst.words)
-			inst.vectorMasks(outMasks, r)
-			if !slices.Equal(outMasks, wantMasks) {
-				t.Fatalf("step %d round %d: outgoing masks %x, those of the reference vector %x", step, r, outMasks, wantMasks)
-			}
-			known, rejects := wantMasks[:inst.words], wantMasks[inst.words:]
+			knownBits, rejectBits := out[:inst.words], out[inst.words:]
 			for j := 0; j < 64*inst.words; j++ {
-				k, rej := known[j>>6]>>(j&63)&1 == 1, rejects[j>>6]>>(j&63)&1 == 1
-				inRange := j < size
-				if k != (inRange && want[j].Kind != Unknown) || rej != (inRange && want[j].Kind == Reject) || rej && !k {
-					t.Fatalf("step %d round %d slot %d: known=%v rejects=%v for %v", step, r, j, k, rej, want[min(j, size-1)])
+				k, rej := knownBits[j>>6]>>(j&63)&1 == 1, rejectBits[j>>6]>>(j&63)&1 == 1
+				if j >= size && k || rej && !k {
+					t.Fatalf("step %d round %d slot %d: known=%v rejects=%v", step, r, j, k, rej)
 				}
+			}
+		}
+		for j := range valued {
+			got := inst.valued != nil && inst.valued[j>>6]>>(j&63)&1 == 1
+			if got != valued[j] || got && inst.values[j] != proto.Value(fmt.Sprintf("v%d", j)) {
+				t.Fatalf("step %d: column slot %d valued=%v (%q), reference valued=%v", step, j, got, inst.values[min(j, len(inst.values)-1)], valued[j])
 			}
 		}
 	}
 }
 
-// slotOf returns Message.sender for a message from `from` about a view
-// with this border.
-func slotOf(border []graph.NodeID, from graph.NodeID) int32 {
-	return int32(borderPos(border, from) + 1)
+// TestConflictingAcceptKeepsFirstValue: a participant proposes a view once,
+// with one value, so an accept that names it with another value is an
+// invariant breach. The node records it and keeps the value it holds.
+func TestConflictingAcceptKeepsFirstValue(t *testing.T) {
+	g := graph.NewBuilder().AddEdge("a", "b").AddEdge("c", "b").AddEdge("e", "b").Build()
+	a := mkNode(t, g, "a", "va")
+	a.Start()
+	view := region.New(g, []graph.NodeID{"b"})
+	a.OnMessage("c", message(1, view, "c", ops{"c": accept("vc")}))
+	if v := a.Violations(); len(v) != 0 {
+		t.Fatalf("violations: %v", v)
+	}
+	a.OnMessage("e", message(2, view, "e", ops{"c": accept("vx"), "e": accept("ve")}))
+	if v := a.Violations(); len(v) != 1 || !strings.Contains(v[0], `"vx"`) {
+		t.Fatalf("want one violation naming the conflicting value, got %v", v)
+	}
+	const want = "a#|p=false,|r=0|vp=|mx=|cd=|lc=|mon=b|rej=|" +
+		"rcv={b;B=[a c e];L=3;r1=[⊥ accept(vc) ⊥];w1=a,e;r2=[⊥ accept(vc) accept(ve)];w2=a,c;r3=[⊥ ⊥ ⊥];w3=a,c,e}|self="
+	if got := a.Fingerprint(); got != want {
+		t.Errorf("fingerprint\n got %q\nwant %q", got, want)
+	}
 }
 
 // TestMaskMergeMatchesScanMerge runs seeded scenarios at every size of
@@ -245,4 +239,143 @@ func FuzzMergeMasks(f *testing.F) {
 		checkMergeScenario(t, mergeBorders[int(size)%len(mergeBorders)], 12,
 			&choices{script: script, rng: rand.New(rand.NewSource(seed))})
 	})
+}
+
+// TestSentMessagesNeverChange: a round message shares its sender's value
+// column, which later deliveries to the sender keep filling in. Every
+// message a node sent must therefore render byte-identically after each
+// later delivery to that node. A 6×6 grid loses a 2×2 block, then one of
+// the block's border nodes: the first view is rejected in favour of the
+// grown one, so nodes send first messages, rejects and round messages
+// about two views. Channels are FIFO, but the next channel to deliver is
+// chosen at random. Node q proposes "q/<view key>", so every accept a
+// message carries can be checked against its participant, and Pick
+// reorders its argument, as a user's may.
+func TestSentMessagesNeverChange(t *testing.T) {
+	g := graph.Grid(6, 6)
+	block := graph.GridBlock(2, 2, 2)
+	late := graph.GridID(1, 2) // borders the block
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		nodes := make([]*Node, g.Len())
+		crashed := graph.NewBitset(g.Len())
+		type delivery struct {
+			to    int32
+			crash graph.NodeID // a crash notification, or
+			from  graph.NodeID // a message
+			m     *Message
+		}
+		var queue []delivery // crash notifications, any order
+		channels := map[[2]int32][]delivery{}
+		var open [][2]int32
+		sent := make([][]*Message, g.Len())
+		rendered := make([][]string, g.Len())
+		rounds := 0
+		apply := func(i int32, eff proto.Effects) {
+			for _, q := range eff.Monitor {
+				if crashed.Has(q) {
+					queue = append(queue, delivery{to: i, crash: g.ID(q)})
+				}
+			}
+			for _, s := range eff.Sends {
+				m := s.Payload.(*Message)
+				for j, op := range opinionsOf(len(m.Border), m.masks, m.values) {
+					if want := proposal(m.Border[j], m.View); op.kind == accepted && op.value != want {
+						t.Fatalf("seed %d: %s sent %s: slot %d accepts with %q, not %q", seed, g.ID(i), m, j, op.value, want)
+					}
+				}
+				sent[i] = append(sent[i], m)
+				rendered[i] = append(rendered[i], m.String())
+				if m.Round > 1 && m.values != nil {
+					rounds++
+				}
+				for _, to := range s.To {
+					if to == i || crashed.Has(to) {
+						continue
+					}
+					k := [2]int32{i, to}
+					if len(channels[k]) == 0 {
+						open = append(open, k)
+					}
+					channels[k] = append(channels[k], delivery{to: to, from: g.ID(i), m: m})
+				}
+			}
+		}
+		crash := func(ids ...graph.NodeID) {
+			for _, id := range ids {
+				crashed.Set(g.Index(id))
+			}
+			for i, n := range nodes {
+				if crashed.Has(int32(i)) {
+					continue
+				}
+				for _, id := range ids {
+					if n.monitored.Has(g.Index(id)) {
+						queue = append(queue, delivery{to: int32(i), crash: id})
+					}
+				}
+			}
+		}
+		for i := range nodes {
+			id := g.ID(int32(i))
+			nodes[i] = New(Config{ID: id, Graph: g,
+				Propose: func(v region.Region) proto.Value { return proposal(id, v) },
+				Pick: func(values []proto.Value) proto.Value {
+					// Border order is ascending, so this reorders its argument.
+					slices.SortFunc(values, func(a, b proto.Value) int { return strings.Compare(string(b), string(a)) })
+					return values[len(values)-1]
+				}})
+			apply(int32(i), nodes[i].Start())
+		}
+		crash(block...)
+		for steps := 0; len(queue) > 0 || len(open) > 0; steps++ {
+			if steps == 40 {
+				crash(late)
+			}
+			var d delivery
+			if k := rng.Intn(len(queue) + len(open)); k < len(queue) {
+				d = queue[k]
+				queue = append(queue[:k], queue[k+1:]...)
+			} else {
+				k -= len(queue)
+				key := open[k]
+				d, channels[key] = channels[key][0], channels[key][1:]
+				if len(channels[key]) == 0 {
+					open = append(open[:k], open[k+1:]...)
+				}
+			}
+			if crashed.Has(d.to) {
+				continue
+			}
+			n := nodes[d.to]
+			if d.m == nil {
+				apply(d.to, n.OnCrash(d.crash))
+			} else {
+				apply(d.to, n.OnMessage(d.from, d.m))
+			}
+			for k, m := range sent[d.to] {
+				if got := m.String(); got != rendered[d.to][k] {
+					t.Fatalf("seed %d: %s's message %d changed under a later delivery\n got %s\nwant %s",
+						seed, n.ID(), k, got, rendered[d.to][k])
+				}
+			}
+		}
+		decided := 0
+		for i, n := range nodes {
+			if v := n.Violations(); len(v) != 0 {
+				t.Fatalf("seed %d: %s: %v", seed, n.ID(), v)
+			}
+			if !crashed.Has(int32(i)) && n.Decided() != nil {
+				decided++
+			}
+		}
+		if decided == 0 || rounds == 0 {
+			t.Fatalf("seed %d: %d deciders, %d round messages with accepts: the run did not exercise the column", seed, decided, rounds)
+		}
+	}
+}
+
+// proposal is what node q proposes for view v in TestSentMessagesNeverChange.
+func proposal(q graph.NodeID, v region.Region) proto.Value {
+	return proto.Value(string(q) + "/" + v.Key())
 }

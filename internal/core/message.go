@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 	"strings"
 
 	"cliffedge/internal/graph"
@@ -27,157 +26,40 @@ import (
 	"cliffedge/internal/region"
 )
 
-// OpinionKind is the state of one participant's slot in an opinion vector.
-type OpinionKind uint8
-
-const (
-	// Unknown is ⊥: no opinion learned yet for this participant.
-	Unknown OpinionKind = iota
-	// Accept carries the participant's proposed decision value.
-	Accept
-	// Reject marks that the participant rejected the view (line 30).
-	Reject
-)
-
-// String returns "⊥", "accept" or "reject".
-func (k OpinionKind) String() string {
-	switch k {
-	case Accept:
-		return "accept"
-	case Reject:
-		return "reject"
-	default:
-		return "⊥"
-	}
-}
-
-// Opinion is one slot of an opinion vector: ⊥, reject, or (accept, value).
-type Opinion struct {
-	Kind  OpinionKind
-	Value proto.Value // meaningful iff Kind == Accept
-}
-
-// Vector is an opinion vector opinions[V][r][·], indexed by border
-// position: slot j is the opinion of border[j], where the border is in
-// sorted NodeID order (the canonical order region.Border produces). The
-// zero Opinion is ⊥. Positional indexing removes every map operation from
-// the delivery hot path and shrinks the wire encoding — slots no longer
-// repeat their NodeID, because the position already names the node.
-type Vector []Opinion
-
-// VectorOf builds a positional vector over border from a by-NodeID map;
-// absent nodes stay ⊥. Border must be sorted. Intended for tests and
-// harnesses — the protocol itself constructs vectors positionally.
-func VectorOf(border []graph.NodeID, ops map[graph.NodeID]Opinion) Vector {
-	v := make(Vector, len(border))
-	for q, op := range ops {
-		if j := borderPos(border, q); j >= 0 {
-			v[j] = op
-		}
-	}
-	return v
-}
-
-// borderPos returns q's position in a sorted border, or -1.
-func borderPos(border []graph.NodeID, q graph.NodeID) int {
-	i := sort.Search(len(border), func(i int) bool { return border[i] >= q })
-	if i < len(border) && border[i] == q {
-		return i
-	}
-	return -1
-}
-
-// Clone deep-copies the vector.
-func (v Vector) Clone() Vector {
-	if v == nil {
-		return nil
-	}
-	out := make(Vector, len(v))
-	copy(out, v)
-	return out
-}
-
-// Known returns the number of non-⊥ slots.
-func (v Vector) Known() int {
-	n := 0
-	for _, op := range v {
-		if op.Kind != Unknown {
-			n++
-		}
-	}
-	return n
-}
-
-// allAccept reports whether every slot of an opinion row is an Accept
-// (line 34's condition), returning the accepted values in border order.
-// The values slice is only built once the row is known to qualify: most
-// final rows of a cascade carry a reject.
-func allAccept(row []Opinion) ([]proto.Value, bool) {
-	for _, op := range row {
-		if op.Kind != Accept {
-			return nil, false
-		}
-	}
-	values := make([]proto.Value, len(row))
-	for j, op := range row {
-		values[j] = op.Value
-	}
-	return values, true
-}
-
-// String renders the vector positionally, e.g. "[accept(v1) ⊥ reject]".
-// Slices render in index order, so the output is deterministic by
-// construction — no iteration-order dependence to leak into fingerprints.
-func (v Vector) String() string {
-	parts := make([]string, len(v))
-	for j, op := range v {
-		switch op.Kind {
-		case Accept:
-			parts[j] = fmt.Sprintf("accept(%s)", op.Value)
-		case Reject:
-			parts[j] = "reject"
-		default:
-			parts[j] = "⊥"
-		}
-	}
-	return "[" + strings.Join(parts, " ") + "]"
-}
-
 // Message is the protocol message [r, V, B, op] of lines 17, 31 and 40: a
 // round number, the proposed view, the view's border (the instance's
 // participant set), and the sender's opinion vector for that round.
 //
-// An opinion is three-valued, so a vector is a pair of disjoint sets of
-// border positions, and a message carries that pair as bitmasks beside the
-// vector: the receiver merges by words instead of reading |B| slots. The
-// masks are derived state, a function of Opinions alone: they are not wire
-// bytes (WireSize does not count them), String and the fingerprints do not
-// print them, and two messages with equal fields are the same message
-// whether or not either carries them. The sending node builds them once
-// per multicast; a Message assembled by hand (tests, harnesses) has none
-// and gets them computed from its vector when it is delivered. Opinions is
-// immutable once the message exists, like every payload, so the masks
-// cannot go stale.
+// An opinion is three-valued — ⊥, accept(v) or reject — so a vector over
+// border positions is a pair of bitmasks plus the values of its accepts:
+// bit j of known is set ⇔ border[j]'s slot is not ⊥, bit j of rejects ⇔ it
+// is a reject (rejects ⊆ known), and values[j] is border[j]'s accept value
+// for every j in known \ rejects. A participant proposes a view at most once
+// (Lemma 2), with one value, so its accept value is the same in every round
+// and every message: the values form one column per view rather than one
+// per round, and a round message carries its sender's instance column (see
+// instance.values) instead of a copy. values is nil when no slot is an
+// accept, which is always the case for a reject's round-1 message.
 //
-// The sender's border position is derived state of the same kind: the
-// sending node knows it when it builds the message, so the receiver does
-// not search the border for the sender's name on every delivery (line 25
-// stops waiting for the sender). A message assembled by hand does not
-// carry it and gets it computed, from the name it was delivered from, by
-// the same rule that fills its masks.
+// Messages are built only by this package. The sender's border position
+// travels with the message, so the receiver does not search the border for
+// the sender's name on every delivery (line 25 stops waiting for the
+// sender).
 //
 // A Message travels by pointer (*Message is the payload type): the one
 // message a multicast builds is shared by all its recipients and by the
 // sender's own queued copy, never copied or changed after it is sent.
 type Message struct {
-	Round    int
-	View     region.Region
-	Border   []graph.NodeID
-	Opinions Vector
-	// masks is Opinions' two bitmasks as fillMasks lays them out, or nil.
+	Round  int
+	View   region.Region
+	Border []graph.NodeID
+	// masks is known, then rejects, maskWords(len(Border)) words each.
 	masks []uint64
-	// sender is 1 + the sender's position in Border, or 0 if the message
-	// does not carry it.
+	// values is the accept column: values[j] is read only for j in
+	// known \ rejects.
+	values []proto.Value
+	// sender is 1 + the sender's position in Border, or 0 if the sender is
+	// not a participant.
 	sender int32
 }
 
@@ -185,20 +67,31 @@ type Message struct {
 // positions.
 func maskWords(n int) int { return (n + 63) >> 6 }
 
-// fillMasks sets masks, 2·maskWords(len(v)) zero words, to the two bitmasks
-// of v: known (slot j ≠ ⊥ ⇔ bit j), then rejects (slot j is a reject ⇔
-// bit j; a subset of known), maskWords(len(v)) words each.
-func fillMasks(masks []uint64, v Vector) {
+// writeOpinions renders the opinion vector over n border positions that
+// masks (known, then rejects; nil for all ⊥) and values stand for,
+// positionally, e.g. "[accept(v1) ⊥ reject]". Positions render in index
+// order, so the output is deterministic by construction — no
+// iteration-order dependence to leak into fingerprints.
+func writeOpinions(sb *strings.Builder, n int, masks []uint64, values []proto.Value) {
 	words := len(masks) / 2
-	for j, op := range v {
-		if op.Kind == Unknown {
-			continue
+	sb.WriteByte('[')
+	for j := 0; j < n; j++ {
+		if j > 0 {
+			sb.WriteByte(' ')
 		}
-		masks[j>>6] |= 1 << uint(j&63)
-		if op.Kind == Reject {
-			masks[words+j>>6] |= 1 << uint(j&63)
+		bit := uint64(1) << uint(j&63)
+		switch {
+		case masks == nil || masks[j>>6]&bit == 0:
+			sb.WriteString("⊥")
+		case masks[words+j>>6]&bit != 0:
+			sb.WriteString("reject")
+		default:
+			sb.WriteString("accept(")
+			sb.WriteString(string(values[j]))
+			sb.WriteByte(')')
 		}
 	}
+	sb.WriteByte(']')
 }
 
 // Kind labels the payload for traces.
@@ -220,27 +113,26 @@ func (m *Message) WireSize() int {
 	for _, n := range m.Border {
 		size += len(n) + 1
 	}
-	size += len(m.Opinions) // 1 tag byte per slot
-	for _, op := range m.Opinions {
-		if op.Kind == Accept {
-			size += len(op.Value) + 1
+	size += len(m.Border) // 1 tag byte per slot
+	words := len(m.masks) / 2
+	for w := 0; w < words; w++ {
+		for accepts := m.masks[w] &^ m.masks[words+w]; accepts != 0; accepts &= accepts - 1 {
+			size += len(m.values[w<<6|bits.TrailingZeros64(accepts)]) + 1
 		}
 	}
 	return size
 }
 
-// Opinion returns the opinion of border node q (⊥ for non-border nodes),
-// resolving q's slot by binary search over the sorted border.
-func (m *Message) Opinion(q graph.NodeID) Opinion {
-	if j := borderPos(m.Border, q); j >= 0 && j < len(m.Opinions) {
-		return m.Opinions[j]
-	}
-	return Opinion{}
+// opinions renders the message's opinion vector, e.g. "[accept(v1) ⊥ reject]".
+func (m *Message) opinions() string {
+	var sb strings.Builder
+	writeOpinions(&sb, len(m.Border), m.masks, m.values)
+	return sb.String()
 }
 
 // String renders the message compactly for traces and debugging.
 func (m *Message) String() string {
-	return fmt.Sprintf("[r=%d V=%s B=%v op=%s]", m.Round, m.View, m.Border, m.Opinions)
+	return fmt.Sprintf("[r=%d V=%s B=%v op=%s]", m.Round, m.View, m.Border, m.opinions())
 }
 
 var _ proto.Payload = (*Message)(nil)
@@ -264,11 +156,12 @@ var _ proto.Payload = (*Message)(nil)
 // keep the printed behaviour behind Config.LiteralPaperRounds for
 // demonstration and ablation.
 //
-// The bookkeeping is position-indexed: column j of every row is border[j].
-// Opinion rows and their bitmasks exist only for rounds that were touched:
-// a view that is rejected after its first message — the common fate in a
-// cascade — never pays for the |B| rounds it will not run (at |B| = 96 the
-// full matrix would be 223 kB).
+// The bookkeeping is position-indexed: bit j of every mask, and slot j of
+// the value column, is border[j]. A round's opinions are its known and
+// rejects masks plus the instance's one value column (see Message), and
+// they exist only for rounds that were touched: a view that is rejected
+// after its first message — the common fate in a cascade — never pays for
+// the |B| rounds it will not run.
 type instance struct {
 	view region.Region
 	// border is B, the view's own border, and borderIdx the same nodes as
@@ -279,26 +172,36 @@ type instance struct {
 	border    []graph.NodeID
 	borderIdx []int32
 	lastRound int // |B| (default) or |B|−1 (LiteralPaperRounds)
-	// rows[r] is round r's opinions (column j = border[j]), allocated by
-	// the first write to that round. A nil row, and every r ≥ len(rows),
-	// reads as all-⊥ — exactly what lines 20–21 initialise.
-	rows [][]Opinion
 	// bits holds three bitmasks over border positions for each round
 	// 1..len(bits)/(3·words), `words` words each and in this order:
 	//
 	//	waiting  bit j set ⇔ still waiting for border[j] in the round
-	//	known    bit j set ⇔ rows[r][j] ≠ ⊥
-	//	rejects  bit j set ⇔ rows[r][j] is a reject (a subset of known)
+	//	known    bit j set ⇔ opinions[V][r][j] ≠ ⊥
+	//	rejects  bit j set ⇔ opinions[V][r][j] is a reject (⊆ known)
 	//
-	// known and rejects are derived from the row: they exist so that a
-	// delivery finds the slots a message has news for with one AND-NOT per
-	// word, and so that the next outgoing vector gets its masks by a copy.
-	// Fingerprint prints the row and the waiting set, never these two.
-	// The slice grows to the highest round a delivery touched (see masks);
-	// a round beyond it reads as line 22 initialises it: waiting for all
-	// of B, nothing known.
+	// known and rejects are laid out as a Message's masks, so the next
+	// outgoing vector gets its masks by a copy, and a delivery finds the
+	// slots a message has news for with one AND-NOT per word. The slice
+	// grows to the highest round a delivery touched (see masks); a round
+	// beyond it reads as lines 20–22 initialise it: waiting for all of B,
+	// every opinion ⊥.
 	bits  []uint64
 	words int // maskWords(len(border))
+	// values is the value column: values[j] is border[j]'s accept value,
+	// the same in every round (see Message), set iff bit j of valued is.
+	// Both are allocated by the first accept. The column is shared with
+	// every round message this node sends about the view (guardRound),
+	// which is safe because
+	//
+	//   - a slot is written once, before any message whose accept mask
+	//     names it exists;
+	//   - a reader reads only the slots its message's accept mask names, so
+	//     a later write (always to a slot not yet valued) and a concurrent
+	//     read — another node's goroutine or simulator lane — touch
+	//     different elements;
+	//   - clone deep-copies the column, and the decision hands Pick a copy.
+	values []proto.Value
+	valued []uint64
 }
 
 func newInstance(view region.Region, literalRounds bool) *instance {
@@ -318,33 +221,6 @@ func newInstance(view region.Region, literalRounds bool) *instance {
 
 // validRound reports whether r is a round of this instance.
 func (inst *instance) validRound(r int) bool { return r >= 1 && r <= inst.lastRound }
-
-// row returns round r's opinion row for writing, allocating it (all-⊥) on
-// the round's first write.
-func (inst *instance) row(r int) []Opinion {
-	for len(inst.rows) <= r {
-		inst.rows = append(inst.rows, nil)
-	}
-	if inst.rows[r] == nil {
-		inst.rows[r] = make([]Opinion, len(inst.border))
-	}
-	return inst.rows[r]
-}
-
-// peek returns round r's opinion row for reading: nil if the round was
-// never written, which readers treat as |B| ⊥ slots.
-func (inst *instance) peek(r int) []Opinion {
-	if r < len(inst.rows) {
-		return inst.rows[r]
-	}
-	return nil
-}
-
-// pos returns the border position of q, or -1. Borders are sorted, so a
-// binary search replaces the per-instance position map.
-func (inst *instance) pos(q graph.NodeID) int {
-	return borderPos(inst.border, q)
-}
 
 // allOf returns word w of the bitmask holding every border position.
 func (inst *instance) allOf(w int) uint64 {
@@ -394,14 +270,16 @@ func (inst *instance) waitingFor(r, j int) bool {
 	return waiting == nil || waiting[j>>6]&(1<<uint(j&63)) != 0
 }
 
-// merge folds the opinion vector of a round-r message into the instance
-// (lines 23–25): ⊥ slots take the message's opinion, and the round stops
-// waiting for the sender, at border position senderPos (-1 for none), and
-// for every rejector the message knows of. ops has |B| slots and opMasks
-// are its bitmasks, so the work is a few operations per 64 border
-// positions plus one slot copy per opinion that is news to the row.
-func (inst *instance) merge(r, senderPos int, ops Vector, opMasks []uint64) {
-	row := inst.row(r)
+// merge folds the opinions of a round-r message — its masks and value
+// column — into the instance (lines 23–25): ⊥ slots take the message's
+// opinion, and the round stops waiting for the sender, at border position
+// senderPos (-1 for none), and for every rejector the message knows of.
+// The work is a few operations per 64 border positions plus one column
+// check per accept that is news to the round. It returns the position of
+// an accept whose value differs from the one the column already holds for
+// that participant (the first value is kept), or -1.
+func (inst *instance) merge(r, senderPos int, opMasks []uint64, opValues []proto.Value) (conflict int) {
+	conflict = -1
 	waiting, known, rejects := inst.masks(r)
 	opKnown, opRejects := opMasks[:inst.words], opMasks[inst.words:]
 	for w := range known {
@@ -409,42 +287,64 @@ func (inst *instance) merge(r, senderPos int, ops Vector, opMasks []uint64) {
 		known[w] |= fresh
 		rejects[w] |= fresh & opRejects[w]
 		waiting[w] &^= opRejects[w] // line 25, the rejectors
-		for ; fresh != 0; fresh &= fresh - 1 {
-			j := w<<6 | bits.TrailingZeros64(fresh)
-			row[j] = ops[j]
+		for accepts := fresh &^ opRejects[w]; accepts != 0; accepts &= accepts - 1 {
+			if j := w<<6 | bits.TrailingZeros64(accepts); !inst.setValue(j, opValues[j]) {
+				conflict = j
+			}
 		}
 	}
 	if senderPos >= 0 { // line 25, the sender
 		waiting[senderPos>>6] &^= 1 << uint(senderPos&63)
 	}
+	return conflict
 }
 
-// vector materialises round r's opinions as a wire Vector: a copy of the
-// positional row (payloads outlive the instance's mutable bookkeeping, so
-// the row cannot be aliased). A round never written yields |B| ⊥ slots.
-func (inst *instance) vector(r int) Vector {
-	out := make(Vector, len(inst.border))
-	copy(out, inst.peek(r))
-	return out
+// setValue records v as border[j]'s accept value unless the column holds
+// one already, and reports whether the column's value is v.
+func (inst *instance) setValue(j int, v proto.Value) bool {
+	if inst.values == nil {
+		inst.values = make([]proto.Value, len(inst.border))
+		inst.valued = make([]uint64, inst.words)
+	}
+	bit := uint64(1) << uint(j&63)
+	if inst.valued[j>>6]&bit != 0 {
+		return inst.values[j] == v
+	}
+	inst.valued[j>>6] |= bit
+	inst.values[j] = v
+	return true
 }
 
-// vectorMasks sets masks, 2·words zero words, to what fillMasks computes
-// for inst.vector(r), without reading the vector: the round's known and
-// rejects words are stored in that order.
-func (inst *instance) vectorMasks(masks []uint64, r int) {
+// opinions sets masks, 2·words zero words, to round r's known and rejects
+// masks: the opinion vector of round r is masks plus inst.values.
+func (inst *instance) opinions(masks []uint64, r int) {
 	if round := inst.round(r); round != nil {
 		copy(masks, round[inst.words:])
 	}
+}
+
+// unanimous reports whether every slot of round r is an accept (line 34's
+// condition). A round nobody wrote to is all-⊥, not vacuously all-accept.
+func (inst *instance) unanimous(r int) bool {
+	round := inst.round(r)
+	if round == nil {
+		return false
+	}
+	known, rejects := round[inst.words:2*inst.words], round[2*inst.words:]
+	for w := range known {
+		if known[w] != inst.allOf(w) || rejects[w] != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // clone deep-copies the instance's mutable state (used by the model
 // checker); border and borderIdx are immutable and stay shared.
 func (inst *instance) clone() *instance {
 	out := *inst
-	out.rows = make([][]Opinion, len(inst.rows))
-	for r, row := range inst.rows {
-		out.rows[r] = slices.Clone(row) // nil stays nil
-	}
 	out.bits = slices.Clone(inst.bits)
+	out.values = slices.Clone(inst.values)
+	out.valued = slices.Clone(inst.valued)
 	return &out
 }

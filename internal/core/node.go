@@ -375,15 +375,15 @@ func (n *Node) OnMessage(from graph.NodeID, payload proto.Payload) proto.Effects
 		n.violatef("foreign payload %T from %s", payload, from)
 		return eff
 	}
-	n.deliver(from, m)
+	n.deliver(m)
 	n.runGuards(&eff)
 	return eff
 }
 
-// deliver merges one message from `from` into the per-view bookkeeping
-// (lines 18–25). The message is shared with its other recipients, so
-// nothing here writes to it.
-func (n *Node) deliver(from graph.NodeID, m *Message) {
+// deliver merges one message into the per-view bookkeeping (lines 18–25).
+// The message is shared with its other recipients, so nothing here writes
+// to it.
+func (n *Node) deliver(m *Message) {
 	hash, key := m.View.Identity()
 	slot := n.views.lookup(hash, key)
 	if slot == nil { // lines 19–22: initialise data structures for V
@@ -400,9 +400,9 @@ func (n *Node) deliver(from graph.NodeID, m *Message) {
 			m.Round, m.View, len(inst.border))
 		return
 	}
-	if len(m.Opinions) != len(inst.border) {
-		n.violatef("message vector length %d ≠ |B|=%d for view %s",
-			len(m.Opinions), len(inst.border), m.View)
+	if len(m.masks) != 2*inst.words || m.values != nil && len(m.values) != len(inst.border) {
+		n.violatef("message opinions (%d mask words, %d values) do not fit |B|=%d for view %s",
+			len(m.masks), len(m.values), len(inst.border), m.View)
 		return
 	}
 	if !sameBorder(m.Border, inst.border) {
@@ -412,15 +412,10 @@ func (n *Node) deliver(from graph.NodeID, m *Message) {
 			m.Border, inst.border, m.View)
 		return
 	}
-	masks, sender := m.masks, int(m.sender)-1
-	if masks == nil { // assembled by hand: see Message
-		masks = n.maskSpace(inst.words)
-		fillMasks(masks, m.Opinions)
+	if j := inst.merge(m.Round, int(m.sender)-1, m.masks, m.values); j >= 0 {
+		n.violatef("view %s: %s accepts with %q, already known to accept with %q",
+			m.View, inst.border[j], m.values[j], inst.values[j])
 	}
-	if m.sender == 0 { // likewise
-		sender = inst.pos(from)
-	}
-	inst.merge(m.Round, sender, m.Opinions, masks)
 }
 
 // sameBorder reports whether two sorted borders agree in length and in
@@ -451,7 +446,7 @@ func (n *Node) runGuards(eff *proto.Effects) {
 				n.pendingSelf = n.pendingSelf[:0]
 				n.psHead = 0
 			}
-			n.deliver(n.cfg.ID, m)
+			n.deliver(m)
 			continue
 		}
 		if n.guardPropose(eff) {
@@ -505,8 +500,8 @@ func (n *Node) guardPropose(eff *proto.Effects) bool {
 		eff.Decision = n.decided
 		return true
 	}
-	msg := n.firstMessage(n.vp, Opinion{Kind: Accept, Value: n.proposedValue}) // lines 15–16
-	n.multicast(n.vp.BorderIndices(), msg, eff)                                // line 17
+	msg := n.firstMessage(n.vp, true)           // lines 15–16
+	n.multicast(n.vp.BorderIndices(), msg, eff) // line 17
 	return true
 }
 
@@ -538,9 +533,9 @@ func (n *Node) guardReject(eff *proto.Effects) bool {
 		return false
 	}
 	l := lowest.inst.view
-	lowest.inst = nil                               // line 30: received ← received\{L}, rejected ← rejected ∪ {L}
-	msg := n.firstMessage(l, Opinion{Kind: Reject}) // lines 29–30
-	n.multicast(l.BorderIndices(), msg, eff)        // line 31
+	lowest.inst = nil                        // line 30: received ← received\{L}, rejected ← rejected ∪ {L}
+	msg := n.firstMessage(l, false)          // lines 29–30
+	n.multicast(l.BorderIndices(), msg, eff) // line 31
 	eff.Rejected = append(eff.Rejected, l)
 	return true
 }
@@ -584,9 +579,10 @@ func (n *Node) guardRound(eff *proto.Effects) bool {
 		}
 	}
 	if n.round == inst.lastRound { // line 33: consensus instance completed
-		// A final round nobody wrote to is all-⊥, not vacuously all-accept.
-		row := inst.peek(n.round)
-		if values, ok := allAccept(row); ok && row != nil { // line 34
+		if inst.unanimous(n.round) { // line 34
+			// Pick gets a copy: a user's may sort its argument, and the
+			// column is shared with the messages sent about the view.
+			values := slices.Clone(inst.values)
 			n.decided = &proto.Decision{View: n.vp, Value: n.cfg.Pick(values)} // line 35
 			eff.Decision = n.decided                                           // line 36
 		} else {
@@ -597,14 +593,14 @@ func (n *Node) guardRound(eff *proto.Effects) bool {
 	}
 	n.round++        // line 39
 	msg := &Message{ // line 40
-		Round:    n.round,
-		View:     n.vp,
-		Border:   inst.border,
-		Opinions: inst.vector(n.round - 1),
-		masks:    n.maskSpace(inst.words),
-		sender:   n.senderSlot(inst.borderIdx),
+		Round:  n.round,
+		View:   n.vp,
+		Border: inst.border,
+		masks:  n.maskSpace(inst.words),
+		values: inst.values, // shared, not copied: see instance.values
+		sender: n.senderSlot(inst.borderIdx),
 	}
-	inst.vectorMasks(msg.masks, n.round-1)
+	inst.opinions(msg.masks, n.round-1)
 	n.multicast(inst.borderIdx, msg, eff)
 	return true
 }
@@ -619,23 +615,33 @@ func (n *Node) senderSlot(borderIdx []int32) int32 {
 	return 0
 }
 
-// firstMessage builds this node's round-1 message about view: op in the
-// node's own slot of the vector, ⊥ in every other (lines 15–16 and 29–30).
-// Senders are border members, so the slot is always found.
-func (n *Node) firstMessage(view region.Region, op Opinion) *Message {
+// firstMessage builds this node's round-1 message about view: its own
+// accept of proposedValue (lines 15–16) or, if accept is false, its reject
+// (lines 29–30) in its own slot, ⊥ in every other. Senders are border
+// members; a node that is not (a violation guardPropose records) sends
+// all ⊥.
+func (n *Node) firstMessage(view region.Region, accept bool) *Message {
 	border := view.Border()
-	v := make(Vector, len(border))
-	sender := n.senderSlot(view.BorderIndices())
-	if sender != 0 {
-		v[sender-1] = op
+	words := maskWords(len(border))
+	m := &Message{Round: 1, View: view, Border: border, masks: n.maskSpace(words),
+		sender: n.senderSlot(view.BorderIndices())}
+	if m.sender == 0 {
+		return m
 	}
-	masks := n.maskSpace(maskWords(len(border)))
-	fillMasks(masks, v)
-	return &Message{Round: 1, View: view, Border: border, Opinions: v, masks: masks, sender: sender}
+	j := int(m.sender) - 1
+	bit := uint64(1) << uint(j&63)
+	m.masks[j>>6] |= bit
+	if accept {
+		m.values = make([]proto.Value, len(border))
+		m.values[j] = n.proposedValue
+	} else {
+		m.masks[words+j>>6] |= bit
+	}
+	return m
 }
 
-// maskSpace returns 2·words zero words for the bitmasks of one vector,
-// cut from a chunk that serves eight vectors: masks are a few words each,
+// maskSpace returns 2·words zero words for the masks of one message, cut
+// from a chunk that serves eight messages: masks are a few words each,
 // so one allocation per multicast would add an object to every message the
 // node builds. A chunk is garbage once the messages cut from it are.
 func (n *Node) maskSpace(words int) []uint64 {

@@ -9,9 +9,122 @@ import (
 	"cliffedge/internal/region"
 )
 
-// ops abbreviates the by-NodeID form tests feed VectorOf; the protocol
-// itself builds vectors positionally.
-type ops = map[graph.NodeID]Opinion
+// opinion is one slot of an opinion vector as a test writes it: ⊥ (the
+// zero opinion), accept(value) or reject. The protocol keeps no such slot —
+// messages and instances hold the kinds as bitmasks and the values in one
+// column — so tests build messages through message and read them back
+// through opinionOf.
+type opinion struct {
+	kind  opinionKind
+	value proto.Value // meaningful iff kind == accepted
+}
+
+type opinionKind uint8
+
+const (
+	unknown opinionKind = iota
+	accepted
+	rejected
+)
+
+func accept(v proto.Value) opinion { return opinion{kind: accepted, value: v} }
+
+var reject = opinion{kind: rejected}
+
+func (op opinion) String() string {
+	switch op.kind {
+	case accepted:
+		return "accept(" + string(op.value) + ")"
+	case rejected:
+		return "reject"
+	default:
+		return "⊥"
+	}
+}
+
+// ops is an opinion vector by NodeID; absent nodes are ⊥.
+type ops = map[graph.NodeID]opinion
+
+// borderPos returns q's position in a sorted border, or -1.
+func borderPos(border []graph.NodeID, q graph.NodeID) int {
+	if j, ok := slices.BinarySearch(border, q); ok {
+		return j
+	}
+	return -1
+}
+
+// message builds the round-r message about view that `from` multicasts
+// with the opinions o, laid out as the protocol lays out its own: masks
+// over view's border, the accept values in a column, the sender's slot
+// (none if from is not a participant).
+func message(r int, view region.Region, from graph.NodeID, o ops) *Message {
+	border := view.Border()
+	slots := make([]opinion, len(border))
+	for q, op := range o {
+		slots[borderPos(border, q)] = op
+	}
+	return messageOf(r, view, from, slots)
+}
+
+// messageOf is message with the opinions given positionally.
+func messageOf(r int, view region.Region, from graph.NodeID, slots []opinion) *Message {
+	border := view.Border()
+	words := maskWords(len(border))
+	m := &Message{Round: r, View: view, Border: border, masks: make([]uint64, 2*words),
+		sender: int32(borderPos(border, from) + 1)}
+	for j, op := range slots {
+		bit := uint64(1) << uint(j&63)
+		switch op.kind {
+		case accepted:
+			if m.values == nil {
+				m.values = make([]proto.Value, len(border))
+			}
+			m.values[j] = op.value
+			m.masks[j>>6] |= bit
+		case rejected:
+			m.masks[j>>6] |= bit
+			m.masks[words+j>>6] |= bit
+		}
+	}
+	return m
+}
+
+// opinionsOf decodes masks (known, then rejects) and values over n border
+// positions; nil masks are all ⊥.
+func opinionsOf(n int, masks []uint64, values []proto.Value) []opinion {
+	out := make([]opinion, n)
+	if masks == nil {
+		return out
+	}
+	words := len(masks) / 2
+	for j := range out {
+		bit := uint64(1) << uint(j&63)
+		switch {
+		case masks[j>>6]&bit == 0:
+		case masks[words+j>>6]&bit != 0:
+			out[j] = reject
+		default:
+			out[j] = accept(values[j])
+		}
+	}
+	return out
+}
+
+// opinionOf returns m's opinion of border node q.
+func opinionOf(m *Message, q graph.NodeID) opinion {
+	return opinionsOf(len(m.Border), m.masks, m.values)[borderPos(m.Border, q)]
+}
+
+// known counts the non-⊥ slots of a vector.
+func known(v []opinion) int {
+	n := 0
+	for _, op := range v {
+		if op.kind != unknown {
+			n++
+		}
+	}
+	return n
+}
 
 // lineABC is a - b - c; crashing b leaves border {a, c}.
 func lineABC() *graph.Graph {
@@ -87,10 +200,10 @@ func TestCrashTriggersProposal(t *testing.T) {
 	if m.Round != 1 || m.View.Key() != "b" {
 		t.Errorf("bad round-1 message %s", m)
 	}
-	if op := m.Opinion("a"); op.Kind != Accept || op.Value != "va" {
+	if op := opinionOf(m, "a"); op != accept("va") {
 		t.Errorf("proposal must carry own accept, got %v", op)
 	}
-	if op := m.Opinion("c"); op.Kind != Unknown {
+	if op := opinionOf(m, "c"); op.kind != unknown {
 		t.Errorf("other slots must be ⊥, got %v", op)
 	}
 }
@@ -120,15 +233,13 @@ func TestMulticastSharesBorderIndices(t *testing.T) {
 	shared("proposal", eff.Sends[0].To, own.BorderIndices())
 
 	low := region.New(g, []graph.NodeID{"b"})
-	eff = a.OnMessage("c", &Message{Round: 1, View: low, Border: low.Border(),
-		Opinions: VectorOf(low.Border(), ops{"c": {Kind: Accept, Value: "vc"}})})
+	eff = a.OnMessage("c", message(1, low, "c", ops{"c": accept("vc")}))
 	if len(eff.Rejected) != 1 || len(eff.Sends) != 1 {
 		t.Fatalf("expected the rejection of {b}, got %+v", eff)
 	}
 	shared("rejection", eff.Sends[0].To, low.BorderIndices())
 
-	eff = a.OnMessage("e", &Message{Round: 1, View: own, Border: own.Border(),
-		Opinions: VectorOf(own.Border(), ops{"e": {Kind: Accept, Value: "ve"}})})
+	eff = a.OnMessage("e", message(1, own, "e", ops{"e": accept("ve")}))
 	if a.Round() != 2 || len(eff.Sends) != 1 {
 		t.Fatalf("expected the round-2 multicast, got round %d and %+v", a.Round(), eff)
 	}
@@ -148,9 +259,7 @@ func TestTwoPartyAgreement(t *testing.T) {
 	// instance runs 2 rounds, so a advances to round 2 and multicasts its
 	// merged vector.
 	view := region.New(g, []graph.NodeID{"b"})
-	border := []graph.NodeID{"a", "c"}
-	eff := a.OnMessage("c", &Message{Round: 1, View: view, Border: border,
-		Opinions: VectorOf(border, ops{"c": {Kind: Accept, Value: "vc"}})})
+	eff := a.OnMessage("c", message(1, view, "c", ops{"c": accept("vc")}))
 	if eff.Decision != nil {
 		t.Fatal("uniform agreement must not decide after a single round")
 	}
@@ -161,13 +270,12 @@ func TestTwoPartyAgreement(t *testing.T) {
 		t.Fatalf("expected the round-2 multicast, got %d sends", len(eff.Sends))
 	}
 	r2 := eff.Sends[0].Payload.(*Message)
-	if r2.Round != 2 || r2.Opinion("c").Kind != Accept || r2.Opinion("a").Kind != Accept {
+	if r2.Round != 2 || opinionOf(r2, "c") != accept("vc") || opinionOf(r2, "a") != accept("va") {
 		t.Errorf("round-2 message must carry the merged round-1 vector, got %s", r2)
 	}
 
 	// c's round-2 message completes the final round: all-accept → decide.
-	eff = a.OnMessage("c", &Message{Round: 2, View: view, Border: border,
-		Opinions: r2.Opinions.Clone()})
+	eff = a.OnMessage("c", message(2, view, "c", ops{"a": accept("va"), "c": accept("vc")}))
 	if eff.Decision == nil {
 		t.Fatal("a should decide after the final round")
 	}
@@ -191,11 +299,8 @@ func TestDecisionIsPickOfAllValues(t *testing.T) {
 	a.Start()
 	a.OnCrash("b")
 	view := region.New(g, []graph.NodeID{"b"})
-	border := []graph.NodeID{"a", "c"}
-	a.OnMessage("c", &Message{Round: 1, View: view, Border: border,
-		Opinions: VectorOf(border, ops{"c": {Kind: Accept, Value: "aa-first"}})})
-	eff := a.OnMessage("c", &Message{Round: 2, View: view, Border: border,
-		Opinions: VectorOf(border, ops{"c": {Kind: Accept, Value: "aa-first"}, "a": {Kind: Accept, Value: "zz-last"}})})
+	a.OnMessage("c", message(1, view, "c", ops{"c": accept("aa-first")}))
+	eff := a.OnMessage("c", message(2, view, "c", ops{"c": accept("aa-first"), "a": accept("zz-last")}))
 	if eff.Decision == nil || eff.Decision.Value != "aa-first" {
 		t.Fatalf("deterministicPick should take the minimum of all accepted values, got %v", eff.Decision)
 	}
@@ -211,9 +316,7 @@ func TestLiteralPaperRoundsDecidesEarlier(t *testing.T) {
 	a.Start()
 	a.OnCrash("b")
 	view := region.New(g, []graph.NodeID{"b"})
-	border := []graph.NodeID{"a", "c"}
-	eff := a.OnMessage("c", &Message{Round: 1, View: view, Border: border,
-		Opinions: VectorOf(border, ops{"c": {Kind: Accept, Value: "vc"}})})
+	eff := a.OnMessage("c", message(1, view, "c", ops{"c": accept("vc")}))
 	if eff.Decision == nil {
 		t.Fatal("literal round count should decide after round 1 with |B| = 2")
 	}
@@ -250,9 +353,7 @@ func TestRejectLowerRankedView(t *testing.T) {
 	if b.CurrentView().Key() != "d" {
 		t.Fatalf("setup: vp = %s, want {d}", b.CurrentView())
 	}
-	msg := &Message{Round: 1, View: region.New(g, []graph.NodeID{"b"}),
-		Border:   []graph.NodeID{"a", "c"},
-		Opinions: VectorOf([]graph.NodeID{"a", "c"}, ops{"c": {Kind: Accept, Value: "vc"}})}
+	msg := message(1, region.New(g, []graph.NodeID{"b"}), "c", ops{"c": accept("vc")})
 	eff := b.OnMessage("c", msg)
 	if len(eff.Rejected) != 1 || eff.Rejected[0].Key() != "b" {
 		t.Fatalf("expected rejection of {b}, got %v", eff.Rejected)
@@ -261,11 +362,11 @@ func TestRejectLowerRankedView(t *testing.T) {
 		t.Fatalf("expected reject multicast, got %d sends", len(eff.Sends))
 	}
 	rm := eff.Sends[0].Payload.(*Message)
-	if rm.View.Key() != "b" || rm.Opinion("a").Kind != Reject {
+	if rm.View.Key() != "b" || opinionOf(rm, "a") != reject {
 		t.Errorf("bad reject message %s", rm)
 	}
-	if rm.Opinions.Known() != 1 {
-		t.Errorf("reject vector should carry only own reject, got %s", rm.Opinions)
+	if got := opinionsOf(len(rm.Border), rm.masks, rm.values); known(got) != 1 || rm.values != nil {
+		t.Errorf("reject vector should carry only own reject and no value column, got %s", rm)
 	}
 
 	// Further messages about {b} are ignored (line 18 guard).
@@ -280,9 +381,7 @@ func TestIncomingRejectForcesReset(t *testing.T) {
 	a := mkNode(t, g, "a", "va")
 	a.Start()
 	a.OnCrash("b") // proposes {b}, border {a, c}
-	msg := &Message{Round: 1, View: region.New(g, []graph.NodeID{"b"}),
-		Border:   []graph.NodeID{"a", "c"},
-		Opinions: VectorOf([]graph.NodeID{"a", "c"}, ops{"c": {Kind: Reject}})}
+	msg := message(1, region.New(g, []graph.NodeID{"b"}), "c", ops{"c": reject})
 	eff := a.OnMessage("c", msg)
 	if eff.Resets != 1 {
 		t.Fatalf("expected a reset, got %+v", eff)
@@ -316,16 +415,14 @@ func TestMergeFillsBottomSlotsOnly(t *testing.T) {
 
 	// e's vector (wrongly) claims c rejected; then c's own accept arrives.
 	// Fill-⊥-only (line 24) keeps the first value.
-	a.OnMessage("e", &Message{Round: 1, View: view, Border: border,
-		Opinions: VectorOf(border, ops{"e": {Kind: Accept, Value: "ve"}, "c": {Kind: Reject}})})
-	a.OnMessage("c", &Message{Round: 1, View: view, Border: border,
-		Opinions: VectorOf(border, ops{"c": {Kind: Accept, Value: "vc"}})})
+	a.OnMessage("e", message(1, view, "e", ops{"e": accept("ve"), "c": reject}))
+	a.OnMessage("c", message(1, view, "c", ops{"c": accept("vc")}))
 
 	inst := instanceOf(a, view)
 	if inst == nil {
 		t.Fatal("instance missing")
 	}
-	if op := inst.vector(1)[inst.pos("c")]; op.Kind != Reject {
+	if op := opinionsOf(len(border), inst.round(1)[inst.words:], inst.values)[borderPos(border, "c")]; op != reject {
 		t.Errorf("line 24 must not overwrite: c slot = %v, want the first (reject)", op)
 	}
 }
@@ -340,11 +437,9 @@ func TestRejectorsClearWaitingAcrossRounds(t *testing.T) {
 	view := region.New(g, []graph.NodeID{"b"})
 	border := []graph.NodeID{"a", "c", "e"}
 
-	a.OnMessage("c", &Message{Round: 1, View: view, Border: border,
-		Opinions: VectorOf(border, ops{"c": {Kind: Reject}})})
+	a.OnMessage("c", message(1, view, "c", ops{"c": reject}))
 	// waiting[1] = {e}; e's round-1 accept completes round 1 → round 2.
-	eff := a.OnMessage("e", &Message{Round: 1, View: view, Border: border,
-		Opinions: VectorOf(border, ops{"e": {Kind: Accept, Value: "ve"}})})
+	eff := a.OnMessage("e", message(1, view, "e", ops{"e": accept("ve")}))
 	if a.Round() != 2 {
 		t.Fatalf("round = %d, want 2", a.Round())
 	}
@@ -352,24 +447,22 @@ func TestRejectorsClearWaitingAcrossRounds(t *testing.T) {
 		t.Fatalf("round-2 multicast missing")
 	}
 	m := eff.Sends[0].Payload.(*Message)
-	if m.Round != 2 || m.Opinion("c").Kind != Reject || m.Opinion("e").Kind != Accept {
+	if m.Round != 2 || opinionOf(m, "c") != reject || opinionOf(m, "e") != accept("ve") {
 		t.Errorf("round-2 message must carry the round-1 vector, got %s", m)
 	}
 	inst := instanceOf(a, view)
-	if inst.waitingFor(2, inst.pos("c")) {
+	if inst.waitingFor(2, borderPos(border, "c")) {
 		t.Error("self-delivered round-2 vector should clear c (a known rejector) from waiting[2]")
 	}
 
 	// e's round-2 and round-3 messages complete the remaining rounds
 	// (|B| = 3 → 3 uniform rounds); the vector contains a reject, so a
 	// resets instead of deciding.
-	eff = a.OnMessage("e", &Message{Round: 2, View: view, Border: border,
-		Opinions: m.Opinions.Clone()})
+	eff = a.OnMessage("e", message(2, view, "e", ops{"a": accept("va"), "c": reject, "e": accept("ve")}))
 	if a.Round() != 3 {
 		t.Fatalf("round = %d, want 3", a.Round())
 	}
-	eff = a.OnMessage("e", &Message{Round: 3, View: view, Border: border,
-		Opinions: m.Opinions.Clone()})
+	eff = a.OnMessage("e", message(3, view, "e", ops{"a": accept("va"), "c": reject, "e": accept("ve")}))
 	if eff.Resets != 1 || a.HasProposed() {
 		t.Fatalf("expected reset on non-all-accept final vector, got %+v", eff)
 	}
@@ -391,9 +484,7 @@ func TestNoProposalWithoutDetection(t *testing.T) {
 	a := mkNode(t, g, "a", "va")
 	a.Start()
 	// A proposal for {b} arrives before a's own failure detector fired.
-	msg := &Message{Round: 1, View: region.New(g, []graph.NodeID{"b"}),
-		Border:   []graph.NodeID{"a", "c"},
-		Opinions: VectorOf([]graph.NodeID{"a", "c"}, ops{"c": {Kind: Accept, Value: "vc"}})}
+	msg := message(1, region.New(g, []graph.NodeID{"b"}), "c", ops{"c": accept("vc")})
 	eff := a.OnMessage("c", msg)
 	if len(eff.Proposed) != 0 || len(eff.Sends) != 0 {
 		t.Errorf("a must not propose before detecting a crash, got %+v", eff)
@@ -408,10 +499,7 @@ func TestNoProposalWithoutDetection(t *testing.T) {
 	if a.Round() != 2 {
 		t.Fatalf("round = %d, want 2 (round 1 already satisfied)", a.Round())
 	}
-	eff = a.OnMessage("c", &Message{Round: 2, View: region.New(g, []graph.NodeID{"b"}),
-		Border: []graph.NodeID{"a", "c"},
-		Opinions: VectorOf([]graph.NodeID{"a", "c"},
-			ops{"c": {Kind: Accept, Value: "vc"}, "a": {Kind: Accept, Value: "va"}})})
+	eff = a.OnMessage("c", message(2, region.New(g, []graph.NodeID{"b"}), "c", ops{"c": accept("vc"), "a": accept("va")}))
 	if eff.Decision == nil {
 		t.Fatal("expected decision after the final round")
 	}
@@ -442,8 +530,7 @@ func TestProposalsStrictlyMonotonic(t *testing.T) {
 	a.Start()
 	a.OnCrash("b")
 	first := a.CurrentView()
-	a.OnMessage("c", &Message{Round: 1, View: first, Border: first.Border(),
-		Opinions: VectorOf(first.Border(), ops{"c": {Kind: Reject}})})
+	a.OnMessage("c", message(1, first, "c", ops{"c": reject}))
 	if a.HasProposed() {
 		t.Fatal("reset expected")
 	}
@@ -485,11 +572,8 @@ func TestCloneIndependence(t *testing.T) {
 	// Mutate the original: c's round-1 and round-2 accepts complete the
 	// two-party instance.
 	view := region.New(g, []graph.NodeID{"b"})
-	a.OnMessage("c", &Message{Round: 1, View: view, Border: view.Border(),
-		Opinions: VectorOf(view.Border(), ops{"c": {Kind: Accept, Value: "vc"}})})
-	a.OnMessage("c", &Message{Round: 2, View: view, Border: view.Border(),
-		Opinions: VectorOf(view.Border(),
-			ops{"c": {Kind: Accept, Value: "vc"}, "a": {Kind: Accept, Value: "va"}})})
+	a.OnMessage("c", message(1, view, "c", ops{"c": accept("vc")}))
+	a.OnMessage("c", message(2, view, "c", ops{"c": accept("vc"), "a": accept("va")}))
 	if a.Decided() == nil {
 		t.Fatal("original should have decided")
 	}
@@ -497,8 +581,7 @@ func TestCloneIndependence(t *testing.T) {
 		t.Fatal("clone must not observe the original's decision")
 	}
 	// And the clone can take its own path.
-	eff := c.OnMessage("c", &Message{Round: 1, View: view, Border: view.Border(),
-		Opinions: VectorOf(view.Border(), ops{"c": {Kind: Reject}})})
+	eff := c.OnMessage("c", message(1, view, "c", ops{"c": reject}))
 	if eff.Resets != 1 {
 		t.Errorf("clone should reset independently, got %+v", eff)
 	}
@@ -522,61 +605,26 @@ func TestDefaultPick(t *testing.T) {
 	}
 }
 
-func TestVectorHelpers(t *testing.T) {
-	border := []graph.NodeID{"a", "b", "z"}
-	v := VectorOf(border, ops{"a": {Kind: Accept, Value: "x"}, "b": {Kind: Reject}})
-	if _, ok := allAccept(v[:2]); ok {
-		t.Error("allAccept must fail on a reject")
-	}
-	if vals, ok := allAccept(v[:1]); !ok || len(vals) != 1 || vals[0] != "x" {
-		t.Error("allAccept over accepting subset failed")
-	}
-	if _, ok := allAccept([]Opinion{v[0], v[2]}); ok {
-		t.Error("⊥ slot is not an accept")
-	}
-	if v.Known() != 2 {
-		t.Errorf("Known = %d, want 2", v.Known())
-	}
-	if got := v.String(); got != "[accept(x) reject ⊥]" {
-		t.Errorf("Vector.String = %q", got)
-	}
-	c := v.Clone()
-	c[0] = Opinion{Kind: Reject}
-	if v[0].Kind != Accept {
-		t.Error("Clone must not alias the original")
-	}
-	if borderPos(border, "q") != -1 || borderPos(border, "b") != 1 {
-		t.Error("borderPos broken")
-	}
-}
-
 func TestMessageWireSizeAndString(t *testing.T) {
 	g := lineABC()
 	view := region.New(g, []graph.NodeID{"b"})
-	m := &Message{Round: 1, View: view, Border: view.Border(),
-		Opinions: VectorOf(view.Border(), ops{"a": {Kind: Accept, Value: "va"}})}
-	if m.WireSize() <= 0 {
-		t.Error("WireSize should be positive")
+	m := message(1, view, "a", ops{"a": accept("va")})
+	// round 4, view "b" 1+1, border "a" "c" 2·(1+1), a tag byte per slot
+	// 2, and "va" 2+1.
+	if got := m.WireSize(); got != 15 {
+		t.Errorf("WireSize = %d, want 15", got)
 	}
-	bigger := &Message{Round: 1, View: view, Border: view.Border(),
-		Opinions: VectorOf(view.Border(),
-			ops{"a": {Kind: Accept, Value: "va"}, "c": {Kind: Accept, Value: "vc"}})}
-	if bigger.WireSize() <= m.WireSize() {
-		t.Error("more opinions should cost more bytes")
+	bigger := message(1, view, "a", ops{"a": accept("va"), "c": accept("vc")})
+	if got := bigger.WireSize(); got != 18 {
+		t.Errorf("WireSize with a second accept = %d, want 18", got)
+	}
+	if got := message(1, view, "a", ops{"a": reject}).WireSize(); got != 12 {
+		t.Errorf("WireSize of a reject = %d, want 12", got)
 	}
 	if m.String() == "" || m.Kind() != "cliffedge" {
 		t.Error("String/Kind broken")
 	}
 	if k, r := m.TraceView(); k != "b" || r != 1 {
 		t.Errorf("TraceView = %q,%d", k, r)
-	}
-}
-
-func TestOpinionKindString(t *testing.T) {
-	if Unknown.String() != "⊥" || Accept.String() != "accept" || Reject.String() != "reject" {
-		t.Error("OpinionKind.String broken")
-	}
-	if OpinionKind(99).String() == "" {
-		t.Error("unknown kind should still render")
 	}
 }

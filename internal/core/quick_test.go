@@ -23,7 +23,9 @@ func fuzzDriver(seed int64) (violations []string, decisions int, ok bool) {
 	g := graph.Grid(4, 4)
 	rng := rand.New(rand.NewSource(seed))
 	me := g.Nodes()[rng.Intn(g.Len())]
-	n := New(Config{ID: me, Graph: g})
+	// Participant q accepts with "v"+q below, the node itself included:
+	// hostile as the vectors are, a participant proposes one value.
+	n := New(Config{ID: me, Graph: g, Propose: func(region.Region) proto.Value { return proto.Value("v" + me) }})
 	// The failure detector only reports crashes of monitored nodes
 	// (strong accuracy); track subscriptions so the driver honours the
 	// contract.
@@ -66,17 +68,17 @@ func fuzzDriver(seed int64) (violations []string, decisions int, ok bool) {
 			if from == me {
 				continue
 			}
-			op := make(Vector, len(border))
+			op := make([]opinion, len(border))
 			for j, q := range border {
 				switch rng.Intn(3) {
 				case 0:
-					op[j] = Opinion{Kind: Accept, Value: proto.Value("v" + q)}
+					op[j] = accept(proto.Value("v" + q))
 				case 1:
-					op[j] = Opinion{Kind: Reject}
+					op[j] = reject
 				}
 			}
 			round := 1 + rng.Intn(len(border))
-			eff := n.OnMessage(from, &Message{Round: round, View: v, Border: border, Opinions: op})
+			eff := n.OnMessage(from, messageOf(round, v, from, op))
 			decisions += checkEffects(&eff, &lastProposed, &proposedOnce, &violations)
 		}
 	}
@@ -135,17 +137,17 @@ func TestQuickVectorMergeIdempotent(t *testing.T) {
 		me := graph.GridID(1, 1)
 		v := region.New(g, []graph.NodeID{graph.GridID(1, 2)})
 		border := v.Border()
-		op := make(Vector, len(border))
+		op := make([]opinion, len(border))
 		for j := range border {
 			if rng.Intn(2) == 0 {
-				op[j] = Opinion{Kind: Accept, Value: "x"}
+				op[j] = accept("x")
 			}
 		}
-		msg := &Message{Round: 1, View: v, Border: border, Opinions: op}
 		from := border[0]
 		if from == me {
 			from = border[1]
 		}
+		msg := messageOf(1, v, from, op)
 
 		a := New(Config{ID: me, Graph: g})
 		a.Start()

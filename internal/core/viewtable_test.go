@@ -82,8 +82,7 @@ func TestRejectedViewStaysRejectedBesideLiveOnes(t *testing.T) {
 	a.Start()
 	a.OnCrash("d") // proposes {d}
 	low := region.New(g, []graph.NodeID{"b"})
-	msg := &Message{Round: 1, View: low, Border: low.Border(),
-		Opinions: VectorOf(low.Border(), ops{"c": {Kind: Accept, Value: "vc"}})}
+	msg := message(1, low, "c", ops{"c": accept("vc")})
 	if eff := a.OnMessage("c", msg); len(eff.Rejected) != 1 {
 		t.Fatalf("expected {b} to be rejected, got %+v", eff)
 	}
@@ -107,18 +106,17 @@ func TestRejectedViewStaysRejectedBesideLiveOnes(t *testing.T) {
 func TestDeliverRejectsForeignBorder(t *testing.T) {
 	g := graph.NewBuilder().AddEdge("a", "b").AddEdge("c", "b").AddEdge("e", "b").Build()
 	view := region.New(g, []graph.NodeID{"b"})
-	border := view.Border() // a, c, e
 	for name, foreign := range map[string][]graph.NodeID{
 		"first element": {"0", "c", "e"},
 		"last element":  {"a", "c", "z"},
 	} {
 		a := mkNode(t, g, "a", "va")
 		a.Start()
-		a.OnMessage("c", &Message{Round: 1, View: view, Border: border,
-			Opinions: VectorOf(border, ops{"c": {Kind: Accept, Value: "vc"}})})
+		a.OnMessage("c", message(1, view, "c", ops{"c": accept("vc")}))
 		before := a.Fingerprint()
-		a.OnMessage("e", &Message{Round: 1, View: view, Border: foreign,
-			Opinions: Vector{{Kind: Reject}, {Kind: Reject}, {Kind: Reject}}})
+		m := message(1, view, "e", ops{"a": reject, "c": reject, "e": reject})
+		m.Border = foreign
+		a.OnMessage("e", m)
 		if len(a.Violations()) != 1 {
 			t.Errorf("%s: want one violation for a foreign border, got %v", name, a.Violations())
 		}

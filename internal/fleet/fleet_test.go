@@ -142,7 +142,17 @@ func TestFleetByteIdenticalToSingleBox(t *testing.T) {
 	}
 
 	total := f.sw.Total()
-	events, _ := f.sw.EventsSince(0)
+	// Sweep.Finish marks the manifest done before it appends the terminal
+	// event, so wait for the event itself.
+	events, wake := f.sw.EventsSince(0)
+	for wake != nil && (len(events) == 0 || events[len(events)-1].Type != "done") {
+		select {
+		case <-wake:
+		case <-time.After(30 * time.Second):
+			t.Fatal("no terminal event after the manifest said done")
+		}
+		events, wake = f.sw.EventsSince(0)
+	}
 	results := 0
 	for i, ev := range events {
 		if ev.Seq != int64(i+1) {

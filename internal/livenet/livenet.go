@@ -10,10 +10,9 @@
 //
 // Like the simulator kernel, the runtime addresses nodes by their dense
 // graph index (see graph.Graph.Index): automata and mailboxes live in flat
-// slices, the crashed set and the per-target subscriber sets are
-// graph.Bitset values, and crashed-region tracking is an incremental
-// union-find over the CSR adjacency. NodeIDs appear only at the observable
-// boundaries — trace events, automaton calls and results.
+// slices, and the crashed set and the per-target subscriber sets are
+// graph.Bitset values. NodeIDs appear only at the observable boundaries —
+// trace events, automaton calls and results.
 package livenet
 
 import (
@@ -25,11 +24,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"cliffedge/internal/dsu"
 	"cliffedge/internal/graph"
 	"cliffedge/internal/netem"
 	"cliffedge/internal/proto"
-	"cliffedge/internal/region"
 	"cliffedge/internal/trace"
 )
 
@@ -214,14 +211,9 @@ type Runtime struct {
 	sink     *traceSink
 	sinkBufs [][]trace.Event
 
-	mu      sync.Mutex
-	crashed graph.Bitset   // guarded by mu
-	subs    []graph.Bitset // target index → subscriber indices; rows lazily allocated; guarded by mu
-	// regions is the incremental union-find over the crashed set: each
-	// crash is united with its already-crashed neighbours, so the faulty
-	// domains of the run are available at any time without a
-	// ConnectedComponents recomputation. Guarded by mu.
-	regions   *dsu.DSU
+	mu        sync.Mutex
+	crashed   graph.Bitset   // guarded by mu
+	subs      []graph.Bitset // target index → subscriber indices; rows lazily allocated; guarded by mu
 	wg        sync.WaitGroup
 	stopped   bool
 	published bool // metrics flushed once, by the first Result call
@@ -287,7 +279,6 @@ func NewRuntime(g *graph.Graph, factory proto.Factory, opts Options) *Runtime {
 		boxes:     make([]mailbox, n),
 		crashed:   graph.NewBitset(n),
 		subs:      make([]graph.Bitset, n),
-		regions:   dsu.New(n),
 		net:       opts.Net,
 		tick:      opts.TickEvery,
 		statsOnly: opts.DiscardEvents && opts.Observer == nil,
@@ -527,7 +518,7 @@ func (rt *Runtime) subscribe(p, q int32) {
 func (rt *Runtime) Crash(n graph.NodeID) { rt.CrashAll(n) }
 
 // CrashAll kills a wave of nodes atomically: every node of the wave is
-// flagged crashed (and folded into the region union-find) before the first
+// flagged crashed before the first
 // notification goes out, so no wave member can keep participating between
 // the individual crashes — mirroring the simulator, where all crashes
 // scheduled at one virtual instant precede every detection of them.
@@ -548,11 +539,6 @@ func (rt *Runtime) CrashAll(ns ...graph.NodeID) {
 			continue
 		}
 		rt.crashed.Set(i)
-		for _, m := range rt.g.NeighborIndices(i) {
-			if rt.crashed.Has(m) {
-				rt.regions.Union(i, m)
-			}
-		}
 		newly = append(newly, i)
 	}
 	notify := make([][]int32, len(newly))
@@ -680,10 +666,6 @@ type Result struct {
 	Decisions map[graph.NodeID]*proto.Decision
 	Automata  map[graph.NodeID]proto.Automaton
 	Crashed   map[graph.NodeID]bool
-	// Domains are the maximal crashed regions (connected components of the
-	// crash set) at the end of the run, ordered by smallest member — read
-	// straight off the runtime's incremental union-find.
-	Domains []region.Region
 }
 
 // Result gathers the trace and final automaton states. Call only after
@@ -702,10 +684,9 @@ func (rt *Runtime) Result() *Result {
 	}
 	decisions := make(map[graph.NodeID]*proto.Decision)
 	crashed := make(map[graph.NodeID]bool, rt.crashed.Count())
-	crashedIdx := rt.crashed.AppendIndices(nil)
-	for _, i := range crashedIdx {
+	rt.crashed.ForEach(func(i int32) {
 		crashed[rt.g.ID(i)] = true
-	}
+	})
 	automata := make(map[graph.NodeID]proto.Automaton, len(rt.automata))
 	for i, a := range rt.automata {
 		id := rt.g.ID(int32(i))
@@ -721,7 +702,6 @@ func (rt *Runtime) Result() *Result {
 		Decisions: decisions,
 		Automata:  automata,
 		Crashed:   crashed,
-		Domains:   region.GroupByRoot(rt.g, rt.regions, crashedIdx, rt.crashed),
 	}
 }
 

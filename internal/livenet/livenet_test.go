@@ -194,33 +194,6 @@ func TestStopIsIdempotent(t *testing.T) {
 	rt.Stop() // must not panic or deadlock
 }
 
-// TestResultDomains checks the runtime's incremental crashed-region
-// tracking: two separate blocks crashed across two waves must surface as
-// two domains, and growing one of them must merge, not duplicate.
-func TestResultDomains(t *testing.T) {
-	g := graph.Grid(6, 6)
-	blockA := graph.GridBlock(0, 0, 2)
-	blockB := []graph.NodeID{graph.GridID(4, 4)}
-	res := checkedRun(t, g, [][]graph.NodeID{blockA, blockB})
-	if len(res.Domains) != 2 {
-		t.Fatalf("got %d domains, want 2: %v", len(res.Domains), res.Domains)
-	}
-	if res.Domains[0].Len() != len(blockA) {
-		t.Errorf("first domain %s, want the 2×2 block", res.Domains[0])
-	}
-	for _, n := range blockA {
-		if !res.Domains[0].Contains(n) {
-			t.Errorf("domain %s missing member %s", res.Domains[0], n)
-		}
-	}
-	if res.Domains[1].Len() != 1 || !res.Domains[1].Contains(blockB[0]) {
-		t.Errorf("second domain %s, want {%s}", res.Domains[1], blockB[0])
-	}
-	if !res.Crashed[blockA[0]] || len(res.Crashed) != len(blockA)+1 {
-		t.Errorf("crashed set %v inconsistent with the waves", res.Crashed)
-	}
-}
-
 // TestCrashWaveIsAtomic pins the wave semantics: once CrashAll returns,
 // no member of the wave may process anything further, so the trace can
 // never show a wave member sending after the wave's first crash event.

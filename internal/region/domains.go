@@ -25,20 +25,11 @@ func Domains(g *graph.Graph, members graph.Bitset) []Region {
 			}
 		}
 	}
-	return GroupByRoot(g, d, idx, members)
-}
-
-// GroupByRoot partitions the ascending member indices by their union-find
-// root and builds one Region per class, ordered by smallest member. It is
-// the shared tail of Domains and of runtimes that maintain their own
-// incremental DSU (livenet) and only need the final regions.
-func GroupByRoot(g *graph.Graph, d *dsu.DSU, members []int32, memberSet graph.Bitset) []Region {
-	if len(members) == 0 {
-		return nil
-	}
+	// Group the ascending member indices by root: classes come out ordered
+	// by smallest member.
 	byRoot := make(map[int32][]int32, 4)
 	order := make([]int32, 0, 4)
-	for _, i := range members {
+	for _, i := range idx {
 		r := d.Find(i)
 		if _, ok := byRoot[r]; !ok {
 			order = append(order, r)
@@ -47,7 +38,7 @@ func GroupByRoot(g *graph.Graph, d *dsu.DSU, members []int32, memberSet graph.Bi
 	}
 	out := make([]Region, len(order))
 	for k, r := range order {
-		out[k] = NewFromIndices(g, byRoot[r], memberSet)
+		out[k] = NewFromIndices(g, byRoot[r], members)
 	}
 	return out
 }

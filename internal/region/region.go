@@ -128,8 +128,7 @@ func NewFromIndicesScratch(g *graph.Graph, members []int32, memberSet, seen grap
 			}
 			sb.WriteString(string(n))
 		}
-		key = sb.String()
-		keys.store(hash, key)
+		key = keys.store(hash, sb.String())
 	}
 	return Region{
 		nodes:     nodes,
@@ -191,17 +190,24 @@ func (t *KeyTable) lookup(hash uint64, nodes []graph.NodeID, keyLen int) string 
 	return key
 }
 
-// store records key under hash unless the hash is taken (by an equal key
-// another goroutine stored first, or by a colliding one).
-func (t *KeyTable) store(hash uint64, key string) {
+// store records key under hash unless the hash is taken, and returns the
+// key to use: the table's, if an equal key another goroutine built at the
+// same time got there first, else key itself (also when a colliding key
+// holds the hash).
+func (t *KeyTable) store(hash uint64, key string) string {
 	if t == nil {
-		return
+		return key
 	}
 	t.mu.Lock()
-	if _, taken := t.keys[hash]; !taken {
+	held, taken := t.keys[hash]
+	if !taken {
 		t.keys[hash] = key
 	}
 	t.mu.Unlock()
+	if taken && held == key {
+		return held
+	}
+	return key
 }
 
 func indicesOf(g *graph.Graph, ids []graph.NodeID) []int32 {

@@ -62,7 +62,7 @@ func ExperimentT1(sides []int, globalMaxN int, seed int64) ([]T1Row, error) {
 		if side*side <= globalMaxN {
 			gr, err := sim.NewRunner(sim.Config{
 				Graph: g, Factory: baseline.GlobalFactory(g), Seed: seed, Crashes: crashes,
-				Quiet: true, // millions of sends; count them, don't log them
+				DiscardEvents: true, // millions of sends; count them, don't keep them
 			})
 			if err != nil {
 				return nil, err

@@ -33,9 +33,6 @@ type Spec struct {
 	// DisableArbitration runs the core without the ranking/reject
 	// mechanism (T4 ablation). Ignored when Factory is set.
 	DisableArbitration bool
-	// MaxEvents optionally caps kernel events (ablation runs livelock by
-	// design and need a budget to terminate).
-	MaxEvents int
 	// Shards selects the kernel's parallelism (sim.Config.Shards): 0/1
 	// sequential, sim.AutoShards per-domain-group, n explicit. The trace
 	// is byte-identical at every setting.
@@ -64,7 +61,6 @@ func (s Spec) Run() (*sim.Result, error) {
 		FDLatency:  s.FDLatency,
 		Crashes:    s.Crashes,
 		Triggers:   s.Triggers,
-		MaxEvents:  s.MaxEvents,
 		Shards:     s.Shards,
 	})
 	if err != nil {

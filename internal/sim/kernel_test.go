@@ -100,9 +100,9 @@ func TestRunnerNotReusable(t *testing.T) {
 
 // TestShardedMatchesSequential pins the tentpole contract at the kernel
 // level: every shard setting yields the identical trace, stats, decisions
-// and end time — in both logging and quiet modes.
+// and end time.
 func TestShardedMatchesSequential(t *testing.T) {
-	run := func(shards int, quiet bool) *Result {
+	run := func(shards int) *Result {
 		g := graph.Grid(8, 8)
 		var crashes []CrashAt
 		for _, n := range graph.GridBlock(1, 1, 2) {
@@ -112,7 +112,7 @@ func TestShardedMatchesSequential(t *testing.T) {
 			crashes = append(crashes, CrashAt{Time: 30, Node: n})
 		}
 		r, err := NewRunner(Config{Graph: g, Factory: coreFactory(g), Seed: 9,
-			Crashes: crashes, Shards: shards, Quiet: quiet})
+			Crashes: crashes, Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,39 +122,37 @@ func TestShardedMatchesSequential(t *testing.T) {
 		}
 		return res
 	}
-	for _, quiet := range []bool{false, true} {
-		ref := run(1, quiet)
-		for _, shards := range []int{2, 8, AutoShards} {
-			got := run(shards, quiet)
-			if len(got.Events) != len(ref.Events) {
-				t.Fatalf("quiet=%v shards=%d: %d events, want %d",
-					quiet, shards, len(got.Events), len(ref.Events))
+	ref := run(1)
+	for _, shards := range []int{2, 8, AutoShards} {
+		got := run(shards)
+		if len(got.Events) != len(ref.Events) {
+			t.Fatalf("shards=%d: %d events, want %d",
+				shards, len(got.Events), len(ref.Events))
+		}
+		for i := range ref.Events {
+			if got.Events[i] != ref.Events[i] {
+				t.Fatalf("shards=%d: event %d = %+v, want %+v",
+					shards, i, got.Events[i], ref.Events[i])
 			}
-			for i := range ref.Events {
-				if got.Events[i] != ref.Events[i] {
-					t.Fatalf("quiet=%v shards=%d: event %d = %+v, want %+v",
-						quiet, shards, i, got.Events[i], ref.Events[i])
-				}
+		}
+		if got.Stats != ref.Stats {
+			t.Errorf("shards=%d: stats %+v, want %+v", shards, got.Stats, ref.Stats)
+		}
+		if got.EndTime != ref.EndTime {
+			t.Errorf("shards=%d: end time %d, want %d", shards, got.EndTime, ref.EndTime)
+		}
+		if len(got.Decisions) != len(ref.Decisions) {
+			t.Errorf("shards=%d: %d decisions, want %d",
+				shards, len(got.Decisions), len(ref.Decisions))
+		}
+		for id, want := range ref.Decisions {
+			gotD := got.Decisions[id]
+			if gotD == nil || gotD.View.Key() != want.View.Key() || gotD.Value != want.Value {
+				t.Errorf("shards=%d: decision of %s diverged", shards, id)
 			}
-			if got.Stats != ref.Stats {
-				t.Errorf("quiet=%v shards=%d: stats %+v, want %+v", quiet, shards, got.Stats, ref.Stats)
-			}
-			if got.EndTime != ref.EndTime {
-				t.Errorf("quiet=%v shards=%d: end time %d, want %d", quiet, shards, got.EndTime, ref.EndTime)
-			}
-			if len(got.Decisions) != len(ref.Decisions) {
-				t.Errorf("quiet=%v shards=%d: %d decisions, want %d",
-					quiet, shards, len(got.Decisions), len(ref.Decisions))
-			}
-			for id, want := range ref.Decisions {
-				gotD := got.Decisions[id]
-				if gotD == nil || gotD.View.Key() != want.View.Key() || gotD.Value != want.Value {
-					t.Errorf("quiet=%v shards=%d: decision of %s diverged", quiet, shards, id)
-				}
-			}
-			if len(got.Crashed) != len(ref.Crashed) {
-				t.Errorf("quiet=%v shards=%d: crashed set diverged", quiet, shards)
-			}
+		}
+		if len(got.Crashed) != len(ref.Crashed) {
+			t.Errorf("shards=%d: crashed set diverged", shards)
 		}
 	}
 }

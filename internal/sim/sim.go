@@ -135,12 +135,6 @@ type Config struct {
 	// MinLatency ≥ 1, and when Triggers are present (trigger predicates
 	// inspect the globally ordered trace).
 	Shards int
-	// Quiet leaves send/deliver/drop events out of the trace, bounding
-	// memory on message-heavy runs (the whole-system baseline floods
-	// millions of messages). Decisions, crashes, detections and protocol
-	// annotations are still traced; Triggers cannot match send/deliver
-	// events in quiet mode. Result.Stats is the same with or without it.
-	Quiet bool
 	// Observer, if non-nil, receives every trace event as it is emitted,
 	// in sequence order (an online sink for checkers, metrics, streaming
 	// encoders, …). Setting it is one of the three things that make the
@@ -588,17 +582,13 @@ type lane struct {
 
 	processed int
 	// stats is this lane's share of Result.Stats, counted at the site of
-	// every event the trace has (or, under Quiet or with nothing consuming
-	// events, would have had): counters by kind, MaxRound, DecideTime, and
-	// EndTime — the time of the last such event, which a kernel event that
-	// emits nothing (a subscription, a detection at a crashed node) does
-	// not move. Participants stays 0 here; participants holds the nodes
+	// every event the trace has (or, with nothing consuming events, would
+	// have had): counters by kind, MaxRound, DecideTime, and EndTime — the
+	// time of the last such event, which a kernel event that emits nothing
+	// (a subscription, a detection at a crashed node) does not move. Participants stays 0 here; participants holds the nodes
 	// that sent or received, and the crashed ones are taken out at the end.
-	// traceMsgs is whether send/deliver/drop events are built: the run is
-	// tracing and not Quiet.
 	stats        trace.Stats
 	participants graph.Bitset
-	traceMsgs    bool
 }
 
 func (r *Runner) newLane(id, nshards int) *lane {
@@ -610,7 +600,6 @@ func (r *Runner) newLane(id, nshards int) *lane {
 		direct:       nshards <= 1,
 		crashed:      graph.NewBitset(n),
 		participants: graph.NewBitset(n),
-		traceMsgs:    r.tracing && !r.cfg.Quiet,
 	}
 	if !ln.direct {
 		ln.out = make([][]event, nshards)
@@ -742,7 +731,7 @@ func (ln *lane) handleDeliver(ev event) {
 	ln.stats.EndTime = ln.now
 	if ln.crashed.Has(ev.node) {
 		ln.stats.Drops++
-		if ln.traceMsgs {
+		if r.tracing {
 			ln.emit(trace.Event{Kind: trace.KindDrop, Node: r.g.ID(ev.node),
 				Peer: r.g.ID(ev.peer), Bytes: int(ev.bytes)})
 		}
@@ -754,7 +743,7 @@ func (ln *lane) handleDeliver(ev event) {
 	if int(ev.round) > ln.stats.MaxRound {
 		ln.stats.MaxRound = int(ev.round)
 	}
-	if ln.traceMsgs {
+	if r.tracing {
 		ln.emit(trace.Event{Kind: trace.KindDeliver, Node: id, Peer: peer,
 			View: ev.view, Round: int(ev.round), Bytes: int(ev.bytes)})
 	}
@@ -891,7 +880,7 @@ func (ln *lane) send(from int32, fromID graph.NodeID, s proto.Send) {
 		if round > ln.stats.MaxRound {
 			ln.stats.MaxRound = round
 		}
-		if ln.traceMsgs {
+		if r.tracing {
 			ln.emit(trace.Event{Kind: trace.KindSend, Node: fromID, Peer: to,
 				View: view, Round: round, Bytes: int(size)})
 		}
@@ -900,7 +889,7 @@ func (ln *lane) send(from int32, fromID graph.NodeID, s proto.Send) {
 			// at send time and leave the FIFO floor untouched (nothing
 			// will be delivered on the channel for this send).
 			ln.stats.Drops++
-			if ln.traceMsgs {
+			if r.tracing {
 				ln.emit(trace.Event{Kind: trace.KindDrop, Node: to, Peer: fromID,
 					Bytes: int(size)})
 			}

@@ -58,15 +58,15 @@ func genWorkload(t *testing.T, fam gen.Family, reg gen.Regime, seed int64) func(
 // TestShardedStatsMatchSummarize pins what Result.Stats is: the kernel's
 // own count of the run, equal field by field to trace.Summarize of the
 // full trace, and the same whatever consumes the events — nothing (no
-// event is built), an observer, the retained trace, or either under Quiet —
-// at every shard count. It covers every generated topology family under
+// event is built), an observer or the retained trace — at every shard
+// count. It covers every generated topology family under
 // every fault regime, so link-fault drops, duplicates, retransmission
 // delays and predicate marks are all in it.
 //
 // EndTime is where the producers used to differ: the kernel's clock also
 // advances on events that emit nothing (a subscription, a detection or a
-// repeated crash at an already-crashed node), and a Quiet run reported
-// that clock. Stats.EndTime is the time of the last event that is, or
+// repeated crash at an already-crashed node), and a run that built no
+// send events reported that clock. Stats.EndTime is the time of the last event that is, or
 // would have been, in the trace; the test fails unless some workload ends
 // on a silent kernel event, i.e. unless Result.EndTime is later somewhere.
 func TestShardedStatsMatchSummarize(t *testing.T) {
@@ -75,15 +75,13 @@ func TestShardedStatsMatchSummarize(t *testing.T) {
 		seeds = 4
 	}
 	type mode struct {
-		name           string
-		discard, quiet bool
-		observer       func(trace.Event)
+		name     string
+		discard  bool
+		observer func(trace.Event)
 	}
 	modes := []mode{
 		{name: "nothing reads events", discard: true},
 		{name: "no-op observer", discard: true, observer: func(trace.Event) {}},
-		{name: "quiet, nothing reads events", discard: true, quiet: true},
-		{name: "quiet, retained", quiet: true},
 	}
 	workloads, silentEnd, drops := 0, 0, 0
 	for _, fam := range gen.Families() {
@@ -96,7 +94,7 @@ func TestShardedStatsMatchSummarize(t *testing.T) {
 				workloads++
 				run := func(shards int, m mode) *Result {
 					cfg := newConfig()
-					cfg.Shards, cfg.DiscardEvents, cfg.Quiet, cfg.Observer = shards, m.discard, m.quiet, m.observer
+					cfg.Shards, cfg.DiscardEvents, cfg.Observer = shards, m.discard, m.observer
 					r, err := NewRunner(cfg)
 					if err != nil {
 						t.Fatal(err)

@@ -22,16 +22,19 @@ import (
 // in 72.1 k → 40.6 MB in 67.4 k once a message travelled as one *Message
 // carrying its sender's border position and recipients as the view's own
 // border indices (an instance no longer builds an index copy of its
-// border). The budgets are ~1.5× the bytes and ~1.2× the objects — loose
-// enough for a Go point release, tight enough that either cost alone
-// breaks one of them.
+// border), and 15.6 MB in 44.4 k once opinions were two bitmasks and one
+// value column per view that round messages share instead of copying a
+// vector (budgets 61 MB → 23.5 MB and 81 000 → 53 500 objects). The
+// budgets are ~1.5× the bytes and ~1.2× the objects — loose enough for a
+// Go point release, tight enough that either cost alone breaks one of
+// them.
 func TestKernelCascadeAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector inflates allocation counts")
 	}
 	const (
-		maxBytes   = 61_000_000
-		maxMallocs = 81_000
+		maxBytes   = 23_500_000
+		maxMallocs = 53_500
 		wantMsgs   = 512_661 // the workload the budgets were measured on
 	)
 	r := cascadeRunner(t, scenario.CascadeSpec(48, 48, 12, 8, 25, 1), 1)
@@ -102,8 +105,13 @@ func TestKernelCascade64Counts(t *testing.T) {
 // lowered to the same rule when messages began to travel as one *Message
 // with dense recipient indices and the checker to decode each view once:
 // scalefree/midprotocol 7362–7369 → 5853 objects and 1 634 504 → 1 440 664
-// B, ring/quiescent 999 → 917 objects and 98 952 → 97 424 B. The ring's
-// byte budget stays at 100 500: 5 % over the new figure would raise it.
+// B, ring/quiescent 999 → 917 objects and 98 952 → 97 424 B (the ring's
+// byte budget stayed at 100 500: 5 % over that figure would have raised
+// it). They were lowered by the same rule again when opinions became two
+// bitmasks and one value column per view: scalefree/midprotocol 5853 →
+// 4208 objects and 1 440 664 → 827 136 B, ring/quiescent 922 → 889
+// objects and 97 792 → 95 664 B (budgets 6 150 → 4 420, 1 513 000 →
+// 868 500, 963 → 934 and 100 500 → 100 450).
 func TestSmallRunAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector inflates allocation counts")
@@ -116,8 +124,8 @@ func TestSmallRunAllocBudget(t *testing.T) {
 		topology, regime     string
 		maxMallocs, maxBytes uint64
 	}{
-		{"scalefree", "midprotocol", 6_150, 1_513_000},
-		{"ring", "quiescent", 963, 100_500},
+		{"scalefree", "midprotocol", 4_420, 868_500},
+		{"ring", "quiescent", 934, 100_450},
 	} {
 		job := CampaignJob{Cell: CampaignCellKey{Topology: c.topology, Regime: c.regime, Engine: "sim"}, Seed: 1}
 		mallocs, bytes := ^uint64(0), ^uint64(0)
