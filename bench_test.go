@@ -7,6 +7,7 @@ package cliffedge
 // full sweeps are produced by cmd/cliffedge-bench.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -284,6 +285,25 @@ func BenchmarkKernelCascade96(b *testing.B) {
 // that the 64×64 point alone cannot show.
 func BenchmarkKernelCascade128(b *testing.B) {
 	benchCascade(b, 128, 1)
+}
+
+// BenchmarkCampaignMixed is one worker running the grid of the
+// sweep_mixed workload in-process — every topology family × every regime,
+// sim engine, seeds 1–100, 3600 jobs — so the per-job path (gen, runner
+// set-up, kernel, online checker, aggregation) can be profiled without the
+// service around it (docs/KERNEL_PROFILE.md, "Where a mixed sweep spends
+// its time").
+func BenchmarkCampaignMixed(b *testing.B) {
+	camp, err := NewCampaign(WithSeedRange(1, 100), WithWorkers(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for b.Loop() {
+		if _, err := camp.Run(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(camp.Jobs())), "us/job")
 }
 
 // BenchmarkKernelCascade64Sharded is the headline workload on the

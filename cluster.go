@@ -275,14 +275,21 @@ func (c *Cluster) factory(marks bool) proto.Factory {
 
 // instrument assembles the run's streaming sink: the online CD1–CD7
 // checker (when enabled) followed by the user observers, all fed in
-// sequence order. Both results are nil when nothing listens.
+// sequence order. Both results are nil when nothing listens; a lone user
+// observer is returned as the sink itself, so each event reaches it without
+// a fan-out call in between (every campaign job runs that way).
 func (c *Cluster) instrument() (*check.Online, func(trace.Event)) {
 	var online *check.Online
 	if c.checked {
 		online = check.NewOnline(c.topo)
 	}
-	if online == nil && len(c.observers) == 0 {
-		return nil, nil
+	if online == nil {
+		switch len(c.observers) {
+		case 0:
+			return nil, nil
+		case 1:
+			return nil, c.observers[0]
+		}
 	}
 	observers := c.observers
 	return online, func(e trace.Event) {

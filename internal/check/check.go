@@ -64,13 +64,18 @@ func (r *Report) violatef(prop, format string, args ...any) {
 
 type decision struct {
 	node  graph.NodeID
+	idx   int32 // node's checker index
 	view  region.Region
 	value string
 	time  int64
 }
 
-// sendPair is a distinct (sender, recipient) channel observed in the trace.
-type sendPair struct{ from, to graph.NodeID }
+// channel is a distinct (sender, recipient) pair observed in the trace,
+// by checker index, with the number of sends on it.
+type channel struct {
+	from, to int32
+	count    int
+}
 
 // Online is an incremental CD1–CD7 checker: feed it every trace event as
 // it happens via Observe, then call Report once the run is quiescent. Its
@@ -78,31 +83,48 @@ type sendPair struct{ from, to graph.NodeID }
 // proposals — never by the length of the trace — so it pairs with
 // discarded-trace (constant-memory) runs of arbitrary size.
 //
+// Per-node state is kept by checker index: a node's dense index in the
+// topology, or, for a node ID the topology does not have (a malformed
+// trace), an index past g.Len() handed out in first-seen order. A send
+// costs at most one index lookup, for the recipient (a multicast repeats
+// its sender), and one integer-keyed channel lookup; a send of a repeated
+// multicast usually costs neither (see channel).
+//
 // Observe is not safe for concurrent use; the runtimes deliver observer
 // events serially, in sequence order, which is exactly what the
 // order-dependent checks (lemma 2, no post-crash activity) require.
 type Online struct {
 	g *graph.Graph
 
-	crashed   map[graph.NodeID]bool
-	crashTime map[graph.NodeID]int64
+	// others gives node IDs outside the topology their indices, g.Len()
+	// upwards; otherIDs maps them back.
+	others   map[graph.NodeID]int32
+	otherIDs []graph.NodeID
+
+	crashed   graph.Bitset // by index
+	crashTime []int64      // by index; the last crash event's time
 	decisions []decision
 
 	// CD3 evidence: distinct send channels in first-use order, with use
-	// counts (bounded by edges of the closure actually exercised).
-	sendOrder []sendPair
-	sendCount map[sendPair]int
+	// counts (bounded by edges of the closure actually exercised); chanSlot
+	// maps from<<32|to to a channel's position in chans, and lastChan is
+	// the position the latest send used.
+	chans    []channel
+	chanSlot map[uint64]int32
+	lastChan int32
 
-	// views memoises the decoded Region per view key. Every border node of
-	// a region proposes and decides the same few views, and decoding a key
-	// re-splits, re-sorts and re-borders it, so each is decoded once. It
-	// holds one entry per distinct view proposed or decided: no more than
-	// the proposals and decisions the checker keeps anyway.
-	views map[string]region.Region
+	// views memoises the decoded Region per view key, as a position in
+	// viewList. Every border node of a region proposes and decides the
+	// same few views, and decoding a key re-splits, re-sorts and re-borders
+	// it, so each is decoded once. It holds one entry per distinct view
+	// proposed or decided: no more than the proposals and decisions the
+	// checker keeps anyway.
+	views    map[string]int32
+	viewList []region.Region
 
 	// Streamed sanity state (order-dependent, evaluated as events arrive).
-	lastProposed map[graph.NodeID]region.Region
-	rejectedBy   map[graph.NodeID]map[string]bool
+	lastProposed []int32 // by index: 1 + position in viewList, 0 = none
+	rejectedBy   []map[string]bool
 	sends        int
 	delivered    int
 	streamViol   []Violation
@@ -110,59 +132,108 @@ type Online struct {
 
 // NewOnline returns an incremental checker over topology g.
 func NewOnline(g *graph.Graph) *Online {
+	n := g.Len()
 	return &Online{
 		g:            g,
-		crashed:      make(map[graph.NodeID]bool),
-		crashTime:    make(map[graph.NodeID]int64),
-		sendCount:    make(map[sendPair]int),
-		views:        make(map[string]region.Region),
-		lastProposed: make(map[graph.NodeID]region.Region),
-		rejectedBy:   make(map[graph.NodeID]map[string]bool),
+		crashed:      graph.NewBitset(n),
+		crashTime:    make([]int64, n),
+		chanSlot:     make(map[uint64]int32),
+		views:        make(map[string]int32),
+		lastProposed: make([]int32, n),
+		rejectedBy:   make([]map[string]bool, n),
 	}
+}
+
+// index returns id's checker index, handing a node ID outside the
+// topology the next free index past g.Len() on first sight.
+func (o *Online) index(id graph.NodeID) int32 {
+	if i := o.lookup(id); i >= 0 {
+		return i
+	}
+	i := int32(o.g.Len() + len(o.otherIDs))
+	if o.others == nil {
+		o.others = make(map[graph.NodeID]int32)
+	}
+	o.others[id] = i
+	o.otherIDs = append(o.otherIDs, id)
+	if int(i>>6) >= len(o.crashed) {
+		o.crashed = append(o.crashed, 0)
+	}
+	o.crashTime = append(o.crashTime, 0)
+	o.lastProposed = append(o.lastProposed, 0)
+	o.rejectedBy = append(o.rejectedBy, nil)
+	return i
+}
+
+// lookup is index without the hand-out: -1 for an ID never seen.
+func (o *Online) lookup(id graph.NodeID) int32 {
+	if i := o.g.Index(id); i >= 0 {
+		return i
+	}
+	if i, ok := o.others[id]; ok {
+		return i
+	}
+	return -1
+}
+
+// id is the node ID of checker index i.
+func (o *Online) id(i int32) graph.NodeID {
+	if n := int32(o.g.Len()); i >= n {
+		return o.otherIDs[i-n]
+	}
+	return o.g.ID(i)
 }
 
 // Observe folds one event into the checker's state. Call in trace order.
 func (o *Online) Observe(e trace.Event) {
 	switch e.Kind {
 	case trace.KindCrash:
-		o.crashed[e.Node] = true
-		o.crashTime[e.Node] = e.Time
+		i := o.index(e.Node)
+		o.crashed.Set(i)
+		o.crashTime[i] = e.Time
 	case trace.KindDecide:
-		if o.crashed[e.Node] {
+		i := o.index(e.Node)
+		if o.crashed.Has(i) {
 			o.streamViol = append(o.streamViol, Violation{"SANITY",
 				fmt.Sprintf("crashed node %s decided at t=%d", e.Node, e.Time)})
 		}
-		o.decisions = append(o.decisions,
-			decision{node: e.Node, view: o.view(e.View), value: e.Value, time: e.Time})
+		o.decisions = append(o.decisions, decision{node: e.Node, idx: i,
+			view: o.viewList[o.view(e.View)], value: e.Value, time: e.Time})
 	case trace.KindSend:
 		o.sends++
-		if o.crashed[e.Node] {
+		// A multicast repeats its sender: the latest channel's is reused.
+		var from int32
+		if len(o.chans) > 0 && o.id(o.chans[o.lastChan].from) == e.Node {
+			from = o.chans[o.lastChan].from
+		} else {
+			from = o.index(e.Node)
+		}
+		if o.crashed.Has(from) {
 			o.streamViol = append(o.streamViol, Violation{"SANITY",
 				fmt.Sprintf("crashed node %s sent a message at t=%d", e.Node, e.Time)})
 		}
-		p := sendPair{e.Node, e.Peer}
-		if o.sendCount[p] == 0 {
-			o.sendOrder = append(o.sendOrder, p)
-		}
-		o.sendCount[p]++
+		o.chans[o.channel(from, e.Peer)].count++
 	case trace.KindDeliver, trace.KindDrop:
 		o.delivered++
 	case trace.KindPropose:
-		v := o.view(e.View)
-		if prev, ok := o.lastProposed[e.Node]; ok && !region.Less(prev, v) {
+		i := o.index(e.Node)
+		slot := o.view(e.View)
+		v := o.viewList[slot]
+		if prev := o.lastProposed[i]; prev > 0 && !region.Less(o.viewList[prev-1], v) {
 			o.streamViol = append(o.streamViol, Violation{"LEMMA2",
-				fmt.Sprintf("node %s proposed %s after %s (not strictly increasing)", e.Node, v, prev)})
+				fmt.Sprintf("node %s proposed %s after %s (not strictly increasing)", e.Node, v, o.viewList[prev-1])})
 		}
-		o.lastProposed[e.Node] = v
-		if o.rejectedBy[e.Node][e.View] {
+		o.lastProposed[i] = slot + 1
+		if o.rejectedBy[i][e.View] {
 			o.streamViol = append(o.streamViol, Violation{"LEMMA2",
 				fmt.Sprintf("node %s proposed previously rejected view {%s}", e.Node, e.View)})
 		}
 	case trace.KindReject:
-		set := o.rejectedBy[e.Node]
+		i := o.index(e.Node)
+		set := o.rejectedBy[i]
 		if set == nil {
 			set = make(map[string]bool)
-			o.rejectedBy[e.Node] = set
+			o.rejectedBy[i] = set
 		}
 		if set[e.View] {
 			o.streamViol = append(o.streamViol, Violation{"LEMMA2",
@@ -172,14 +243,39 @@ func (o *Online) Observe(e trace.Event) {
 	}
 }
 
-// view returns the Region the key names, decoding it on first sight.
-func (o *Online) view(key string) region.Region {
-	v, ok := o.views[key]
-	if !ok {
-		v = region.FromKey(o.g, key)
-		o.views[key] = v
+// channel returns the position in chans of the channel from → peer,
+// opening it on first use. A multicast goes to the same recipients in the
+// same order each round, so the channel after the last one used is tried
+// first; when it is the one, the send costs neither a recipient lookup nor
+// a map probe.
+func (o *Online) channel(from int32, peer graph.NodeID) int32 {
+	if next := o.lastChan + 1; int(next) < len(o.chans) &&
+		o.chans[next].from == from && o.id(o.chans[next].to) == peer {
+		o.lastChan = next
+		return next
 	}
-	return v
+	to := o.index(peer)
+	key := uint64(uint32(from))<<32 | uint64(uint32(to))
+	slot, ok := o.chanSlot[key]
+	if !ok {
+		slot = int32(len(o.chans))
+		o.chanSlot[key] = slot
+		o.chans = append(o.chans, channel{from: from, to: to})
+	}
+	o.lastChan = slot
+	return slot
+}
+
+// view returns the viewList position of the Region the key names,
+// decoding it on first sight.
+func (o *Online) view(key string) int32 {
+	slot, ok := o.views[key]
+	if !ok {
+		slot = int32(len(o.viewList))
+		o.viewList = append(o.viewList, region.FromKey(o.g, key))
+		o.views[key] = slot
+	}
+	return slot
 }
 
 // Run checks a quiescent run. events is the full trace; the ground-truth
@@ -213,14 +309,22 @@ func (o *Online) report(safetyOnly bool) Report {
 	var rep Report
 	g, crashed, crashTime := o.g, o.crashed, o.crashTime
 
-	// CD1 (integrity): at most one decide per node.
-	decisionsByNode := make(map[graph.NodeID][]decision)
+	// Each node's decisions, in trace order, as a chain: first[i] is 1 +
+	// the position of node i's first decision (0: it never decided), and
+	// next[k] is 1 + the position of the same node's decision after k.
 	decisions := o.decisions
-	for _, d := range decisions {
-		if prev := decisionsByNode[d.node]; len(prev) > 0 {
-			rep.violatef("CD1", "node %s decided twice: %s then %s", d.node, prev[0].view, d.view)
+	first := make([]int32, len(crashTime))
+	next := make([]int32, len(decisions))
+	for k := len(decisions) - 1; k >= 0; k-- {
+		i := decisions[k].idx
+		next[k], first[i] = first[i], int32(k+1)
+	}
+
+	// CD1 (integrity): at most one decide per node.
+	for k, d := range decisions {
+		if f := first[d.idx]; f != int32(k+1) {
+			rep.violatef("CD1", "node %s decided twice: %s then %s", d.node, decisions[f-1].view, d.view)
 		}
-		decisionsByNode[d.node] = append(decisionsByNode[d.node], d)
 	}
 	rep.Decisions = len(decisions)
 
@@ -235,12 +339,12 @@ func (o *Online) report(safetyOnly bool) Report {
 			rep.violatef("CD2", "node %s decided a disconnected view %s", d.node, d.view)
 		}
 		for _, m := range d.view.Nodes() {
-			if !crashed[m] {
+			if i := o.lookup(m); i < 0 || !crashed.Has(i) {
 				rep.violatef("CD2", "node %s decided view %s containing correct node %s",
 					d.node, d.view, m)
-			} else if crashTime[m] > d.time {
+			} else if crashTime[i] > d.time {
 				rep.violatef("CD2", "node %s decided view %s at t=%d before member %s crashed at t=%d",
-					d.node, d.view, d.time, m, crashTime[m])
+					d.node, d.view, d.time, m, crashTime[i])
 			}
 		}
 		if !d.view.OnBorder(d.node) {
@@ -253,27 +357,28 @@ func (o *Online) report(safetyOnly bool) Report {
 	// Computed over dense indices via the shared union-find; crash events
 	// for nodes outside the topology (malformed traces) are ignored here —
 	// CD2 already flags any decision that involves them.
-	crashedSet := graph.NewBitset(g.Len())
-	for n := range crashed {
-		if i := g.Index(n); i >= 0 {
-			crashedSet.Set(i)
-		}
+	n := g.Len()
+	crashedSet := graph.NewBitset(n)
+	copy(crashedSet, crashed)
+	if r := n & 63; r != 0 {
+		crashedSet[len(crashedSet)-1] &= 1<<r - 1
 	}
 	domains := region.Domains(g, crashedSet)
 	rep.FaultyDomains = len(domains)
 
 	// CD3 (locality): each message ran between two nodes of S ∪ border(S)
 	// for a single faulty domain S.
-	inDomain := make(map[graph.NodeID][]int) // node → indices of domains it is in or borders
+	inDomain := make([][]int32, len(crashTime)) // index → domains it is in or borders
 	for i, dom := range domains {
-		for _, n := range dom.Nodes() {
-			inDomain[n] = append(inDomain[n], i)
+		for _, m := range dom.Nodes() {
+			j := g.Index(m)
+			inDomain[j] = append(inDomain[j], int32(i))
 		}
-		for _, n := range dom.Border() {
-			inDomain[n] = append(inDomain[n], i)
+		for _, j := range dom.BorderIndices() {
+			inDomain[j] = append(inDomain[j], int32(i))
 		}
 	}
-	shareDomain := func(p, q graph.NodeID) bool {
+	shareDomain := func(p, q int32) bool {
 		for _, i := range inDomain[p] {
 			for _, j := range inDomain[q] {
 				if i == j {
@@ -284,14 +389,13 @@ func (o *Online) report(safetyOnly bool) Report {
 		return false
 	}
 	cd3Total, cd3Reported := 0, 0
-	for _, p := range o.sendOrder {
-		if shareDomain(p.from, p.to) {
+	for _, c := range o.chans {
+		if shareDomain(c.from, c.to) {
 			continue
 		}
-		n := o.sendCount[p]
-		cd3Total += n
-		for ; n > 0 && cd3Reported < 10; n-- { // cap noise; one violation proves the breach
-			rep.violatef("CD3", "message %s→%s outside any faulty domain ∪ border", p.from, p.to)
+		cd3Total += c.count
+		for k := c.count; k > 0 && cd3Reported < 10; k-- { // cap noise; one violation proves the breach
+			rep.violatef("CD3", "message %s→%s outside any faulty domain ∪ border", o.id(c.from), o.id(c.to))
 			cd3Reported++
 		}
 	}
@@ -304,13 +408,13 @@ func (o *Online) report(safetyOnly bool) Report {
 	// raw message loss, where a border node may simply never learn enough.
 	if !safetyOnly {
 		for _, d := range decisions {
-			for _, q := range d.view.Border() {
-				if crashed[q] {
+			for k, q := range d.view.BorderIndices() {
+				if crashed.Has(q) {
 					continue
 				}
-				if len(decisionsByNode[q]) == 0 {
+				if first[q] == 0 {
 					rep.violatef("CD4", "%s decided %s but correct border node %s never decided",
-						d.node, d.view, q)
+						d.node, d.view, d.view.Border()[k])
 				}
 			}
 		}
@@ -319,11 +423,11 @@ func (o *Online) report(safetyOnly bool) Report {
 	// CD5 (uniform border agreement): deciders on the border of a decided
 	// view decided identically. Uniform: crashed deciders count too.
 	for _, d := range decisions {
-		for _, q := range d.view.Border() {
-			for _, dq := range decisionsByNode[q] {
-				if !dq.view.Equal(d.view) || dq.value != d.value {
+		for k, q := range d.view.BorderIndices() {
+			for j := first[q]; j > 0; j = next[j-1] {
+				if dq := &decisions[j-1]; !dq.view.Equal(d.view) || dq.value != d.value {
 					rep.violatef("CD5", "%s decided (%s,%q) but border node %s decided (%s,%q)",
-						d.node, d.view, d.value, q, dq.view, dq.value)
+						d.node, d.view, d.value, d.view.Border()[k], dq.view, dq.value)
 				}
 			}
 		}
@@ -332,11 +436,11 @@ func (o *Online) report(safetyOnly bool) Report {
 	// CD6 (view convergence): overlapping views decided by correct nodes
 	// are equal.
 	for i := 0; i < len(decisions); i++ {
-		if crashed[decisions[i].node] {
+		if crashed.Has(decisions[i].idx) {
 			continue
 		}
 		for j := i + 1; j < len(decisions); j++ {
-			if crashed[decisions[j].node] {
+			if crashed.Has(decisions[j].idx) {
 				continue
 			}
 			vi, vj := decisions[i].view, decisions[j].view
@@ -349,7 +453,8 @@ func (o *Online) report(safetyOnly bool) Report {
 
 	// CD7 (progress): every faulty cluster has ≥1 correct decider on the
 	// border of one of its domains. Clusters are the transitive closure of
-	// border adjacency.
+	// border adjacency; each is listed at its first domain, so a report
+	// renders the same every time.
 	clusters := dsu.New(len(domains))
 	for i := 0; i < len(domains); i++ {
 		for j := i + 1; j < len(domains); j++ {
@@ -358,25 +463,28 @@ func (o *Online) report(safetyOnly bool) Report {
 			}
 		}
 	}
-	clusterDecided := make(map[int32]bool)
-	clusterHasBorder := make(map[int32]bool)
+	type cluster struct{ hasBorder, decided, listed bool }
+	byRoot := make([]cluster, len(domains))
 	for i, dom := range domains {
-		root := clusters.Find(int32(i))
+		c := &byRoot[clusters.Find(int32(i))]
 		if dom.BorderLen() > 0 {
-			clusterHasBorder[root] = true
+			c.hasBorder = true
 		}
-		for _, p := range dom.Border() {
-			if crashed[p] {
-				continue
-			}
-			if len(decisionsByNode[p]) > 0 {
-				clusterDecided[root] = true
+		for _, p := range dom.BorderIndices() {
+			if !crashed.Has(p) && first[p] > 0 {
+				c.decided = true
 			}
 		}
 	}
-	rep.Clusters = len(clusterHasBorder)
-	for root := range clusterHasBorder {
-		if clusterDecided[root] {
+	for i := range domains {
+		root := clusters.Find(int32(i))
+		c := &byRoot[root]
+		if !c.hasBorder || c.listed {
+			continue
+		}
+		c.listed = true
+		rep.Clusters++
+		if c.decided {
 			rep.DecidedClusters++
 		} else if !safetyOnly {
 			// CD7 is the progress property: a stall, not a safety breach,
@@ -410,12 +518,17 @@ func bordersIntersect(a, b region.Region) bool {
 
 // AutomataViolations extracts internal invariant breaches recorded by
 // automata that expose a Violations() []string method (e.g. the core
-// protocol node). It is generic over the map's value type so callers can
-// pass their concrete automaton maps directly.
+// protocol node), by node ID. It is generic over the map's value type so
+// callers can pass their concrete automaton maps directly.
 func AutomataViolations[T any](automata map[graph.NodeID]T) []Violation {
+	ids := make([]graph.NodeID, 0, len(automata))
+	for id := range automata {
+		ids = append(ids, id)
+	}
+	graph.SortIDs(ids)
 	var out []Violation
-	for id, a := range automata {
-		if v, ok := any(a).(interface{ Violations() []string }); ok {
+	for _, id := range ids {
+		if v, ok := any(automata[id]).(interface{ Violations() []string }); ok {
 			for _, s := range v.Violations() {
 				out = append(out, Violation{"INTERNAL", fmt.Sprintf("%s: %s", id, s)})
 			}

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -165,6 +166,36 @@ func TestCD7UndecidedCluster(t *testing.T) {
 	}
 }
 
+// TestCD7OrderIsStable: a run with several undecided clusters lists its
+// CD7 violations in domain order, so the report renders the same on every
+// call (it once ranged over a map).
+func TestCD7OrderIsStable(t *testing.T) {
+	b := graph.NewBuilder()
+	id := func(i int) graph.NodeID { return graph.NodeID(fmt.Sprintf("r%02d", i%30)) }
+	for i := 0; i < 30; i++ {
+		b.AddEdge(id(i), id(i+1))
+	}
+	g := b.Build()
+	var events []trace.Event
+	for i := 0; i < 30; i += 5 { // six isolated crashes, nobody decides
+		events = append(events, trace.Event{Time: 1, Kind: trace.KindCrash, Node: id(i)})
+	}
+	first := Run(g, events)
+	if first.Clusters != 6 || len(first.Violations) != 6 {
+		t.Fatalf("want six undecided clusters: %+v", first)
+	}
+	for k, v := range first.Violations {
+		if want := fmt.Sprintf("faulty cluster {%s} has no correct decider on any border", id(5*k)); v.Detail != want {
+			t.Fatalf("violation %d = %q, want %q", k, v.Detail, want)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		if got := Run(g, events).String(); got != first.String() {
+			t.Fatalf("call %d rendered differently:\n%s\nthen\n%s", i, first, got)
+		}
+	}
+}
+
 func TestCD7VacuousWhenAllCrashed(t *testing.T) {
 	g := graph.NewBuilder().AddEdge("a", "b").Build()
 	events := []trace.Event{
@@ -222,10 +253,15 @@ func TestSanityMessageConservation(t *testing.T) {
 
 func TestAutomataViolations(t *testing.T) {
 	type bad struct{ violating }
-	m := map[graph.NodeID]*bad{"x": {}}
+	m := map[graph.NodeID]*bad{"x": {}, "c": {}, "q": {}, "a": {}}
 	vs := AutomataViolations(m)
-	if len(vs) != 1 || vs[0].Property != "INTERNAL" {
+	if len(vs) != 4 || vs[0].Property != "INTERNAL" {
 		t.Fatalf("AutomataViolations = %v", vs)
+	}
+	for i, id := range []string{"a", "c", "q", "x"} {
+		if want := id + ": boom"; vs[i].Detail != want {
+			t.Fatalf("violation %d = %q, want %q (by node ID)", i, vs[i].Detail, want)
+		}
 	}
 }
 
@@ -340,5 +376,25 @@ func TestSafetyReportAllowsDuplicates(t *testing.T) {
 	}
 	if safe := safetyRun(pathGraph(), events); !safe.Ok() {
 		t.Fatalf("safety report flagged duplication: %s", safe)
+	}
+}
+
+// TestObserveSeenChannelAllocatesNothing: once a channel has carried a
+// message, a send or delivery on it costs the checker no allocation — the
+// per-message path is index lookups and counters only.
+func TestObserveSeenChannelAllocatesNothing(t *testing.T) {
+	o := NewOnline(pathGraph())
+	for _, e := range cleanTrace() {
+		o.Observe(e)
+	}
+	send := trace.Event{Time: 8, Kind: trace.KindSend, Node: "a", Peer: "c", View: "b", Round: 3, Bytes: 10}
+	deliver := trace.Event{Time: 9, Kind: trace.KindDeliver, Node: "c", Peer: "a", View: "b", Round: 3, Bytes: 10}
+	other := trace.Event{Time: 8, Kind: trace.KindSend, Node: "c", Peer: "a", View: "b", Round: 3, Bytes: 10}
+	if n := testing.AllocsPerRun(100, func() {
+		o.Observe(send)
+		o.Observe(other) // a different sender: the cached index is replaced
+		o.Observe(deliver)
+	}); n != 0 {
+		t.Errorf("Observe on seen channels allocated %.1f times per round", n)
 	}
 }

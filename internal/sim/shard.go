@@ -241,7 +241,7 @@ func (r *Runner) mergeTrace(lanes []*lane) {
 		if best == nil {
 			break
 		}
-		r.record(best.buf[best.bufPos].ev)
+		r.record(&best.buf[best.bufPos].ev)
 		best.bufPos++
 	}
 	for _, ln := range lanes {

@@ -514,18 +514,17 @@ func (r *Runner) mergeLanes(lanes []*lane) {
 }
 
 // record appends one event to the run's trace: it stamps the sequence
-// number, retains the event unless the trace is discarded, and hands it to
-// the observer. It returns the stamped event.
-func (r *Runner) record(e trace.Event) trace.Event {
+// number in place, retains the event unless the trace is discarded, and
+// hands it to the observer.
+func (r *Runner) record(e *trace.Event) {
 	e.Seq = r.nextSeq
 	r.nextSeq++
 	if !r.cfg.DiscardEvents {
-		r.events = append(r.events, e)
+		r.events = append(r.events, *e)
 	}
 	if r.cfg.Observer != nil {
-		r.cfg.Observer(e)
+		r.cfg.Observer(*e)
 	}
-	return e
 }
 
 // payloadTraceView extracts the (view, round) trace annotation from a
@@ -658,17 +657,17 @@ func (ln *lane) dispatch(ev event) {
 // emit records a trace event: direct lanes append to the run's trace and
 // evaluate crash triggers against it, shard lanes buffer it for the barrier
 // merge. Callers count the event in ln.stats first and call emit only when
-// the run is tracing.
-func (ln *lane) emit(e trace.Event) {
+// the run is tracing. It stamps e's time in place; e is not retained.
+func (ln *lane) emit(e *trace.Event) {
 	e.Time = ln.now
 	if !ln.direct {
-		ln.buf = append(ln.buf, pendingTrace{key: ln.curKey, ev: e})
+		ln.buf = append(ln.buf, pendingTrace{key: ln.curKey, ev: *e})
 		return
 	}
 	r := ln.r
-	e = r.record(e)
+	r.record(e)
 	for i := range r.triggers {
-		if !r.fired[i] && r.triggers[i].When(e) {
+		if !r.fired[i] && r.triggers[i].When(*e) {
 			r.fired[i] = true
 			t := r.triggers[i]
 			ti := r.g.Index(t.Node)
@@ -694,7 +693,7 @@ func (ln *lane) handleCrash(ev event) {
 	ln.stats.Crashes++
 	ln.stats.EndTime = ln.now
 	if r.tracing {
-		ln.emit(trace.Event{Kind: trace.KindCrash, Node: id})
+		ln.emit(&trace.Event{Kind: trace.KindCrash, Node: id})
 	}
 	// Strong completeness: notify every subscriber (unless it crashes
 	// first, in which case its detect event is dropped on delivery).
@@ -720,7 +719,7 @@ func (ln *lane) handleDetect(ev event) {
 	ln.stats.Detections++
 	ln.stats.EndTime = ln.now
 	if r.tracing {
-		ln.emit(trace.Event{Kind: trace.KindDetect, Node: id, Peer: peer})
+		ln.emit(&trace.Event{Kind: trace.KindDetect, Node: id, Peer: peer})
 	}
 	eff := r.automata[ev.node].OnCrash(peer)
 	ln.applyEffects(ev.node, id, &eff)
@@ -732,7 +731,7 @@ func (ln *lane) handleDeliver(ev event) {
 	if ln.crashed.Has(ev.node) {
 		ln.stats.Drops++
 		if r.tracing {
-			ln.emit(trace.Event{Kind: trace.KindDrop, Node: r.g.ID(ev.node),
+			ln.emit(&trace.Event{Kind: trace.KindDrop, Node: r.g.ID(ev.node),
 				Peer: r.g.ID(ev.peer), Bytes: int(ev.bytes)})
 		}
 		return
@@ -744,7 +743,7 @@ func (ln *lane) handleDeliver(ev event) {
 		ln.stats.MaxRound = int(ev.round)
 	}
 	if r.tracing {
-		ln.emit(trace.Event{Kind: trace.KindDeliver, Node: id, Peer: peer,
+		ln.emit(&trace.Event{Kind: trace.KindDeliver, Node: id, Peer: peer,
 			View: ev.view, Round: int(ev.round), Bytes: int(ev.bytes)})
 	}
 	eff := r.automata[ev.node].OnMessage(peer, ev.payload)
@@ -793,13 +792,13 @@ func (ln *lane) applyEffects(idx int32, id graph.NodeID, eff *proto.Effects) {
 	}
 	if tracing {
 		for _, v := range eff.Proposed {
-			ln.emit(trace.Event{Kind: trace.KindPropose, Node: id, View: v.Key()})
+			ln.emit(&trace.Event{Kind: trace.KindPropose, Node: id, View: v.Key()})
 		}
 		for _, v := range eff.Rejected {
-			ln.emit(trace.Event{Kind: trace.KindReject, Node: id, View: v.Key()})
+			ln.emit(&trace.Event{Kind: trace.KindReject, Node: id, View: v.Key()})
 		}
 		for i := 0; i < eff.Resets; i++ {
-			ln.emit(trace.Event{Kind: trace.KindReset, Node: id})
+			ln.emit(&trace.Event{Kind: trace.KindReset, Node: id})
 		}
 	}
 	for _, send := range eff.Sends {
@@ -809,7 +808,7 @@ func (ln *lane) applyEffects(idx int32, id graph.NodeID, eff *proto.Effects) {
 		ln.stats.Decisions++
 		ln.stats.DecideTime = ln.now
 		if tracing {
-			ln.emit(trace.Event{Kind: trace.KindDecide, Node: id,
+			ln.emit(&trace.Event{Kind: trace.KindDecide, Node: id,
 				View: eff.Decision.View.Key(), Value: string(eff.Decision.Value)})
 		}
 	}
@@ -881,7 +880,7 @@ func (ln *lane) send(from int32, fromID graph.NodeID, s proto.Send) {
 			ln.stats.MaxRound = round
 		}
 		if r.tracing {
-			ln.emit(trace.Event{Kind: trace.KindSend, Node: fromID, Peer: to,
+			ln.emit(&trace.Event{Kind: trace.KindSend, Node: fromID, Peer: to,
 				View: view, Round: round, Bytes: int(size)})
 		}
 		if verdict.Drop {
@@ -890,7 +889,7 @@ func (ln *lane) send(from int32, fromID graph.NodeID, s proto.Send) {
 			// will be delivered on the channel for this send).
 			ln.stats.Drops++
 			if r.tracing {
-				ln.emit(trace.Event{Kind: trace.KindDrop, Node: to, Peer: fromID,
+				ln.emit(&trace.Event{Kind: trace.KindDrop, Node: to, Peer: fromID,
 					Bytes: int(size)})
 			}
 			continue

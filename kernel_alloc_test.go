@@ -111,7 +111,12 @@ func TestKernelCascade64Counts(t *testing.T) {
 // bitmasks and one value column per view: scalefree/midprotocol 5853 →
 // 4208 objects and 1 440 664 → 827 136 B, ring/quiescent 922 → 889
 // objects and 97 792 → 95 664 B (budgets 6 150 → 4 420, 1 513 000 →
-// 868 500, 963 → 934 and 100 500 → 100 450).
+// 868 500, 963 → 934 and 100 500 → 100 450). They were lowered by the
+// same rule once more when the online checker kept its state by graph
+// index instead of by node ID: scalefree/midprotocol 4208 → 4165 objects
+// and 827 264 → 741 728 B (budgets 4 420 → 4 375 and 868 500 → 778 850);
+// ring/quiescent moved 889 → 890 objects and 95 792 → 96 000 B, within
+// its budgets, which 5 % over those figures would have raised.
 func TestSmallRunAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector inflates allocation counts")
@@ -124,7 +129,7 @@ func TestSmallRunAllocBudget(t *testing.T) {
 		topology, regime     string
 		maxMallocs, maxBytes uint64
 	}{
-		{"scalefree", "midprotocol", 4_420, 868_500},
+		{"scalefree", "midprotocol", 4_375, 778_850},
 		{"ring", "quiescent", 934, 100_450},
 	} {
 		job := CampaignJob{Cell: CampaignCellKey{Topology: c.topology, Regime: c.regime, Engine: "sim"}, Seed: 1}
