@@ -4,17 +4,21 @@ import (
 	"bufio"
 	"context"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"time"
 
 	"cliffedge/internal/campaign"
 	"cliffedge/internal/check"
+	"cliffedge/internal/core"
 	"cliffedge/internal/gen"
 	"cliffedge/internal/graph"
 	"cliffedge/internal/region"
+	"cliffedge/internal/sim"
 )
 
 // A Campaign is a statistical sweep: a grid of (topology family × fault
@@ -344,28 +348,67 @@ func (c *Campaign) RunJob(ctx context.Context, job CampaignJob) CampaignRunStats
 	return c.runJob(ctx, job)
 }
 
+// runContext is what a campaign job reuses from the jobs run before it
+// on the same goroutine: the workload generator's rand.Rand, and for sim
+// cells the online checker, the simulator runner and the slab of protocol
+// nodes. Each is reset to the state a new one would have (re-seeded,
+// Reset, a new factory), so a job's result never depends on what ran
+// before it; what carries over is only memory — the source's state
+// array, the kernel's queue chunks, per-node arrays and bitsets, the
+// checker's tables and the nodes' buffers. Live cells build fresh state:
+// their nodes run on goroutines of their own.
+type runContext struct {
+	rng    *rand.Rand
+	online check.Online
+	runner sim.Runner
+	nodes  core.Slab
+}
+
+// runContexts recycles run contexts between jobs. Every job takes one and
+// returns it when done, so any executor that runs jobs through
+// Campaign.RunJob — the dedicated pool, a server's scheduler, a fleet
+// worker — reuses them without knowing.
+var runContexts = sync.Pool{New: func() any {
+	return &runContext{rng: rand.New(rand.NewSource(1))}
+}}
+
+// withRunContext makes a sim run of the Cluster use rc's runner and node
+// slab. The cluster must not run anything else until the run is done.
+func withRunContext(rc *runContext) Option {
+	return func(c *Cluster) error { c.rc = rc; return nil }
+}
+
 // runJob executes one campaign run: draw the workload from the seed
 // (topology, fault plan and — for net-conditioned regimes — the network
 // model, in that fixed order), run it on the cell's engine with the
 // regime's sound checker subset and constant-memory observers attached,
 // and summarise into a RunStats.
 func (c *Campaign) runJob(ctx context.Context, job campaign.Job) campaign.RunStats {
+	rc := runContexts.Get().(*runContext)
+	defer runContexts.Put(rc)
 	fam, _ := gen.FamilyByName(job.Cell.Topology)
 	reg, _ := gen.RegimeByName(job.Cell.Regime)
-	rng := rand.New(rand.NewSource(job.Seed))
+	rng := rc.rng
+	rng.Seed(job.Seed)
 	topo, _ := fam.New(rng)
 	waves := reg.Plan(rng, topo)
 	netModel := reg.NetModel(rng)
 	if len(waves) == 0 {
 		return campaign.RunStats{Skipped: true}
 	}
+	live := job.Cell.Engine == "live"
 
 	// The checker subset is regime-sound: full CD1–CD7 for reliable
 	// regimes, safety-only where the regime genuinely loses messages,
 	// none where marks make crash ground truth inapplicable.
 	var online *check.Online
-	if reg.Check != gen.CheckNone {
+	switch {
+	case reg.Check == gen.CheckNone:
+	case live:
 		online = check.NewOnline(topo)
+	default:
+		online = &rc.online
+		online.Reset(topo)
 	}
 	// Decision latency, streamed in O(1) memory per value: each
 	// decision's lag is measured against the most recent preceding crash
@@ -375,7 +418,7 @@ func (c *Campaign) runJob(ctx context.Context, job campaign.Job) campaign.RunSta
 	lastCrash, maxLag := int64(-1), int64(-1)
 	lats := &campaign.Hist{}
 	engine := Sim()
-	if job.Cell.Engine == "live" {
+	if live {
 		engine = Live()
 	}
 	opts := append(append([]Option(nil), c.copts...),
@@ -411,6 +454,9 @@ func (c *Campaign) runJob(ctx context.Context, job campaign.Job) campaign.RunSta
 	if netModel != nil {
 		opts = append(opts, WithNetModel(netModel))
 	}
+	if !live {
+		opts = append(opts, withRunContext(rc))
+	}
 	// Per-job trace persistence (WithTraceDir): the run streams its binary
 	// trace straight to disk through the buffered writer, and a failed run
 	// leaves no partial file behind — resume re-runs the job, so a trace
@@ -438,7 +484,7 @@ func (c *Campaign) runJob(ctx context.Context, job campaign.Job) campaign.RunSta
 	}
 
 	var res *Result
-	if job.Cell.Engine == "live" && reg.Racing {
+	if live && reg.Racing {
 		res, err = runRacingLive(ctx, cl, waves, job.Seed*1315423911+int64(job.Attempt))
 	} else {
 		plan := NewPlan()
@@ -548,23 +594,22 @@ func summarize(topo *Topology, res *Result, online *check.Online, reg gen.Regime
 		}
 		s.Violations = len(rep.Violations)
 		s.Stalled = rep.DecidedClusters < rep.Clusters
-		decided := make(map[NodeID]bool, len(res.Decisions))
-		for _, d := range res.Decisions {
-			decided[d.Node] = true
-		}
 		// Domains are maximal, so their border nodes are alive by
 		// construction; expected deciders are the distinct border nodes.
-		expected := make(map[NodeID]bool)
+		expected, decided := graph.NewBitset(topo.Len()), graph.NewBitset(topo.Len())
 		for _, dom := range domains {
-			for _, b := range dom.Border() {
-				expected[b] = true
+			for _, b := range dom.BorderIndices() {
+				expected.Set(b)
 			}
 		}
-		s.ExpectedDeciders = len(expected)
-		for n := range expected {
-			if decided[n] {
-				s.DecidedDeciders++
+		for _, d := range res.Decisions {
+			if i := topo.Index(d.Node); i >= 0 {
+				decided.Set(i)
 			}
+		}
+		s.ExpectedDeciders = expected.Count()
+		for w := range expected {
+			s.DecidedDeciders += bits.OnesCount64(expected[w] & decided[w])
 		}
 	} else {
 		s.SkipLocality = true
@@ -576,7 +621,11 @@ func summarize(topo *Topology, res *Result, online *check.Online, reg gen.Regime
 		if i > 0 {
 			fp.WriteByte(';')
 		}
-		fmt.Fprintf(&fp, "%s→{%s}=%s", d.Node, d.View.Key(), d.Value)
+		fp.WriteString(string(d.Node))
+		fp.WriteString("→{")
+		fp.WriteString(d.View.Key())
+		fp.WriteString("}=")
+		fp.WriteString(string(d.Value))
 	}
 	s.Fingerprint = fp.String()
 	return s

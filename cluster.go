@@ -42,6 +42,9 @@ type Cluster struct {
 	kernShards  int
 	netModel    *NetModel
 	traceW      io.Writer
+	// rc, set only by a campaign job (withRunContext), lends a sim run its
+	// reusable runner and node slab.
+	rc *runContext
 }
 
 // Option configures a Cluster at construction time.
@@ -267,10 +270,14 @@ func WithMaxEvents(n int) Option {
 // its predicate-detection wrapper when the plan marks nodes.
 func (c *Cluster) factory(marks bool) proto.Factory {
 	cfg := core.Config{Graph: c.topo, Propose: c.propose, Pick: c.pick}
-	if marks {
-		return predicate.Factory(cfg)
+	nodes := core.Factory
+	if c.rc != nil {
+		nodes = c.rc.nodes.Factory
 	}
-	return core.Factory(cfg)
+	if marks {
+		return predicate.Wrap(c.topo, nodes(cfg))
+	}
+	return nodes(cfg)
 }
 
 // instrument assembles the run's streaming sink: the online CD1–CD7

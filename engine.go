@@ -61,7 +61,13 @@ func (simEngine) Run(ctx context.Context, c *Cluster, plan *Plan) (*Result, erro
 			}
 		}
 	}
-	runner, err := sim.NewRunner(sim.Config{
+	var runner *sim.Runner
+	if c.rc != nil {
+		runner = &c.rc.runner
+	} else {
+		runner = new(sim.Runner)
+	}
+	err = runner.Reset(sim.Config{
 		Graph:         c.topo,
 		Factory:       c.factory(plan.hasMarks()),
 		Seed:          c.seed,
@@ -90,6 +96,9 @@ func (simEngine) Run(ctx context.Context, c *Cluster, plan *Plan) (*Result, erro
 	}
 	out := &Result{Stats: res.Stats, Crashed: res.Crashed, events: res.Events}
 	attachNetStats(out, net)
+	if len(res.Decisions) > 0 {
+		out.Decisions = make([]Decision, 0, len(res.Decisions))
+	}
 	for _, d := range res.SortedDecisions() {
 		out.Decisions = append(out.Decisions,
 			Decision{Node: d.Node, View: d.Decision.View, Value: d.Decision.Value})

@@ -130,18 +130,52 @@ type Online struct {
 	streamViol   []Violation
 }
 
-// NewOnline returns an incremental checker over topology g.
+// NewOnline returns an incremental checker over topology g: Reset on a
+// zero Online.
 func NewOnline(g *graph.Graph) *Online {
+	o := new(Online)
+	o.Reset(g)
+	return o
+}
+
+// Reset empties the checker for a run over topology g, keeping the
+// memory of its earlier runs: the per-node arrays and the channel, view
+// and decision lists. The two maps start afresh: a cleared map keeps the
+// table of the largest run it served, and probing a large, nearly empty
+// table costs more than a small map's allocation saves. A reset checker
+// reports exactly what a new one fed the same events would. A Report
+// taken before the Reset stays valid.
+func (o *Online) Reset(g *graph.Graph) {
 	n := g.Len()
-	return &Online{
+	clear(o.others)
+	clear(o.viewList)
+	clear(o.decisions)
+	clear(o.otherIDs)
+	*o = Online{
 		g:            g,
-		crashed:      graph.NewBitset(n),
-		crashTime:    make([]int64, n),
+		others:       o.others,
+		otherIDs:     o.otherIDs[:0],
+		crashed:      o.crashed.Reset(n),
+		crashTime:    resize(o.crashTime, n),
+		decisions:    o.decisions[:0],
+		chans:        o.chans[:0],
 		chanSlot:     make(map[uint64]int32),
 		views:        make(map[string]int32),
-		lastProposed: make([]int32, n),
-		rejectedBy:   make([]map[string]bool, n),
+		viewList:     o.viewList[:0],
+		lastProposed: resize(o.lastProposed, n),
+		rejectedBy:   resize(o.rejectedBy, n),
 	}
+}
+
+// resize returns s with length n and every element zero, reusing its
+// array when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // index returns id's checker index, handing a node ID outside the

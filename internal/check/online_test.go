@@ -136,33 +136,36 @@ var traceOps = []traceOp{
 // FuzzOnlineMatchesReference feeds the dense Online checker and the
 // string-keyed reference the same trace — a valid simulator trace, then a
 // sequence of property mutators and corruptions the ops bytes choose — and
-// requires both verdicts to be identical, violation by violation.
+// requires both verdicts to be identical, violation by violation. A
+// non-zero prefix selects the reuse mode: the Online checker first
+// observes another corrupted trace, on the topology the prefix seed
+// draws, and reports on it, then is Reset to the case's topology; its
+// verdicts must still equal a fresh reference's.
 func FuzzOnlineMatchesReference(f *testing.F) {
 	nops := len(mutators) + len(traceOps)
 	for k := 0; k < nops; k++ {
-		f.Add(int64(9000+k), []byte{byte(k)})
+		f.Add(int64(9000+k), []byte{byte(k)}, int64(0))
+		f.Add(int64(9000+k), []byte{byte(k)}, int64(8000+k))
 	}
-	f.Add(int64(7001), []byte{})
-	f.Add(int64(7002), []byte{byte(len(mutators)), byte(len(mutators) + 2), byte(len(mutators) + 4)})
-	f.Add(int64(7003), []byte{byte(len(mutators) + 4), byte(len(mutators) + 4), byte(len(mutators) + 1), 9})
-	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
+	f.Add(int64(7001), []byte{}, int64(0))
+	f.Add(int64(7002), []byte{byte(len(mutators)), byte(len(mutators) + 2), byte(len(mutators) + 4)}, int64(0))
+	f.Add(int64(7003), []byte{byte(len(mutators) + 4), byte(len(mutators) + 4), byte(len(mutators) + 1), 9}, int64(0))
+	f.Add(int64(7003), []byte{byte(len(mutators) + 4), byte(len(mutators) + 4), byte(len(mutators) + 1), 9}, int64(7004))
+	f.Fuzz(func(t *testing.T, seed int64, ops []byte, prefix int64) {
 		if len(ops) > 8 {
 			ops = ops[:8]
 		}
-		g, events := genValidTrace(t, seed)
-		for k, op := range ops {
-			rng := rand.New(rand.NewSource(seed ^ int64(k+1)<<40 ^ int64(op)))
-			var out []trace.Event
-			if i := int(op) % nops; i < len(mutators) {
-				out = mutators[i].fn(g, events)
-			} else {
-				out = traceOps[i-len(mutators)](rng, g, events)
-			}
-			if out != nil {
-				events = out
-			}
-		}
+		g, events := corruptedTrace(t, seed, ops)
 		online, ref := check.NewOnline(g), check.NewReferenceChecker(g)
+		if prefix != 0 {
+			pg, pevents := corruptedTrace(t, prefix, ops)
+			online.Reset(pg)
+			for _, e := range pevents {
+				online.Observe(e)
+			}
+			online.Report()
+			online.Reset(g)
+		}
 		for _, e := range events {
 			online.Observe(e)
 			ref.Observe(e)
@@ -174,6 +177,26 @@ func FuzzOnlineMatchesReference(f *testing.F) {
 			t.Fatalf("SafetyReport differs from the reference:\n%+v\nreference:\n%+v", got, want)
 		}
 	})
+}
+
+// corruptedTrace is the valid simulator trace of seed with the mutators
+// and corruptions ops chooses applied in order.
+func corruptedTrace(t *testing.T, seed int64, ops []byte) (*graph.Graph, []trace.Event) {
+	nops := len(mutators) + len(traceOps)
+	g, events := genValidTrace(t, seed)
+	for k, op := range ops {
+		rng := rand.New(rand.NewSource(seed ^ int64(k+1)<<40 ^ int64(op)))
+		var out []trace.Event
+		if i := int(op) % nops; i < len(mutators) {
+			out = mutators[i].fn(g, events)
+		} else {
+			out = traceOps[i-len(mutators)](rng, g, events)
+		}
+		if out != nil {
+			events = out
+		}
+	}
+	return g, events
 }
 
 // BenchmarkOnlineObserve replays the events of every checked cell of the

@@ -160,6 +160,18 @@ type Node struct {
 // New builds a Node from cfg, applying defaults. It panics only on a
 // programmer error: a missing ID or Graph.
 func New(cfg Config) *Node {
+	n := new(Node)
+	n.reset(cfg)
+	return n
+}
+
+// reset makes n the node New(cfg) builds, keeping the memory of n's
+// earlier runs: its bitsets, union-find, scratch buffers, view-table map
+// and the rest of its mask chunk. A kept union-find is reset to
+// singletons, the state OnCrash would otherwise allocate it in. Nothing
+// reset keeps is reachable from what an earlier run handed out
+// (decisions, views, messages).
+func (n *Node) reset(cfg Config) {
 	if cfg.ID == "" || cfg.Graph == nil {
 		panic("core.New: Config.ID and Config.Graph are required")
 	}
@@ -169,29 +181,95 @@ func New(cfg Config) *Node {
 	if cfg.Pick == nil {
 		cfg.Pick = DefaultPick
 	}
-	return &Node{
+	size := cfg.Graph.Len()
+	clear(n.sendScratch)
+	clear(n.pendingSelf)
+	clear(n.violations)
+	clear(n.views.slots)
+	*n = Node{
 		cfg:            cfg,
 		selfIdx:        cfg.Graph.Index(cfg.ID),
-		locallyCrashed: graph.NewBitset(cfg.Graph.Len()),
-		monitored:      graph.NewBitset(cfg.Graph.Len()),
+		locallyCrashed: n.locallyCrashed.Reset(size),
+		monitored:      n.monitored.Reset(size),
+		compScratch:    n.compScratch[:0],
+		monitorScratch: n.monitorScratch[:0],
+		sendScratch:    n.sendScratch[:0],
+		maskChunk:      n.maskChunk,
+		uf:             n.uf,
+		views:          viewTable{slots: n.views.slots},
+		pendingSelf:    n.pendingSelf[:0],
+		violations:     n.violations[:0],
+	}
+	if n.borderSeen != nil {
+		n.borderSeen = n.borderSeen.Reset(size)
+	}
+	if n.uf != nil {
+		n.uf.Reset(size)
 	}
 }
 
 // Factory returns the proto.Factory of one run: every node it builds gets
-// cfg with its own ID, and all of them share one region.KeyTable. The
-// border nodes of a crashed region each build the same view, so with the
-// table the views a node hears of from different proposers carry one key
-// string, and the key comparison that identifies a view on every delivery
-// ends at the pointer check instead of reading a key that grows with the
-// region. Nothing else is shared, and the table is reachable only through
-// the factory and its nodes: it is garbage when the run is.
-func Factory(cfg Config) proto.Factory {
-	keys := region.NewKeyTable()
+// cfg with its own ID, all of them are cut from one slab (see Slab), and
+// all of them share one region.KeyTable. The border nodes of a crashed
+// region each build the same view, so with the table the views a node
+// hears of from different proposers carry one key string, and the key
+// comparison that identifies a view on every delivery ends at the pointer
+// check instead of reading a key that grows with the region. Nothing else
+// is shared, and the table is reachable only through the factory and its
+// nodes: it is garbage when the run is.
+func Factory(cfg Config) proto.Factory { return new(Slab).Factory(cfg) }
+
+// Slab holds the nodes of one run: node i of the graph is the slab's i-th
+// element, so a run allocates one array of |V| nodes instead of |V|
+// nodes, and a Slab reused for the next run allocates none — its nodes
+// are reset in place and keep their buffers (see reset). A factory hands
+// each slab element out once; asking it for a node again (or for an ID
+// outside the graph) gets a node of its own. The zero Slab is ready to
+// use. Slab.Factory starts a new run: the nodes the previous factory
+// handed out are reused, so they must no longer be in use. A slab's
+// factory is not safe for concurrent calls; the runtimes build a run's
+// nodes one after another.
+type Slab struct {
+	nodes  []Node
+	handed graph.Bitset
+	keys   *region.KeyTable
+}
+
+// Factory returns the proto.Factory of one run over cfg.Graph, as the
+// package-level Factory does, with its nodes cut from s.
+func (s *Slab) Factory(cfg Config) proto.Factory {
+	if s.keys == nil {
+		s.keys = region.NewKeyTable()
+	} else {
+		s.keys.Reset()
+	}
+	armed := false
 	return func(id graph.NodeID) proto.Automaton {
 		cfg := cfg
 		cfg.ID = id
-		n := New(cfg)
-		n.keys = keys
+		var n *Node
+		if cfg.Graph != nil {
+			if !armed {
+				// Sized by the first node built, not when the factory is
+				// made: a run pays for its nodes when it builds them.
+				armed = true
+				size := cfg.Graph.Len()
+				if cap(s.nodes) < size {
+					s.nodes = make([]Node, size)
+				}
+				s.nodes = s.nodes[:size]
+				s.handed = s.handed.Reset(size)
+			}
+			if i := cfg.Graph.Index(id); i >= 0 && !s.handed.Has(i) {
+				s.handed.Set(i)
+				n = &s.nodes[i]
+				n.reset(cfg)
+			}
+		}
+		if n == nil {
+			n = New(cfg)
+		}
+		n.keys = s.keys
 		return n
 	}
 }

@@ -21,15 +21,22 @@ type DSU struct {
 
 // New returns a DSU over n singleton sets {0}, {1}, …, {n-1}.
 func New(n int) *DSU {
-	d := &DSU{
-		parent: make([]int32, n),
-		size:   make([]int32, n),
+	d := new(DSU)
+	d.Reset(n)
+	return d
+}
+
+// Reset makes d the DSU New(n) returns, reusing its arrays when they are
+// large enough.
+func (d *DSU) Reset(n int) {
+	if cap(d.parent) < n {
+		d.parent, d.size = make([]int32, n), make([]int32, n)
 	}
+	d.parent, d.size = d.parent[:n], d.size[:n]
 	for i := range d.parent {
 		d.parent[i] = int32(i)
 		d.size[i] = 1
 	}
-	return d
 }
 
 // Len returns the size of the index range.

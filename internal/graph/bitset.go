@@ -12,6 +12,18 @@ type Bitset []uint64
 // NewBitset returns an empty bitset with capacity for indices [0, n).
 func NewBitset(n int) Bitset { return make(Bitset, (n+63)/64) }
 
+// Reset returns an empty bitset over [0, n), reusing b's words when it
+// has enough of them (b's contents are cleared).
+func (b Bitset) Reset(n int) Bitset {
+	words := (n + 63) / 64
+	if cap(b) < words {
+		return NewBitset(n)
+	}
+	b = b[:words]
+	clear(b)
+	return b
+}
+
 // Has reports whether index i is in the set.
 func (b Bitset) Has(i int32) bool { return b[i>>6]&(1<<uint(i&63)) != 0 }
 

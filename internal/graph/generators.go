@@ -3,34 +3,94 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strconv"
+	"sync"
 )
 
 // This file provides the topology generators used by the examples, the test
 // suite and the experiment harness. Every generator is deterministic given
 // its parameters (and seed, where randomised), so experiment tables are
-// reproducible bit for bit.
+// reproducible bit for bit. A generator names its nodes once, into one
+// backing string (see idTable); most add them in sorted order, which
+// spares Build its renumbering.
 
 // GridID names the node at row r, column c of a generated grid. Zero-padding
 // keeps lexicographic order consistent with row-major order for grids up to
 // 10000 nodes per side, which makes test fixtures easy to read.
 func GridID(r, c int) NodeID {
-	return NodeID(fmt.Sprintf("n%04d-%04d", r, c))
+	var buf [24]byte
+	return NodeID(appendGridID(buf[:0], r, c))
+}
+
+// appendGridID appends GridID(r, c) to dst.
+func appendGridID(dst []byte, r, c int) []byte {
+	dst = appendPadded(append(dst, 'n'), r, 4)
+	return appendPadded(append(dst, '-'), c, 4)
+}
+
+// appendPadded appends v in decimal, zero-padded to width characters sign
+// included, exactly as fmt's %0<width>d prints it.
+func appendPadded(dst []byte, v, width int) []byte {
+	u := uint64(v)
+	if v < 0 {
+		dst = append(dst, '-')
+		u = uint64(-int64(v))
+		width--
+	}
+	var digits [20]byte
+	d := strconv.AppendUint(digits[:0], u, 10)
+	for k := len(d); k < width; k++ {
+		dst = append(dst, '0')
+	}
+	return append(dst, d...)
+}
+
+// idTable names the nodes 0 … n−1 of a generated topology: appendID writes
+// node i's ID, all IDs go into one string, and each NodeID is a slice of
+// it — four allocations for the whole topology instead of one per ID.
+// width is the usual ID length, a capacity hint.
+func idTable(n, width int, appendID func(dst []byte, i int) []byte) []NodeID {
+	n = max(n, 0)
+	buf := make([]byte, 0, n*width)
+	ends := make([]int32, n)
+	for i := range ends {
+		buf = appendID(buf, i)
+		ends[i] = int32(len(buf))
+	}
+	all := string(buf)
+	ids := make([]NodeID, n)
+	start := int32(0)
+	for i, end := range ends {
+		ids[i] = NodeID(all[start:end])
+		start = end
+	}
+	return ids
+}
+
+// gridIDs names a rows×cols grid in row-major order: GridID(r, c) is
+// gridIDs(rows, cols)[r*cols+c].
+func gridIDs(rows, cols int) []NodeID {
+	return idTable(rows*cols, 10, func(dst []byte, i int) []byte {
+		return appendGridID(dst, i/cols, i%cols)
+	})
 }
 
 // Grid builds a rows×cols 4-neighbour mesh. Grids model the
 // physical-proximity topologies of §2.1 (correlated failures take out a
 // contiguous block).
 func Grid(rows, cols int) *Graph {
-	b := NewBuilder()
+	ids := gridIDs(rows, cols)
+	b := newBuilder(len(ids), 2*len(ids))
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
-			n := GridID(r, c)
+			n := ids[r*cols+c]
 			b.AddNode(n)
 			if r+1 < rows {
-				b.AddEdge(n, GridID(r+1, c))
+				b.AddEdge(n, ids[(r+1)*cols+c])
 			}
 			if c+1 < cols {
-				b.AddEdge(n, GridID(r, c+1))
+				b.AddEdge(n, ids[r*cols+c+1])
 			}
 		}
 	}
@@ -40,29 +100,53 @@ func Grid(rows, cols int) *Graph {
 // Torus builds a rows×cols 4-neighbour mesh with wraparound edges, removing
 // the boundary effects of Grid.
 func Torus(rows, cols int) *Graph {
+	ids := gridIDs(rows, cols)
 	b := NewBuilder()
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
-			n := GridID(r, c)
+			n := ids[r*cols+c]
 			b.AddNode(n)
-			b.AddEdge(n, GridID((r+1)%rows, c))
-			b.AddEdge(n, GridID(r, (c+1)%cols))
+			b.AddEdge(n, ids[(r+1)%rows*cols+c])
+			b.AddEdge(n, ids[r*cols+(c+1)%cols])
 		}
 	}
 	return b.Build()
 }
 
 // RingID names the i-th node of a generated ring.
-func RingID(i int) NodeID { return NodeID(fmt.Sprintf("r%06d", i)) }
+func RingID(i int) NodeID {
+	var buf [24]byte
+	return NodeID(appendRingID(buf[:0], i))
+}
+
+// appendRingID appends RingID(i) to dst.
+func appendRingID(dst []byte, i int) []byte { return appendPadded(append(dst, 'r'), i, 6) }
+
+// rngs recycles the random generators of the randomised generators: a
+// math/rand source is a 4.9 kB array, the largest allocation of a small
+// generated topology. seeded takes one; return it with rngs.Put.
+var rngs = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
+
+// seeded returns a generator from rngs seeded with seed: the stream
+// rand.New(rand.NewSource(seed)) would produce.
+func seeded(seed int64) *rand.Rand {
+	rng := rngs.Get().(*rand.Rand)
+	rng.Seed(seed)
+	return rng
+}
+
+// ringIDs names nodes 0 … n−1 as RingID does.
+func ringIDs(n int) []NodeID { return idTable(n, 7, appendRingID) }
 
 // Ring builds an n-cycle — the classic overlay shape of the paper's §1
 // motivation (DHT-like overlays where neighbourhood mirrors key proximity).
 func Ring(n int) *Graph {
-	b := NewBuilder()
+	ids := ringIDs(n)
+	b := newBuilder(n, n)
 	for i := 0; i < n; i++ {
-		b.AddNode(RingID(i))
+		b.AddNode(ids[i])
 		if n > 1 {
-			b.AddEdge(RingID(i), RingID((i+1)%n))
+			b.AddEdge(ids[i], ids[(i+1)%n])
 		}
 	}
 	return b.Build()
@@ -71,14 +155,15 @@ func Ring(n int) *Graph {
 // Chord builds an n-node ring with additional finger edges at power-of-two
 // distances, approximating a Chord-style DHT overlay.
 func Chord(n int) *Graph {
+	ids := ringIDs(n)
 	b := NewBuilder()
 	for i := 0; i < n; i++ {
-		b.AddNode(RingID(i))
+		b.AddNode(ids[i])
 		if n > 1 {
-			b.AddEdge(RingID(i), RingID((i+1)%n))
+			b.AddEdge(ids[i], ids[(i+1)%n])
 		}
 		for d := 2; d < n; d *= 2 {
-			b.AddEdge(RingID(i), RingID((i+d)%n))
+			b.AddEdge(ids[i], ids[(i+d)%n])
 		}
 	}
 	return b.Build()
@@ -86,11 +171,12 @@ func Chord(n int) *Graph {
 
 // Line builds an n-node path graph.
 func Line(n int) *Graph {
+	ids := ringIDs(n)
 	b := NewBuilder()
 	for i := 0; i < n; i++ {
-		b.AddNode(RingID(i))
+		b.AddNode(ids[i])
 		if i > 0 {
-			b.AddEdge(RingID(i-1), RingID(i))
+			b.AddEdge(ids[i-1], ids[i])
 		}
 	}
 	return b.Build()
@@ -99,11 +185,12 @@ func Line(n int) *Graph {
 // Complete builds the complete graph K_n: every node knows every other, the
 // degenerate "global knowledge" case the paper moves away from.
 func Complete(n int) *Graph {
+	ids := ringIDs(n)
 	b := NewBuilder()
 	for i := 0; i < n; i++ {
-		b.AddNode(RingID(i))
+		b.AddNode(ids[i])
 		for j := 0; j < i; j++ {
-			b.AddEdge(RingID(j), RingID(i))
+			b.AddEdge(ids[j], ids[i])
 		}
 	}
 	return b.Build()
@@ -112,25 +199,26 @@ func Complete(n int) *Graph {
 // Star builds a star with one hub and n-1 leaves; the hub is leaf-border of
 // every leaf region, exercising the |border| = 1 edge case.
 func Star(n int) *Graph {
+	ids := ringIDs(max(n, 1))
 	b := NewBuilder()
-	hub := RingID(0)
-	b.AddNode(hub)
+	b.AddNode(ids[0])
 	for i := 1; i < n; i++ {
-		b.AddEdge(hub, RingID(i))
+		b.AddEdge(ids[0], ids[i])
 	}
 	return b.Build()
 }
 
 // Tree builds a complete k-ary tree with the given number of nodes.
 func Tree(n, arity int) *Graph {
+	ids := ringIDs(n)
 	if arity < 1 {
 		arity = 2
 	}
 	b := NewBuilder()
 	for i := 0; i < n; i++ {
-		b.AddNode(RingID(i))
+		b.AddNode(ids[i])
 		if i > 0 {
-			b.AddEdge(RingID((i-1)/arity), RingID(i))
+			b.AddEdge(ids[(i-1)/arity], ids[i])
 		}
 	}
 	return b.Build()
@@ -140,18 +228,20 @@ func Tree(n, arity int) *Graph {
 // connectivity (isolated survivors would make border/termination reasoning
 // vacuous in tests). Deterministic for a given seed.
 func ErdosRenyi(n int, p float64, seed int64) *Graph {
-	rng := rand.New(rand.NewSource(seed))
-	b := NewBuilder()
+	ids := ringIDs(n)
+	rng := seeded(seed)
+	defer rngs.Put(rng)
+	b := newBuilder(n, n+int(min(max(p, 0), 1)*float64(n*(n-1)/2)))
 	for i := 0; i < n; i++ {
-		b.AddNode(RingID(i))
+		b.AddNode(ids[i])
 		if n > 1 {
-			b.AddEdge(RingID(i), RingID((i+1)%n))
+			b.AddEdge(ids[i], ids[(i+1)%n])
 		}
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if rng.Float64() < p {
-				b.AddEdge(RingID(i), RingID(j))
+				b.AddEdge(ids[i], ids[j])
 			}
 		}
 	}
@@ -163,10 +253,12 @@ func ErdosRenyi(n int, p float64, seed int64) *Graph {
 // random endpoint with probability beta. Connectivity is preserved by
 // keeping the base cycle.
 func SmallWorld(n, k int, beta float64, seed int64) *Graph {
-	rng := rand.New(rand.NewSource(seed))
-	b := NewBuilder()
+	ids := ringIDs(n)
+	rng := seeded(seed)
+	defer rngs.Put(rng)
+	b := newBuilder(n, n*(k/2))
 	for i := 0; i < n; i++ {
-		b.AddNode(RingID(i))
+		b.AddNode(ids[i])
 	}
 	for i := 0; i < n; i++ {
 		for d := 1; d <= k/2; d++ {
@@ -179,7 +271,7 @@ func SmallWorld(n, k int, beta float64, seed int64) *Graph {
 					j = (i + 1) % n
 				}
 			}
-			b.AddEdge(RingID(i), RingID(j))
+			b.AddEdge(ids[i], ids[j])
 		}
 	}
 	return b.Build()
@@ -190,7 +282,9 @@ func SmallWorld(n, k int, beta float64, seed int64) *Graph {
 // chain for connectivity. This is the "topology mirrors physical proximity"
 // setting from §2.1.
 func RandomGeometric(n int, radius float64, seed int64) *Graph {
-	rng := rand.New(rand.NewSource(seed))
+	ids := ringIDs(n)
+	rng := seeded(seed)
+	defer rngs.Put(rng)
 	xs := make([]float64, n)
 	ys := make([]float64, n)
 	for i := range xs {
@@ -199,9 +293,9 @@ func RandomGeometric(n int, radius float64, seed int64) *Graph {
 	}
 	b := NewBuilder()
 	for i := 0; i < n; i++ {
-		b.AddNode(RingID(i))
+		b.AddNode(ids[i])
 		if n > 1 {
-			b.AddEdge(RingID(i), RingID((i+1)%n))
+			b.AddEdge(ids[i], ids[(i+1)%n])
 		}
 	}
 	r2 := radius * radius
@@ -209,7 +303,7 @@ func RandomGeometric(n int, radius float64, seed int64) *Graph {
 		for j := i + 1; j < n; j++ {
 			dx, dy := xs[i]-xs[j], ys[i]-ys[j]
 			if dx*dx+dy*dy <= r2 {
-				b.AddEdge(RingID(i), RingID(j))
+				b.AddEdge(ids[i], ids[j])
 			}
 		}
 	}
@@ -221,9 +315,14 @@ func RandomGeometric(n int, radius float64, seed int64) *Graph {
 // Correlated failures within one blob are the canonical crashed-region
 // workload.
 func Clustered(clusters, size, bridges int, pIn float64, seed int64) *Graph {
-	rng := rand.New(rand.NewSource(seed))
-	id := func(c, i int) NodeID { return NodeID(fmt.Sprintf("c%03d-%04d", c, i)) }
-	b := NewBuilder()
+	rng := seeded(seed)
+	defer rngs.Put(rng)
+	ids := idTable(clusters*size, 9, func(dst []byte, k int) []byte {
+		dst = appendPadded(append(dst, 'c'), k/size, 3)
+		return appendPadded(append(dst, '-'), k%size, 4)
+	})
+	id := func(c, i int) NodeID { return ids[c*size+i] }
+	b := newBuilder(len(ids), len(ids)*(1+int(pIn*float64(size)/2))+clusters*bridges)
 	for c := 0; c < clusters; c++ {
 		for i := 0; i < size; i++ {
 			b.AddNode(id(c, i))
@@ -358,35 +457,34 @@ func BarabasiAlbert(n, m int, seed int64) *Graph {
 	if m < 1 {
 		m = 1
 	}
-	rng := rand.New(rand.NewSource(seed))
-	b := NewBuilder()
+	rng := seeded(seed)
+	defer rngs.Put(rng)
+	ids := ringIDs(n)
+	b := newBuilder(n, m*n)
 	// Degree-proportional sampling via the repeated-endpoints trick: every
 	// edge contributes both endpoints to the pool.
-	var pool []NodeID
+	var pool []int
 	// Seed clique of m+1 nodes.
 	for i := 0; i <= m && i < n; i++ {
 		for j := 0; j < i; j++ {
-			b.AddEdge(RingID(i), RingID(j))
-			pool = append(pool, RingID(i), RingID(j))
+			b.AddEdge(ids[i], ids[j])
+			pool = append(pool, i, j)
 		}
 	}
+	targets := make([]int, 0, m)
 	for i := m + 1; i < n; i++ {
-		id := RingID(i)
-		chosen := map[NodeID]bool{}
-		// Record targets in draw order: iterating the map would make edge
-		// insertion (and hence adjacency order) nondeterministic, breaking
-		// the generator determinism contract.
-		var targets []NodeID
-		for len(chosen) < m {
+		// Targets are distinct and kept in draw order, which fixes the
+		// order edges are added in.
+		targets = targets[:0]
+		for len(targets) < m {
 			target := pool[rng.Intn(len(pool))]
-			if target != id && !chosen[target] {
-				chosen[target] = true
+			if target != i && !slices.Contains(targets, target) {
 				targets = append(targets, target)
 			}
 		}
 		for _, t := range targets {
-			b.AddEdge(id, t)
-			pool = append(pool, id, t)
+			b.AddEdge(ids[i], ids[t])
+			pool = append(pool, i, t)
 		}
 	}
 	return b.Build()
@@ -396,11 +494,12 @@ func BarabasiAlbert(n, m int, seed int64) *Graph {
 // classic structured-overlay topology.
 func Hypercube(d int) *Graph {
 	n := 1 << d
+	ids := ringIDs(n)
 	b := NewBuilder()
 	for i := 0; i < n; i++ {
-		b.AddNode(RingID(i))
+		b.AddNode(ids[i])
 		for bit := 0; bit < d; bit++ {
-			b.AddEdge(RingID(i), RingID(i^(1<<bit)))
+			b.AddEdge(ids[i], ids[i^(1<<bit)])
 		}
 	}
 	return b.Build()
@@ -426,8 +525,8 @@ func CenterBlock(rows, cols, k int) []NodeID {
 // MaxDegree returns the largest node degree in g (0 for the empty graph).
 func (g *Graph) MaxDegree() int {
 	max := 0
-	for _, n := range g.nodes {
-		if d := len(g.adj[n]); d > max {
+	for i := range g.nodes {
+		if d := g.DegreeOf(int32(i)); d > max {
 			max = d
 		}
 	}
@@ -452,7 +551,7 @@ func (g *Graph) Diameter() int {
 		for len(queue) > 0 {
 			n := queue[0]
 			queue = queue[1:]
-			for _, m := range g.adj[n] {
+			for _, m := range g.Neighbors(n) {
 				if _, ok := dist[m]; !ok {
 					dist[m] = dist[n] + 1
 					if dist[m] > maxDist {

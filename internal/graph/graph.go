@@ -9,7 +9,10 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -30,33 +33,65 @@ type NodeID string
 // (trace events, results). The mapping is stable for the lifetime of the
 // graph because graphs are immutable.
 type Graph struct {
-	adj   map[NodeID][]NodeID // sorted adjacency lists
-	nodes []NodeID            // sorted; nodes[i] is the NodeID of index i
-	index map[NodeID]int32    // inverse of nodes
+	nodes []NodeID         // sorted; nodes[i] is the NodeID of index i
+	index map[NodeID]int32 // inverse of nodes
 	// CSR adjacency over indices: the neighbours of index i are
 	// csrAdj[csrStart[i]:csrStart[i+1]], in ascending index order (which is
-	// ascending NodeID order).
+	// ascending NodeID order). csrIDs holds the same neighbours by NodeID,
+	// so Neighbors is a slice of it.
 	csrStart []int32
 	csrAdj   []int32
+	csrIDs   []NodeID
 }
 
 // Builder accumulates nodes and edges and produces an immutable Graph.
+// Nodes get slots in insertion order; edges are kept as slot pairs until
+// Build sorts them into the graph's CSR arrays.
 type Builder struct {
-	adj map[NodeID]map[NodeID]bool
+	index map[NodeID]int32 // ID → slot
+	ids   []NodeID         // slot → ID
+	edges []uint64         // u<<32 | v by slot, one entry per AddEdge call
+	// shared is set by Build, which hands index and ids to the Graph: the
+	// next AddNode copies them before writing.
+	shared bool
 }
 
 // NewBuilder returns an empty graph builder.
-func NewBuilder() *Builder {
-	return &Builder{adj: make(map[NodeID]map[NodeID]bool)}
+func NewBuilder() *Builder { return newBuilder(0, 0) }
+
+// newBuilder is NewBuilder sized for the given numbers of nodes and
+// AddEdge calls, which the generators know up front.
+func newBuilder(nodes, edges int) *Builder {
+	nodes, edges = max(nodes, 0), max(edges, 0)
+	return &Builder{
+		index: make(map[NodeID]int32, nodes),
+		ids:   make([]NodeID, 0, nodes),
+		edges: make([]uint64, 0, edges),
+	}
 }
 
 // AddNode ensures n is present (isolated nodes are allowed: a node with no
 // neighbours simply never participates in any protocol run).
 func (b *Builder) AddNode(n NodeID) *Builder {
-	if _, ok := b.adj[n]; !ok {
-		b.adj[n] = make(map[NodeID]bool)
-	}
+	b.slot(n)
 	return b
+}
+
+// slot returns n's slot, adding n if it is new.
+func (b *Builder) slot(n NodeID) int32 {
+	if s, ok := b.index[n]; ok {
+		return s
+	}
+	if b.shared {
+		b.index, b.ids, b.shared = maps.Clone(b.index), slices.Clone(b.ids), false
+	}
+	if b.index == nil {
+		b.index = make(map[NodeID]int32)
+	}
+	s := int32(len(b.ids))
+	b.index[n] = s
+	b.ids = append(b.ids, n)
+	return s
 }
 
 // AddEdge inserts the undirected edge {u, v}. Self-loops are ignored:
@@ -66,43 +101,61 @@ func (b *Builder) AddEdge(u, v NodeID) *Builder {
 	if u == v {
 		return b
 	}
-	b.AddNode(u)
-	b.AddNode(v)
-	b.adj[u][v] = true
-	b.adj[v][u] = true
+	su, sv := b.slot(u), b.slot(v)
+	b.edges = append(b.edges, uint64(su)<<32|uint64(sv))
 	return b
 }
 
-// Build freezes the builder into an immutable Graph. The builder may be
-// reused afterwards; the Graph does not alias its maps.
+// Build freezes the builder into an immutable Graph. It renumbers the
+// slots into sorted NodeID order (nothing to do when the nodes were added
+// in that order, as the generators add them), sorts the edges in both
+// directions once, and reads the CSR arrays off the sorted, de-duplicated
+// list. The builder may be reused afterwards; the Graph does not alias
+// anything a later AddNode or AddEdge writes.
 func (b *Builder) Build() *Graph {
-	g := &Graph{adj: make(map[NodeID][]NodeID, len(b.adj))}
-	for n, nbrs := range b.adj {
-		list := make([]NodeID, 0, len(nbrs))
-		for m := range nbrs {
-			list = append(list, m)
+	n := len(b.ids)
+	if !slices.IsSorted(b.ids) {
+		order := make([]int32, n)
+		for i := range order {
+			order[i] = int32(i)
 		}
-		sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
-		g.adj[n] = list
-		g.nodes = append(g.nodes, n)
-	}
-	sort.Slice(g.nodes, func(i, j int) bool { return g.nodes[i] < g.nodes[j] })
-	g.index = make(map[NodeID]int32, len(g.nodes))
-	for i, n := range g.nodes {
-		g.index[n] = int32(i)
-	}
-	g.csrStart = make([]int32, len(g.nodes)+1)
-	total := 0
-	for _, n := range g.nodes {
-		total += len(g.adj[n])
-	}
-	g.csrAdj = make([]int32, 0, total)
-	for i, n := range g.nodes {
-		for _, m := range g.adj[n] {
-			g.csrAdj = append(g.csrAdj, g.index[m])
+		slices.SortFunc(order, func(x, y int32) int { return cmp.Compare(b.ids[x], b.ids[y]) })
+		rank := make([]int32, n)
+		nodes := make([]NodeID, n)
+		for i, s := range order {
+			rank[s] = int32(i)
+			nodes[i] = b.ids[s]
 		}
-		g.csrStart[i+1] = int32(len(g.csrAdj))
+		for i, id := range nodes {
+			b.index[id] = int32(i)
+		}
+		b.ids = nodes
+		for k, e := range b.edges {
+			b.edges[k] = uint64(rank[e>>32])<<32 | uint64(rank[uint32(e)])
+		}
 	}
+	arcs := make([]uint64, 0, 2*len(b.edges))
+	for _, e := range b.edges {
+		arcs = append(arcs, e, e<<32|e>>32)
+	}
+	slices.Sort(arcs)
+	arcs = slices.Compact(arcs)
+	g := &Graph{
+		nodes:    b.ids,
+		index:    b.index,
+		csrStart: make([]int32, n+1),
+		csrAdj:   make([]int32, len(arcs)),
+		csrIDs:   make([]NodeID, len(arcs)),
+	}
+	for k, a := range arcs {
+		g.csrStart[a>>32+1]++
+		g.csrAdj[k] = int32(uint32(a))
+		g.csrIDs[k] = b.ids[uint32(a)]
+	}
+	for i := 0; i < n; i++ {
+		g.csrStart[i+1] += g.csrStart[i]
+	}
+	b.shared = true
 	return g
 }
 
@@ -115,16 +168,22 @@ func (g *Graph) Len() int { return len(g.nodes) }
 
 // Has reports whether n ∈ Π.
 func (g *Graph) Has(n NodeID) bool {
-	_, ok := g.adj[n]
+	_, ok := g.index[n]
 	return ok
 }
 
 // Neighbors returns border(n): the sorted adjacency list of n. The slice is
 // shared; callers must not mutate it. Unknown nodes have no neighbours.
-func (g *Graph) Neighbors(n NodeID) []NodeID { return g.adj[n] }
+func (g *Graph) Neighbors(n NodeID) []NodeID {
+	i, ok := g.index[n]
+	if !ok {
+		return nil
+	}
+	return g.csrIDs[g.csrStart[i]:g.csrStart[i+1]]
+}
 
 // Degree returns |border(n)|.
-func (g *Graph) Degree(n NodeID) int { return len(g.adj[n]) }
+func (g *Graph) Degree(n NodeID) int { return len(g.Neighbors(n)) }
 
 // Index returns the dense index of n, or -1 if n ∉ Π. Indices are
 // assigned in sorted NodeID order, so for any two nodes u, v:
@@ -153,19 +212,20 @@ func (g *Graph) DegreeOf(i int32) int { return int(g.csrStart[i+1] - g.csrStart[
 
 // HasEdge reports whether {u, v} ∈ E.
 func (g *Graph) HasEdge(u, v NodeID) bool {
-	nbrs := g.adj[u]
-	i := sort.Search(len(nbrs), func(i int) bool { return nbrs[i] >= v })
-	return i < len(nbrs) && nbrs[i] == v
+	iu, ok := g.index[u]
+	if !ok {
+		return false
+	}
+	iv, ok := g.index[v]
+	if !ok {
+		return false
+	}
+	_, found := slices.BinarySearch(g.NeighborIndices(iu), iv)
+	return found
 }
 
 // NumEdges returns |E|.
-func (g *Graph) NumEdges() int {
-	total := 0
-	for _, nbrs := range g.adj {
-		total += len(nbrs)
-	}
-	return total / 2
-}
+func (g *Graph) NumEdges() int { return len(g.csrAdj) / 2 }
 
 // Border returns border(S) = {q ∈ Π\S | ∃p ∈ S : (p,q) ∈ E} in sorted
 // order (paper §2.2). S is given as a set.
@@ -173,7 +233,7 @@ func (g *Graph) Border(s map[NodeID]bool) []NodeID {
 	seen := make(map[NodeID]bool)
 	var out []NodeID
 	for p := range s {
-		for _, q := range g.adj[p] {
+		for _, q := range g.Neighbors(p) {
 			if !s[q] && !seen[q] {
 				seen[q] = true
 				out = append(out, q)
@@ -234,7 +294,7 @@ func (g *Graph) ConnectedComponents(s map[NodeID]bool) [][]NodeID {
 			n := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			comp = append(comp, n)
-			for _, m := range g.adj[n] {
+			for _, m := range g.Neighbors(n) {
 				if s[m] && !visited[m] {
 					visited[m] = true
 					stack = append(stack, m)
@@ -270,7 +330,7 @@ func (g *Graph) DOT(name string, crashed map[NodeID]bool) string {
 		}
 	}
 	for _, u := range g.nodes {
-		for _, v := range g.adj[u] {
+		for _, v := range g.Neighbors(u) {
 			if u < v {
 				fmt.Fprintf(&sb, "  %q -- %q;\n", string(u), string(v))
 			}

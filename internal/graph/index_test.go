@@ -135,3 +135,23 @@ func TestBitset(t *testing.T) {
 		t.Fatal("Clone must not alias")
 	}
 }
+
+// TestBitsetReset: Reset empties the set over the new range, reusing the
+// words when there are enough and allocating when there are not.
+func TestBitsetReset(t *testing.T) {
+	b := NewBitset(200)
+	b.Set(3)
+	b.Set(199)
+	small := b.Reset(70)
+	if len(small) != 2 || small.Count() != 0 || &small[0] != &b[0] {
+		t.Fatalf("Reset(70) = %d words, %d members, reused %v", len(small), small.Count(), &small[0] == &b[0])
+	}
+	small.Set(69)
+	big := small.Reset(200)
+	if len(big) != 4 || big.Count() != 0 {
+		t.Fatalf("Reset(200) after Reset(70) = %d words, %d members", len(big), big.Count())
+	}
+	if grown := big.Reset(300); len(grown) != 5 || grown.Count() != 0 {
+		t.Fatalf("Reset(300) = %d words, %d members", len(grown), grown.Count())
+	}
+}

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"math/bits"
+	"slices"
 )
 
 // histSubBits is the sub-bucket resolution of Hist: 2^histSubBits linear
@@ -54,9 +55,11 @@ func (h *Hist) Add(v int64) {
 	}
 	idx := histIndex(v)
 	if idx >= len(h.counts) {
-		grown := make([]uint32, idx+1)
-		copy(grown, h.counts)
-		h.counts = grown
+		// Lags mostly rise within a run, so a new maximum is common:
+		// the capacity grows geometrically to amortise it.
+		n := len(h.counts)
+		h.counts = slices.Grow(h.counts, idx+1-n)[:idx+1]
+		clear(h.counts[n:])
 	}
 	h.counts[idx]++
 	h.n++

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"math/rand"
 	"sort"
 	"testing"
@@ -132,5 +133,45 @@ func TestHistBuckets(t *testing.T) {
 	}
 	if total != h.Count() {
 		t.Fatalf("buckets cover %d samples, want %d", total, h.Count())
+	}
+}
+
+// TestHistAscendingAddsAmortised: a run's lags mostly rise, so a new
+// maximum is the common case, and growing the buckets for it must not copy
+// them every time. A thousand ascending values open a new last bucket 495
+// times; growing to the exact size allocated each time. The growth must not
+// show in the histogram either: its JSON and a merge of it are the same
+// bytes as those of the same values added largest first (one allocation
+// of the final size).
+func TestHistAscendingAddsAmortised(t *testing.T) {
+	allocs := testing.AllocsPerRun(10, func() {
+		var h Hist
+		for v := int64(0); v < 1000; v++ {
+			h.Add(v * 37)
+		}
+	})
+	if allocs > 20 {
+		t.Fatalf("1000 ascending adds allocated %v times, want ≤ 20", allocs)
+	}
+	var up, down Hist
+	for v := int64(0); v < 1000; v++ {
+		up.Add(v * 37)
+		down.Add((999 - v) * 37)
+	}
+	var mergedUp, mergedDown Hist
+	mergedUp.Merge(&up)
+	mergedDown.Merge(&down)
+	for _, pair := range [][2]*Hist{{&up, &down}, {&mergedUp, &mergedDown}} {
+		a, err := json.Marshal(pair[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(pair[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(a) != string(b) {
+			t.Fatalf("ascending adds encode as\n%s\nlargest first as\n%s", a, b)
+		}
 	}
 }

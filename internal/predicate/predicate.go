@@ -241,10 +241,14 @@ var _ proto.Automaton = (*Node)(nil)
 
 // Factory builds the automaton factory for a predicate-region run: the
 // nodes of core.Factory(cfg), each wrapped.
-func Factory(cfg core.Config) proto.Factory {
-	inner := core.Factory(cfg)
+func Factory(cfg core.Config) proto.Factory { return Wrap(cfg.Graph, core.Factory(cfg)) }
+
+// Wrap builds the automaton factory of a predicate-region run over g from
+// a factory of core nodes (core.Factory, or a core.Slab's): each node it
+// builds is wrapped.
+func Wrap(g *graph.Graph, nodes proto.Factory) proto.Factory {
 	return func(id graph.NodeID) proto.Automaton {
-		return wrap(cfg.Graph, inner(id).(*core.Node))
+		return wrap(g, nodes(id).(*core.Node))
 	}
 }
 

@@ -162,6 +162,13 @@ type KeyTable struct {
 // NewKeyTable returns an empty table.
 func NewKeyTable() *KeyTable { return &KeyTable{keys: make(map[uint64]string)} }
 
+// Reset empties the table for the next run, keeping its map's memory.
+func (t *KeyTable) Reset() {
+	t.mu.Lock()
+	clear(t.keys)
+	t.mu.Unlock()
+}
+
 // lookup returns the stored key that joins nodes (keyLen bytes, hash its
 // hashIDs), or "" if the table has none.
 func (t *KeyTable) lookup(hash uint64, nodes []graph.NodeID, keyLen int) string {

@@ -1,9 +1,13 @@
 package sim
 
 import (
+	"context"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 
+	"cliffedge/internal/core"
 	"cliffedge/internal/graph"
 	"cliffedge/internal/trace"
 )
@@ -78,11 +82,13 @@ func TestNegativeConfigTimesRejected(t *testing.T) {
 
 // TestRunnerNotReusable: a Runner is consumed by its run — a second
 // Run/RunContext must fail loudly instead of interleaving stale state
-// into a corrupt trace.
+// into a corrupt trace — until Reset arms it again. A failed Reset leaves
+// it disarmed.
 func TestRunnerNotReusable(t *testing.T) {
 	g := graph.Grid(3, 3)
-	r, err := NewRunner(Config{Graph: g, Factory: coreFactory(g), Seed: 2,
-		Crashes: []CrashAt{{Time: 10, Node: graph.GridID(1, 1)}}})
+	cfg := Config{Graph: g, Factory: coreFactory(g), Seed: 2,
+		Crashes: []CrashAt{{Time: 10, Node: graph.GridID(1, 1)}}}
+	r, err := NewRunner(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,6 +101,127 @@ func TestRunnerNotReusable(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "consumed") {
 		t.Fatalf("unexpected reuse error: %v", err)
+	}
+	if err := r.Reset(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(); err != nil {
+		t.Fatalf("Run after Reset: %v", err)
+	}
+	if err := r.Reset(Config{Graph: g}); err == nil {
+		t.Fatal("Reset accepted a config without a factory")
+	}
+	if _, err := r.Run(); err == nil || !strings.Contains(err.Error(), "consumed") {
+		t.Fatalf("Run after a failed Reset: %v", err)
+	}
+	if _, err := new(Runner).Run(); err == nil {
+		t.Fatal("a zero Runner ran")
+	}
+}
+
+// TestResetMatchesFresh runs a sequence of different configurations —
+// graph sizes up and down, sharded and sequential, triggers, injections,
+// retained and discarded traces, and runs cut short by a cancelled
+// context or an exhausted event budget — through one Runner with Reset,
+// its nodes cut from one reused core.Slab, and requires each run to equal
+// a new Runner's run of the same config with new nodes: trace, stats,
+// decisions, crash set and end time. Whatever a run leaves in the reused
+// queues, rows, bitsets and nodes must not reach the next.
+func TestResetMatchesFresh(t *testing.T) {
+	blockCrashes := func(at int64, ids ...graph.NodeID) []CrashAt {
+		var out []CrashAt
+		for _, id := range ids {
+			out = append(out, CrashAt{Time: at, Node: id})
+		}
+		return out
+	}
+	grid := func(rows, cols int) *graph.Graph { return graph.Grid(rows, cols) }
+	type step struct {
+		name   string
+		cfg    func() Config
+		cancel bool // run under a cancelled context: must fail
+	}
+	g8, g4, g12 := grid(8, 8), grid(4, 4), grid(12, 12)
+	ring := graph.Ring(40)
+	steps := []step{
+		{"grid8", func() Config {
+			return Config{Graph: g8, Factory: coreFactory(g8), Seed: 9,
+				Crashes: append(blockCrashes(10, graph.GridBlock(1, 1, 2)...), blockCrashes(30, graph.GridBlock(5, 5, 2)...)...)}
+		}, false},
+		{"grid4-sharded", func() Config {
+			return Config{Graph: g4, Factory: coreFactory(g4), Seed: 3, Shards: 2,
+				Crashes: blockCrashes(5, graph.GridID(1, 1), graph.GridID(2, 2))}
+		}, false},
+		{"grid12-cancelled", func() Config {
+			return Config{Graph: g12, Factory: coreFactory(g12), Seed: 4,
+				Crashes: blockCrashes(10, graph.GridBlock(4, 4, 3)...)}
+		}, true},
+		{"grid12-budget", func() Config {
+			return Config{Graph: g12, Factory: coreFactory(g12), Seed: 4, MaxEvents: 300,
+				Crashes: blockCrashes(10, graph.GridBlock(4, 4, 3)...)}
+		}, false},
+		{"ring-trigger-discard", func() Config {
+			return Config{Graph: ring, Factory: coreFactory(ring), Seed: 5, DiscardEvents: true,
+				Observer: func(trace.Event) {},
+				Crashes:  blockCrashes(10, graph.RingID(3), graph.RingID(4)),
+				Triggers: []Trigger{{Node: graph.RingID(5), Delay: 2,
+					When: func(e trace.Event) bool { return e.Kind == trace.KindPropose }}}}
+		}, false},
+		{"grid8-auto-shards", func() Config {
+			return Config{Graph: g8, Factory: coreFactory(g8), Seed: 11, Shards: AutoShards,
+				Crashes: append(blockCrashes(10, graph.GridBlock(0, 0, 2)...), blockCrashes(10, graph.GridBlock(5, 5, 2)...)...)}
+		}, false},
+		{"grid4-after-abort", func() Config {
+			return Config{Graph: g4, Factory: coreFactory(g4), Seed: 3,
+				Crashes: blockCrashes(5, graph.GridID(1, 1), graph.GridID(2, 2))}
+		}, false},
+		{"grid12", func() Config {
+			return Config{Graph: g12, Factory: coreFactory(g12), Seed: 4,
+				Crashes: blockCrashes(10, graph.GridBlock(4, 4, 3)...)}
+		}, false},
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	run := func(r *Runner, s step) (*Result, error) {
+		if s.cancel {
+			return r.RunContext(cancelled)
+		}
+		return r.Run()
+	}
+	var reused Runner
+	var nodes core.Slab
+	for _, s := range steps {
+		fresh, err := NewRunner(s.cfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantErr := run(fresh, s)
+		cfg := s.cfg()
+		cfg.Factory = nodes.Factory(core.Config{Graph: cfg.Graph})
+		if err := reused.Reset(cfg); err != nil {
+			t.Fatal(err)
+		}
+		got, gotErr := run(&reused, s)
+		if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+			t.Fatalf("%s: error %v, fresh Runner %v", s.name, gotErr, wantErr)
+		}
+		if wantErr != nil {
+			continue
+		}
+		if !slices.Equal(got.Events, want.Events) {
+			t.Fatalf("%s: trace of %d events differs from a fresh Runner's %d", s.name, len(got.Events), len(want.Events))
+		}
+		if got.Stats != want.Stats || got.EndTime != want.EndTime || !maps.Equal(got.Crashed, want.Crashed) {
+			t.Fatalf("%s: stats %+v end %d, fresh Runner %+v end %d", s.name, got.Stats, got.EndTime, want.Stats, want.EndTime)
+		}
+		if len(got.Decisions) != len(want.Decisions) {
+			t.Fatalf("%s: %d decisions, fresh Runner %d", s.name, len(got.Decisions), len(want.Decisions))
+		}
+		for id, d := range want.Decisions {
+			if gd := got.Decisions[id]; gd == nil || gd.View.Key() != d.View.Key() || gd.Value != d.Value {
+				t.Fatalf("%s: decision of %s differs from a fresh Runner's", s.name, id)
+			}
+		}
 	}
 }
 

@@ -163,6 +163,40 @@ func (q *eventQueue) pop() event {
 	return ev
 }
 
+// reset empties the queue for a run over the given number of sources and
+// keeps its memory: the chunks, the ring and the sort buffers. A queue a
+// run left non-empty (it stopped early) has its slots cleared. The free
+// list is rebuilt in slot order, the order a new queue hands slots out in;
+// which slot holds an event never decides when it pops, since the key
+// does.
+func (q *eventQueue) reset(nodes int32) {
+	if q.n > 0 {
+		for _, c := range q.chunks {
+			c.ev = [chunkLen]event{}
+		}
+		clear(q.ring)
+	}
+	q.free = -1
+	for k := len(q.chunks) - 1; k >= 0; k-- {
+		q.linkChunk(k)
+	}
+	if cap(q.counts) > int(nodes) {
+		q.counts = q.counts[:nodes+1]
+	} else {
+		q.counts = nil
+	}
+	*q = eventQueue{
+		nodes:    nodes,
+		ring:     q.ring,
+		order:    q.order[:0],
+		overflow: q.overflow[:0],
+		chunks:   q.chunks,
+		free:     q.free,
+		scratch:  q.scratch[:0],
+		counts:   q.counts,
+	}
+}
+
 // drain pops every pending event and returns them in order.
 func (q *eventQueue) drain() []event {
 	out := make([]event, 0, q.n)
@@ -175,17 +209,22 @@ func (q *eventQueue) drain() []event {
 // alloc takes a slot from the free list, adding a chunk when it is empty.
 func (q *eventQueue) alloc() int32 {
 	if q.free < 0 {
-		c := new(chunk)
-		first := int32(len(q.chunks)) << chunkBits
-		q.chunks = append(q.chunks, c)
-		for k := chunkLen - 1; k >= 0; k-- {
-			c.next[k] = q.free
-			q.free = first + int32(k)
-		}
+		q.chunks = append(q.chunks, new(chunk))
+		q.linkChunk(len(q.chunks) - 1)
 	}
 	id := q.free
 	q.free = *q.link(id)
 	return id
+}
+
+// linkChunk puts the slots of chunk k in front of the free list, lowest
+// first.
+func (q *eventQueue) linkChunk(k int) {
+	c, first := q.chunks[k], int32(k)<<chunkBits
+	for s := chunkLen - 1; s >= 0; s-- {
+		c.next[s] = q.free
+		q.free = first + int32(s)
+	}
 }
 
 // toRing links slot id into its tick's bucket.

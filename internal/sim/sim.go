@@ -227,11 +227,11 @@ func (a eventKey) less(b eventKey) bool { return a.compare(b) < 0 }
 
 // Runner executes one simulation. Create with NewRunner, execute with Run.
 // A Runner is consumed by its run: a second Run/RunContext returns an
-// error.
+// error until Reset arms it for the next run.
 type Runner struct {
-	cfg     Config
-	g       *graph.Graph
-	started bool
+	cfg   Config
+	g     *graph.Graph
+	armed bool
 
 	// tracing is whether anything consumes trace events (see
 	// Config.DiscardEvents); when it is false none is built. events is
@@ -287,15 +287,37 @@ type Runner struct {
 	// processed (summed from the lanes in mergeLanes), window barriers
 	// and active-lane windows (counted by the sharded driver).
 	qEvents, qWindows, qLaneWindows int
+
+	// lanes are the execution streams of the runs so far, kept for the
+	// next: lanes[0] is the stem, lanes[1:] the shards (see lane). spare
+	// holds zeroed FIFO-floor rows of earlier runs for direct lanes to
+	// take before allocating.
+	lanes []*lane
+	spare [][]int64
 }
 
-// NewRunner validates cfg and builds a Runner.
+// NewRunner validates cfg and builds a Runner: Reset on a zero Runner.
 func NewRunner(cfg Config) (*Runner, error) {
+	r := new(Runner)
+	if err := r.Reset(cfg); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// Reset validates cfg and arms r for one run of it. A Runner reused this
+// way keeps what its earlier runs allocated — the event queues' chunks,
+// the per-node arrays and bitsets, the FIFO-floor rows and the lanes — and
+// starts from the state a new Runner would: same trace, same Result. A
+// Result of an earlier run stays valid; nothing it holds is reused. When
+// cfg is invalid, r is left disarmed.
+func (r *Runner) Reset(cfg Config) error {
+	r.armed = false
 	if cfg.Graph == nil {
-		return nil, fmt.Errorf("sim: Config.Graph is required")
+		return fmt.Errorf("sim: Config.Graph is required")
 	}
 	if cfg.Factory == nil {
-		return nil, fmt.Errorf("sim: Config.Factory is required")
+		return fmt.Errorf("sim: Config.Factory is required")
 	}
 	if cfg.NetLatency == nil {
 		cfg.NetLatency = Uniform{Min: 1, Max: 10}
@@ -307,59 +329,102 @@ func NewRunner(cfg Config) (*Runner, error) {
 		cfg.MaxEvents = 50_000_000
 	}
 	if cfg.Shards < AutoShards {
-		return nil, fmt.Errorf("sim: Config.Shards must be ≥ %d (AutoShards), got %d",
+		return fmt.Errorf("sim: Config.Shards must be ≥ %d (AutoShards), got %d",
 			AutoShards, cfg.Shards)
 	}
 	for _, c := range cfg.Crashes {
 		if !cfg.Graph.Has(c.Node) {
-			return nil, fmt.Errorf("sim: scheduled crash of unknown node %q", c.Node)
+			return fmt.Errorf("sim: scheduled crash of unknown node %q", c.Node)
 		}
 		if c.Time < 0 {
-			return nil, fmt.Errorf("sim: crash of %q at negative time %d", c.Node, c.Time)
+			return fmt.Errorf("sim: crash of %q at negative time %d", c.Node, c.Time)
 		}
 	}
 	for _, t := range cfg.Triggers {
 		if !cfg.Graph.Has(t.Node) {
-			return nil, fmt.Errorf("sim: trigger on unknown node %q", t.Node)
+			return fmt.Errorf("sim: trigger on unknown node %q", t.Node)
 		}
 		if t.Delay < 0 {
-			return nil, fmt.Errorf("sim: trigger on %q with negative delay %d", t.Node, t.Delay)
+			return fmt.Errorf("sim: trigger on %q with negative delay %d", t.Node, t.Delay)
 		}
 	}
 	for _, inj := range cfg.Injections {
 		if !cfg.Graph.Has(inj.Node) {
-			return nil, fmt.Errorf("sim: injection into unknown node %q", inj.Node)
+			return fmt.Errorf("sim: injection into unknown node %q", inj.Node)
 		}
 		if inj.Time < 0 {
-			return nil, fmt.Errorf("sim: injection into %q at negative time %d", inj.Node, inj.Time)
+			return fmt.Errorf("sim: injection into %q at negative time %d", inj.Node, inj.Time)
 		}
 	}
 	n := cfg.Graph.Len()
-	r := &Runner{
+	// The FIFO-floor rows of the last run are zeroed and join the spares;
+	// spares too short for this graph are dropped.
+	for _, row := range r.fifoFloor {
+		if row != nil {
+			clear(row)
+			r.spare = append(r.spare, row)
+		}
+	}
+	spare := r.spare[:0]
+	for _, row := range r.spare {
+		if cap(row) >= n {
+			spare = append(spare, row[:n])
+		}
+	}
+	clear(r.spare[len(spare):])
+	subs := extend(r.subs, n)
+	for q, set := range subs {
+		if set != nil {
+			subs[q] = set.Reset(n)
+		}
+	}
+	*r = Runner{
 		cfg:     cfg,
 		g:       cfg.Graph,
+		armed:   true,
 		tracing: !cfg.DiscardEvents || cfg.Observer != nil || len(cfg.Triggers) > 0,
 		// Distinct domain-separation tags keep the message-latency and
 		// failure-detection streams independent even for equal (from,
 		// to, time) coordinates.
 		netSeed:      splitmix64(uint64(cfg.Seed) ^ 0x6E65_745F_6C61_7401), // "net_lat"
 		fdSeed:       splitmix64(uint64(cfg.Seed) ^ 0x6664_5F6C_6174_0002), // "fd_lat"
-		srcSeq:       make([]int64, n),
-		chanNonce:    make([]uint64, n),
-		automata:     make([]proto.Automaton, n),
-		crashed:      graph.NewBitset(n),
-		subs:         make([]graph.Bitset, n),
-		fifoFloor:    make([][]int64, n),
+		srcSeq:       resize(r.srcSeq, n),
+		chanNonce:    resize(r.chanNonce, n),
+		automata:     resize(r.automata, n),
+		crashed:      r.crashed.Reset(n),
+		subs:         subs,
+		fifoFloor:    resize(r.fifoFloor, n),
 		triggers:     cfg.Triggers,
-		fired:        make([]bool, len(cfg.Triggers)),
-		participants: graph.NewBitset(n),
+		fired:        resize(r.fired, len(cfg.Triggers)),
+		participants: r.participants.Reset(n),
+		lanes:        r.lanes,
+		spare:        spare,
 	}
 	r.lookahead = minDeclaredLatency(cfg.NetLatency, cfg.FDLatency)
 	r.subDelay = r.lookahead
 	if r.subDelay < 1 {
 		r.subDelay = 1
 	}
-	return r, nil
+	return nil
+}
+
+// resize returns s with length n and every element zero, reusing its
+// array when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// extend returns s with length n, keeping its elements; new ones are zero.
+func extend[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = append(s[:cap(s)], make([]T, n-cap(s))...)
+	}
+	return s[:n]
 }
 
 // minDeclaredLatency is the conservative lookahead: the smallest latency
@@ -392,15 +457,15 @@ func (r *Runner) Run() (*Result, error) { return r.RunContext(context.Background
 // hundred kernel events, and a cancelled or expired context aborts the run
 // with the context's error.
 func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
-	if r.started {
-		return nil, fmt.Errorf("sim: Runner already consumed; build a new Runner per run")
+	if !r.armed {
+		return nil, fmt.Errorf("sim: Runner already consumed (or never armed); Reset it before each run")
 	}
-	r.started = true
+	r.armed = false
 
 	// 〈init〉 on every node, in sorted order (= index order), on a
 	// sequential stem lane. All init-time trace events and subscriptions
 	// happen before any kernel event, identically at every shard count.
-	stem := r.newLane(0, 1)
+	stem := r.lane(0, 0, 1)
 	r.initPhase = true
 	for i, id := range r.g.Nodes() {
 		a := r.cfg.Factory(id)
@@ -431,7 +496,7 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 		r.owner = owner
 		shards := make([]*lane, nshards)
 		for s := range shards {
-			shards[s] = r.newLane(s, nshards)
+			shards[s] = r.lane(1+s, s, nshards)
 		}
 		// Distribute the init-phase backlog to its owner shards. drain
 		// hands it over in key order, so every source's events reach a
@@ -590,18 +655,33 @@ type lane struct {
 	participants graph.Bitset
 }
 
-func (r *Runner) newLane(id, nshards int) *lane {
+// lane returns r.lanes[k], set up as lane id of nshards for the run
+// about to start. The lane keeps the memory of its earlier runs: its
+// event queue's chunks, its bitsets and its trace and outbox buffers.
+func (r *Runner) lane(k, id, nshards int) *lane {
+	for len(r.lanes) <= k {
+		r.lanes = append(r.lanes, new(lane))
+	}
+	ln := r.lanes[k]
+	old := *ln
 	n := r.g.Len()
-	ln := &lane{
+	clear(old.buf) // non-empty only after a run that stopped early
+	*ln = lane{
 		r:            r,
 		id:           id,
-		queue:        eventQueue{nodes: int32(n)},
+		queue:        old.queue,
 		direct:       nshards <= 1,
-		crashed:      graph.NewBitset(n),
-		participants: graph.NewBitset(n),
+		crashed:      old.crashed.Reset(n),
+		participants: old.participants.Reset(n),
+		buf:          old.buf[:0],
 	}
+	ln.queue.reset(int32(n))
 	if !ln.direct {
-		ln.out = make([][]event, nshards)
+		ln.out = extend(old.out, nshards)
+		for dst, box := range ln.out {
+			clear(box)
+			ln.out[dst] = box[:0]
+		}
 	}
 	return ln
 }
@@ -842,7 +922,13 @@ func (ln *lane) send(from int32, fromID graph.NodeID, s proto.Send) {
 	view, round := payloadTraceView(s.Payload)
 	floors := r.fifoFloor[from]
 	if floors == nil {
-		floors = make([]int64, r.g.Len())
+		// A direct lane runs alone, so it may take a spare row; shard
+		// lanes, which run concurrently, allocate.
+		if k := len(r.spare) - 1; ln.direct && k >= 0 {
+			floors, r.spare[k], r.spare = r.spare[k], nil, r.spare[:k]
+		} else {
+			floors = make([]int64, r.g.Len())
+		}
 		r.fifoFloor[from] = floors
 	}
 	for _, toIdx := range s.To {
