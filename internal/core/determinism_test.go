@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"cliffedge/internal/graph"
@@ -89,6 +90,44 @@ func TestFingerprintDeterminism(t *testing.T) {
 	// identically too.
 	if got := base.Clone().Fingerprint(); got != want {
 		t.Fatalf("clone fingerprint differs\n got %q\nwant %q", got, want)
+	}
+
+	// A node that has seen no crash holds no crash or monitored set; it
+	// renders the set its Start subscribed to, its neighbours, and a crash
+	// on a clone sizes the clone's sets, not the original's.
+	g := graph.NewBuilder().AddEdge("a", "b").AddEdge("a", "c").AddEdge("b", "d").Build()
+	idle := New(Config{ID: "a", Graph: g})
+	const wantFresh = "a#|p=false,|r=0|vp=|mx=|cd=|lc=|mon=|rej=|rcv=|self="
+	if got := idle.Fingerprint(); got != wantFresh {
+		t.Fatalf("unstarted node\n got %q\nwant %q", got, wantFresh)
+	}
+	if got := monitorIDs(g, idle.Start()); !slices.Equal(got, []graph.NodeID{"b", "c"}) {
+		t.Fatalf("Start monitors %v, want [b c]", got)
+	}
+	const wantIdle = "a#|p=false,|r=0|vp=|mx=|cd=|lc=|mon=b,c|rej=|rcv=|self="
+	if got := idle.Fingerprint(); got != wantIdle {
+		t.Fatalf("node without a crash\n got %q\nwant %q", got, wantIdle)
+	}
+	armed := idle.Clone()
+	if got := armed.Fingerprint(); got != wantIdle {
+		t.Fatalf("clone of a node without a crash\n got %q\nwant %q", got, wantIdle)
+	}
+	if got := monitorIDs(g, armed.OnCrash("b")); !slices.Equal(got, []graph.NodeID{"d"}) {
+		t.Fatalf("the clone's first crash monitors %v, want [d]", got)
+	}
+	const wantArmed = "a#|p=true,repair(b)|r=1|vp=b|mx=b|cd=|lc=b|mon=b,c,d|rej=|" +
+		"rcv={b;B=[a d];L=2;r1=[accept(repair(b)) ⊥];w1=d;r2=[⊥ ⊥];w2=a,d}|self="
+	if got := armed.Fingerprint(); got != wantArmed {
+		t.Fatalf("armed clone\n got %q\nwant %q", got, wantArmed)
+	}
+	if got := idle.Fingerprint(); got != wantIdle {
+		t.Fatalf("a crash on the clone changed the original\n got %q\nwant %q", got, wantIdle)
+	}
+	if len(idle.locallyCrashed) != 0 || len(idle.monitored) != 0 || len(idle.LocallyCrashed()) != 0 {
+		t.Fatalf("the original's sets were sized by the clone's crash")
+	}
+	if eff := idle.Start(); len(eff.Monitor) != 0 {
+		t.Fatalf("a second Start monitors %v again", eff.Monitor)
 	}
 }
 

@@ -26,7 +26,12 @@ func (n *Node) Fingerprint() string {
 	sb.WriteString("lc=")
 	writeIndexSet(&sb, n.cfg.Graph, n.locallyCrashed)
 	sb.WriteString("|mon=")
-	writeIndexSet(&sb, n.cfg.Graph, n.monitored)
+	if len(n.monitored) == 0 && n.started {
+		// Not sized yet: the monitored set is the neighbours (see Start).
+		writeIndices(&sb, n.cfg.Graph, n.cfg.Graph.NeighborIndices(n.selfIdx))
+	} else {
+		writeIndexSet(&sb, n.cfg.Graph, n.monitored)
+	}
 	// The view table has no order of its own: render rejected, then
 	// received, each sorted by key.
 	var rejected []string
@@ -88,6 +93,17 @@ func writeIndexSet(sb *strings.Builder, g *graph.Graph, set graph.Bitset) {
 		first = false
 		sb.WriteString(string(g.ID(i)))
 	})
+}
+
+// writeIndices renders ascending graph indices as writeIndexSet renders a
+// bitset holding them.
+func writeIndices(sb *strings.Builder, g *graph.Graph, indices []int32) {
+	for k, i := range indices {
+		if k > 0 {
+			sb.WriteByte(',')
+		}
+		sb.WriteString(string(g.ID(i)))
+	}
 }
 
 // MessageFingerprint serialises a message canonically (model checker

@@ -310,7 +310,7 @@ func TestSentMessagesNeverChange(t *testing.T) {
 					continue
 				}
 				for _, id := range ids {
-					if n.monitored.Has(g.Index(id)) {
+					if n.monitors(g.Index(id)) {
 						queue = append(queue, delivery{to: int32(i), crash: id})
 					}
 				}

@@ -83,22 +83,29 @@ type Node struct {
 	decided *proto.Decision
 	// hasProposed mirrors proposed ≠ ⊥ (lines 2, 14, 37). The proposed
 	// value itself is proposedValue.
-	hasProposed   bool
+	hasProposed bool
+	// started is set by the first Start, which subscribes to the node's
+	// neighbours.
+	started       bool
 	proposedValue proto.Value
 
 	// locallyCrashed is the set of nodes p has detected as crashed
-	// (line 6), as a bitset over dense graph indices.
+	// (line 6), as a bitset over dense graph indices. monitored tracks
+	// issued 〈monitorCrash〉 subscriptions so they are not re-issued
+	// (semantically idempotent either way). Most nodes of a large system
+	// never witness a crash, so both stay empty (length 0) until the first
+	// detection sizes them (see witness): until then nothing is crashed
+	// and the monitored set is the node's neighbours if it has started,
+	// nothing otherwise.
 	locallyCrashed graph.Bitset
-	// monitored tracks issued 〈monitorCrash〉 subscriptions so they are
-	// not re-issued; semantically idempotent either way.
-	monitored graph.Bitset
+	monitored      graph.Bitset
 
 	// uf is a union-find over locallyCrashed, maintained incrementally:
 	// when q crashes it is united with its already-crashed neighbours, so
 	// the connected components of the locally known crashed set (line 8)
 	// cost amortised near-O(1) per detection instead of a whole-set
-	// recomputation. Allocated on the first crash detection — most nodes
-	// of a large system never witness one.
+	// recomputation. Like the two sets, it is sized by the first crash
+	// detection.
 	uf *dsu.DSU
 	// compScratch is the reusable buffer for gathering the members of a
 	// component about to be built as a Region. borderSeen is the scratch
@@ -167,10 +174,11 @@ func New(cfg Config) *Node {
 
 // reset makes n the node New(cfg) builds, keeping the memory of n's
 // earlier runs: its bitsets, union-find, scratch buffers, view-table map
-// and the rest of its mask chunk. A kept union-find is reset to
-// singletons, the state OnCrash would otherwise allocate it in. Nothing
-// reset keeps is reachable from what an earlier run handed out
-// (decisions, views, messages).
+// and the rest of its mask chunk. The kept sets are emptied to length 0
+// and the union-find is kept as is: the first crash detection of the new
+// run resizes and clears all three (see witness). Nothing reset keeps is
+// reachable from what an earlier run handed out (decisions, views,
+// messages).
 func (n *Node) reset(cfg Config) {
 	if cfg.ID == "" || cfg.Graph == nil {
 		panic("core.New: Config.ID and Config.Graph are required")
@@ -189,8 +197,8 @@ func (n *Node) reset(cfg Config) {
 	*n = Node{
 		cfg:            cfg,
 		selfIdx:        cfg.Graph.Index(cfg.ID),
-		locallyCrashed: n.locallyCrashed.Reset(size),
-		monitored:      n.monitored.Reset(size),
+		locallyCrashed: n.locallyCrashed[:0],
+		monitored:      n.monitored[:0],
 		compScratch:    n.compScratch[:0],
 		monitorScratch: n.monitorScratch[:0],
 		sendScratch:    n.sendScratch[:0],
@@ -202,9 +210,6 @@ func (n *Node) reset(cfg Config) {
 	}
 	if n.borderSeen != nil {
 		n.borderSeen = n.borderSeen.Reset(size)
-	}
-	if n.uf != nil {
-		n.uf.Reset(size)
 	}
 }
 
@@ -316,19 +321,65 @@ func (n *Node) violatef(format string, args ...any) {
 }
 
 // Start handles 〈init〉 (lines 1–4): subscribe to crashes of border(p).
+// Before the first crash detection the subscription is recorded by
+// started alone, and eff.Monitor is the graph's own adjacency row (a graph
+// has no self-loops): read-only, and capped so that an append copies it.
 func (n *Node) Start() proto.Effects {
 	var eff proto.Effects
-	if n.selfIdx >= 0 {
+	switch {
+	case n.selfIdx < 0:
+	case len(n.monitored) > 0:
 		n.subscribe(n.cfg.Graph.NeighborIndices(n.selfIdx), &eff)
+	case !n.started:
+		n.started = true
+		if row := n.cfg.Graph.NeighborIndices(n.selfIdx); len(row) > 0 {
+			eff.Monitor = row[:len(row):len(row)]
+		}
 	}
 	return eff
 }
 
+// witness sizes locallyCrashed, monitored and uf for the run's graph on
+// the first crash detection, with monitored holding what Start subscribed
+// to. It is a no-op once they are sized.
+func (n *Node) witness() {
+	if len(n.locallyCrashed) > 0 {
+		return
+	}
+	size := n.cfg.Graph.Len()
+	n.locallyCrashed = n.locallyCrashed.Reset(size)
+	n.monitored = n.monitored.Reset(size)
+	if n.started {
+		for _, qi := range n.cfg.Graph.NeighborIndices(n.selfIdx) {
+			n.monitored.Set(qi)
+		}
+	}
+	if n.uf == nil {
+		n.uf = dsu.New(size)
+	} else {
+		n.uf.Reset(size)
+	}
+}
+
+// monitors reports whether the node has subscribed to crashes of qi.
+func (n *Node) monitors(qi int32) bool {
+	if len(n.monitored) == 0 {
+		return n.started && slices.Contains(n.cfg.Graph.NeighborIndices(n.selfIdx), qi)
+	}
+	return n.monitored.Has(qi)
+}
+
+// knowsCrashed reports whether qi ∈ locallyCrashed.
+func (n *Node) knowsCrashed(qi int32) bool {
+	return len(n.locallyCrashed) > 0 && n.locallyCrashed.Has(qi)
+}
+
 // subscribe issues 〈monitorCrash | S〉 for not-yet-monitored, not-yet-known
 // crashed nodes (the \locallyCrashed of line 7); nodes holds dense graph
-// indices, a CSR adjacency row. eff.Monitor is backed by a buffer the node
-// reuses across calls (see proto.Effects: effect slices are valid only
-// until the next call into the automaton).
+// indices, a CSR adjacency row. The sets must be sized (see witness).
+// eff.Monitor is backed by a buffer the node reuses across calls (see
+// proto.Effects: effect slices are valid only until the next call into
+// the automaton).
 func (n *Node) subscribe(nodes []int32, eff *proto.Effects) {
 	for _, qi := range nodes {
 		if qi == n.selfIdx || n.monitored.Has(qi) || n.locallyCrashed.Has(qi) {
@@ -380,14 +431,12 @@ func (n *Node) OnCrash(q graph.NodeID) proto.Effects {
 		n.violatef("crash notification for unknown node %s", q)
 		return eff
 	}
+	n.witness()
 	if n.locallyCrashed.Has(qi) {
 		return eff // duplicate notification; idempotent
 	}
 	n.locallyCrashed.Set(qi)                           // line 6
 	n.subscribe(n.cfg.Graph.NeighborIndices(qi), &eff) // line 7
-	if n.uf == nil {
-		n.uf = dsu.New(n.cfg.Graph.Len())
-	}
 	for _, m := range n.cfg.Graph.NeighborIndices(qi) {
 		if n.locallyCrashed.Has(m) {
 			n.uf.Union(qi, m)
@@ -651,7 +700,7 @@ func (n *Node) guardRound(eff *proto.Effects) bool {
 		}
 		for ; left != 0; left &= left - 1 {
 			j := w<<6 | bits.TrailingZeros64(left)
-			if qi := inst.borderIdx[j]; qi < 0 || !n.locallyCrashed.Has(qi) {
+			if qi := inst.borderIdx[j]; qi < 0 || !n.knowsCrashed(qi) {
 				return false
 			}
 		}
@@ -766,6 +815,7 @@ func (n *Node) Clone() *Node {
 		selfIdx:        n.selfIdx,
 		keys:           n.keys,
 		hasProposed:    n.hasProposed,
+		started:        n.started,
 		proposedValue:  n.proposedValue,
 		maxView:        n.maxView,
 		candidateView:  n.candidateView,
@@ -783,7 +833,7 @@ func (n *Node) Clone() *Node {
 		d := *n.decided
 		out.decided = &d
 	}
-	if n.uf != nil {
+	if len(n.locallyCrashed) > 0 { // else uf is unsized or left from an earlier run
 		out.uf = n.uf.Clone()
 	}
 	out.pendingSelf = append([]*Message(nil), n.pendingSelf[n.psHead:]...)

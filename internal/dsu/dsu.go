@@ -15,8 +15,9 @@ package dsu
 // its own singleton set. The zero value is an empty structure; build with
 // New. A DSU is not safe for concurrent use.
 type DSU struct {
-	parent []int32
-	size   []int32
+	// p holds one word per index: the parent of a non-root, and −size of
+	// its set at a root. Parents are indices, so they are never negative.
+	p []int32
 }
 
 // New returns a DSU over n singleton sets {0}, {1}, …, {n-1}.
@@ -26,44 +27,50 @@ func New(n int) *DSU {
 	return d
 }
 
-// Reset makes d the DSU New(n) returns, reusing its arrays when they are
+// Reset makes d the DSU New(n) returns, reusing its array when it is
 // large enough.
 func (d *DSU) Reset(n int) {
-	if cap(d.parent) < n {
-		d.parent, d.size = make([]int32, n), make([]int32, n)
+	if cap(d.p) < n {
+		d.p = make([]int32, n)
 	}
-	d.parent, d.size = d.parent[:n], d.size[:n]
-	for i := range d.parent {
-		d.parent[i] = int32(i)
-		d.size[i] = 1
+	d.p = d.p[:n]
+	for i := range d.p {
+		d.p[i] = -1
 	}
 }
 
 // Len returns the size of the index range.
-func (d *DSU) Len() int { return len(d.parent) }
+func (d *DSU) Len() int { return len(d.p) }
 
 // Find returns the canonical representative of i's set, halving the path
 // along the way.
 func (d *DSU) Find(i int32) int32 {
-	for d.parent[i] != i {
-		d.parent[i] = d.parent[d.parent[i]]
-		i = d.parent[i]
+	for {
+		up := d.p[i]
+		if up < 0 {
+			return i
+		}
+		top := d.p[up]
+		if top < 0 {
+			return up
+		}
+		d.p[i] = top
+		i = top
 	}
-	return i
 }
 
-// Union merges the sets of a and b (by size) and returns the representative
-// of the merged set.
+// Union merges the sets of a and b (by size; on a tie a's root stays the
+// root) and returns the representative of the merged set.
 func (d *DSU) Union(a, b int32) int32 {
 	ra, rb := d.Find(a), d.Find(b)
 	if ra == rb {
 		return ra
 	}
-	if d.size[ra] < d.size[rb] {
+	if d.p[ra] > d.p[rb] { // −size: the larger value is the smaller set
 		ra, rb = rb, ra
 	}
-	d.parent[rb] = ra
-	d.size[ra] += d.size[rb]
+	d.p[ra] += d.p[rb]
+	d.p[rb] = ra
 	return ra
 }
 
@@ -71,12 +78,7 @@ func (d *DSU) Union(a, b int32) int32 {
 func (d *DSU) Same(a, b int32) bool { return d.Find(a) == d.Find(b) }
 
 // SizeOf returns the size of i's set.
-func (d *DSU) SizeOf(i int32) int32 { return d.size[d.Find(i)] }
+func (d *DSU) SizeOf(i int32) int32 { return -d.p[d.Find(i)] }
 
 // Clone returns an independent deep copy.
-func (d *DSU) Clone() *DSU {
-	return &DSU{
-		parent: append([]int32(nil), d.parent...),
-		size:   append([]int32(nil), d.size...),
-	}
-}
+func (d *DSU) Clone() *DSU { return &DSU{p: append([]int32(nil), d.p...)} }

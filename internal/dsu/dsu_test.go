@@ -104,3 +104,101 @@ func TestAgainstNaive(t *testing.T) {
 		}
 	}
 }
+
+// twoArray is the union-find this package kept before a root's parent
+// word began to hold −size: a parent array in which roots point at
+// themselves, and a separate size array. It is the reference of
+// TestMatchesTwoArrayReference.
+type twoArray struct {
+	parent []int32
+	size   []int32
+}
+
+func newTwoArray(n int) *twoArray {
+	d := &twoArray{parent: make([]int32, n), size: make([]int32, n)}
+	for i := range d.parent {
+		d.parent[i] = int32(i)
+		d.size[i] = 1
+	}
+	return d
+}
+
+func (d *twoArray) find(i int32) int32 {
+	for d.parent[i] != i {
+		d.parent[i] = d.parent[d.parent[i]]
+		i = d.parent[i]
+	}
+	return i
+}
+
+func (d *twoArray) union(a, b int32) int32 {
+	ra, rb := d.find(a), d.find(b)
+	if ra == rb {
+		return ra
+	}
+	if d.size[ra] < d.size[rb] {
+		ra, rb = rb, ra
+	}
+	d.parent[rb] = ra
+	d.size[ra] += d.size[rb]
+	return ra
+}
+
+func (d *twoArray) clone() *twoArray {
+	return &twoArray{
+		parent: append([]int32(nil), d.parent...),
+		size:   append([]int32(nil), d.size...),
+	}
+}
+
+// TestMatchesTwoArrayReference replays random unions on the one-array DSU
+// and on the two-array reference: every Union and Find returns the same
+// representative (not just the same partition, since callers key state on
+// roots), SizeOf agrees, and a clone taken midway — of both, after Reset
+// reused the array — evolves independently of its original.
+func TestMatchesTwoArrayReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	d := new(DSU)
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(80)
+		d.Reset(n)
+		ref := newTwoArray(n)
+		var c *DSU
+		var cref *twoArray
+		ops := rng.Intn(3 * n)
+		for op := 0; op < ops; op++ {
+			if op == ops/2 {
+				c, cref = d.Clone(), ref.clone()
+			}
+			a, b := int32(rng.Intn(n)), int32(rng.Intn(n))
+			if got, want := d.Union(a, b), ref.union(a, b); got != want {
+				t.Fatalf("trial %d op %d: Union(%d, %d) = %d, reference %d", trial, op, a, b, got, want)
+			}
+			if c != nil && rng.Intn(2) == 0 {
+				x, y := int32(rng.Intn(n)), int32(rng.Intn(n))
+				if got, want := c.Union(x, y), cref.union(x, y); got != want {
+					t.Fatalf("trial %d op %d: clone Union(%d, %d) = %d, reference %d", trial, op, x, y, got, want)
+				}
+			}
+		}
+		for _, pair := range []struct {
+			d   *DSU
+			ref *twoArray
+		}{{d, ref}, {c, cref}} {
+			if pair.d == nil {
+				continue
+			}
+			if pair.d.Len() != n {
+				t.Fatalf("trial %d: Len = %d, want %d", trial, pair.d.Len(), n)
+			}
+			for i := int32(0); i < int32(n); i++ {
+				if got, want := pair.d.Find(i), pair.ref.find(i); got != want {
+					t.Fatalf("trial %d: Find(%d) = %d, reference %d", trial, i, got, want)
+				}
+				if got, want := pair.d.SizeOf(i), pair.ref.size[pair.ref.find(i)]; got != want {
+					t.Fatalf("trial %d: SizeOf(%d) = %d, reference %d", trial, i, got, want)
+				}
+			}
+		}
+	}
+}

@@ -81,7 +81,11 @@ func (s Spec) RunChecked() (*sim.Result, check.Report, error) {
 		return nil, check.Report{}, err
 	}
 	rep := check.Run(s.Graph, res.Events)
-	rep.Violations = append(rep.Violations, check.AutomataViolations(res.Automata)...)
+	automata := make(map[graph.NodeID]proto.Automaton, len(res.Automata))
+	for i, a := range res.Automata {
+		automata[s.Graph.ID(int32(i))] = a
+	}
+	rep.Violations = append(rep.Violations, check.AutomataViolations(automata)...)
 	return res, rep, nil
 }
 

@@ -30,7 +30,7 @@ func TestDebugBlockCrash(t *testing.T) {
 		t.Logf("DECIDED %s view=%s val=%s", d.Node, d.Decision.View, d.Decision.Value)
 	}
 	for _, id := range g.BorderOfSlice(block) {
-		n := res.Automata[id].(*core.Node)
+		n := res.Automata[g.Index(id)].(*core.Node)
 		t.Logf("node %s decided=%v proposed=%v vp=%s round=%d maxView=%s crashedKnown=%v viol=%v",
 			id, n.Decided() != nil, n.HasProposed(), n.CurrentView(), n.Round(),
 			n.MaxView(), n.LocallyCrashed(), n.Violations())

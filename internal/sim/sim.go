@@ -20,8 +20,8 @@
 //
 // The kernel addresses nodes by their dense graph index (graph.Index) and
 // keeps all per-node and per-channel state in index-addressed flat
-// structures — crash and subscription state in bitsets, FIFO floors in
-// per-sender slices, the event queue as a calendar of per-tick buckets
+// structures — crash state in bitsets, subscribers and FIFO floors in
+// per-node sorted slices, the event queue as a calendar of per-tick buckets
 // over one pool of value-stored events — so the hot loop performs no
 // string hashing and no steady-state allocation.
 // Three invariants make this safe, keep traces bit-identical to the
@@ -59,6 +59,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"slices"
 
 	"cliffedge/internal/graph"
 	"cliffedge/internal/netem"
@@ -162,8 +163,10 @@ type Result struct {
 	Stats trace.Stats
 	// Decisions maps each decided node to its decision.
 	Decisions map[graph.NodeID]*proto.Decision
-	// Automata exposes the final per-node state for inspection.
-	Automata map[graph.NodeID]proto.Automaton
+	// Automata exposes the final per-node state for inspection, by dense
+	// graph index. It is the runner's own slice: valid until the runner's
+	// next Reset, which reuses it.
+	Automata []proto.Automaton
 	// Crashed is the set of nodes that crashed during the run.
 	Crashed map[graph.NodeID]bool
 	// EndTime is the virtual time of quiescence.
@@ -266,18 +269,15 @@ type Runner struct {
 	automata []proto.Automaton
 	crashed  graph.Bitset
 	owner    []int32
-	// subs[q] = subscribers to 〈crash | q〉 notifications, allocated on
-	// first subscription (iterating the bitset ascending is the sorted
-	// order strong completeness notifies in). Row q is only touched while
-	// processing an event at q, i.e. by q's owner shard.
-	subs []graph.Bitset
-	// fifoFloor[from][to] = latest delivery time scheduled on the channel,
-	// enforcing FIFO. The per-sender rows are allocated on first send —
-	// in a cliff-edge run only border nodes ever send. Row `from` is only
-	// touched by from's owner shard.
-	fifoFloor [][]int64
-	triggers  []Trigger
-	fired     []bool
+	// subs[q] lists the subscribers to 〈crash | q〉 notifications in
+	// ascending index order, the sorted order strong completeness
+	// notifies in. Row q is only touched while processing an event at q,
+	// i.e. by q's owner shard.
+	subs [][]int32
+	// floors enforces per-channel FIFO (see chanFloors).
+	floors   chanFloors
+	triggers []Trigger
+	fired    []bool
 
 	// Aggregates merged from the lanes after the run: see lane.stats.
 	stats        trace.Stats
@@ -289,11 +289,8 @@ type Runner struct {
 	qEvents, qWindows, qLaneWindows int
 
 	// lanes are the execution streams of the runs so far, kept for the
-	// next: lanes[0] is the stem, lanes[1:] the shards (see lane). spare
-	// holds zeroed FIFO-floor rows of earlier runs for direct lanes to
-	// take before allocating.
+	// next: lanes[0] is the stem, lanes[1:] the shards (see lane).
 	lanes []*lane
-	spare [][]int64
 }
 
 // NewRunner validates cfg and builds a Runner: Reset on a zero Runner.
@@ -307,10 +304,11 @@ func NewRunner(cfg Config) (*Runner, error) {
 
 // Reset validates cfg and arms r for one run of it. A Runner reused this
 // way keeps what its earlier runs allocated — the event queues' chunks,
-// the per-node arrays and bitsets, the FIFO-floor rows and the lanes — and
-// starts from the state a new Runner would: same trace, same Result. A
-// Result of an earlier run stays valid; nothing it holds is reused. When
-// cfg is invalid, r is left disarmed.
+// the per-node arrays and bitsets, the subscriber and FIFO-floor rows and
+// the lanes — and starts from the state a new Runner would: same trace,
+// same Result. A Result of an earlier run stays valid except for its
+// Automata slice, which is the per-node array Reset reuses. When cfg is
+// invalid, r is left disarmed.
 func (r *Runner) Reset(cfg Config) error {
 	r.armed = false
 	if cfg.Graph == nil {
@@ -357,27 +355,6 @@ func (r *Runner) Reset(cfg Config) error {
 		}
 	}
 	n := cfg.Graph.Len()
-	// The FIFO-floor rows of the last run are zeroed and join the spares;
-	// spares too short for this graph are dropped.
-	for _, row := range r.fifoFloor {
-		if row != nil {
-			clear(row)
-			r.spare = append(r.spare, row)
-		}
-	}
-	spare := r.spare[:0]
-	for _, row := range r.spare {
-		if cap(row) >= n {
-			spare = append(spare, row[:n])
-		}
-	}
-	clear(r.spare[len(spare):])
-	subs := extend(r.subs, n)
-	for q, set := range subs {
-		if set != nil {
-			subs[q] = set.Reset(n)
-		}
-	}
 	*r = Runner{
 		cfg:     cfg,
 		g:       cfg.Graph,
@@ -392,13 +369,12 @@ func (r *Runner) Reset(cfg Config) error {
 		chanNonce:    resize(r.chanNonce, n),
 		automata:     resize(r.automata, n),
 		crashed:      r.crashed.Reset(n),
-		subs:         subs,
-		fifoFloor:    resize(r.fifoFloor, n),
+		subs:         emptyRows(r.subs, n),
+		floors:       emptyRows(r.floors, n),
 		triggers:     cfg.Triggers,
 		fired:        resize(r.fired, len(cfg.Triggers)),
 		participants: r.participants.Reset(n),
 		lanes:        r.lanes,
-		spare:        spare,
 	}
 	r.lookahead = minDeclaredLatency(cfg.NetLatency, cfg.FDLatency)
 	r.subDelay = r.lookahead
@@ -425,6 +401,16 @@ func extend[T any](s []T, n int) []T {
 		s = append(s[:cap(s)], make([]T, n-cap(s))...)
 	}
 	return s[:n]
+}
+
+// emptyRows returns rows with length n and every row empty, keeping the
+// rows' arrays.
+func emptyRows[T any](rows [][]T, n int) [][]T {
+	rows = extend(rows, n)
+	for i, row := range rows {
+		rows[i] = row[:0]
+	}
+	return rows
 }
 
 // minDeclaredLatency is the conservative lookahead: the smallest latency
@@ -512,11 +498,9 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 	r.mergeLanes(lanes)
 
 	decisions := make(map[graph.NodeID]*proto.Decision)
-	automata := make(map[graph.NodeID]proto.Automaton, len(r.automata))
 	crashed := make(map[graph.NodeID]bool, r.crashed.Count())
 	for i, a := range r.automata {
 		id := r.g.ID(int32(i))
-		automata[id] = a
 		if r.crashed.Has(int32(i)) {
 			crashed[id] = true
 		} else if d := a.Decided(); d != nil {
@@ -533,7 +517,7 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 		Events:    r.events,
 		Stats:     r.stats,
 		Decisions: decisions,
-		Automata:  automata,
+		Automata:  r.automata,
 		Crashed:   crashed,
 		EndTime:   r.endTime,
 	}, nil
@@ -614,7 +598,7 @@ type pendingTrace struct {
 // lane is one execution stream of the kernel: the sequential driver runs
 // a single direct lane; the sharded driver runs one buffered lane per
 // shard. All handler code is shared. A lane only ever mutates state owned
-// by the nodes assigned to it (its crash bits, their subs/fifoFloor/
+// by the nodes assigned to it (its crash bits, their subs/floors/
 // srcSeq/chanNonce rows), which is what makes the sharded drivers
 // race-free without locks.
 type lane struct {
@@ -776,17 +760,15 @@ func (ln *lane) handleCrash(ev event) {
 		ln.emit(&trace.Event{Kind: trace.KindCrash, Node: id})
 	}
 	// Strong completeness: notify every subscriber (unless it crashes
-	// first, in which case its detect event is dropped on delivery).
-	// Bitset iteration is ascending-index = sorted-NodeID order.
-	if set := r.subs[ev.node]; set != nil {
-		set.ForEach(func(p int32) {
-			ln.rng = keyedRand(r.fdSeed, p, ev.node, ln.now, 0)
-			lat := r.cfg.FDLatency.Latency(r.g.ID(p), id, &ln.rng)
-			if lat < 0 {
-				lat = 0
-			}
-			ln.schedule(event{time: ln.now + lat, kind: evDetect, node: p, peer: ev.node})
-		})
+	// first, in which case its detect event is dropped on delivery), in
+	// ascending-index = sorted-NodeID order.
+	for _, p := range r.subs[ev.node] {
+		ln.rng = keyedRand(r.fdSeed, p, ev.node, ln.now, 0)
+		lat := r.cfg.FDLatency.Latency(r.g.ID(p), id, &ln.rng)
+		if lat < 0 {
+			lat = 0
+		}
+		ln.schedule(event{time: ln.now + lat, kind: evDetect, node: p, peer: ev.node})
 	}
 }
 
@@ -836,15 +818,9 @@ func (ln *lane) handleDeliver(ev event) {
 // required by line 7 of Algorithm 1).
 func (ln *lane) handleSubscribe(ev event) {
 	r := ln.r
-	set := r.subs[ev.node]
-	if set == nil {
-		set = graph.NewBitset(r.g.Len())
-		r.subs[ev.node] = set
-	}
-	if set.Has(ev.peer) {
+	if !r.addSub(ev.node, ev.peer) {
 		return
 	}
-	set.Set(ev.peer)
 	if ln.crashed.Has(ev.node) {
 		ln.rng = keyedRand(r.fdSeed, ev.peer, ev.node, ln.now, 0)
 		lat := r.cfg.FDLatency.Latency(r.g.ID(ev.peer), r.g.ID(ev.node), &ln.rng)
@@ -901,15 +877,26 @@ func (ln *lane) applyEffects(idx int32, id graph.NodeID, eff *proto.Effects) {
 func (ln *lane) subscribe(p, qi int32) {
 	r := ln.r
 	if r.initPhase {
-		set := r.subs[qi]
-		if set == nil {
-			set = graph.NewBitset(r.g.Len())
-			r.subs[qi] = set
-		}
-		set.Set(p)
+		r.addSub(qi, p)
 		return
 	}
 	ln.schedule(event{time: ln.now + r.subDelay, kind: evSubscribe, node: qi, peer: p})
+}
+
+// addSub adds p to q's subscribers and reports whether it was not one
+// yet. A row starts with room for q's neighbours, who subscribe to it
+// when they start.
+func (r *Runner) addSub(q, p int32) bool {
+	row := r.subs[q]
+	j, found := slices.BinarySearch(row, p)
+	if found {
+		return false
+	}
+	if cap(row) == 0 {
+		row = make([]int32, 0, max(r.g.DegreeOf(q), 1))
+	}
+	r.subs[q] = slices.Insert(row, j, p)
+	return true
 }
 
 // send schedules one delivery per recipient, preserving per-channel FIFO:
@@ -920,27 +907,20 @@ func (ln *lane) send(from int32, fromID graph.NodeID, s proto.Send) {
 	r := ln.r
 	size := int32(s.Payload.WireSize())
 	view, round := payloadTraceView(s.Payload)
-	floors := r.fifoFloor[from]
-	if floors == nil {
-		// A direct lane runs alone, so it may take a spare row; shard
-		// lanes, which run concurrently, allocate.
-		if k := len(r.spare) - 1; ln.direct && k >= 0 {
-			floors, r.spare[k], r.spare = r.spare[k], nil, r.spare[:k]
-		} else {
-			floors = make([]int64, r.g.Len())
-		}
-		r.fifoFloor[from] = floors
+	if r.floors[from] == nil {
+		r.floors[from] = make([]chanFloor, 0, len(s.To))
 	}
+	cursor := 0
 	for _, toIdx := range s.To {
 		if toIdx == from {
 			continue // sender's own copy is self-delivered by the automaton
 		}
-		if uint(toIdx) >= uint(len(floors)) {
+		if uint(toIdx) >= uint(r.g.Len()) {
 			// A send to an index outside the graph is a programmer error in
 			// the automaton under test; fail loudly rather than with a bare
 			// index panic deep in the bookkeeping.
 			panic(fmt.Sprintf("sim: %s sends to node index %d, outside the graph's %d nodes",
-				fromID, toIdx, len(floors)))
+				fromID, toIdx, r.g.Len()))
 		}
 		to := r.g.ID(toIdx)
 		// One nonce per transmission, shared by the latency draw and the
@@ -980,11 +960,7 @@ func (ln *lane) send(from int32, fromID graph.NodeID, s proto.Send) {
 			}
 			continue
 		}
-		at := ln.now + lat + verdict.ExtraDelay
-		if at < floors[toIdx] {
-			at = floors[toIdx]
-		}
-		floors[toIdx] = at
+		at := r.floors.fifo(from, toIdx, ln.now+lat+verdict.ExtraDelay, &cursor)
 		ln.schedule(event{time: at, kind: evDeliver, node: toIdx, peer: from,
 			view: view, round: int32(round), bytes: size, payload: s.Payload})
 		if verdict.Duplicate {
