@@ -56,6 +56,7 @@ import (
 	"cliffedge/internal/graph"
 	"cliffedge/internal/proto"
 	"cliffedge/internal/region"
+	"cliffedge/internal/sim"
 	"cliffedge/internal/trace"
 )
 
@@ -146,8 +147,9 @@ var (
 // NewRegion builds a Region over t from the given nodes.
 func NewRegion(t *Topology, nodes []NodeID) Region { return region.New(t, nodes) }
 
-// LatencyRange is a uniform latency band in virtual time ticks.
-type LatencyRange struct{ Min, Max int64 }
+// LatencyRange is a uniform latency band [Min, Max] in virtual time
+// ticks.
+type LatencyRange = sim.Uniform
 
 // Decision is one node's protocol outcome: the agreed crashed region and
 // the common decision value.

@@ -3,6 +3,7 @@ package cliffedge
 import (
 	"context"
 	"errors"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -228,6 +229,41 @@ func TestPlanValidation(t *testing.T) {
 		NewPlan().OnEvent(func(Event) bool { return true }, 1).Crash(GridID(0, 0)))
 	if err == nil || !strings.Contains(err.Error(), "OnEvent") {
 		t.Errorf("live engine should reject OnEvent steps, got %v", err)
+	}
+}
+
+// TestHugeTimesReturnErrors: plan times and latency bands past what a run
+// can represent come back from Run as errors. Each case used to panic in
+// the simulator's event queue: a crash at math.MaxInt64 popped an empty
+// tick, and a band up to 2^62 or an OnEvent delay of math.MaxInt64 made an
+// event time wrap below the open tick.
+func TestHugeTimesReturnErrors(t *testing.T) {
+	crash := GridID(1, 1)
+	propose := func(e Event) bool { return e.Kind == EventPropose }
+	for _, tc := range []struct {
+		name string
+		opts []Option
+		plan *Plan
+	}{
+		{"crash at MaxInt64", nil, NewPlan().At(math.MaxInt64).Crash(crash)},
+		{"net band up to 2^62", []Option{WithNetLatency(1, 1<<62), WithSeed(1)}, NewPlan().At(10).Crash(crash)},
+		{"OnEvent delay MaxInt64", nil,
+			NewPlan().At(10).Crash(crash).OnEvent(propose, math.MaxInt64).Crash(GridID(1, 2))},
+	} {
+		c, err := New(Grid(4, 4), tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("%s: Run panicked: %v", tc.name, p)
+				}
+			}()
+			if _, err := c.Run(context.Background(), tc.plan); err == nil {
+				t.Errorf("%s: Run returned no error", tc.name)
+			}
+		}()
 	}
 }
 

@@ -71,8 +71,8 @@ func (simEngine) Run(ctx context.Context, c *Cluster, plan *Plan) (*Result, erro
 		Graph:         c.topo,
 		Factory:       c.factory(plan.hasMarks()),
 		Seed:          c.seed,
-		NetLatency:    sim.Uniform{Min: c.net.Min, Max: c.net.Max},
-		FDLatency:     sim.Uniform{Min: c.fd.Min, Max: c.fd.Max},
+		NetLatency:    c.net,
+		FDLatency:     c.fd,
 		Net:           net,
 		Crashes:       crashes,
 		Triggers:      triggers,

@@ -198,24 +198,47 @@ func checkMergeScenario(t *testing.T, size, steps int, c *choices) {
 
 // TestConflictingAcceptKeepsFirstValue: a participant proposes a view once,
 // with one value, so an accept that names it with another value is an
-// invariant breach. The node records it and keeps the value it holds.
+// invariant breach. The node records it and keeps the value it holds. The
+// border of {b} is [a c e], and each case puts the conflicting participant
+// at another slot: the first, a middle and the last.
 func TestConflictingAcceptKeepsFirstValue(t *testing.T) {
 	g := graph.NewBuilder().AddEdge("a", "b").AddEdge("c", "b").AddEdge("e", "b").Build()
-	a := mkNode(t, g, "a", "va")
-	a.Start()
 	view := region.New(g, []graph.NodeID{"b"})
-	a.OnMessage("c", message(1, view, "c", ops{"c": accept("vc")}))
-	if v := a.Violations(); len(v) != 0 {
-		t.Fatalf("violations: %v", v)
-	}
-	a.OnMessage("e", message(2, view, "e", ops{"c": accept("vx"), "e": accept("ve")}))
-	if v := a.Violations(); len(v) != 1 || !strings.Contains(v[0], `"vx"`) {
-		t.Fatalf("want one violation naming the conflicting value, got %v", v)
-	}
-	const want = "a#|p=false,|r=0|vp=|mx=|cd=|lc=|mon=b|rej=|" +
-		"rcv={b;B=[a c e];L=3;r1=[⊥ accept(vc) ⊥];w1=a,e;r2=[⊥ accept(vc) accept(ve)];w2=a,c;r3=[⊥ ⊥ ⊥];w3=a,c,e}|self="
-	if got := a.Fingerprint(); got != want {
-		t.Errorf("fingerprint\n got %q\nwant %q", got, want)
+	for _, tc := range []struct {
+		name                   string
+		node, conflict, sender graph.NodeID
+		violation, want        string
+	}{
+		{"first slot", "e", "a", "c",
+			`view {b}: a accepts with "vx", already known to accept with "va"`,
+			"e#|p=false,|r=0|vp=|mx=|cd=|lc=|mon=b|rej=|" +
+				"rcv={b;B=[a c e];L=3;r1=[accept(va) ⊥ ⊥];w1=c,e;r2=[accept(va) accept(vc) ⊥];w2=a,e;r3=[⊥ ⊥ ⊥];w3=a,c,e}|self="},
+		{"middle slot", "a", "c", "e",
+			`view {b}: c accepts with "vx", already known to accept with "vc"`,
+			"a#|p=false,|r=0|vp=|mx=|cd=|lc=|mon=b|rej=|" +
+				"rcv={b;B=[a c e];L=3;r1=[⊥ accept(vc) ⊥];w1=a,e;r2=[⊥ accept(vc) accept(ve)];w2=a,c;r3=[⊥ ⊥ ⊥];w3=a,c,e}|self="},
+		{"last slot", "a", "e", "c",
+			`view {b}: e accepts with "vx", already known to accept with "ve"`,
+			"a#|p=false,|r=0|vp=|mx=|cd=|lc=|mon=b|rej=|" +
+				"rcv={b;B=[a c e];L=3;r1=[⊥ ⊥ accept(ve)];w1=a,c;r2=[⊥ accept(vc) accept(ve)];w2=a,e;r3=[⊥ ⊥ ⊥];w3=a,c,e}|self="},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := mkNode(t, g, tc.node, proto.Value("v"+tc.node))
+			n.Start()
+			first := proto.Value("v" + tc.conflict)
+			n.OnMessage(tc.conflict, message(1, view, tc.conflict, ops{tc.conflict: accept(first)}))
+			if v := n.Violations(); len(v) != 0 {
+				t.Fatalf("violations: %v", v)
+			}
+			n.OnMessage(tc.sender, message(2, view, tc.sender,
+				ops{tc.conflict: accept("vx"), tc.sender: accept(proto.Value("v" + tc.sender))}))
+			if v := n.Violations(); len(v) != 1 || v[0] != tc.violation {
+				t.Fatalf("violations %q, want exactly %q", v, tc.violation)
+			}
+			if got := n.Fingerprint(); got != tc.want {
+				t.Errorf("fingerprint\n got %q\nwant %q", got, tc.want)
+			}
+		})
 	}
 }
 

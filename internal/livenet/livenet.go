@@ -704,23 +704,3 @@ func (rt *Runtime) Result() *Result {
 		Crashed:   crashed,
 	}
 }
-
-// Run executes crash waves against a fresh live cluster: each wave is
-// injected after the previous one went quiescent, and the cluster is
-// stopped once fully quiescent. This is the convenience entry point used
-// by tests and examples.
-func Run(g *graph.Graph, factory proto.Factory, waves [][]graph.NodeID, timeout time.Duration) (*Result, error) {
-	rt := New(g, factory)
-	defer rt.Stop()
-	if err := rt.WaitIdle(timeout); err != nil {
-		return nil, err
-	}
-	for _, wave := range waves {
-		rt.CrashAll(wave...)
-		if err := rt.WaitIdle(timeout); err != nil {
-			return nil, err
-		}
-	}
-	rt.Stop()
-	return rt.Result(), nil
-}

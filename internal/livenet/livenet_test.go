@@ -23,10 +23,20 @@ func coreFactory(g *graph.Graph) proto.Factory {
 
 func checkedRun(t *testing.T, g *graph.Graph, waves [][]graph.NodeID) *Result {
 	t.Helper()
-	res, err := Run(g, coreFactory(g), waves, timeout)
-	if err != nil {
+	// Each wave crashes once the previous one went quiescent.
+	rt := New(g, coreFactory(g))
+	defer rt.Stop()
+	if err := rt.WaitIdle(timeout); err != nil {
 		t.Fatal(err)
 	}
+	for _, wave := range waves {
+		rt.CrashAll(wave...)
+		if err := rt.WaitIdle(timeout); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rt.Stop()
+	res := rt.Result()
 	rep := check.Run(g, res.Events)
 	rep.Violations = append(rep.Violations, check.AutomataViolations(res.Automata)...)
 	if !rep.Ok() {

@@ -109,10 +109,10 @@ func (p Profile) Validate() error {
 			return fmt.Errorf("netem: %s = %v outside [0, 1]", pr.name, pr.v)
 		}
 	}
-	if p.JitterMin < 0 || p.JitterMax < p.JitterMin || p.JitterMax > maxTick {
+	if p.JitterMin < 0 || p.JitterMax < p.JitterMin || p.JitterMax > MaxTick {
 		return fmt.Errorf("netem: jitter band [%d, %d] malformed", p.JitterMin, p.JitterMax)
 	}
-	if p.SpikeMin < 0 || p.SpikeMax < p.SpikeMin || p.SpikeMax > maxTick {
+	if p.SpikeMin < 0 || p.SpikeMax < p.SpikeMin || p.SpikeMax > MaxTick {
 		return fmt.Errorf("netem: spike band [%d, %d] malformed", p.SpikeMin, p.SpikeMax)
 	}
 	return nil
@@ -136,17 +136,17 @@ type Flap struct {
 // Period are each bounded by 2^48 ticks, which keeps every heal-time
 // computation overflow-free (heal ≤ sendTime + Down).
 func (f Flap) Validate() error {
-	if f.Start < 0 || f.Start > maxTick {
+	if f.Start < 0 || f.Start > MaxTick {
 		return fmt.Errorf("netem: flap start %d outside [0, 2^48]", f.Start)
 	}
-	if f.Down <= 0 || f.Down > maxTick {
+	if f.Down <= 0 || f.Down > MaxTick {
 		return fmt.Errorf("netem: flap down-time %d outside (0, 2^48]", f.Down)
 	}
 	if f.Period != 0 && f.Period <= f.Down {
 		return fmt.Errorf("netem: flap period %d must exceed down-time %d (the link would never heal)",
 			f.Period, f.Down)
 	}
-	if f.Period > maxTick {
+	if f.Period > MaxTick {
 		return fmt.Errorf("netem: flap period %d exceeds 2^48", f.Period)
 	}
 	if f.Count < 0 {
@@ -215,15 +215,17 @@ type Model struct {
 	Rules []Rule
 }
 
+// MaxTick bounds every time-valued input of a run: here the jitter and
+// spike bands, RTO and flap start/down/period, and in the simulator the
+// scheduled crash and injection times, trigger delays and latency bands.
+// 2^48 ticks is astronomically beyond any run, and the bound makes the
+// delay arithmetic overflow-free: the largest possible ExtraDelay is
+// heal-wait + Σ backoffs + jitter + spike < 2^48 + 2^48·64²+ 2·2^48 < 2^62.
+const MaxTick = int64(1) << 48
+
 const (
 	defaultMaxResend = 5
 	defaultRTO       = 8
-	// maxTick bounds every time-valued primitive (jitter/spike bands,
-	// RTO, flap start/down/period). 2^48 ticks is astronomically beyond
-	// any run, and the bound makes the delay arithmetic overflow-free:
-	// the largest possible ExtraDelay is heal-wait + Σ backoffs + jitter
-	// + spike < 2^48 + 2^48·64²+ 2·2^48 < 2^62.
-	maxTick = int64(1) << 48
 	// maxResendCap bounds MaxResend so the backoff sum stays bounded.
 	maxResendCap = 64
 )
@@ -307,7 +309,7 @@ func (m *Model) Bind(g *graph.Graph, seed int64) (*Net, error) {
 	if m.MaxResend < 0 || m.MaxResend > maxResendCap {
 		return nil, fmt.Errorf("netem: MaxResend %d outside [0, %d]", m.MaxResend, maxResendCap)
 	}
-	if m.RTO < 0 || m.RTO > maxTick {
+	if m.RTO < 0 || m.RTO > MaxTick {
 		return nil, fmt.Errorf("netem: RTO %d outside [0, 2^48]", m.RTO)
 	}
 	if err := m.Default.Validate(); err != nil {

@@ -244,17 +244,6 @@ func (r *Registry) CounterVec(name, help string, keys ...string) *CounterVec {
 // first use.
 func (v *CounterVec) With(values ...string) *Counter { return v.fam.get(values...).c }
 
-// GaugeVec is a gauge family with label keys.
-type GaugeVec struct{ fam *family }
-
-// GaugeVec registers (or returns) the labeled gauge family name.
-func (r *Registry) GaugeVec(name, help string, keys ...string) *GaugeVec {
-	return &GaugeVec{fam: r.register(name, help, kindGauge, keys...)}
-}
-
-// With returns the series for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge { return v.fam.get(values...).g }
-
 // HistogramVec is a histogram family with label keys.
 type HistogramVec struct{ fam *family }
 
@@ -283,11 +272,6 @@ func NewHistogram(name, help string) *Histogram { return Default.Histogram(name,
 // NewCounterVec registers a labeled counter family in the Default registry.
 func NewCounterVec(name, help string, keys ...string) *CounterVec {
 	return Default.CounterVec(name, help, keys...)
-}
-
-// NewGaugeVec registers a labeled gauge family in the Default registry.
-func NewGaugeVec(name, help string, keys ...string) *GaugeVec {
-	return Default.GaugeVec(name, help, keys...)
 }
 
 // NewHistogramVec registers a labeled histogram family in the Default registry.

@@ -251,20 +251,3 @@ func Wrap(g *graph.Graph, nodes proto.Factory) proto.Factory {
 		return wrap(g, nodes(id).(*core.Node))
 	}
 }
-
-// MarkAll builds the injection schedule that marks every listed node at
-// time t.
-func MarkAll(nodes []graph.NodeID, t int64) []Injection {
-	out := make([]Injection, len(nodes))
-	for i, q := range nodes {
-		out[i] = Injection{Time: t, Node: q}
-	}
-	return out
-}
-
-// Injection is a scheduled marking (mirrors sim.InjectAt without importing
-// the sim package; convert with ToSimInjections).
-type Injection struct {
-	Time int64
-	Node graph.NodeID
-}

@@ -11,12 +11,17 @@ import (
 	"cliffedge/internal/trace"
 )
 
-func run(t *testing.T, g *graph.Graph, marks []Injection, seed int64) *sim.Result {
-	t.Helper()
-	injections := make([]sim.InjectAt, len(marks))
-	for i, m := range marks {
-		injections[i] = sim.InjectAt{Time: m.Time, Node: m.Node, Payload: Mark{}}
+// markAll marks every listed node at time at.
+func markAll(nodes []graph.NodeID, at int64) []sim.InjectAt {
+	out := make([]sim.InjectAt, len(nodes))
+	for i, q := range nodes {
+		out[i] = sim.InjectAt{Time: at, Node: q, Payload: Mark{}}
 	}
+	return out
+}
+
+func run(t *testing.T, g *graph.Graph, injections []sim.InjectAt, seed int64) *sim.Result {
+	t.Helper()
 	r, err := sim.NewRunner(sim.Config{
 		Graph:      g,
 		Factory:    Factory(core.Config{Graph: g}),
@@ -82,7 +87,7 @@ func assertAgreement(t *testing.T, g *graph.Graph, res *sim.Result, markedSet []
 func TestMarkedRegionAgreement(t *testing.T) {
 	g := graph.Grid(6, 6)
 	block := graph.GridBlock(2, 2, 2)
-	res := run(t, g, MarkAll(block, 10), 1)
+	res := run(t, g, markAll(block, 10), 1)
 	assertAgreement(t, g, res, block)
 
 	border := g.BorderOfSlice(block)
@@ -105,7 +110,7 @@ func TestCooperativeDetectionReachesFullBorder(t *testing.T) {
 	stripe := []graph.NodeID{
 		graph.GridID(2, 2), graph.GridID(2, 3), graph.GridID(2, 4), graph.GridID(2, 5),
 	}
-	res := run(t, g, MarkAll(stripe, 10), 2)
+	res := run(t, g, markAll(stripe, 10), 2)
 	assertAgreement(t, g, res, stripe)
 	want := region.New(g, stripe)
 	for _, end := range []graph.NodeID{graph.GridID(2, 1), graph.GridID(2, 6)} {
@@ -122,9 +127,9 @@ func TestCooperativeDetectionReachesFullBorder(t *testing.T) {
 func TestStaggeredMarking(t *testing.T) {
 	g := graph.Grid(6, 6)
 	block := graph.GridBlock(1, 1, 3)
-	var marks []Injection
+	var marks []sim.InjectAt
 	for i, n := range block {
-		marks = append(marks, Injection{Time: int64(10 + 7*i), Node: n})
+		marks = append(marks, sim.InjectAt{Time: int64(10 + 7*i), Node: n, Payload: Mark{}})
 	}
 	for seed := int64(0); seed < 10; seed++ {
 		res := run(t, g, marks, seed)
@@ -139,7 +144,7 @@ func TestTwoDisjointMarkedRegions(t *testing.T) {
 	g := graph.Grid(8, 8)
 	r1 := graph.GridBlock(1, 1, 2)
 	r2 := graph.GridBlock(5, 5, 2)
-	res := run(t, g, append(MarkAll(r1, 10), MarkAll(r2, 10)...), 3)
+	res := run(t, g, append(markAll(r1, 10), markAll(r2, 10)...), 3)
 	assertAgreement(t, g, res, append(append([]graph.NodeID{}, r1...), r2...))
 	b1, b2 := g.BorderOfSlice(r1), g.BorderOfSlice(r2)
 	if len(res.Decisions) != len(b1)+len(b2) {
@@ -153,7 +158,7 @@ func TestMarkedNodesGossipOnly(t *testing.T) {
 	// protocol among border nodes).
 	g := graph.Grid(8, 8)
 	block := graph.GridBlock(3, 3, 2)
-	res := run(t, g, MarkAll(block, 10), 4)
+	res := run(t, g, markAll(block, 10), 4)
 
 	allowed := graph.ToSet(append(append([]graph.NodeID{}, block...), g.BorderOfSlice(block)...))
 	for _, e := range res.Events {

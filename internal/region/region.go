@@ -366,23 +366,6 @@ func (r Region) Intersects(s Region) bool {
 	return false
 }
 
-// Subset reports whether R ⊆ S.
-func (r Region) Subset(s Region) bool {
-	if len(r.nodes) > len(s.nodes) {
-		return false
-	}
-	j := 0
-	for _, n := range r.nodes {
-		for j < len(s.nodes) && s.nodes[j] < n {
-			j++
-		}
-		if j >= len(s.nodes) || s.nodes[j] != n {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the region as {a,b,c}.
 func (r Region) String() string {
 	if r.IsEmpty() {
@@ -418,17 +401,6 @@ func Less(r, s Region) bool {
 	}
 }
 
-// Compare returns -1, 0, +1 as r ≺ s, r = s, r ≻ s.
-func Compare(r, s Region) int {
-	if Less(r, s) {
-		return -1
-	}
-	if Less(s, r) {
-		return 1
-	}
-	return 0
-}
-
 // MaxRanked returns the highest-ranked region of the given non-empty set
 // (the paper's maxRankedRegion). Returns Empty for an empty input.
 func MaxRanked(regions []Region) Region {
@@ -462,56 +434,5 @@ func FromComponents(g *graph.Graph, comps [][]graph.NodeID) []Region {
 	for i, c := range comps {
 		out[i] = New(g, c)
 	}
-	return out
-}
-
-// Set is a collection of regions indexed by canonical key, preserving
-// deterministic iteration via sorted keys.
-type Set struct {
-	byKey map[string]Region
-}
-
-// NewSet returns an empty region set.
-func NewSet() *Set { return &Set{byKey: make(map[string]Region)} }
-
-// Add inserts r; returns true if it was not already present. Adding ∅ is a
-// no-op returning false.
-func (s *Set) Add(r Region) bool {
-	if r.IsEmpty() {
-		return false
-	}
-	if _, ok := s.byKey[r.key]; ok {
-		return false
-	}
-	s.byKey[r.key] = r
-	return true
-}
-
-// Remove deletes r; returns true if it was present.
-func (s *Set) Remove(r Region) bool {
-	if _, ok := s.byKey[r.key]; !ok {
-		return false
-	}
-	delete(s.byKey, r.key)
-	return true
-}
-
-// Has reports membership.
-func (s *Set) Has(r Region) bool {
-	_, ok := s.byKey[r.key]
-	return ok
-}
-
-// Len returns the number of regions held.
-func (s *Set) Len() int { return len(s.byKey) }
-
-// All returns the member regions sorted by rank (lowest first), giving
-// deterministic iteration order.
-func (s *Set) All() []Region {
-	out := make([]Region, 0, len(s.byKey))
-	for _, r := range s.byKey {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return Less(out[i], out[j]) })
 	return out
 }

@@ -91,16 +91,6 @@ func TestIntersectsAndSubset(t *testing.T) {
 	if a.Intersects(c) {
 		t.Error("a and c are disjoint")
 	}
-	sub := New(g, []graph.NodeID{graph.GridID(0, 0), graph.GridID(0, 1)})
-	if !sub.Subset(a) {
-		t.Error("sub ⊆ a")
-	}
-	if a.Subset(sub) {
-		t.Error("a ⊄ sub")
-	}
-	if !a.Subset(a) {
-		t.Error("a ⊆ a")
-	}
 }
 
 func TestRankingSubsumesInclusion(t *testing.T) {
@@ -166,15 +156,6 @@ func TestRankingStrictTotalOrder(t *testing.T) {
 	}
 }
 
-func TestCompareConsistentWithLess(t *testing.T) {
-	g := testGraph()
-	a := New(g, []graph.NodeID{graph.GridID(0, 0)})
-	b := New(g, graph.GridBlock(1, 1, 2))
-	if Compare(a, b) != -1 || Compare(b, a) != 1 || Compare(a, a) != 0 {
-		t.Error("Compare disagrees with Less")
-	}
-}
-
 func TestRankingTieBreakers(t *testing.T) {
 	// Ring: every singleton has border size 2, so equal size and border
 	// fall through to the lexicographic rule.
@@ -230,30 +211,6 @@ func TestFromComponents(t *testing.T) {
 	regions := FromComponents(g, g.ConnectedComponents(s))
 	if len(regions) != 2 {
 		t.Fatalf("got %d regions, want 2", len(regions))
-	}
-}
-
-func TestSetOperations(t *testing.T) {
-	g := testGraph()
-	s := NewSet()
-	a := New(g, []graph.NodeID{graph.GridID(0, 0)})
-	b := New(g, graph.GridBlock(1, 1, 2))
-	if !s.Add(a) || s.Add(a) {
-		t.Error("Add should report first insertion only")
-	}
-	if s.Add(Empty) {
-		t.Error("adding ∅ should be refused")
-	}
-	s.Add(b)
-	if s.Len() != 2 || !s.Has(a) || !s.Has(b) {
-		t.Error("membership broken")
-	}
-	all := s.All()
-	if len(all) != 2 || !all[0].Equal(a) || !all[1].Equal(b) {
-		t.Errorf("All() should be rank-sorted: %v", all)
-	}
-	if !s.Remove(a) || s.Remove(a) || s.Has(a) {
-		t.Error("Remove broken")
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package scenario assembles runnable failure scenarios: a topology, a
-// crash schedule (timed and/or trigger-based), latency models and an
+// crash schedule (timed and/or trigger-based), latency bands and an
 // automaton factory. It provides the paper's figure scenarios (Fig. 1(a),
 // Fig. 1(b), Fig. 2), randomized correlated-failure generators for
 // property-based testing, and the parameter sweeps behind the experiment
@@ -25,9 +25,10 @@ type Spec struct {
 	Crashes  []sim.CrashAt
 	Triggers []sim.Trigger
 	Seed     int64
-	// NetLatency and FDLatency default to sim.Uniform{1, 10}.
-	NetLatency sim.LatencyModel
-	FDLatency  sim.LatencyModel
+	// NetLatency and FDLatency are latency bands; the zero band means
+	// sim.Uniform{1, 10}.
+	NetLatency sim.Uniform
+	FDLatency  sim.Uniform
 	// Factory defaults to the cliff-edge core protocol.
 	Factory proto.Factory
 	// DisableArbitration runs the core without the ranking/reject
@@ -96,17 +97,6 @@ func CrashAll(nodes []graph.NodeID, t int64) []sim.CrashAt {
 	out := make([]sim.CrashAt, len(nodes))
 	for i, n := range nodes {
 		out[i] = sim.CrashAt{Time: t, Node: n}
-	}
-	return out
-}
-
-// CrashStaggered schedules nodes to crash one after another, gap ticks
-// apart — the cascading pattern under which the protocol may legitimately
-// settle on intermediate sub-regions.
-func CrashStaggered(nodes []graph.NodeID, start, gap int64) []sim.CrashAt {
-	out := make([]sim.CrashAt, len(nodes))
-	for i, n := range nodes {
-		out[i] = sim.CrashAt{Time: start + int64(i)*gap, Node: n}
 	}
 	return out
 }

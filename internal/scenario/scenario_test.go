@@ -170,11 +170,14 @@ func TestSimultaneousBlocksOnGrid(t *testing.T) {
 func TestStaggeredBlockProperties(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		g := graph.Grid(6, 6)
-		block := graph.GridBlock(2, 2, 2)
+		var crashes []sim.CrashAt
+		for i, n := range graph.GridBlock(2, 2, 2) {
+			crashes = append(crashes, sim.CrashAt{Time: 50 + int64(i)*10, Node: n})
+		}
 		spec := Spec{
 			Name:    "staggered-block",
 			Graph:   g,
-			Crashes: CrashStaggered(block, 50, 10),
+			Crashes: crashes,
 			Seed:    seed,
 		}
 		requireOk(t, spec)

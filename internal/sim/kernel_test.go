@@ -3,80 +3,110 @@ package sim
 import (
 	"context"
 	"maps"
+	"math"
 	"slices"
 	"strings"
 	"testing"
 
 	"cliffedge/internal/core"
 	"cliffedge/internal/graph"
+	"cliffedge/internal/netem"
 	"cliffedge/internal/trace"
 )
 
-// negLatency is a misbehaving model: every draw is negative. The kernel
-// must clamp draws at the call sites so virtual time stays monotone.
-type negLatency struct{}
-
-func (negLatency) Latency(_, _ graph.NodeID, _ *Rand) int64 { return -5 }
-
-// TestNegativeLatencyKeepsTimeMonotone is the monotone-virtual-time
-// invariant: with a model drawing below zero, popped event times (and so
-// trace timestamps and EndTime) must still be non-decreasing — the clamp,
-// not the FIFO-floor accident, contains the model.
-func TestNegativeLatencyKeepsTimeMonotone(t *testing.T) {
+// TestNegativeConfigTimesRejected: scheduled crashes, injections and
+// trigger delays in the past or past netem.MaxTick, and latency bands that
+// break 1 ≤ Min ≤ Max ≤ netem.MaxTick, are config errors, not kernel
+// behaviours. A crash at math.MaxInt64 used to panic in the event queue,
+// and a band up to 2^62 made event times wrap below the open tick.
+func TestNegativeConfigTimesRejected(t *testing.T) {
 	g := graph.Grid(4, 4)
-	r, err := NewRunner(Config{
-		Graph:      g,
-		Factory:    coreFactory(g),
-		Seed:       3,
-		NetLatency: negLatency{},
-		FDLatency:  negLatency{},
-		Crashes:    []CrashAt{{Time: 10, Node: graph.GridID(1, 1)}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Events) == 0 {
-		t.Fatal("empty trace")
-	}
-	last := int64(0)
-	for _, e := range res.Events {
-		if e.Time < last {
-			t.Fatalf("trace time ran backwards: event %d at t=%d after t=%d", e.Seq, e.Time, last)
+	always := func(trace.Event) bool { return true }
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"negative crash time", Config{Crashes: []CrashAt{{Time: -1, Node: graph.GridID(0, 0)}}}},
+		{"crash at MaxInt64", Config{Crashes: []CrashAt{{Time: math.MaxInt64, Node: graph.GridID(1, 1)}}}},
+		{"negative injection time", Config{Injections: []InjectAt{{Time: -7, Node: graph.GridID(0, 0), Payload: echoPayload{}}}}},
+		{"injection past MaxTick", Config{Injections: []InjectAt{{Time: netem.MaxTick + 1, Node: graph.GridID(0, 0), Payload: echoPayload{}}}}},
+		{"negative trigger delay", Config{Triggers: []Trigger{{Node: graph.GridID(0, 0), Delay: -2, When: always}}}},
+		{"trigger delay MaxInt64", Config{Triggers: []Trigger{{Node: graph.GridID(0, 0), Delay: math.MaxInt64, When: always}}}},
+		{"out-of-range shard count", Config{Shards: AutoShards - 1}},
+		{"net band Min 0", Config{NetLatency: Uniform{Min: 0, Max: 5}}},
+		{"fd band Min < 0", Config{FDLatency: Uniform{Min: -3, Max: 5}}},
+		{"net band Max < Min", Config{NetLatency: Uniform{Min: 5, Max: 4}}},
+		{"net band Max 2^62", Config{NetLatency: Uniform{Min: 1, Max: 1 << 62},
+			Crashes: []CrashAt{{Time: 10, Node: graph.GridID(1, 1)}}}},
+	} {
+		cfg := tc.cfg
+		cfg.Graph, cfg.Factory, cfg.Seed = g, coreFactory(g), 1
+		if _, err := NewRunner(cfg); err == nil {
+			t.Errorf("%s accepted", tc.name)
 		}
-		last = e.Time
 	}
-	if res.EndTime < last {
-		t.Fatalf("EndTime %d before last event at t=%d", res.EndTime, last)
-	}
-	if len(res.Decisions) == 0 {
-		t.Error("no decisions despite clamped latencies")
+	if _, err := NewRunner(Config{Graph: g, Factory: coreFactory(g),
+		NetLatency: Uniform{Min: 1, Max: netem.MaxTick}, FDLatency: Uniform{Min: 7, Max: 7},
+		Crashes: []CrashAt{{Time: netem.MaxTick, Node: graph.GridID(1, 1)}}}); err != nil {
+		t.Errorf("bounds at netem.MaxTick rejected: %v", err)
 	}
 }
 
-// TestNegativeConfigTimesRejected: scheduled crashes, injections and
-// trigger delays in the past are config errors, not kernel behaviours.
-func TestNegativeConfigTimesRejected(t *testing.T) {
+// FuzzRunnerConfig: whatever bands, times, delays and shard count a
+// Config carries, Reset or Run returns an error or a result and never
+// panics. The first two seeds are the inputs that panicked in the event
+// queue: a crash at math.MaxInt64, and a net band up to 2^62 that wrapped
+// an event time below the open tick.
+func FuzzRunnerConfig(f *testing.F) {
+	f.Add(int64(1), int64(10), int64(1), int64(10), int64(math.MaxInt64), int64(5), int64(0), false, uint8(2), int64(1))
+	f.Add(int64(1), int64(1<<62), int64(1), int64(10), int64(10), int64(5), int64(0), false, uint8(2), int64(1))
+	f.Add(int64(1), int64(10), int64(1), int64(10), int64(10), int64(5), int64(math.MaxInt64), true, uint8(2), int64(3))
+	f.Add(int64(2), int64(5), int64(3), int64(7), int64(10), int64(1<<48), int64(0), false, uint8(0), int64(4))
+	f.Add(int64(0), int64(0), int64(0), int64(-1), int64(-5), int64(-1), int64(-1), true, uint8(4), int64(5))
+	f.Fuzz(func(t *testing.T, netMin, netMax, fdMin, fdMax, crashAt, injectAt, delay int64, trigger bool, shardSel uint8, seed int64) {
+		g := graph.Grid(4, 4)
+		cfg := Config{
+			Graph:      g,
+			Factory:    coreFactory(g),
+			Seed:       seed,
+			NetLatency: Uniform{Min: netMin, Max: netMax},
+			FDLatency:  Uniform{Min: fdMin, Max: fdMax},
+			Crashes: []CrashAt{{Time: crashAt, Node: graph.GridID(1, 1)},
+				{Time: 10, Node: graph.GridID(2, 2)}},
+			Injections: []InjectAt{{Time: injectAt, Node: graph.GridID(3, 3), Payload: echoPayload{}}},
+			Shards:     []int{AutoShards, 0, 1, 2, 8}[int(shardSel)%5],
+			MaxEvents:  20_000,
+		}
+		if trigger {
+			cfg.Triggers = []Trigger{{Node: graph.GridID(1, 2), Delay: delay,
+				When: func(e trace.Event) bool { return e.Kind == trace.KindPropose }}}
+		}
+		r, err := NewRunner(cfg)
+		if err != nil {
+			return
+		}
+		if res, err := r.Run(); err == nil && res == nil {
+			t.Fatal("Run returned neither a result nor an error")
+		}
+	})
+}
+
+// TestScheduleRefusesTimeOutsideHorizon: an event before the lane's
+// current time or past maxTime ends the run with an error instead of
+// reaching the queue, whose push below its open tick panics.
+func TestScheduleRefusesTimeOutsideHorizon(t *testing.T) {
 	g := graph.Grid(2, 2)
-	if _, err := NewRunner(Config{Graph: g, Factory: coreFactory(g),
-		Crashes: []CrashAt{{Time: -1, Node: graph.GridID(0, 0)}}}); err == nil {
-		t.Error("negative crash time accepted")
-	}
-	if _, err := NewRunner(Config{Graph: g, Factory: coreFactory(g),
-		Injections: []InjectAt{{Time: -7, Node: graph.GridID(0, 0), Payload: echoPayload{}}}}); err == nil {
-		t.Error("negative injection time accepted")
-	}
-	if _, err := NewRunner(Config{Graph: g, Factory: coreFactory(g),
-		Triggers: []Trigger{{Node: graph.GridID(0, 0), Delay: -2,
-			When: func(trace.Event) bool { return true }}}}); err == nil {
-		t.Error("negative trigger delay accepted")
-	}
-	if _, err := NewRunner(Config{Graph: g, Factory: coreFactory(g),
-		Shards: AutoShards - 1}); err == nil {
-		t.Error("out-of-range shard count accepted")
+	for _, at := range []int64{99, maxTime + 1, math.MinInt64} {
+		r, err := NewRunner(Config{Graph: g, Factory: coreFactory(g)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln := r.lane(0, 0, 1)
+		ln.now = 100
+		ln.schedule(event{time: at, kind: evCrash})
+		if ln.err == nil || !strings.Contains(ln.err.Error(), "overflowed") || ln.queue.len() != 0 {
+			t.Errorf("event at t=%d: err %v, %d queued", at, ln.err, ln.queue.len())
+		}
 	}
 }
 
@@ -281,57 +311,5 @@ func TestShardedMatchesSequential(t *testing.T) {
 		if len(got.Crashed) != len(ref.Crashed) {
 			t.Errorf("shards=%d: crashed set diverged", shards)
 		}
-	}
-}
-
-// TestShardedLookaheadFallback: a model that declares no MinLatency (or a
-// zero one) forces the kernel sequential — same results, no windows.
-func TestShardedLookaheadFallback(t *testing.T) {
-	g := graph.Grid(4, 4)
-	run := func(net LatencyModel, shards int) *Result {
-		r, err := NewRunner(Config{Graph: g, Factory: coreFactory(g), Seed: 4,
-			NetLatency: net, Crashes: []CrashAt{{Time: 10, Node: graph.GridID(1, 1)}},
-			Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := r.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	// negLatency declares no MinLatency: shards must silently fall back.
-	a := run(negLatency{}, 8)
-	b := run(negLatency{}, 1)
-	if len(a.Events) != len(b.Events) {
-		t.Fatalf("fallback diverged: %d vs %d events", len(a.Events), len(b.Events))
-	}
-	// Constant{0} declares MinLatency 0: same fallback.
-	c := run(Constant{D: 0}, 8)
-	d := run(Constant{D: 0}, 1)
-	if len(c.Events) != len(d.Events) {
-		t.Fatalf("zero-lookahead fallback diverged: %d vs %d events", len(c.Events), len(d.Events))
-	}
-}
-
-// lyingLatency declares MinLatency 5 but draws 1 — the sharded kernel
-// must detect the broken promise instead of silently diverging.
-type lyingLatency struct{}
-
-func (lyingLatency) Latency(_, _ graph.NodeID, _ *Rand) int64 { return 1 }
-func (lyingLatency) MinLatency() int64                        { return 5 }
-
-func TestShardedDetectsMinLatencyViolation(t *testing.T) {
-	g := graph.Grid(4, 4)
-	r, err := NewRunner(Config{Graph: g, Factory: coreFactory(g), Seed: 5,
-		NetLatency: lyingLatency{}, FDLatency: lyingLatency{},
-		Crashes: []CrashAt{{Time: 10, Node: graph.GridID(1, 1)}},
-		Shards:  4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Run(); err == nil || !strings.Contains(err.Error(), "MinLatency") {
-		t.Fatalf("expected a MinLatency-violation error, got %v", err)
 	}
 }

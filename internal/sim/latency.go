@@ -1,26 +1,21 @@
 package sim
 
 import (
-	"math"
+	"fmt"
 	"math/bits"
 
-	"cliffedge/internal/graph"
+	"cliffedge/internal/netem"
 )
 
 // Rand is the kernel's counter-based latency stream: a splitmix64
 // generator keyed per draw on the transmission coordinates, exactly like
-// internal/netem's verdict stream. The kernel hands every LatencyModel a
-// fresh Rand keyed on (seed, from, to, sendTime, nonce), so a draw is a
-// pure function of *what* is being delayed, never of how many draws
-// happened before it — the property that lets the sharded kernel replay
-// the sequential kernel's delays bit for bit regardless of the order in
-// which shards reach their send sites. Implementations may consume any
-// number of values; consuming none is fine too.
+// internal/netem's verdict stream. The kernel keys a fresh Rand on (seed,
+// from, to, sendTime, nonce) for every draw, so a draw is a pure function
+// of *what* is being delayed, never of how many draws happened before it
+// — the property that lets the sharded kernel replay the sequential
+// kernel's delays bit for bit regardless of the order in which shards
+// reach their send sites.
 type Rand struct{ s uint64 }
-
-// NewRand returns a stream seeded directly with s — a convenience for
-// unit-testing LatencyModel implementations outside the kernel.
-func NewRand(s uint64) *Rand { return &Rand{s: s} }
 
 func splitmix64(x uint64) uint64 {
 	x += 0x9E3779B97F4A7C15
@@ -58,134 +53,31 @@ func (r *Rand) Int63n(n int64) int64 {
 	return int64(hi)
 }
 
-// Float64 draws uniformly from [0, 1).
-func (r *Rand) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
-}
-
-// ExpFloat64 draws from the exponential distribution with mean 1 by
-// inversion — pure math.Log, no rejection loop, so the draw consumes
-// exactly one stream value.
-func (r *Rand) ExpFloat64() float64 {
-	return -math.Log(1 - r.Float64())
-}
-
-// LatencyModel produces per-message (or per-detection) delays in virtual
-// time ticks. The rng handed in is keyed on the draw's coordinates
-// (seed, from, to, sendTime, nonce), so implementations are pure
-// functions of their arguments — no draw-order coupling between
-// channels. Channels are asynchronous but reliable (§2.2), so latencies
-// are finite; the network layer additionally enforces per-channel FIFO
-// by never scheduling a delivery before an earlier one on the same
-// channel, and clamps negative outputs to 0 so virtual time can never
-// run backwards.
-type LatencyModel interface {
-	Latency(from, to graph.NodeID, rng *Rand) int64
-}
-
-// MinLatencyModel optionally declares a model's minimum possible draw.
-// The sharded kernel uses it as the conservative lookahead: a model that
-// implements it (with a minimum ≥ 1) promises every draw is at least
-// MinLatency ticks, which is what lets shards process a time window
-// without waiting on each other. Models that do not implement it force
-// the kernel sequential.
-type MinLatencyModel interface {
-	MinLatency() int64
-}
-
-// Constant delays every message by exactly D ticks.
-type Constant struct{ D int64 }
-
-// Latency implements LatencyModel.
-func (c Constant) Latency(_, _ graph.NodeID, _ *Rand) int64 { return c.D }
-
-// MinLatency implements MinLatencyModel.
-func (c Constant) MinLatency() int64 { return c.D }
-
-// Uniform delays messages uniformly in [Min, Max].
+// Uniform is a latency band: every message (or failure detection) is
+// delayed uniformly in [Min, Max] virtual ticks. Channels are
+// asynchronous but reliable (§2.2), so latencies are finite, and Config
+// accepts only bands with 1 ≤ Min ≤ Max ≤ netem.MaxTick: every draw is at
+// least one tick, which is the sharded kernel's lookahead. The zero
+// Uniform in a Config stands for the default band [1, 10].
 type Uniform struct{ Min, Max int64 }
 
-// Latency implements LatencyModel.
-func (u Uniform) Latency(_, _ graph.NodeID, rng *Rand) int64 {
-	if u.Max <= u.Min {
+// defaultLatency is the band a zero Uniform in a Config stands for.
+var defaultLatency = Uniform{Min: 1, Max: 10}
+
+// draw delays one message or detection by a value of the band, taken
+// from rng.
+func (u Uniform) draw(rng Rand) int64 {
+	if u.Max == u.Min {
 		return u.Min
 	}
 	return u.Min + rng.Int63n(u.Max-u.Min+1)
 }
 
-// MinLatency implements MinLatencyModel.
-func (u Uniform) MinLatency() int64 { return u.Min }
-
-// Distance delays messages proportionally to the hop distance between the
-// endpoints in a coordinate embedding — modelling topologies that mirror
-// physical proximity (§2.1): neighbours are fast, far pairs slow.
-// Unembedded endpoints fall back to Far.
-type Distance struct {
-	Coords map[graph.NodeID][2]int
-	Base   int64 // fixed per-message cost
-	PerHop int64 // added per Manhattan-distance unit
-	Far    int64 // latency when an endpoint has no coordinates
+// check reports why u is not a band a run can use, or nil.
+func (u Uniform) check(name string) error {
+	if u.Min < 1 || u.Max < u.Min || u.Max > netem.MaxTick {
+		return fmt.Errorf("sim: Config.%s band [%d, %d] breaks 1 ≤ Min ≤ Max ≤ %d",
+			name, u.Min, u.Max, netem.MaxTick)
+	}
+	return nil
 }
-
-// Latency implements LatencyModel.
-func (d Distance) Latency(from, to graph.NodeID, _ *Rand) int64 {
-	a, okA := d.Coords[from]
-	b, okB := d.Coords[to]
-	if !okA || !okB {
-		return d.Far
-	}
-	dist := abs(a[0]-b[0]) + abs(a[1]-b[1])
-	return d.Base + d.PerHop*int64(dist)
-}
-
-// MinLatency implements MinLatencyModel. Embedded endpoints are at least
-// Base apart (adjacent nodes still pay the per-message cost when PerHop
-// is non-negative); unembedded ones pay Far.
-func (d Distance) MinLatency() int64 {
-	min := d.Base
-	if d.PerHop < 0 {
-		return 0 // pathological config; declares no usable lookahead
-	}
-	if d.Far < min {
-		min = d.Far
-	}
-	return min
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-// GridCoords embeds a graph.Grid/Torus node set for the Distance model.
-func GridCoords(rows, cols int) map[graph.NodeID][2]int {
-	out := make(map[graph.NodeID][2]int, rows*cols)
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			out[graph.GridID(r, c)] = [2]int{r, c}
-		}
-	}
-	return out
-}
-
-// Exponential delays messages with an exponential distribution of the given
-// mean (capped at 100× the mean so the virtual clock cannot run away) —
-// a standard stand-in for heavy-tailed WAN latency.
-type Exponential struct{ Mean float64 }
-
-// Latency implements LatencyModel.
-func (e Exponential) Latency(_, _ graph.NodeID, rng *Rand) int64 {
-	d := rng.ExpFloat64() * e.Mean
-	if d > 100*e.Mean {
-		d = 100 * e.Mean
-	}
-	if d < 1 {
-		return 1
-	}
-	return int64(d)
-}
-
-// MinLatency implements MinLatencyModel: the draw is floored at 1.
-func (e Exponential) MinLatency() int64 { return 1 }

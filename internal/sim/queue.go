@@ -20,11 +20,11 @@ import (
 // Why a calendar: every pending event lies within a few ticks of the
 // open one. Message and detection latencies are small, FIFO floors never
 // exceed the latest delivery already drawn on a channel, and
-// subscriptions land one lookahead later. So a ring of ringTicks buckets
-// covers [base, base+ringTicks), where base is the open tick. Events
-// further out (scheduled crashes and injections, long link-fault delays)
-// wait in a small 4-ary overflow min-heap. They move into the ring when
-// the window reaches them.
+// subscriptions land one lookahead (the smaller band's Min) later. So a
+// ring of ringTicks buckets covers [base, base+ringTicks), where base is
+// the open tick. Events further out (scheduled crashes and injections,
+// long link-fault delays) wait in a small 4-ary overflow min-heap. They
+// move into the ring when the window reaches them.
 //
 // Opening a tick orders its bucket once. A bucket lists its events in
 // push order, and every source pushes its events in sseq order. So a
@@ -36,11 +36,11 @@ import (
 // costs one step per source.
 //
 // A push into the open tick is inserted in order among its unpopped
-// events; zero latencies and zero trigger delays produce such pushes. A
-// push below the open tick panics. Latencies are clamped at ≥ 0, config
-// times and trigger delays are validated ≥ 0, and the sharded scheduler
-// rejects events inside its window, so no kernel path does this. A queue
-// that accepted the push would have to pop out of order.
+// events; zero trigger delays produce such pushes (latencies are at least
+// one tick). A push below the open tick panics. Config times and trigger
+// delays are validated ≥ 0, and the lanes refuse an event before their
+// current time and, sharded, one inside their window, so no kernel path
+// does this. A queue that accepted the push would have to pop out of order.
 //
 // Events are stored by value in one pool of fixed-size chunks owned by
 // the queue. A bucket is a list threaded through the pool's slots, and a

@@ -4,13 +4,14 @@ package sim
 // Chandy–Misra): nodes are partitioned over shards, each shard owns a
 // sub-queue of the events addressed to its nodes, and execution proceeds
 // in global time windows [W, W+L) where W is the earliest pending event
-// anywhere and L the lookahead — the minimum latency the models promise.
-// Within a window every shard may process its events independently: any
-// event one shard's processing could schedule on another lands at
-// ≥ now + L ≥ W + L, strictly after the window, so nothing a peer does
-// during the window can affect it. At the barrier the shards' buffered
-// trace events are merged by the generating event's total-order key,
-// cross-shard events are routed, and the next window opens.
+// anywhere and L the lookahead — the smaller Min of the two latency bands,
+// which Config validation keeps ≥ 1. Within a window every shard may
+// process its events independently: any event one shard's processing
+// could schedule on another lands at ≥ now + L ≥ W + L, strictly after
+// the window, so nothing a peer does during the window can affect it. At
+// the barrier the shards' buffered trace events are merged by the
+// generating event's total-order key, cross-shard events are routed, and
+// the next window opens.
 //
 // Because the event key (time, src, sseq) is assigned at the scheduling
 // site and latency draws are keyed pure functions (kernel invariants 1–2),
@@ -30,16 +31,15 @@ import (
 const maxAutoShards = 16
 
 // plan decides the execution mode: it returns the node→shard owner map
-// and the shard count, or (nil, 1) for the sequential kernel. Sharding
-// requires a positive lookahead (declared minimum latency ≥ 1) and no
-// Triggers — trigger predicates inspect the globally ordered trace, which
-// only exists after the merge.
+// and the shard count, or (nil, 1) for the sequential kernel. Triggers
+// force the sequential kernel: trigger predicates inspect the globally
+// ordered trace, which only exists after the merge.
 func (r *Runner) plan() ([]int32, int) {
 	n := r.cfg.Shards
 	if n == 0 || n == 1 {
 		return nil, 1
 	}
-	if len(r.cfg.Triggers) > 0 || r.lookahead < 1 {
+	if len(r.cfg.Triggers) > 0 {
 		return nil, 1
 	}
 	if n == AutoShards {

@@ -2,7 +2,7 @@
 // automata. It implements the system model of the paper's §2.2 exactly:
 //
 //   - asynchronous, reliable, FIFO point-to-point channels between any two
-//     nodes, with pluggable latency models;
+//     nodes, each message delayed by a draw from a uniform latency band;
 //   - a perfect failure detector offered as a subscription service
 //     (〈monitorCrash | S〉 → 〈crash | q〉) satisfying strong accuracy and
 //     strong completeness, including subscriptions issued after the target
@@ -44,10 +44,12 @@
 //     the values are identical and the per-delivery interface assertion
 //     disappears from the hot path.
 //
-// Latency draws are clamped to ≥ 0 at every call site and config times
-// are validated ≥ 0, so a misbehaving LatencyModel cannot run virtual
-// time backwards. The event queue panics on a push below its open tick,
-// which makes that a checked invariant rather than a silent misorder.
+// Config validation keeps virtual time monotone and finite: latency bands
+// have 1 ≤ Min ≤ Max, and config times, trigger delays and band maxima
+// lie in [0, netem.MaxTick]. An event scheduled before the current time or
+// past maxTime (a kernel bug, or link-fault delays that add up) ends the
+// run with an error; the event queue still panics on a push below its
+// open tick, which makes misordering a checked invariant.
 //
 // NodeIDs appear only at the boundaries: config validation, trace events,
 // the automaton handlers' arguments and the final Result. Automata name
@@ -107,10 +109,11 @@ type Config struct {
 	Factory proto.Factory
 	// Seed drives all randomised latencies. Same seed → same run.
 	Seed int64
-	// NetLatency delays messages; defaults to Uniform{1, 10}.
-	NetLatency LatencyModel
-	// FDLatency delays failure detections; defaults to Uniform{1, 10}.
-	FDLatency LatencyModel
+	// NetLatency delays messages; the zero band means Uniform{1, 10}.
+	NetLatency Uniform
+	// FDLatency delays failure detections; the zero band means
+	// Uniform{1, 10}.
+	FDLatency Uniform
 	// Net, if non-nil, adjudicates every inter-node transmission through
 	// the deterministic link-fault model: extra delay is added before the
 	// FIFO-floor clamp (per-channel FIFO is preserved), raw-loss drops
@@ -131,10 +134,8 @@ type Config struct {
 	// under the conservative time-window barrier. 0 and 1 run the classic
 	// sequential kernel; AutoShards partitions by crashed-region domain
 	// group. Any value emits a trace byte-identical to the sequential
-	// kernel's. Sharding needs a positive lookahead, so it silently falls
-	// back to sequential when a latency model does not declare a
-	// MinLatency ≥ 1, and when Triggers are present (trigger predicates
-	// inspect the globally ordered trace).
+	// kernel's. The kernel runs sequentially regardless when Triggers are
+	// present (trigger predicates inspect the globally ordered trace).
 	Shards int
 	// Observer, if non-nil, receives every trace event as it is emitted,
 	// in sequence order (an online sink for checkers, metrics, streaming
@@ -253,12 +254,11 @@ type Runner struct {
 	chanNonce       []uint64
 	initSeq         int64
 
-	// lookahead is the declared minimum latency over both models (0 when
-	// unknown); subDelay = max(lookahead, 1) delays in-loop failure-
-	// detector subscriptions so they are kernel events processed in the
-	// monitored node's shard.
+	// lookahead is the smaller band's Min, the least delay of any event a
+	// handler schedules: it is the sharded kernel's window width, and it
+	// delays in-loop failure-detector subscriptions so they are kernel
+	// events processed in the monitored node's shard.
 	lookahead int64
-	subDelay  int64
 
 	// initPhase is true while 〈init〉 runs: subscriptions mutate subs
 	// directly (nothing has crashed yet) instead of becoming events.
@@ -317,11 +317,17 @@ func (r *Runner) Reset(cfg Config) error {
 	if cfg.Factory == nil {
 		return fmt.Errorf("sim: Config.Factory is required")
 	}
-	if cfg.NetLatency == nil {
-		cfg.NetLatency = Uniform{Min: 1, Max: 10}
+	if cfg.NetLatency == (Uniform{}) {
+		cfg.NetLatency = defaultLatency
 	}
-	if cfg.FDLatency == nil {
-		cfg.FDLatency = Uniform{Min: 1, Max: 10}
+	if cfg.FDLatency == (Uniform{}) {
+		cfg.FDLatency = defaultLatency
+	}
+	if err := cfg.NetLatency.check("NetLatency"); err != nil {
+		return err
+	}
+	if err := cfg.FDLatency.check("FDLatency"); err != nil {
+		return err
 	}
 	if cfg.MaxEvents == 0 {
 		cfg.MaxEvents = 50_000_000
@@ -334,24 +340,24 @@ func (r *Runner) Reset(cfg Config) error {
 		if !cfg.Graph.Has(c.Node) {
 			return fmt.Errorf("sim: scheduled crash of unknown node %q", c.Node)
 		}
-		if c.Time < 0 {
-			return fmt.Errorf("sim: crash of %q at negative time %d", c.Node, c.Time)
+		if c.Time < 0 || c.Time > netem.MaxTick {
+			return fmt.Errorf("sim: crash of %q at time %d outside [0, %d]", c.Node, c.Time, netem.MaxTick)
 		}
 	}
 	for _, t := range cfg.Triggers {
 		if !cfg.Graph.Has(t.Node) {
 			return fmt.Errorf("sim: trigger on unknown node %q", t.Node)
 		}
-		if t.Delay < 0 {
-			return fmt.Errorf("sim: trigger on %q with negative delay %d", t.Node, t.Delay)
+		if t.Delay < 0 || t.Delay > netem.MaxTick {
+			return fmt.Errorf("sim: trigger on %q with delay %d outside [0, %d]", t.Node, t.Delay, netem.MaxTick)
 		}
 	}
 	for _, inj := range cfg.Injections {
 		if !cfg.Graph.Has(inj.Node) {
 			return fmt.Errorf("sim: injection into unknown node %q", inj.Node)
 		}
-		if inj.Time < 0 {
-			return fmt.Errorf("sim: injection into %q at negative time %d", inj.Node, inj.Time)
+		if inj.Time < 0 || inj.Time > netem.MaxTick {
+			return fmt.Errorf("sim: injection into %q at time %d outside [0, %d]", inj.Node, inj.Time, netem.MaxTick)
 		}
 	}
 	n := cfg.Graph.Len()
@@ -375,11 +381,7 @@ func (r *Runner) Reset(cfg Config) error {
 		fired:        resize(r.fired, len(cfg.Triggers)),
 		participants: r.participants.Reset(n),
 		lanes:        r.lanes,
-	}
-	r.lookahead = minDeclaredLatency(cfg.NetLatency, cfg.FDLatency)
-	r.subDelay = r.lookahead
-	if r.subDelay < 1 {
-		r.subDelay = 1
+		lookahead:    min(cfg.NetLatency.Min, cfg.FDLatency.Min),
 	}
 	return nil
 }
@@ -411,27 +413,6 @@ func emptyRows[T any](rows [][]T, n int) [][]T {
 		rows[i] = row[:0]
 	}
 	return rows
-}
-
-// minDeclaredLatency is the conservative lookahead: the smallest latency
-// either model promises to ever draw, or 0 when a model makes no promise.
-func minDeclaredLatency(net, fd LatencyModel) int64 {
-	nm, ok := net.(MinLatencyModel)
-	if !ok {
-		return 0
-	}
-	fm, ok := fd.(MinLatencyModel)
-	if !ok {
-		return 0
-	}
-	l := nm.MinLatency()
-	if f := fm.MinLatency(); f < l {
-		l = f
-	}
-	if l < 0 {
-		return 0
-	}
-	return l
 }
 
 // Run executes the simulation to quiescence (empty event queue) and
@@ -470,6 +451,9 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 		stem.schedule(event{time: inj.Time, kind: evDeliver, node: i, peer: i,
 			view: view, round: int32(round), bytes: int32(inj.Payload.WireSize()),
 			payload: inj.Payload})
+	}
+	if stem.err != nil {
+		return nil, stem.err
 	}
 
 	lanes := []*lane{stem}
@@ -607,17 +591,12 @@ type lane struct {
 	queue eventQueue
 	now   int64
 	// limit is the exclusive end of the current time window (sharded
-	// only): popping stops at it, and scheduling below it means a
-	// LatencyModel broke its MinLatency promise.
+	// only): popping stops at it, and nothing may be scheduled below it.
 	limit int64
 	// cur is the scheduling source (event key src) for events created
 	// while the lane processes the current event.
 	cur    int32
 	curKey eventKey
-	// rng is the scratch state for the current latency draw. Keeping it
-	// in the lane (heap-allocated once) instead of a local keeps the
-	// *Rand handed to the LatencyModel interface from escaping per draw.
-	rng Rand
 	// direct lanes append to the run's trace and evaluate triggers
 	// inline; buffered lanes collect pendingTrace entries merged at the
 	// window barrier.
@@ -670,10 +649,32 @@ func (r *Runner) lane(k, id, nshards int) *lane {
 	return ln
 }
 
+// maxTime is the horizon of virtual time. Config times, trigger delays and
+// band maxima are at most netem.MaxTick (2^48) and a link-fault verdict's
+// ExtraDelay is below 2^62, so no event time computed from a current time
+// ≤ maxTime overflows an int64. Link-fault delays can still add up past
+// it; schedule ends the run with an error when they do.
+const maxTime = int64(1) << 61
+
 // schedule assigns the event's total-order key and routes it: direct
 // lanes push to their own queue; shard lanes push home events and outbox
-// the rest, rejecting any event that would land inside the open window.
+// the rest. It ends the run with an error, and schedules nothing, for an
+// event before the current time or past maxTime, and on a shard lane for
+// an event inside the open window. Every delay a handler adds is at least
+// the lookahead, so only an overflow or a kernel bug gets here: the window
+// check is the sharded counterpart of the queue's panic on a push below
+// its open tick.
 func (ln *lane) schedule(ev event) {
+	if ev.time < ln.now || ev.time > maxTime {
+		ln.fail(fmt.Errorf("sim: event scheduled at t=%d for t=%d, outside [now, %d]: virtual time overflowed or ran backwards",
+			ln.now, ev.time, maxTime))
+		return
+	}
+	if !ln.direct && ev.time < ln.limit {
+		ln.fail(fmt.Errorf("sim: sharded kernel scheduled an event at t=%d inside the open window ending at t=%d",
+			ev.time, ln.limit))
+		return
+	}
 	ev.src = ln.cur
 	if ln.cur < 0 {
 		ev.sseq = ln.r.initSeq
@@ -686,17 +687,17 @@ func (ln *lane) schedule(ev event) {
 		ln.queue.push(ev)
 		return
 	}
-	if ev.time < ln.limit {
-		if ln.err == nil {
-			ln.err = fmt.Errorf("sim: sharded kernel scheduled an event at t=%d inside the open window ending at t=%d: a LatencyModel drew below its declared MinLatency",
-				ev.time, ln.limit)
-		}
-		return
-	}
 	if o := int(ln.r.owner[ev.node]); o == ln.id {
 		ln.queue.push(ev)
 	} else {
 		ln.out[o] = append(ln.out[o], ev)
+	}
+}
+
+// fail records the lane's first error; the run loop ends the run with it.
+func (ln *lane) fail(err error) {
+	if ln.err == nil {
+		ln.err = err
 	}
 }
 
@@ -763,11 +764,7 @@ func (ln *lane) handleCrash(ev event) {
 	// first, in which case its detect event is dropped on delivery), in
 	// ascending-index = sorted-NodeID order.
 	for _, p := range r.subs[ev.node] {
-		ln.rng = keyedRand(r.fdSeed, p, ev.node, ln.now, 0)
-		lat := r.cfg.FDLatency.Latency(r.g.ID(p), id, &ln.rng)
-		if lat < 0 {
-			lat = 0
-		}
+		lat := r.cfg.FDLatency.draw(keyedRand(r.fdSeed, p, ev.node, ln.now, 0))
 		ln.schedule(event{time: ln.now + lat, kind: evDetect, node: p, peer: ev.node})
 	}
 }
@@ -822,11 +819,7 @@ func (ln *lane) handleSubscribe(ev event) {
 		return
 	}
 	if ln.crashed.Has(ev.node) {
-		ln.rng = keyedRand(r.fdSeed, ev.peer, ev.node, ln.now, 0)
-		lat := r.cfg.FDLatency.Latency(r.g.ID(ev.peer), r.g.ID(ev.node), &ln.rng)
-		if lat < 0 {
-			lat = 0
-		}
+		lat := r.cfg.FDLatency.draw(keyedRand(r.fdSeed, ev.peer, ev.node, ln.now, 0))
 		ln.schedule(event{time: ln.now + lat, kind: evDetect, node: ev.peer, peer: ev.node})
 	}
 }
@@ -880,7 +873,7 @@ func (ln *lane) subscribe(p, qi int32) {
 		r.addSub(qi, p)
 		return
 	}
-	ln.schedule(event{time: ln.now + r.subDelay, kind: evSubscribe, node: qi, peer: p})
+	ln.schedule(event{time: ln.now + r.lookahead, kind: evSubscribe, node: qi, peer: p})
 }
 
 // addSub adds p to q's subscribers and reports whether it was not one
@@ -929,11 +922,7 @@ func (ln *lane) send(from int32, fromID graph.NodeID, s proto.Send) {
 		// depends on what other channels drew first.
 		nonce := r.chanNonce[from]
 		r.chanNonce[from]++
-		ln.rng = keyedRand(r.netSeed, from, toIdx, ln.now, nonce)
-		lat := r.cfg.NetLatency.Latency(fromID, to, &ln.rng)
-		if lat < 0 {
-			lat = 0
-		}
+		lat := r.cfg.NetLatency.draw(keyedRand(r.netSeed, from, toIdx, ln.now, nonce))
 		var verdict netem.Verdict
 		if r.cfg.Net != nil {
 			verdict = r.cfg.Net.Adjudicate(from, toIdx, ln.now, nonce)

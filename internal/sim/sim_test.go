@@ -302,27 +302,21 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestLatencyModels(t *testing.T) {
-	rng := NewRand(1)
-	if (Constant{D: 7}).Latency("a", "b", rng) != 7 {
-		t.Error("Constant")
-	}
+func TestUniformDraw(t *testing.T) {
 	u := Uniform{Min: 3, Max: 9}
-	for i := 0; i < 100; i++ {
-		d := u.Latency("a", "b", rng)
+	seen := make(map[int64]bool)
+	for i := uint64(0); i < 200; i++ {
+		d := u.draw(keyedRand(1, 0, 1, 0, i))
 		if d < 3 || d > 9 {
 			t.Fatalf("Uniform out of range: %d", d)
 		}
+		seen[d] = true
 	}
-	if (Uniform{Min: 5, Max: 5}).Latency("a", "b", rng) != 5 {
+	if len(seen) != 7 {
+		t.Errorf("200 draws from [3, 9] hit %d values, want all 7", len(seen))
+	}
+	if (Uniform{Min: 5, Max: 5}).draw(keyedRand(1, 0, 1, 0, 0)) != 5 {
 		t.Error("degenerate Uniform")
-	}
-	e := Exponential{Mean: 10}
-	for i := 0; i < 100; i++ {
-		d := e.Latency("a", "b", rng)
-		if d < 1 || d > 1000 {
-			t.Fatalf("Exponential out of bounds: %d", d)
-		}
 	}
 }
 
@@ -342,41 +336,5 @@ func TestSortedDecisionsOrder(t *testing.T) {
 		if ds[i-1].Node >= ds[i].Node {
 			t.Fatalf("decisions not sorted: %v before %v", ds[i-1].Node, ds[i].Node)
 		}
-	}
-}
-
-func TestDistanceLatencyModel(t *testing.T) {
-	coords := GridCoords(4, 4)
-	d := Distance{Coords: coords, Base: 2, PerHop: 3, Far: 99}
-	rng := NewRand(1)
-	if got := d.Latency(graph.GridID(0, 0), graph.GridID(0, 1), rng); got != 5 {
-		t.Errorf("adjacent latency = %d, want 5", got)
-	}
-	if got := d.Latency(graph.GridID(0, 0), graph.GridID(3, 3), rng); got != 2+3*6 {
-		t.Errorf("far latency = %d, want 20", got)
-	}
-	if got := d.Latency("ghost", graph.GridID(0, 0), rng); got != 99 {
-		t.Errorf("unembedded latency = %d, want Far", got)
-	}
-}
-
-func TestDistanceLatencyEndToEnd(t *testing.T) {
-	g := graph.Grid(6, 6)
-	r, err := NewRunner(Config{
-		Graph:      g,
-		Factory:    coreFactory(g),
-		Seed:       1,
-		NetLatency: Distance{Coords: GridCoords(6, 6), Base: 1, PerHop: 2, Far: 50},
-		Crashes:    []CrashAt{{Time: 10, Node: graph.GridID(2, 2)}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Decisions) != 4 {
-		t.Fatalf("got %d decisions, want 4", len(res.Decisions))
 	}
 }

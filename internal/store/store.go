@@ -166,15 +166,6 @@ func (s *Store) List() ([]Manifest, error) {
 	return out, nil
 }
 
-// Delete removes a campaign and everything it persisted.
-func (s *Store) Delete(id string) error {
-	dir, err := s.campaignDir(id)
-	if err != nil {
-		return err
-	}
-	return os.RemoveAll(dir)
-}
-
 // WriteReport persists the rendered final report.
 func (s *Store) WriteReport(id string, data []byte) error {
 	dir, err := s.campaignDir(id)
@@ -196,8 +187,8 @@ func (s *Store) Report(id string) ([]byte, error) {
 // TraceDir ensures the campaign's trace directory exists and returns its
 // path. Frontends that persist per-run traces (one binary trace file per
 // job, named campaign.Job.TraceName) point cliffedge.WithTraceDir here,
-// so traces live and die with the campaign: Delete removes them along
-// with everything else. The store itself never reads trace files — they
+// so traces live in the campaign's directory, next to everything else it
+// persisted. The store itself never reads trace files — they
 // are bulk artifacts for cliffedge-trace and offline analysis, not part
 // of the resumable result log.
 func (s *Store) TraceDir(id string) (string, error) {

@@ -311,12 +311,3 @@ func Decisions(events []Event) []Event {
 	}
 	return out
 }
-
-// ByNode groups events by acting node.
-func ByNode(events []Event) map[graph.NodeID][]Event {
-	out := make(map[graph.NodeID][]Event)
-	for _, e := range events {
-		out[e.Node] = append(out[e.Node], e)
-	}
-	return out
-}

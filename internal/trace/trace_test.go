@@ -117,10 +117,6 @@ func TestDecisionsAndByNode(t *testing.T) {
 	if len(ds) != 2 || ds[0].Node != "a" || ds[1].Node != "b" {
 		t.Errorf("Decisions = %v", ds)
 	}
-	by := ByNode(events)
-	if len(by["a"]) != 2 || len(by["b"]) != 1 {
-		t.Errorf("ByNode = %v", by)
-	}
 }
 
 func TestEventString(t *testing.T) {

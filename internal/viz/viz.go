@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"cliffedge/internal/graph"
-	"cliffedge/internal/region"
 	"cliffedge/internal/trace"
 )
 
@@ -55,44 +54,6 @@ func GridMap(rows, cols int, events []trace.Event, crashed map[graph.NodeID]bool
 		sb.WriteByte('\n')
 	}
 	sb.WriteString("legend: # crashed   D decided   * messaged   · untouched\n")
-	return sb.String()
-}
-
-// ViewSummary tabulates decided views: each distinct view with its value
-// and sorted deciders.
-func ViewSummary(g *graph.Graph, events []trace.Event) string {
-	type agg struct {
-		value    string
-		deciders []graph.NodeID
-	}
-	views := make(map[string]*agg)
-	for _, e := range events {
-		if e.Kind != trace.KindDecide {
-			continue
-		}
-		a := views[e.View]
-		if a == nil {
-			a = &agg{value: e.Value}
-			views[e.View] = a
-		}
-		a.deciders = append(a.deciders, e.Node)
-	}
-	keys := make([]string, 0, len(views))
-	for k := range views {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var sb strings.Builder
-	for _, k := range keys {
-		a := views[k]
-		graph.SortIDs(a.deciders)
-		v := region.FromKey(g, k)
-		fmt.Fprintf(&sb, "view %s (%d nodes, border %d) value=%q deciders=%v\n",
-			v, v.Len(), v.BorderLen(), a.value, a.deciders)
-	}
-	if len(keys) == 0 {
-		sb.WriteString("no decisions\n")
-	}
 	return sb.String()
 }
 

@@ -59,18 +59,6 @@ func TestGridMap(t *testing.T) {
 	}
 }
 
-func TestViewSummary(t *testing.T) {
-	res, g := run(t)
-	s := ViewSummary(g, res.Events)
-	if !strings.Contains(s, "view {n0002-0002}") || !strings.Contains(s, "deciders=") {
-		t.Errorf("summary:\n%s", s)
-	}
-	empty := ViewSummary(g, nil)
-	if !strings.Contains(empty, "no decisions") {
-		t.Error("empty summary should say so")
-	}
-}
-
 func TestFlowSummary(t *testing.T) {
 	res, _ := run(t)
 	s := FlowSummary(res.Events, 3)
