@@ -366,9 +366,9 @@ func benchCascade(b *testing.B, dim, shards int) {
 // once, then four more nodes race into the in-flight agreement with no
 // quiescence in between, mirroring the cascade shape. The trace is
 // discarded, so time and allocations measure the runtime's envelope
-// queues, registry and trace-lock path — the measure-first baseline for
-// the livenet allocation-profile ROADMAP item (ring-buffer mailboxes,
-// sharded trace sink).
+// queues, registry and per-slot stats accumulators — the measure-first
+// baseline for the livenet allocation-profile ROADMAP item (ring-buffer
+// mailboxes).
 func BenchmarkLiveCascade32(b *testing.B) {
 	b.ReportAllocs()
 	spec := scenario.CascadeSpec(32, 32, 8, 4, 25, 1)
@@ -388,14 +388,14 @@ func BenchmarkLiveCascade32(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rt := livenet.NewRuntime(spec.Graph, scenario.CoreFactory(spec.Graph),
 			livenet.Options{DiscardEvents: true})
-		if err := rt.WaitIdle(time.Minute); err != nil {
+		if err := rt.WaitIdleContext(context.Background(), time.Minute); err != nil {
 			rt.Stop()
 			b.Fatal(err)
 		}
 		for _, w := range waves {
 			rt.CrashAll(w...)
 		}
-		if err := rt.WaitIdle(time.Minute); err != nil {
+		if err := rt.WaitIdleContext(context.Background(), time.Minute); err != nil {
 			rt.Stop()
 			b.Fatal(err)
 		}

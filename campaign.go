@@ -1,7 +1,6 @@
 package cliffedge
 
 import (
-	"bufio"
 	"context"
 	"fmt"
 	"math/bits"
@@ -458,18 +457,17 @@ func (c *Campaign) runJob(ctx context.Context, job campaign.Job) campaign.RunSta
 		opts = append(opts, withRunContext(rc))
 	}
 	// Per-job trace persistence (WithTraceDir): the run streams its binary
-	// trace straight to disk through the buffered writer, and a failed run
+	// trace straight to disk (the trace writer buffers), and a failed run
 	// leaves no partial file behind — resume re-runs the job, so a trace
 	// file's existence means "this job's full trace", never a torn prefix.
 	var traceFile *os.File
-	var traceBuf *bufio.Writer
 	if c.traceDir != "" {
 		f, err := os.Create(filepath.Join(c.traceDir, job.TraceName()))
 		if err != nil {
 			return campaign.RunStats{Err: err.Error()}
 		}
-		traceFile, traceBuf = f, bufio.NewWriter(f)
-		opts = append(opts, WithTraceWriter(traceBuf))
+		traceFile = f
+		opts = append(opts, WithTraceWriter(f))
 	}
 	discardTrace := func() {
 		if traceFile != nil {
@@ -500,11 +498,7 @@ func (c *Campaign) runJob(ctx context.Context, job campaign.Job) campaign.RunSta
 		return campaign.RunStats{Err: err.Error()}
 	}
 	if traceFile != nil {
-		err := traceBuf.Flush()
-		if cerr := traceFile.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		if err := traceFile.Close(); err != nil {
 			os.Remove(traceFile.Name())
 			return campaign.RunStats{Err: fmt.Sprintf("trace sink %s: %v", traceFile.Name(), err)}
 		}

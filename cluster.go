@@ -175,11 +175,11 @@ func WithoutTraceBuffer() Option {
 // format (see the trace package; convert with cliffedge-trace). This is
 // the default on-disk sink: paired with WithoutTraceBuffer the full trace
 // lands on disk while the run itself stays in constant memory. The stream
-// is flushed when the run finishes; a write error fails the run. Events
-// from the simulator arrive in sequence order; the live engine writes in
-// per-node batch order, with the Time field providing the global total
-// order (sort by Time to reconstruct it). The writer is owned by the run:
-// do not share one writer between concurrent runs.
+// is flushed when the run finishes; a write error fails the run. Both
+// engines write the events in sequence order, with the Seq and Time
+// stamps that observers and Result.Events see. The stream is buffered
+// internally, so w needs no bufio.Writer of its own. The writer is owned
+// by the run: do not share one writer between concurrent runs.
 func WithTraceWriter(w io.Writer) Option {
 	return func(c *Cluster) error {
 		if w == nil {
@@ -280,33 +280,57 @@ func (c *Cluster) factory(marks bool) proto.Factory {
 	return nodes(cfg)
 }
 
-// instrument assembles the run's streaming sink: the online CD1–CD7
-// checker (when enabled) followed by the user observers, all fed in
-// sequence order. Both results are nil when nothing listens; a lone user
-// observer is returned as the sink itself, so each event reaches it without
-// a fan-out call in between (every campaign job runs that way).
-func (c *Cluster) instrument() (*check.Online, func(trace.Event)) {
+// instrument assembles the run's streaming sink: the binary trace writer
+// (WithTraceWriter), the online CD1–CD7 checker (when enabled) and the
+// user observers, in that order, all fed in sequence order on either
+// engine. The observer is nil when nothing listens; a lone user observer
+// is returned as the sink itself, so each event reaches it without a
+// fan-out call in between (every untraced campaign job runs that way).
+// The engine hands the writer to flushTrace once the run is over.
+func (c *Cluster) instrument() (*check.Online, func(trace.Event), *trace.BinaryWriter) {
 	var online *check.Online
 	if c.checked {
 		online = check.NewOnline(c.topo)
 	}
-	if online == nil {
-		switch len(c.observers) {
-		case 0:
-			return nil, nil
-		case 1:
-			return nil, c.observers[0]
+	var observer func(trace.Event)
+	switch {
+	case online == nil && len(c.observers) == 0:
+	case online == nil && len(c.observers) == 1:
+		observer = c.observers[0]
+	default:
+		observers := c.observers
+		observer = func(e trace.Event) {
+			if online != nil {
+				online.Observe(e)
+			}
+			for _, fn := range observers {
+				fn(e)
+			}
 		}
 	}
-	observers := c.observers
+	if c.traceW == nil {
+		return online, observer, nil
+	}
+	bw := trace.NewBinaryWriter(c.traceW)
+	next := observer
 	return online, func(e trace.Event) {
-		if online != nil {
-			online.Observe(e)
+		bw.Write(e) // the first error is sticky; flushTrace surfaces it
+		if next != nil {
+			next(e)
 		}
-		for _, fn := range observers {
-			fn(e)
-		}
+	}, bw
+}
+
+// flushTrace drains the run's binary trace writer, if any, after the run
+// ended. A write error fails the run.
+func flushTrace(bw *trace.BinaryWriter) error {
+	if bw == nil {
+		return nil
 	}
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("cliffedge: trace sink: %w", err)
+	}
+	return nil
 }
 
 // finish applies the online checker's verdict to a completed run. On

@@ -14,7 +14,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -109,14 +108,13 @@ func main() {
 	// The binary sink streams during the run (unlike -json, which renders
 	// the buffered trace afterwards), so it composes with -stream.
 	var traceFile *os.File
-	var traceBuf *bufio.Writer
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
 			fatal(err)
 		}
-		traceFile, traceBuf = f, bufio.NewWriter(f)
-		opts = append(opts, cliffedge.WithTraceWriter(traceBuf))
+		traceFile = f
+		opts = append(opts, cliffedge.WithTraceWriter(f))
 	}
 	cluster, err := cliffedge.New(topo, opts...)
 	if err != nil {
@@ -139,9 +137,6 @@ func main() {
 		fatal(err)
 	}
 	if traceFile != nil {
-		if err := traceBuf.Flush(); err != nil {
-			fatal(err)
-		}
 		if err := traceFile.Close(); err != nil {
 			fatal(err)
 		}
@@ -368,6 +363,9 @@ func buildCrashes(topo *cliffedge.Topology, topoSpec, spec string, seed int64) (
 		maxSize, err := strconv.Atoi(parts[1])
 		if err != nil {
 			return nil, err
+		}
+		if count < 0 || maxSize < 1 {
+			return nil, fmt.Errorf("crash %q: want COUNT ≥ 0 and MAXSIZE ≥ 1", spec)
 		}
 		rng := rand.New(rand.NewSource(seed))
 		seen := map[cliffedge.NodeID]bool{}

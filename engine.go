@@ -2,14 +2,12 @@ package cliffedge
 
 import (
 	"context"
-	"fmt"
 
 	"cliffedge/internal/graph"
 	"cliffedge/internal/livenet"
 	"cliffedge/internal/netem"
 	"cliffedge/internal/predicate"
 	"cliffedge/internal/sim"
-	"cliffedge/internal/trace"
 )
 
 // Engine executes a fault Plan against a Cluster. Two implementations
@@ -46,21 +44,7 @@ func (simEngine) Run(ctx context.Context, c *Cluster, plan *Plan) (*Result, erro
 		return nil, err
 	}
 	crashes, triggers, injections := plan.compileSim()
-	online, observer := c.instrument()
-	var bw *trace.BinaryWriter
-	if c.traceW != nil {
-		// The simulator is single-threaded and observers see events in
-		// sequence order, so the binary writer can sit directly on the
-		// observer stream.
-		bw = trace.NewBinaryWriter(c.traceW)
-		prev := observer
-		observer = func(e trace.Event) {
-			bw.Write(e) // first error is sticky; surfaced by Flush below
-			if prev != nil {
-				prev(e)
-			}
-		}
-	}
+	online, observer, bw := c.instrument()
 	var runner *sim.Runner
 	if c.rc != nil {
 		runner = &c.rc.runner
@@ -89,10 +73,8 @@ func (simEngine) Run(ctx context.Context, c *Cluster, plan *Plan) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
-	if bw != nil {
-		if err := bw.Flush(); err != nil {
-			return nil, fmt.Errorf("cliffedge: trace sink: %w", err)
-		}
+	if err := flushTrace(bw); err != nil {
+		return nil, err
 	}
 	out := &Result{Stats: res.Stats, Crashed: res.Crashed, events: res.Events}
 	attachNetStats(out, net)
@@ -143,10 +125,10 @@ func (liveEngine) Run(ctx context.Context, c *Cluster, plan *Plan) (*Result, err
 // checker plumbing, so racing injection cannot drift from the engine's
 // behaviour.
 func runLiveWaves(ctx context.Context, c *Cluster, net *netem.Net, marks bool, waves []liveWave, barrier bool, pause func(wave int)) (*Result, error) {
-	online, observer := c.instrument()
+	online, observer, bw := c.instrument()
 	rt := livenet.NewRuntime(c.topo, c.factory(marks),
 		livenet.Options{Observer: observer, DiscardEvents: c.noBuffer, Net: net,
-			TickEvery: c.liveTick, TraceWriter: c.traceW})
+			TickEvery: c.liveTick})
 	defer rt.Stop()
 	if err := rt.WaitIdleContext(ctx, c.liveTimeout); err != nil {
 		return nil, err
@@ -169,8 +151,8 @@ func runLiveWaves(ctx context.Context, c *Cluster, net *netem.Net, marks bool, w
 		}
 	}
 	rt.Stop()
-	if err := rt.TraceErr(); err != nil {
-		return nil, fmt.Errorf("cliffedge: trace sink: %w", err)
+	if err := flushTrace(bw); err != nil {
+		return nil, err
 	}
 	res := liveResult(rt)
 	attachNetStats(res, net)

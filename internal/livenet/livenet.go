@@ -18,7 +18,6 @@ package livenet
 import (
 	"context"
 	"fmt"
-	"io"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -124,60 +123,8 @@ func (m *mailbox) close() {
 	m.cond.Broadcast()
 }
 
-// sinkBatch is the per-slot event batch size handed to the trace sink's
-// writer goroutine: big enough to amortise the channel handoff, small
-// enough that partially full batches don't hold many events hostage.
-const sinkBatch = 512
-
-// traceSink is the single-writer funnel behind Options.TraceWriter: node
-// goroutines hand it full event batches over a channel; one goroutine
-// encodes them with the binary codec. Batches recycle through free, so a
-// steady-state run stops allocating them.
-type traceSink struct {
-	ch   chan []trace.Event
-	free chan []trace.Event
-	done chan struct{}
-	bw   *trace.BinaryWriter
-	err  error // written by the run goroutine, read after done closes
-}
-
-func newTraceSink(w io.Writer) *traceSink {
-	s := &traceSink{
-		ch:   make(chan []trace.Event, 64),
-		free: make(chan []trace.Event, 64),
-		done: make(chan struct{}),
-		bw:   trace.NewBinaryWriter(w),
-	}
-	go s.run()
-	return s
-}
-
-func (s *traceSink) run() {
-	defer close(s.done)
-	for batch := range s.ch {
-		for _, e := range batch {
-			if err := s.bw.Write(e); err != nil && s.err == nil {
-				s.err = err
-			}
-		}
-		select {
-		case s.free <- batch[:0]:
-		default: // free list full; let the batch go to the GC
-		}
-	}
-	if err := s.bw.Flush(); err != nil && s.err == nil {
-		s.err = err
-	}
-}
-
-// finish closes the intake and waits for the writer to flush.
-func (s *traceSink) finish() {
-	close(s.ch)
-	<-s.done
-}
-
-// Runtime is a live cluster execution. Create with New, drive crashes with
-// Crash/CrashAll, synchronise with WaitIdle, finish with Stop.
+// Runtime is a live cluster execution. Create with NewRuntime, drive
+// crashes with CrashAll, synchronise with WaitIdleContext, finish with Stop.
 type Runtime struct {
 	g       *graph.Graph
 	log     *trace.Log
@@ -204,12 +151,6 @@ type Runtime struct {
 	statsOnly bool
 	accs      []trace.Accumulator
 	extMu     sync.Mutex
-
-	// sink, when non-nil, streams every emitted event to a binary trace
-	// writer through per-slot batches (sinkBufs parallels accs' slot
-	// scheme) drained by one writer goroutine.
-	sink     *traceSink
-	sinkBufs [][]trace.Event
 
 	mu        sync.Mutex
 	crashed   graph.Bitset   // guarded by mu
@@ -250,25 +191,12 @@ type Options struct {
 	// a counter. Zero (the default) leaves delays unrealised: scheduling
 	// belongs to the Go runtime. Meaningless without Net.
 	TickEvery time.Duration
-	// TraceWriter, if non-nil, streams every event to w in the binary
-	// trace format (trace.FormatVersion) through per-node buffers drained
-	// by a single writer goroutine, so emitting nodes never block on I/O.
-	// File order is batch order, not global order: the logical Time field
-	// is unique per event (one atomic clock tick each), so sort by Time to
-	// reconstruct the global sequence. Seq fields are meaningful only in
-	// the logged posture (no DiscardEvents); with DiscardEvents they are
-	// zero. Check TraceErr after Stop for write failures.
-	TraceWriter io.Writer
 }
 
-// New builds and starts a live cluster: every automaton is instantiated
-// and its Start effects applied before New returns.
-func New(g *graph.Graph, factory proto.Factory) *Runtime {
-	return NewRuntime(g, factory, Options{})
-}
-
-// NewRuntime is New with explicit Options; observers are registered before
-// any Start effect runs, so they see the complete trace.
+// NewRuntime builds and starts a live cluster: every automaton is
+// instantiated and its Start effects applied before NewRuntime returns.
+// Observers are registered before any Start effect runs, so they see the
+// complete trace.
 func NewRuntime(g *graph.Graph, factory proto.Factory, opts Options) *Runtime {
 	n := g.Len()
 	rt := &Runtime{
@@ -291,10 +219,6 @@ func NewRuntime(g *graph.Graph, factory proto.Factory, opts Options) *Runtime {
 	}
 	if rt.statsOnly {
 		rt.accs = make([]trace.Accumulator, n+1)
-	}
-	if opts.TraceWriter != nil {
-		rt.sink = newTraceSink(opts.TraceWriter)
-		rt.sinkBufs = make([][]trace.Event, n+1)
 	}
 	for i := int32(0); i < int32(n); i++ {
 		rt.automata[i] = factory(g.ID(i))
@@ -329,17 +253,14 @@ func (rt *Runtime) emit(e trace.Event, i int32) { rt.emitT(e, i) }
 // the send path uses it as the link-fault adjudication time. In the
 // statsOnly posture the event folds into slot i's accumulator and never
 // touches the shared log (or its lock); otherwise it goes through the
-// log, picking up its global sequence number for observers and the sink.
+// log, picking up its global sequence number for observers.
 func (rt *Runtime) emitT(e trace.Event, i int32) int64 {
 	t := rt.now()
 	e.Time = t
 	if rt.statsOnly {
 		rt.accs[i].Add(e)
 	} else {
-		e = rt.log.Append(e)
-	}
-	if rt.sink != nil {
-		rt.sinkPut(i, e)
+		rt.log.Append(e)
 	}
 	return t
 }
@@ -352,28 +273,8 @@ func (rt *Runtime) emitExt(e trace.Event) {
 	rt.extMu.Unlock()
 }
 
-// sinkPut buffers e into slot i's pending batch, handing the batch to
-// the writer goroutine when full. Slot ownership (node loop, or extMu
-// for the ext slot) makes the buffer access race-free.
-func (rt *Runtime) sinkPut(i int32, e trace.Event) {
-	buf := rt.sinkBufs[i]
-	if buf == nil {
-		select {
-		case buf = <-rt.sink.free:
-		default:
-			buf = make([]trace.Event, 0, sinkBatch)
-		}
-	}
-	buf = append(buf, e)
-	if len(buf) >= sinkBatch {
-		rt.sink.ch <- buf
-		buf = nil
-	}
-	rt.sinkBufs[i] = buf
-}
-
 // trackEnter/trackExit maintain the in-flight work counter used by
-// WaitIdle's quiescence detection.
+// WaitIdleContext's quiescence detection.
 func (rt *Runtime) trackEnter() { rt.pending.Add(1) }
 
 func (rt *Runtime) trackExit() {
@@ -513,15 +414,13 @@ func (rt *Runtime) subscribe(p, q int32) {
 	}
 }
 
-// Crash kills node n: it stops processing, its queued messages are
-// dropped, and every subscriber is notified (strong completeness).
-func (rt *Runtime) Crash(n graph.NodeID) { rt.CrashAll(n) }
-
-// CrashAll kills a wave of nodes atomically: every node of the wave is
-// flagged crashed before the first
-// notification goes out, so no wave member can keep participating between
-// the individual crashes — mirroring the simulator, where all crashes
-// scheduled at one virtual instant precede every detection of them.
+// CrashAll kills a wave of nodes atomically: a crashed node stops
+// processing, its queued messages are dropped, and every subscriber is
+// notified (strong completeness). Every node of the wave is flagged
+// crashed before the first notification goes out, so no wave member can
+// keep participating between the individual crashes — mirroring the
+// simulator, where all crashes scheduled at one virtual instant precede
+// every detection of them.
 // Subscribers of each crashed node are then notified in index (= NodeID)
 // order, per node in wave order. Every member's turn is held from before
 // the flag until the wave is traced and notified, so a handler a member
@@ -595,14 +494,9 @@ func (rt *Runtime) unlockTurns(wave []int32) {
 	}
 }
 
-// WaitIdle blocks until no envelope is queued or being processed, i.e. the
-// cluster is quiescent, or the timeout elapses.
-func (rt *Runtime) WaitIdle(timeout time.Duration) error {
-	return rt.WaitIdleContext(context.Background(), timeout)
-}
-
-// WaitIdleContext is WaitIdle with cancellation: it returns early with the
-// context's error if ctx is cancelled or expires before quiescence.
+// WaitIdleContext blocks until no envelope is queued or being processed,
+// i.e. the cluster is quiescent, or the timeout elapses. It returns early
+// with the context's error if ctx is cancelled or expires first.
 func (rt *Runtime) WaitIdleContext(ctx context.Context, timeout time.Duration) error {
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
@@ -624,8 +518,8 @@ func (rt *Runtime) WaitIdleContext(ctx context.Context, timeout time.Duration) e
 }
 
 // Stop shuts the cluster down and waits for every node goroutine to exit,
-// then drains the trace sink (if any). The runtime must be idle; automata
-// may be inspected afterwards.
+// so every observer call has returned when it does. The runtime must be
+// idle; automata may be inspected afterwards.
 func (rt *Runtime) Stop() {
 	rt.mu.Lock()
 	if rt.stopped {
@@ -638,25 +532,6 @@ func (rt *Runtime) Stop() {
 		rt.boxes[i].close()
 	}
 	rt.wg.Wait()
-	if rt.sink != nil {
-		// Single-threaded now: hand the partial batches over and finish.
-		for slot, buf := range rt.sinkBufs {
-			if len(buf) > 0 {
-				rt.sink.ch <- buf
-				rt.sinkBufs[slot] = nil
-			}
-		}
-		rt.sink.finish()
-	}
-}
-
-// TraceErr reports the first error the binary trace sink hit, if a
-// TraceWriter was configured. Call after Stop.
-func (rt *Runtime) TraceErr() error {
-	if rt.sink == nil {
-		return nil
-	}
-	return rt.sink.err
 }
 
 // Result summarises a stopped runtime.

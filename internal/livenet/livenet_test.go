@@ -1,6 +1,7 @@
 package livenet
 
 import (
+	"context"
 	"testing"
 	"time"
 	"unsafe"
@@ -24,14 +25,14 @@ func coreFactory(g *graph.Graph) proto.Factory {
 func checkedRun(t *testing.T, g *graph.Graph, waves [][]graph.NodeID) *Result {
 	t.Helper()
 	// Each wave crashes once the previous one went quiescent.
-	rt := New(g, coreFactory(g))
+	rt := NewRuntime(g, coreFactory(g), Options{})
 	defer rt.Stop()
-	if err := rt.WaitIdle(timeout); err != nil {
+	if err := rt.WaitIdleContext(context.Background(), timeout); err != nil {
 		t.Fatal(err)
 	}
 	for _, wave := range waves {
 		rt.CrashAll(wave...)
-		if err := rt.WaitIdle(timeout); err != nil {
+		if err := rt.WaitIdleContext(context.Background(), timeout); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -145,10 +146,10 @@ func TestLiveCrashDuringAgreement(t *testing.T) {
 	g := graph.Grid(6, 6)
 	block := graph.GridBlock(2, 2, 2)
 	for i := 0; i < 10; i++ {
-		rt := New(g, coreFactory(g))
-		rt.CrashAll(block...)        // no WaitIdle: agreement runs concurrently
-		rt.Crash(graph.GridID(2, 4)) // border node of the block
-		if err := rt.WaitIdle(timeout); err != nil {
+		rt := NewRuntime(g, coreFactory(g), Options{})
+		rt.CrashAll(block...)           // no WaitIdle: agreement runs concurrently
+		rt.CrashAll(graph.GridID(2, 4)) // border node of the block
+		if err := rt.WaitIdleContext(context.Background(), timeout); err != nil {
 			t.Fatal(err)
 		}
 		rt.Stop()
@@ -163,25 +164,25 @@ func TestLiveCrashDuringAgreement(t *testing.T) {
 
 func TestWaitIdleTimeout(t *testing.T) {
 	g := graph.Grid(3, 3)
-	rt := New(g, coreFactory(g))
+	rt := NewRuntime(g, coreFactory(g), Options{})
 	defer rt.Stop()
-	if err := rt.WaitIdle(timeout); err != nil {
+	if err := rt.WaitIdleContext(context.Background(), timeout); err != nil {
 		t.Fatal(err)
 	}
 	// Idle cluster: WaitIdle returns immediately even with a tiny timeout.
-	if err := rt.WaitIdle(time.Millisecond); err != nil {
+	if err := rt.WaitIdleContext(context.Background(), time.Millisecond); err != nil {
 		t.Fatalf("idle cluster reported busy: %v", err)
 	}
 }
 
 func TestCrashIsIdempotent(t *testing.T) {
 	g := graph.Grid(3, 3)
-	rt := New(g, coreFactory(g))
+	rt := NewRuntime(g, coreFactory(g), Options{})
 	defer rt.Stop()
 	victim := graph.GridID(1, 1)
-	rt.Crash(victim)
-	rt.Crash(victim)
-	if err := rt.WaitIdle(timeout); err != nil {
+	rt.CrashAll(victim)
+	rt.CrashAll(victim)
+	if err := rt.WaitIdleContext(context.Background(), timeout); err != nil {
 		t.Fatal(err)
 	}
 	rt.Stop()
@@ -199,7 +200,7 @@ func TestCrashIsIdempotent(t *testing.T) {
 
 func TestStopIsIdempotent(t *testing.T) {
 	g := graph.Grid(2, 2)
-	rt := New(g, coreFactory(g))
+	rt := NewRuntime(g, coreFactory(g), Options{})
 	rt.Stop()
 	rt.Stop() // must not panic or deadlock
 }
@@ -212,9 +213,9 @@ func TestCrashWaveIsAtomic(t *testing.T) {
 	wave := graph.GridBlock(1, 1, 3)
 	inWave := graph.ToSet(wave)
 	for i := 0; i < 10; i++ {
-		rt := New(g, coreFactory(g))
+		rt := NewRuntime(g, coreFactory(g), Options{})
 		rt.CrashAll(wave...)
-		if err := rt.WaitIdle(timeout); err != nil {
+		if err := rt.WaitIdleContext(context.Background(), timeout); err != nil {
 			t.Fatal(err)
 		}
 		rt.Stop()

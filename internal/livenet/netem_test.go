@@ -1,6 +1,7 @@
 package livenet
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -32,11 +33,11 @@ func runNetemLive(t *testing.T, model *netem.Model, seed int64) *Result {
 	}
 	rt := NewRuntime(g, netemFactory(g), opts)
 	defer rt.Stop()
-	if err := rt.WaitIdle(time.Minute); err != nil {
+	if err := rt.WaitIdleContext(context.Background(), time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	rt.CrashAll(graph.CenterBlock(6, 6, 2)...)
-	if err := rt.WaitIdle(time.Minute); err != nil {
+	if err := rt.WaitIdleContext(context.Background(), time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	rt.Stop()
@@ -83,11 +84,11 @@ func TestNetemLiveRawLoss(t *testing.T) {
 	}
 	rt := NewRuntime(g, netemFactory(g), Options{Net: net})
 	defer rt.Stop()
-	if err := rt.WaitIdle(time.Minute); err != nil {
+	if err := rt.WaitIdleContext(context.Background(), time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	rt.CrashAll(graph.CenterBlock(6, 6, 2)...)
-	if err := rt.WaitIdle(time.Minute); err != nil {
+	if err := rt.WaitIdleContext(context.Background(), time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	rt.Stop()
@@ -152,11 +153,11 @@ func TestTickEveryRealisesDelay(t *testing.T) {
 		rt := NewRuntime(g, netemFactory(g), Options{Net: net, TickEvery: tick})
 		defer rt.Stop()
 		start := time.Now()
-		if err := rt.WaitIdle(time.Minute); err != nil {
+		if err := rt.WaitIdleContext(context.Background(), time.Minute); err != nil {
 			t.Fatal(err)
 		}
 		rt.CrashAll(graph.CenterBlock(3, 3, 1)...)
-		if err := rt.WaitIdle(time.Minute); err != nil {
+		if err := rt.WaitIdleContext(context.Background(), time.Minute); err != nil {
 			t.Fatal(err)
 		}
 		elapsed := time.Since(start)

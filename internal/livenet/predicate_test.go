@@ -1,6 +1,7 @@
 package livenet
 
 import (
+	"context"
 	"testing"
 
 	"cliffedge/internal/core"
@@ -16,9 +17,9 @@ func TestLivePredicateMarkedRegion(t *testing.T) {
 	g := graph.Grid(6, 6)
 	block := graph.GridBlock(2, 2, 2)
 	for i := 0; i < 5; i++ {
-		rt := New(g, predicate.Factory(core.Config{Graph: g}))
+		rt := NewRuntime(g, predicate.Factory(core.Config{Graph: g}), Options{})
 		rt.InjectAll(predicate.Mark{}, block...)
-		if err := rt.WaitIdle(timeout); err != nil {
+		if err := rt.WaitIdleContext(context.Background(), timeout); err != nil {
 			t.Fatal(err)
 		}
 		rt.Stop()
@@ -55,11 +56,11 @@ func TestLivePredicateStaggeredMarking(t *testing.T) {
 	g := graph.Grid(6, 6)
 	block := graph.GridBlock(1, 1, 3)
 	for i := 0; i < 5; i++ {
-		rt := New(g, predicate.Factory(core.Config{Graph: g}))
+		rt := NewRuntime(g, predicate.Factory(core.Config{Graph: g}), Options{})
 		for _, n := range block {
 			rt.InjectAll(predicate.Mark{}, n) // one wave per node, racing the gossip
 		}
-		if err := rt.WaitIdle(timeout); err != nil {
+		if err := rt.WaitIdleContext(context.Background(), timeout); err != nil {
 			t.Fatal(err)
 		}
 		rt.Stop()

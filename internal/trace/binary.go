@@ -58,8 +58,10 @@ const maxBinaryBlock = 1 << 26
 const blockFlushBytes = 32 << 10
 
 // BinaryWriter incrementally encodes events to w. It is not safe for
-// concurrent use; callers (the Log observer path, per-node sinks) already
-// serialise. Call Flush when done — events buffer into blocks.
+// concurrent use; a run's writer sits on its observer stream, which
+// serialises events in sequence order on either engine. Call Flush when
+// done — events buffer into blocks on top of a bufio.Writer around w, so
+// callers need no buffer of their own.
 type BinaryWriter struct {
 	w        *bufio.Writer
 	block    []byte // current block payload under construction

@@ -149,14 +149,6 @@ func (l *Log) Events() []Event {
 	return out
 }
 
-// Len returns the number of events appended so far, whether or not they
-// were retained.
-func (l *Log) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.nextSeq
-}
-
 // Stats returns the running aggregate over everything appended so far. It
 // equals Summarize(l.Events()) but also works on a discarding log.
 func (l *Log) Stats() Stats {

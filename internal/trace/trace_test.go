@@ -29,8 +29,8 @@ func TestLogAppendAssignsSequence(t *testing.T) {
 	if a.Seq != 0 || b.Seq != 1 {
 		t.Errorf("sequence numbers %d, %d; want 0, 1", a.Seq, b.Seq)
 	}
-	if l.Len() != 2 {
-		t.Errorf("Len = %d", l.Len())
+	if n := len(l.Events()); n != 2 {
+		t.Errorf("len(Events) = %d", n)
 	}
 }
 
