@@ -3,6 +3,16 @@
 // full event narrative, a Graphviz rendering, and the CD1–CD7 property
 // report.
 //
+// A spec is NAME or NAME:ARG,…; a malformed one is rejected before the
+// run. Sizes are integers ≥ 1, and BETA and P are reals in [0, 1]:
+//
+//	-topo   grid:R,C torus:R,C ring:N line:N star:N complete:N chord:N tree:N,K
+//	        er:N,P sw:N,K,BETA geo:N,RADIUS clustered:C,S,BRIDGES,P fig1 fig2
+//	-crash  block:K nodes:A,B,… random:COUNT,MAXSIZE fig1 fig2
+//
+// RADIUS is a real ≥ 0, BRIDGES and COUNT are integers ≥ 0, and block:K
+// crashes the centred K×K block of a grid or torus, so K ≤ min(R, C).
+//
 // Examples:
 //
 //	cliffedge-sim -topo grid:12,12 -crash block:3
@@ -14,44 +24,28 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
 	"cliffedge"
 	"cliffedge/internal/check"
-	"cliffedge/internal/graph"
 	"cliffedge/internal/scenario"
 	"cliffedge/internal/trace"
 	"cliffedge/internal/viz"
 )
 
-// gridDims parses "grid:R,C" / "torus:R,C" specs for the ASCII map.
-func gridDims(spec string) (rows, cols int, ok bool) {
-	name, args, _ := strings.Cut(spec, ":")
-	if name != "grid" && name != "torus" {
-		return 0, 0, false
-	}
-	parts := strings.Split(args, ",")
-	if len(parts) != 2 {
-		return 0, 0, false
-	}
-	r, err1 := strconv.Atoi(strings.TrimSpace(parts[0]))
-	c, err2 := strconv.Atoi(strings.TrimSpace(parts[1]))
-	if err1 != nil || err2 != nil {
-		return 0, 0, false
-	}
-	return r, c, true
-}
-
 func main() {
 	var (
-		topoSpec  = flag.String("topo", "grid:8,8", "topology: grid:R,C torus:R,C ring:N line:N star:N tree:N,K complete:N chord:N er:N,P sw:N,K,B geo:N,R clustered:C,S,B,P fig1 fig2")
-		crashSpec = flag.String("crash", "block:2", "failure: block:K nodes:a,b,c random:COUNT,MAXSIZE fig1 fig2")
+		topoSpec  = flag.String("topo", "grid:8,8", topoUsage())
+		crashSpec = flag.String("crash", "block:2", "failure: block:K (1 ≤ K ≤ min(R, C) of a grid or torus), nodes:A,B,…, random:COUNT,MAXSIZE (COUNT ≥ 0, MAXSIZE ≥ 1), fig1 or fig2 (with the same -topo)")
 		at        = flag.Int64("t", 10, "crash time (virtual ticks)")
 		stagger   = flag.Int64("stagger", 0, "gap between successive crashes (0 = simultaneous)")
 		seed      = flag.Int64("seed", 1, "simulation seed")
@@ -73,19 +67,15 @@ func main() {
 	// Reject flag conflicts before any work: the post-hoc renderers need
 	// the buffered trace that -stream deliberately drops.
 	if *stream && (*jsonOut != "" || *gridMap || *timeline || *flows > 0 || *narrate) {
-		fatal(fmt.Errorf("-stream keeps no trace; drop -narrate/-json/-grid/-timeline/-flows (stream already prints events live)"))
+		exitOn(fmt.Errorf("-stream keeps no trace; drop -narrate/-json/-grid/-timeline/-flows (stream already prints events live)"))
 	}
 
 	topo, err := buildTopo(*topoSpec)
-	if err != nil {
-		fatal(err)
-	}
-	victims, err := buildCrashes(topo, *topoSpec, *crashSpec, *seed)
-	if err != nil {
-		fatal(err)
-	}
+	exitOn(err)
+	victims, err := buildCrashes(topo, *crashSpec, *seed)
+	exitOn(err)
 	if *dot {
-		fmt.Print(cliffedge.DOT(topo, victims, *topoSpec))
+		fmt.Print(cliffedge.DOT(topo.Topology, victims, *topoSpec))
 		return
 	}
 
@@ -98,7 +88,7 @@ func main() {
 	}
 	var online *check.Online
 	if !*noCheck {
-		online = check.NewOnline(topo)
+		online = check.NewOnline(topo.Topology)
 		opts = append(opts, cliffedge.WithObserver(online.Observe))
 	}
 	if *stream {
@@ -106,20 +96,24 @@ func main() {
 			cliffedge.WithObserver(func(e cliffedge.Event) { fmt.Println(e) }))
 	}
 	// The binary sink streams during the run (unlike -json, which renders
-	// the buffered trace afterwards), so it composes with -stream.
+	// the buffered trace afterwards), so it composes with -stream. A run
+	// that fails removes the file, so an existing one holds a whole trace.
 	var traceFile *os.File
+	failRun := exitOn
 	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fatal(err)
+		traceFile, err = os.Create(*traceOut)
+		exitOn(err)
+		failRun = func(err error) {
+			if err != nil {
+				traceFile.Close()
+				os.Remove(*traceOut)
+				exitOn(err)
+			}
 		}
-		traceFile = f
-		opts = append(opts, cliffedge.WithTraceWriter(f))
+		opts = append(opts, cliffedge.WithTraceWriter(traceFile))
 	}
-	cluster, err := cliffedge.New(topo, opts...)
-	if err != nil {
-		fatal(err)
-	}
+	cluster, err := cliffedge.New(topo.Topology, opts...)
+	failRun(err)
 
 	plan := cliffedge.NewPlan()
 	for i, n := range victims {
@@ -133,43 +127,29 @@ func main() {
 		defer cancel()
 	}
 	res, err := cluster.Run(ctx, plan)
-	if err != nil {
-		fatal(err)
-	}
+	failRun(err)
 	if traceFile != nil {
-		if err := traceFile.Close(); err != nil {
-			fatal(err)
-		}
+		failRun(traceFile.Close())
 		fmt.Printf("binary trace written to %s\n", *traceOut)
 	}
 
 	if *narrate {
 		fmt.Println("--- trace ---")
-		if err := res.Narrative(os.Stdout); err != nil {
-			fatal(err)
-		}
+		exitOn(res.Narrative(os.Stdout))
 		fmt.Println()
 	}
 	if *jsonOut != "" {
 		f, err := os.Create(*jsonOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := trace.WriteJSONL(f, res.Events()); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
+		exitOn(err)
+		exitOn(cmp.Or(trace.WriteJSONL(f, res.Events()), f.Close()))
 		fmt.Printf("trace written to %s (%d events)\n", *jsonOut, len(res.Events()))
 	}
 
 	fmt.Printf("topology %s: %d nodes, %d edges; crashed %d nodes\n",
 		*topoSpec, topo.Len(), topo.NumEdges(), len(victims))
 	if *gridMap {
-		if rows, cols, ok := gridDims(*topoSpec); ok {
-			fmt.Print(viz.GridMap(rows, cols, res.Events(), res.Crashed))
+		if topo.rows > 0 {
+			fmt.Print(viz.GridMap(topo.rows, topo.cols, res.Events(), res.Crashed))
 		} else {
 			fmt.Fprintln(os.Stderr, "cliffedge-sim: -grid requires a grid/torus topology")
 		}
@@ -198,198 +178,176 @@ func main() {
 	}
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "cliffedge-sim:", err)
-	os.Exit(2)
-}
-
-// buildTopo parses a topology spec like "grid:12,12".
-func buildTopo(spec string) (*cliffedge.Topology, error) {
-	name, args, _ := strings.Cut(spec, ":")
-	num := func(i int) (int, error) {
-		parts := strings.Split(args, ",")
-		if i >= len(parts) {
-			return 0, fmt.Errorf("topology %q: missing argument %d", spec, i+1)
-		}
-		return strconv.Atoi(strings.TrimSpace(parts[i]))
-	}
-	fnum := func(i int) (float64, error) {
-		parts := strings.Split(args, ",")
-		if i >= len(parts) {
-			return 0, fmt.Errorf("topology %q: missing argument %d", spec, i+1)
-		}
-		return strconv.ParseFloat(strings.TrimSpace(parts[i]), 64)
-	}
-	switch name {
-	case "grid", "torus":
-		r, err := num(0)
-		if err != nil {
-			return nil, err
-		}
-		c, err := num(1)
-		if err != nil {
-			return nil, err
-		}
-		if name == "grid" {
-			return cliffedge.Grid(r, c), nil
-		}
-		return cliffedge.Torus(r, c), nil
-	case "ring", "line", "star", "complete", "chord":
-		n, err := num(0)
-		if err != nil {
-			return nil, err
-		}
-		switch name {
-		case "ring":
-			return cliffedge.Ring(n), nil
-		case "line":
-			return cliffedge.Line(n), nil
-		case "star":
-			return cliffedge.Star(n), nil
-		case "complete":
-			return cliffedge.Complete(n), nil
-		default:
-			return cliffedge.Chord(n), nil
-		}
-	case "tree":
-		n, err := num(0)
-		if err != nil {
-			return nil, err
-		}
-		k, err := num(1)
-		if err != nil {
-			return nil, err
-		}
-		return cliffedge.Tree(n, k), nil
-	case "er":
-		n, err := num(0)
-		if err != nil {
-			return nil, err
-		}
-		p, err := fnum(1)
-		if err != nil {
-			return nil, err
-		}
-		return cliffedge.ErdosRenyi(n, p, 1), nil
-	case "sw":
-		n, err := num(0)
-		if err != nil {
-			return nil, err
-		}
-		k, err := num(1)
-		if err != nil {
-			return nil, err
-		}
-		b, err := fnum(2)
-		if err != nil {
-			return nil, err
-		}
-		return cliffedge.SmallWorld(n, k, b, 1), nil
-	case "geo":
-		n, err := num(0)
-		if err != nil {
-			return nil, err
-		}
-		r, err := fnum(1)
-		if err != nil {
-			return nil, err
-		}
-		return cliffedge.RandomGeometric(n, r, 1), nil
-	case "clustered":
-		c, err := num(0)
-		if err != nil {
-			return nil, err
-		}
-		s, err := num(1)
-		if err != nil {
-			return nil, err
-		}
-		b, err := num(2)
-		if err != nil {
-			return nil, err
-		}
-		p, err := fnum(3)
-		if err != nil {
-			return nil, err
-		}
-		return cliffedge.Clustered(c, s, b, p, 1), nil
-	case "fig1":
-		g, _, _ := cliffedge.Fig1()
-		return g, nil
-	case "fig2":
-		g, _ := cliffedge.Fig2()
-		return g, nil
-	default:
-		return nil, fmt.Errorf("unknown topology %q", spec)
+// exitOn reports a non-nil err and exits with status 2.
+func exitOn(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "cliffedge-sim:", err)
+		os.Exit(2)
 	}
 }
 
-// buildCrashes parses a failure spec like "block:3" against the topology.
-func buildCrashes(topo *cliffedge.Topology, topoSpec, spec string, seed int64) ([]cliffedge.NodeID, error) {
-	name, args, _ := strings.Cut(spec, ":")
-	switch name {
-	case "block":
-		k, err := strconv.Atoi(args)
-		if err != nil {
-			return nil, fmt.Errorf("crash %q: %w", spec, err)
+// kinds maps each argument kind of the spec grammar to its range.
+var kinds = map[byte]string{'N': "an integer ≥ 1", 'C': "an integer ≥ 0", 'P': "a real in [0, 1]", 'R': "a real ≥ 0"}
+
+// topologies is the -topo grammar: each name with its arguments, one kind
+// letter per argument, and the constructor that takes the checked values.
+var topologies = []struct {
+	name, args, kinds string
+	build             func(v []arg) *cliffedge.Topology
+}{
+	{"grid", "R,C", "NN", func(v []arg) *cliffedge.Topology { return cliffedge.Grid(v[0].n, v[1].n) }},
+	{"torus", "R,C", "NN", func(v []arg) *cliffedge.Topology { return cliffedge.Torus(v[0].n, v[1].n) }},
+	{"ring", "N", "N", func(v []arg) *cliffedge.Topology { return cliffedge.Ring(v[0].n) }},
+	{"line", "N", "N", func(v []arg) *cliffedge.Topology { return cliffedge.Line(v[0].n) }},
+	{"star", "N", "N", func(v []arg) *cliffedge.Topology { return cliffedge.Star(v[0].n) }},
+	{"complete", "N", "N", func(v []arg) *cliffedge.Topology { return cliffedge.Complete(v[0].n) }},
+	{"chord", "N", "N", func(v []arg) *cliffedge.Topology { return cliffedge.Chord(v[0].n) }},
+	{"tree", "N,K", "NN", func(v []arg) *cliffedge.Topology { return cliffedge.Tree(v[0].n, v[1].n) }},
+	{"er", "N,P", "NP", func(v []arg) *cliffedge.Topology { return cliffedge.ErdosRenyi(v[0].n, v[1].x, 1) }},
+	{"sw", "N,K,BETA", "NNP", func(v []arg) *cliffedge.Topology { return cliffedge.SmallWorld(v[0].n, v[1].n, v[2].x, 1) }},
+	{"geo", "N,RADIUS", "NR", func(v []arg) *cliffedge.Topology { return cliffedge.RandomGeometric(v[0].n, v[1].x, 1) }},
+	{"clustered", "C,S,BRIDGES,P", "NNCP", func(v []arg) *cliffedge.Topology { return cliffedge.Clustered(v[0].n, v[1].n, v[2].n, v[3].x, 1) }},
+	{"fig1", "", "", func([]arg) *cliffedge.Topology { g, _, _ := cliffedge.Fig1(); return g }},
+	{"fig2", "", "", func([]arg) *cliffedge.Topology { g, _ := cliffedge.Fig2(); return g }},
+}
+
+// topoUsage renders the -topo help from the table.
+func topoUsage() string {
+	usage := "topology, one of:"
+	for _, t := range topologies {
+		var ranges []string
+		for i, name := range strings.Split(t.args, ",")[:len(t.kinds)] {
+			ranges = append(ranges, name+" "+kinds[t.kinds[i]])
 		}
-		tname, targs, _ := strings.Cut(topoSpec, ":")
-		if tname != "grid" && tname != "torus" {
-			return nil, fmt.Errorf("crash block:K requires a grid/torus topology")
+		spec := strings.TrimSuffix(t.name+":"+t.args, ":")
+		usage += "\n  " + strings.TrimSpace(fmt.Sprintf("%-23s %s", spec, strings.Join(ranges, ", ")))
+	}
+	return usage
+}
+
+// arg is one checked spec argument: n for an integer kind, x for a real one.
+type arg struct {
+	n int
+	x float64
+}
+
+// splitSpec splits "NAME:ARG,…" into NAME and its space-trimmed arguments
+// (none without ':'). It is the one place a spec is split.
+func splitSpec(spec string) (name string, args []string) {
+	name, rest, ok := strings.Cut(spec, ":")
+	if ok {
+		args = strings.Split(rest, ",")
+		for i := range args {
+			args[i] = strings.TrimSpace(args[i])
 		}
-		dims := strings.Split(targs, ",")
-		r, _ := strconv.Atoi(dims[0])
-		c, _ := strconv.Atoi(dims[1])
-		return cliffedge.CenterBlock(r, c, k), nil
-	case "nodes":
-		var out []cliffedge.NodeID
-		for _, s := range strings.Split(args, ",") {
-			n := cliffedge.NodeID(strings.TrimSpace(s))
-			if !topo.Has(n) {
-				return nil, fmt.Errorf("unknown node %q", n)
+	}
+	return name, args
+}
+
+// parseArgs checks args against argKinds, one kinds letter per argument:
+// their count, and each one's type and range.
+func parseArgs(spec string, args []string, argKinds string) ([]arg, error) {
+	if len(args) != len(argKinds) {
+		return nil, fmt.Errorf("spec %q: want %d arguments, got %d", spec, len(argKinds), len(args))
+	}
+	vals := make([]arg, len(args))
+	for i, a := range args {
+		n, errN := strconv.Atoi(a)
+		x, errX := strconv.ParseFloat(a, 64)
+		var ok bool
+		switch argKinds[i] {
+		case 'N':
+			ok = errN == nil && n >= 1
+		case 'C':
+			ok = errN == nil && n >= 0
+		case 'P':
+			ok = errX == nil && x >= 0 && x <= 1
+		case 'R':
+			ok = errX == nil && x >= 0 && x <= math.MaxFloat64
+		}
+		if !ok {
+			return nil, fmt.Errorf("spec %q: argument %d is %q, want %s", spec, i+1, a, kinds[argKinds[i]])
+		}
+		vals[i] = arg{n, x}
+	}
+	return vals, nil
+}
+
+// topology is a built -topo spec: the graph and a grid's or torus's size.
+type topology struct {
+	*cliffedge.Topology
+	rows, cols int
+}
+
+// buildTopo parses a topology spec like "grid:12,12" and builds it.
+func buildTopo(spec string) (topology, error) {
+	name, args := splitSpec(spec)
+	for _, t := range topologies {
+		if t.name == name {
+			v, err := parseArgs(spec, args, t.kinds)
+			if err != nil {
+				return topology{}, err
 			}
-			out = append(out, n)
+			topo := topology{Topology: t.build(v)}
+			if name == "grid" || name == "torus" {
+				topo.rows, topo.cols = v[0].n, v[1].n
+			}
+			return topo, nil
 		}
-		return out, nil
+	}
+	return topology{}, fmt.Errorf("unknown topology %q", spec)
+}
+
+// crashKinds is the -crash grammar but for nodes:A,B,…, which takes node IDs.
+var crashKinds = map[string]string{"block": "N", "random": "CN", "fig1": "", "fig2": ""}
+
+// buildCrashes parses a failure spec like "block:3" against the topology. A
+// spec naming a node outside it, such as fig1 without -topo fig1, is an error.
+func buildCrashes(topo topology, spec string, seed int64) (out []cliffedge.NodeID, err error) {
+	name, args := splitSpec(spec)
+	var v []arg
+	if argKinds, ok := crashKinds[name]; ok {
+		if v, err = parseArgs(spec, args, argKinds); err != nil {
+			return nil, err
+		}
+	} else if name != "nodes" {
+		return nil, fmt.Errorf("unknown crash spec %q", spec)
+	}
+	switch name {
+	case "nodes":
+		if len(args) == 0 {
+			return nil, fmt.Errorf("crash %q: want nodes:A,B,…", spec)
+		}
+		for _, a := range args {
+			out = append(out, cliffedge.NodeID(a))
+		}
+	case "block":
+		if v[0].n > min(topo.rows, topo.cols) {
+			return nil, fmt.Errorf("crash %q needs a grid or torus of at least K×K", spec)
+		}
+		out = cliffedge.CenterBlock(topo.rows, topo.cols, v[0].n)
 	case "random":
-		parts := strings.Split(args, ",")
-		if len(parts) != 2 {
-			return nil, fmt.Errorf("crash %q: want random:COUNT,MAXSIZE", spec)
-		}
-		count, err := strconv.Atoi(parts[0])
-		if err != nil {
-			return nil, err
-		}
-		maxSize, err := strconv.Atoi(parts[1])
-		if err != nil {
-			return nil, err
-		}
-		if count < 0 || maxSize < 1 {
-			return nil, fmt.Errorf("crash %q: want COUNT ≥ 0 and MAXSIZE ≥ 1", spec)
-		}
 		rng := rand.New(rand.NewSource(seed))
 		seen := map[cliffedge.NodeID]bool{}
-		var out []cliffedge.NodeID
-		for i := 0; i < count; i++ {
-			for _, n := range scenario.RandomConnectedRegion(topo, rng, 1+rng.Intn(maxSize)) {
+		for range v[0].n {
+			for _, n := range scenario.RandomConnectedRegion(topo.Topology, rng, 1+rng.Intn(v[1].n)) {
 				if !seen[n] {
 					seen[n] = true
 					out = append(out, n)
 				}
 			}
 		}
-		return out, nil
 	case "fig1":
-		_, f1, f2 := graph.Fig1()
-		return append(append([]cliffedge.NodeID{}, f1...), f2...), nil
+		_, f1, f2 := cliffedge.Fig1()
+		out = slices.Concat(f1, f2)
 	case "fig2":
-		_, domains := graph.Fig2()
-		var out []cliffedge.NodeID
-		for _, d := range domains {
-			out = append(out, d...)
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("unknown crash spec %q", spec)
+		_, domains := cliffedge.Fig2()
+		out = slices.Concat(domains...)
 	}
+	for _, n := range out {
+		if !topo.Has(n) {
+			return nil, fmt.Errorf("crash %q: node %q is not in the topology", spec, n)
+		}
+	}
+	return out, nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"cliffedge"
@@ -26,9 +27,9 @@ func UnionSpec(specs []cliffedge.CampaignSpec) (cliffedge.CampaignSpec, error) {
 	}
 	base := specs[0]
 	for i, s := range specs[1:] {
-		if !equalStrings(s.Topologies, base.Topologies) ||
-			!equalStrings(s.Regimes, base.Regimes) ||
-			!equalStrings(s.Engines, base.Engines) ||
+		if !slices.Equal(s.Topologies, base.Topologies) ||
+			!slices.Equal(s.Regimes, base.Regimes) ||
+			!slices.Equal(s.Engines, base.Engines) ||
 			s.Repeats != base.Repeats {
 			return cliffedge.CampaignSpec{}, fmt.Errorf(
 				"fleet: spec %d is a different campaign (grid axes or repeats differ)", i+1)
@@ -56,18 +57,6 @@ func UnionSpec(specs []cliffedge.CampaignSpec) (cliffedge.CampaignSpec, error) {
 	base.Seeds = int(end - ranges[0][0])
 	base.Workers = 0
 	return base, nil
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // MergeRecords merges a record multiset into the report of the campaign:

@@ -280,8 +280,11 @@ func SmallWorld(n, k int, beta float64, seed int64) *Graph {
 // RandomGeometric scatters n nodes uniformly on the unit square and
 // connects pairs within the given radius, then adds a nearest-neighbour
 // chain for connectivity. This is the "topology mirrors physical proximity"
-// setting from §2.1.
+// setting from §2.1. A size below 1 yields the empty graph.
 func RandomGeometric(n int, radius float64, seed int64) *Graph {
+	if n < 1 {
+		return NewBuilder().Build()
+	}
 	ids := ringIDs(n)
 	rng := seeded(seed)
 	defer rngs.Put(rng)
@@ -313,8 +316,11 @@ func RandomGeometric(n int, radius float64, seed int64) *Graph {
 // Clustered builds `clusters` dense blobs of `size` nodes (intra-cluster
 // edge probability pIn) joined in a cycle by `bridges` inter-cluster edges.
 // Correlated failures within one blob are the canonical crashed-region
-// workload.
+// workload. A cluster count or size below 1 yields the empty graph.
 func Clustered(clusters, size, bridges int, pIn float64, seed int64) *Graph {
+	if clusters < 1 || size < 1 {
+		return NewBuilder().Build()
+	}
 	rng := seeded(seed)
 	defer rngs.Put(rng)
 	ids := idTable(clusters*size, 9, func(dst []byte, k int) []byte {
@@ -491,8 +497,11 @@ func BarabasiAlbert(n, m int, seed int64) *Graph {
 }
 
 // Hypercube builds the d-dimensional hypercube (2^d nodes, degree d) — a
-// classic structured-overlay topology.
+// classic structured-overlay topology. A negative d yields the empty graph.
 func Hypercube(d int) *Graph {
+	if d < 0 {
+		return NewBuilder().Build()
+	}
 	n := 1 << d
 	ids := ringIDs(n)
 	b := NewBuilder()

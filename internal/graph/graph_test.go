@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
@@ -451,5 +452,48 @@ func TestHypercube(t *testing.T) {
 	}
 	if d := g.Diameter(); d != 4 {
 		t.Errorf("diameter = %d, want 4", d)
+	}
+}
+
+// TestGeneratorsAcceptNonPositiveSizes calls every exported generator with
+// each size argument at −1 and 0: the result may be empty or partial, but
+// no generator may panic.
+func TestGeneratorsAcceptNonPositiveSizes(t *testing.T) {
+	for _, n := range []int{-1, 0} {
+		for name, gen := range map[string]func() any{
+			"Grid":               func() any { return Grid(n, 3) },
+			"Grid/cols":          func() any { return Grid(3, n) },
+			"Torus":              func() any { return Torus(n, 3) },
+			"Torus/cols":         func() any { return Torus(3, n) },
+			"Ring":               func() any { return Ring(n) },
+			"Chord":              func() any { return Chord(n) },
+			"Line":               func() any { return Line(n) },
+			"Complete":           func() any { return Complete(n) },
+			"Star":               func() any { return Star(n) },
+			"Tree":               func() any { return Tree(n, 2) },
+			"Tree/arity":         func() any { return Tree(5, n) },
+			"ErdosRenyi":         func() any { return ErdosRenyi(n, 0.5, 1) },
+			"SmallWorld":         func() any { return SmallWorld(n, 4, 0.3, 1) },
+			"SmallWorld/k":       func() any { return SmallWorld(8, n, 0.3, 1) },
+			"RandomGeometric":    func() any { return RandomGeometric(n, 0.5, 1) },
+			"Clustered":          func() any { return Clustered(n, 4, 1, 0.5, 1) },
+			"Clustered/size":     func() any { return Clustered(3, n, 1, 0.5, 1) },
+			"Clustered/bridges":  func() any { return Clustered(3, 4, n, 0.5, 1) },
+			"BarabasiAlbert":     func() any { return BarabasiAlbert(n, 2, 1) },
+			"BarabasiAlbert/m":   func() any { return BarabasiAlbert(8, n, 1) },
+			"Hypercube":          func() any { return Hypercube(n) },
+			"GridBlock":          func() any { return GridBlock(0, 0, n) },
+			"CenterBlock":        func() any { return CenterBlock(4, 4, n) },
+			"CenterBlock/extent": func() any { return CenterBlock(n, n, 2) },
+		} {
+			t.Run(fmt.Sprintf("%s(%d)", name, n), func(t *testing.T) {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("panic: %v", r)
+					}
+				}()
+				gen()
+			})
+		}
 	}
 }

@@ -224,14 +224,10 @@ func (s *Store) OpenResults(id string) (*Results, []Record, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	recs := make([]Record, 0, len(payloads))
-	for i, p := range payloads {
-		var rec Record
-		if err := json.Unmarshal(p, &rec); err != nil {
-			seg.Close()
-			return nil, nil, fmt.Errorf("store: campaign %s: record %d: %w", id, i, err)
-		}
-		recs = append(recs, rec)
+	recs, err := decodePayloads(payloads)
+	if err != nil {
+		seg.Close()
+		return nil, nil, fmt.Errorf("store: campaign %s: %w", id, err)
 	}
 	return &Results{seg: seg}, recs, nil
 }
@@ -258,15 +254,23 @@ func DecodeRecordsN(r io.Reader) ([]Record, int64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	recs := make([]Record, 0, len(payloads))
-	for i, p := range payloads {
-		var rec Record
-		if err := json.Unmarshal(p, &rec); err != nil {
-			return nil, 0, fmt.Errorf("store: record %d: %w", i, err)
-		}
-		recs = append(recs, rec)
+	recs, err := decodePayloads(payloads)
+	if err != nil {
+		return nil, 0, fmt.Errorf("store: %w", err)
 	}
 	return recs, clean, nil
+}
+
+// decodePayloads turns replayed segment payloads into records; the error
+// names the first payload that does not decode.
+func decodePayloads(payloads [][]byte) ([]Record, error) {
+	recs := make([]Record, len(payloads))
+	for i, p := range payloads {
+		if err := json.Unmarshal(p, &recs[i]); err != nil {
+			return nil, fmt.Errorf("record %d: %w", i, err)
+		}
+	}
+	return recs, nil
 }
 
 // File validates id and returns the path of one of the campaign's files
