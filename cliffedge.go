@@ -144,8 +144,16 @@ var (
 	Fig2 = graph.Fig2
 )
 
-// NewRegion builds a Region over t from the given nodes.
-func NewRegion(t *Topology, nodes []NodeID) Region { return region.New(t, nodes) }
+// NewRegion builds a Region over t from the given nodes. A node t does not
+// have is an error that names it.
+func NewRegion(t *Topology, nodes []NodeID) (Region, error) {
+	for _, n := range nodes {
+		if !t.Has(n) {
+			return Region{}, fmt.Errorf("cliffedge: node %q is not in the topology", n)
+		}
+	}
+	return region.New(t, nodes), nil
+}
 
 // LatencyRange is a uniform latency band [Min, Max] in virtual time
 // ticks.

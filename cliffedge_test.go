@@ -166,9 +166,12 @@ func TestTopologyBuilderFacade(t *testing.T) {
 	if !res.Crashed["b"] {
 		t.Error("Crashed set should contain b")
 	}
-	r := NewRegion(topo, []NodeID{"b"})
-	if r.BorderLen() != 2 {
-		t.Error("NewRegion facade broken")
+	r, err := NewRegion(topo, []NodeID{"b"})
+	if err != nil || r.BorderLen() != 2 {
+		t.Errorf("NewRegion facade broken: %s, %v", r, err)
+	}
+	if r, err := NewRegion(topo, []NodeID{"b", "zz"}); err == nil || !strings.Contains(err.Error(), `"zz"`) || !r.IsEmpty() {
+		t.Errorf("NewRegion over a node outside the topology = %s, %v; want ∅ and an error naming zz", r, err)
 	}
 }
 

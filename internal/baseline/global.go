@@ -198,7 +198,7 @@ func (n *GlobalNode) OnCrash(q graph.NodeID) proto.Effects {
 		}
 	})
 	n.compScratch = members
-	if comp := region.NewFromIndices(n.cfg.Graph, members, n.crashed); region.Less(n.maxView, comp) {
+	if comp := region.NewFromIndicesScratch(n.cfg.Graph, members, n.crashed, nil, nil); region.Less(n.maxView, comp) {
 		n.maxView = comp
 	}
 	if n.decided != nil {
@@ -262,12 +262,13 @@ func (n *GlobalNode) better(a, b Proposal) bool {
 	return a.ViewKey > b.ViewKey
 }
 
-// rank memoises (|V|, |border(V)|) for a view key.
+// rank memoises (|V|, |border(V)|) for a view key. A key naming a node
+// outside the topology (a malformed message) ranks as ∅, below every view.
 func (n *GlobalNode) rank(key string) [2]int {
 	if r, ok := n.rankCache[key]; ok {
 		return r
 	}
-	v := region.FromKey(n.cfg.Graph, key)
+	v, _ := region.FromKey(n.cfg.Graph, key)
 	r := [2]int{v.Len(), v.BorderLen()}
 	n.rankCache[key] = r
 	return r
@@ -384,10 +385,11 @@ func (n *GlobalNode) decide(eff *proto.Effects) {
 	}
 	var cands []cand
 	for _, p := range n.proposals {
-		if p.ViewKey == "" {
-			continue
+		// An empty key, or one naming a node outside the topology, is no
+		// region to decide.
+		if v, err := region.FromKey(n.cfg.Graph, p.ViewKey); err == nil && !v.IsEmpty() {
+			cands = append(cands, cand{v, p.Value})
 		}
-		cands = append(cands, cand{region.FromKey(n.cfg.Graph, p.ViewKey), p.Value})
 	}
 	if len(cands) == 0 {
 		return
@@ -405,8 +407,12 @@ func (n *GlobalNode) decide(eff *proto.Effects) {
 	}})
 }
 
+// adopt installs a broadcast decision, unless its key names a node outside
+// the topology.
 func (n *GlobalNode) adopt(p Proposal, eff *proto.Effects) {
-	n.adoptDecision(region.FromKey(n.cfg.Graph, p.ViewKey), p.Value, eff)
+	if v, err := region.FromKey(n.cfg.Graph, p.ViewKey); err == nil {
+		n.adoptDecision(v, p.Value, eff)
+	}
 }
 
 func (n *GlobalNode) adoptDecision(v region.Region, val proto.Value, eff *proto.Effects) {

@@ -65,10 +65,28 @@ func (r *Report) violatef(prop, format string, args ...any) {
 type decision struct {
 	node  graph.NodeID
 	idx   int32 // node's checker index
-	view  region.Region
+	view  decodedView
 	value string
 	time  int64
 }
+
+// decodedView is a view key as the checkers decode it: the region the key
+// names, or, for a key naming a node outside the topology, ∅ and
+// FromKey's error, which names the node. Such a view is reported where it
+// is proposed (SANITY) or decided (CD2) and takes part in no region check.
+type decodedView struct {
+	region.Region
+	key string
+	err error
+}
+
+func decodeView(g *graph.Graph, key string) decodedView {
+	r, err := region.FromKey(g, key)
+	return decodedView{r, key, err}
+}
+
+// String renders the view as the trace names it: {key}.
+func (v decodedView) String() string { return "{" + v.key + "}" }
 
 // channel is a distinct (sender, recipient) pair observed in the trace,
 // by checker index, with the number of sends on it.
@@ -120,7 +138,7 @@ type Online struct {
 	// proposed or decided: no more than the proposals and decisions the
 	// checker keeps anyway.
 	views    map[string]int32
-	viewList []region.Region
+	viewList []decodedView
 
 	// Streamed sanity state (order-dependent, evaluated as events arrive).
 	lastProposed []int32 // by index: 1 + position in viewList, 0 = none
@@ -181,7 +199,10 @@ func resize[T any](s []T, n int) []T {
 // index returns id's checker index, handing a node ID outside the
 // topology the next free index past g.Len() on first sight.
 func (o *Online) index(id graph.NodeID) int32 {
-	if i := o.lookup(id); i >= 0 {
+	if i := o.g.Index(id); i >= 0 {
+		return i
+	}
+	if i, ok := o.others[id]; ok {
 		return i
 	}
 	i := int32(o.g.Len() + len(o.otherIDs))
@@ -197,17 +218,6 @@ func (o *Online) index(id graph.NodeID) int32 {
 	o.lastProposed = append(o.lastProposed, 0)
 	o.rejectedBy = append(o.rejectedBy, nil)
 	return i
-}
-
-// lookup is index without the hand-out: -1 for an ID never seen.
-func (o *Online) lookup(id graph.NodeID) int32 {
-	if i := o.g.Index(id); i >= 0 {
-		return i
-	}
-	if i, ok := o.others[id]; ok {
-		return i
-	}
-	return -1
 }
 
 // id is the node ID of checker index i.
@@ -252,8 +262,13 @@ func (o *Online) Observe(e trace.Event) {
 	case trace.KindPropose:
 		i := o.index(e.Node)
 		slot := o.view(e.View)
-		v := o.viewList[slot]
-		if prev := o.lastProposed[i]; prev > 0 && !region.Less(o.viewList[prev-1], v) {
+		v := &o.viewList[slot]
+		if v.err != nil {
+			o.streamViol = append(o.streamViol, Violation{"SANITY",
+				fmt.Sprintf("node %s proposed view %s: %v", e.Node, v, v.err)})
+			break
+		}
+		if prev := o.lastProposed[i]; prev > 0 && !region.Less(o.viewList[prev-1].Region, v.Region) {
 			o.streamViol = append(o.streamViol, Violation{"LEMMA2",
 				fmt.Sprintf("node %s proposed %s after %s (not strictly increasing)", e.Node, v, o.viewList[prev-1])})
 		}
@@ -306,7 +321,7 @@ func (o *Online) view(key string) int32 {
 	slot, ok := o.views[key]
 	if !ok {
 		slot = int32(len(o.viewList))
-		o.viewList = append(o.viewList, region.FromKey(o.g, key))
+		o.viewList = append(o.viewList, decodeView(o.g, key))
 		o.views[key] = slot
 	}
 	return slot
@@ -365,6 +380,10 @@ func (o *Online) report(safetyOnly bool) Report {
 	// CD2 (view accuracy): decided views are crashed regions (connected,
 	// fully crashed before the decision) bordered by the decider.
 	for _, d := range decisions {
+		if d.view.err != nil {
+			rep.violatef("CD2", "node %s decided view %s: %v", d.node, d.view, d.view.err)
+			continue
+		}
 		if d.view.IsEmpty() {
 			rep.violatef("CD2", "node %s decided the empty view", d.node)
 			continue
@@ -372,16 +391,16 @@ func (o *Online) report(safetyOnly bool) Report {
 		if !g.IsConnectedSubset(graph.ToSet(d.view.Nodes())) {
 			rep.violatef("CD2", "node %s decided a disconnected view %s", d.node, d.view)
 		}
-		for _, m := range d.view.Nodes() {
-			if i := o.lookup(m); i < 0 || !crashed.Has(i) {
+		for _, m := range d.view.Indices() {
+			if !crashed.Has(m) {
 				rep.violatef("CD2", "node %s decided view %s containing correct node %s",
-					d.node, d.view, m)
-			} else if crashTime[i] > d.time {
+					d.node, d.view, o.id(m))
+			} else if crashTime[m] > d.time {
 				rep.violatef("CD2", "node %s decided view %s at t=%d before member %s crashed at t=%d",
-					d.node, d.view, d.time, m, crashTime[i])
+					d.node, d.view, d.time, o.id(m), crashTime[m])
 			}
 		}
-		if !d.view.OnBorder(d.node) {
+		if !d.view.OnBorderIndex(d.idx) {
 			rep.violatef("CD2", "node %s decided view %s it does not border", d.node, d.view)
 		}
 	}
@@ -404,8 +423,7 @@ func (o *Online) report(safetyOnly bool) Report {
 	// for a single faulty domain S.
 	inDomain := make([][]int32, len(crashTime)) // index → domains it is in or borders
 	for i, dom := range domains {
-		for _, m := range dom.Nodes() {
-			j := g.Index(m)
+		for _, j := range dom.Indices() {
 			inDomain[j] = append(inDomain[j], int32(i))
 		}
 		for _, j := range dom.BorderIndices() {
@@ -442,13 +460,13 @@ func (o *Online) report(safetyOnly bool) Report {
 	// raw message loss, where a border node may simply never learn enough.
 	if !safetyOnly {
 		for _, d := range decisions {
-			for k, q := range d.view.BorderIndices() {
+			for _, q := range d.view.BorderIndices() {
 				if crashed.Has(q) {
 					continue
 				}
 				if first[q] == 0 {
 					rep.violatef("CD4", "%s decided %s but correct border node %s never decided",
-						d.node, d.view, d.view.Border()[k])
+						d.node, d.view, o.id(q))
 				}
 			}
 		}
@@ -457,11 +475,12 @@ func (o *Online) report(safetyOnly bool) Report {
 	// CD5 (uniform border agreement): deciders on the border of a decided
 	// view decided identically. Uniform: crashed deciders count too.
 	for _, d := range decisions {
-		for k, q := range d.view.BorderIndices() {
+		for _, q := range d.view.BorderIndices() {
 			for j := first[q]; j > 0; j = next[j-1] {
-				if dq := &decisions[j-1]; !dq.view.Equal(d.view) || dq.value != d.value {
+				dq := &decisions[j-1]
+				if dq.view.err == nil && (!dq.view.Equal(d.view.Region) || dq.value != d.value) {
 					rep.violatef("CD5", "%s decided (%s,%q) but border node %s decided (%s,%q)",
-						d.node, d.view, d.value, d.view.Border()[k], dq.view, dq.value)
+						d.node, d.view, d.value, o.id(q), dq.view, dq.value)
 				}
 			}
 		}
@@ -477,8 +496,8 @@ func (o *Online) report(safetyOnly bool) Report {
 			if crashed.Has(decisions[j].idx) {
 				continue
 			}
-			vi, vj := decisions[i].view, decisions[j].view
-			if vi.Intersects(vj) && !vi.Equal(vj) {
+			vi, vj := &decisions[i].view, &decisions[j].view
+			if vi.Intersects(vj.Region) && !vi.Equal(vj.Region) {
 				rep.violatef("CD6", "correct nodes %s and %s decided overlapping distinct views %s and %s",
 					decisions[i].node, decisions[j].node, vi, vj)
 			}
@@ -540,11 +559,18 @@ func (o *Online) report(safetyOnly bool) Report {
 	return rep
 }
 
+// bordersIntersect reports whether two domains share a border node: a
+// merge of their ascending border indices.
 func bordersIntersect(a, b region.Region) bool {
-	bb := graph.ToSet(b.Border())
-	for _, n := range a.Border() {
-		if bb[n] {
+	x, y := a.BorderIndices(), b.BorderIndices()
+	for len(x) > 0 && len(y) > 0 {
+		switch {
+		case x[0] == y[0]:
 			return true
+		case x[0] < y[0]:
+			x = x[1:]
+		default:
+			y = y[1:]
 		}
 	}
 	return false

@@ -285,9 +285,72 @@ func TestReportStringLists(t *testing.T) {
 // on.
 func TestViewReconstruction(t *testing.T) {
 	g := pathGraph()
-	r := region.FromKey(g, "b,c")
-	if r.Len() != 2 || !r.OnBorder("a") || !r.OnBorder("d") {
-		t.Errorf("region reconstruction broken: %s borders %v", r, r.Border())
+	r, err := region.FromKey(g, "b,c")
+	if err != nil || r.Len() != 2 || !r.OnBorder("a") || !r.OnBorder("d") {
+		t.Errorf("region reconstruction broken: %s borders %v (error %v)", r, r.Border(), err)
+	}
+}
+
+// TestViewsOutsideTheTopology pins the report on traces whose view keys
+// name nodes the topology does not have. Each decide of such a view is one
+// CD2 violation naming the decider, the view and the foreign node, each
+// propose of it one SANITY violation, and the view takes part in no region
+// check: the disjoint {ghost0} and {ghost1} are no CD6 overlap, and a
+// proposal of one is no LEMMA2 step. The reference checker reports the
+// same.
+func TestViewsOutsideTheTopology(t *testing.T) {
+	ev := func(time int64, kind trace.Kind, node graph.NodeID, view string) trace.Event {
+		return trace.Event{Time: time, Kind: kind, Node: node, View: view, Value: "v"}
+	}
+	for _, tc := range []struct {
+		name   string
+		events []trace.Event
+		want   []string
+	}{{
+		name: "ghost0 and ghost1 decided by a and c, then {b,zz}",
+		events: []trace.Event{
+			ev(1, trace.KindCrash, "b", ""),
+			ev(2, trace.KindPropose, "a", "b"),
+			ev(3, trace.KindPropose, "a", "ghost0"),
+			ev(4, trace.KindDecide, "a", "ghost0"),
+			ev(4, trace.KindDecide, "c", "ghost1"),
+			ev(5, trace.KindPropose, "d", "b,zz"),
+			ev(6, trace.KindDecide, "d", "b,zz"),
+		},
+		want: []string{
+			`CD2: node a decided view {ghost0}: region: node "ghost0" is not in the topology`,
+			`CD2: node c decided view {ghost1}: region: node "ghost1" is not in the topology`,
+			`CD2: node d decided view {b,zz}: region: node "zz" is not in the topology`,
+			`SANITY: node a proposed view {ghost0}: region: node "ghost0" is not in the topology`,
+			`SANITY: node d proposed view {b,zz}: region: node "zz" is not in the topology`,
+		},
+	}, {
+		name: "a key with an empty part beside a clean run",
+		events: append(cleanTrace(),
+			ev(8, trace.KindPropose, "d", "b,"),
+			ev(9, trace.KindDecide, "d", "b,"),
+			ev(9, trace.KindDecide, "a", "b,")),
+		want: []string{
+			`CD1: node a decided twice: {b} then {b,}`,
+			`CD2: node d decided view {b,}: region: node "" is not in the topology`,
+			`CD2: node a decided view {b,}: region: node "" is not in the topology`,
+			`SANITY: node d proposed view {b,}: region: node "" is not in the topology`,
+		},
+	}} {
+		g := pathGraph()
+		ref := newReferenceOnline(g)
+		for _, e := range tc.events {
+			ref.Observe(e)
+		}
+		for checker, rep := range map[string]Report{"Online": Run(g, tc.events), "reference": ref.Report()} {
+			var got []string
+			for _, v := range rep.Violations {
+				got = append(got, v.String())
+			}
+			if strings.Join(got, "\n") != strings.Join(tc.want, "\n") {
+				t.Errorf("%s, %s checker:\n got %q\nwant %q", tc.name, checker, got, tc.want)
+			}
+		}
 	}
 }
 

@@ -169,7 +169,11 @@ var mutators = []mutator{
 		if len(idx) == 0 {
 			return nil
 		}
-		member := region.FromKey(g, events[idx[0]].View).Nodes()[0]
+		view, err := region.FromKey(g, events[idx[0]].View)
+		if err != nil {
+			return nil
+		}
+		member := view.Nodes()[0]
 		out := cloneEvents(events)[:0]
 		for _, e := range events {
 			if e.Kind == trace.KindCrash && e.Node == member {

@@ -11,9 +11,11 @@ import (
 
 // The string-keyed checker the dense Online replaced, kept verbatim as the
 // oracle FuzzOnlineMatchesReference compares it against (names prefixed so
-// they do not clash). The one change is CD7's cluster loop, which iterates
-// clusters in domain order like Online's, not in map order: both must list
-// their violations identically for the comparison to mean anything.
+// they do not clash). Two changes since: CD7's cluster loop iterates
+// clusters in domain order like Online's, not in map order, since both must
+// list their violations identically for the comparison to mean anything;
+// and a view key naming a node outside the topology is handled as Online
+// handles it (see decodedView), changed in lockstep.
 
 // NewReferenceChecker returns the reference checker over topology g, for
 // the external test package.
@@ -54,7 +56,7 @@ type referenceOnline struct {
 	// re-splits, re-sorts and re-borders it, so each is decoded once. It
 	// holds one entry per distinct view proposed or decided: no more than
 	// the proposals and decisions the checker keeps anyway.
-	views map[string]region.Region
+	views map[string]decodedView
 
 	// Streamed sanity state (order-dependent, evaluated as events arrive).
 	lastProposed map[graph.NodeID]region.Region
@@ -71,7 +73,7 @@ func newReferenceOnline(g *graph.Graph) *referenceOnline {
 		crashed:      make(map[graph.NodeID]bool),
 		crashTime:    make(map[graph.NodeID]int64),
 		sendCount:    make(map[refSendPair]int),
-		views:        make(map[string]region.Region),
+		views:        make(map[string]decodedView),
 		lastProposed: make(map[graph.NodeID]region.Region),
 		rejectedBy:   make(map[graph.NodeID]map[string]bool),
 	}
@@ -105,11 +107,16 @@ func (o *referenceOnline) Observe(e trace.Event) {
 		o.delivered++
 	case trace.KindPropose:
 		v := o.view(e.View)
-		if prev, ok := o.lastProposed[e.Node]; ok && !region.Less(prev, v) {
+		if v.err != nil {
+			o.streamViol = append(o.streamViol, Violation{"SANITY",
+				fmt.Sprintf("node %s proposed view %s: %v", e.Node, v, v.err)})
+			break
+		}
+		if prev, ok := o.lastProposed[e.Node]; ok && !region.Less(prev, v.Region) {
 			o.streamViol = append(o.streamViol, Violation{"LEMMA2",
 				fmt.Sprintf("node %s proposed %s after %s (not strictly increasing)", e.Node, v, prev)})
 		}
-		o.lastProposed[e.Node] = v
+		o.lastProposed[e.Node] = v.Region
 		if o.rejectedBy[e.Node][e.View] {
 			o.streamViol = append(o.streamViol, Violation{"LEMMA2",
 				fmt.Sprintf("node %s proposed previously rejected view {%s}", e.Node, e.View)})
@@ -128,11 +135,11 @@ func (o *referenceOnline) Observe(e trace.Event) {
 	}
 }
 
-// view returns the Region the key names, decoding it on first sight.
-func (o *referenceOnline) view(key string) region.Region {
+// view returns the view the key names, decoding it on first sight.
+func (o *referenceOnline) view(key string) decodedView {
 	v, ok := o.views[key]
 	if !ok {
-		v = region.FromKey(o.g, key)
+		v = decodeView(o.g, key)
 		o.views[key] = v
 	}
 	return v
@@ -156,6 +163,10 @@ func (o *referenceOnline) report(safetyOnly bool) Report {
 	// CD2 (view accuracy): decided views are crashed regions (connected,
 	// fully crashed before the decision) bordered by the decider.
 	for _, d := range decisions {
+		if d.view.err != nil {
+			rep.violatef("CD2", "node %s decided view %s: %v", d.node, d.view, d.view.err)
+			continue
+		}
 		if d.view.IsEmpty() {
 			rep.violatef("CD2", "node %s decided the empty view", d.node)
 			continue
@@ -250,7 +261,7 @@ func (o *referenceOnline) report(safetyOnly bool) Report {
 	for _, d := range decisions {
 		for _, q := range d.view.Border() {
 			for _, dq := range decisionsByNode[q] {
-				if !dq.view.Equal(d.view) || dq.value != d.value {
+				if dq.view.err == nil && (!dq.view.Equal(d.view.Region) || dq.value != d.value) {
 					rep.violatef("CD5", "%s decided (%s,%q) but border node %s decided (%s,%q)",
 						d.node, d.view, d.value, q, dq.view, dq.value)
 				}
@@ -269,7 +280,7 @@ func (o *referenceOnline) report(safetyOnly bool) Report {
 				continue
 			}
 			vi, vj := decisions[i].view, decisions[j].view
-			if vi.Intersects(vj) && !vi.Equal(vj) {
+			if vi.Intersects(vj.Region) && !vi.Equal(vj.Region) {
 				rep.violatef("CD6", "correct nodes %s and %s decided overlapping distinct views %s and %s",
 					decisions[i].node, decisions[j].node, vi, vj)
 			}
@@ -282,7 +293,7 @@ func (o *referenceOnline) report(safetyOnly bool) Report {
 	clusters := dsu.New(len(domains))
 	for i := 0; i < len(domains); i++ {
 		for j := i + 1; j < len(domains); j++ {
-			if bordersIntersect(domains[i], domains[j]) {
+			if refBordersIntersect(domains[i], domains[j]) {
 				clusters.Union(int32(i), int32(j))
 			}
 		}
@@ -331,4 +342,14 @@ func (o *referenceOnline) report(safetyOnly bool) Report {
 			o.sends, o.delivered)
 	}
 	return rep
+}
+
+func refBordersIntersect(a, b region.Region) bool {
+	bb := graph.ToSet(b.Border())
+	for _, n := range a.Border() {
+		if bb[n] {
+			return true
+		}
+	}
+	return false
 }

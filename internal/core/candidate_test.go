@@ -15,7 +15,7 @@ import (
 //
 // Three things must agree after every event:
 //   - model: lines 8–11 as printed, recomputing every connected component
-//     of the crashed set and taking region.MaxRanked of them;
+//     of the crashed set and taking the highest-ranked of them;
 //   - eager: a core.Node whose MaxView() is read after every event, so it
 //     never carries a pending component across events;
 //   - lazy: a core.Node nobody reads — inspected only through a Clone, so
@@ -29,8 +29,13 @@ type candidateModel struct {
 
 func (m *candidateModel) onCrash(q graph.NodeID) {
 	m.crashed[q] = true
-	best := region.MaxRanked(region.FromComponents(m.g, m.g.ConnectedComponents(m.crashed))) // line 8
-	if region.Less(m.maxView, best) {                                                        // line 9
+	best := region.Empty // line 8: maxRankedRegion of the components
+	for _, c := range m.g.ConnectedComponents(m.crashed) {
+		if r := region.New(m.g, c); region.Less(best, r) {
+			best = r
+		}
+	}
+	if region.Less(m.maxView, best) { // line 9
 		m.maxView, m.cand = best, best // lines 10–11
 	}
 }

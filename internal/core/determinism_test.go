@@ -141,15 +141,15 @@ func TestUnwrittenRoundsAreNotAllocated(t *testing.T) {
 	n := New(Config{ID: "a", Graph: g})
 	n.Start()
 	view := region.New(g, []graph.NodeID{"b"})
-	border := view.Border()
+	border := view.BorderIndices()
 	n.OnMessage("c", message(1, view, "c", ops{"c": accept("vc")}))
 
 	inst := instanceOf(n, view)
 	if inst == nil {
 		t.Fatal("instance missing")
 	}
-	if &inst.border[0] != &border[0] {
-		t.Error("the instance should share the message's immutable border, not copy it")
+	if &inst.borderIdx[0] != &border[0] {
+		t.Error("the instance should share the view's immutable border, not copy it")
 	}
 	allocated := func(inst *instance) int { return len(inst.bits) / (3 * inst.words) }
 	if got := allocated(inst); got != 1 {

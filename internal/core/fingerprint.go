@@ -49,7 +49,7 @@ func (n *Node) Fingerprint() string {
 	sb.WriteString(strings.Join(rejected, ";"))
 	sb.WriteString("|rcv=")
 	for _, inst := range received {
-		fmt.Fprintf(&sb, "{%s;B=%v;L=%d", inst.view.Key(), inst.border, inst.lastRound)
+		fmt.Fprintf(&sb, "{%s;B=%v;L=%d", inst.view.Key(), inst.view.Border(), inst.lastRound)
 		for r := 1; r <= inst.lastRound; r++ {
 			// A round never written renders as the |B| ⊥ slots it stands
 			// for without being allocated.
@@ -58,10 +58,10 @@ func (n *Node) Fingerprint() string {
 			if round := inst.round(r); round != nil {
 				masks = round[inst.words:]
 			}
-			writeOpinions(&sb, len(inst.border), masks, inst.values)
+			writeOpinions(&sb, len(inst.borderIdx), masks, inst.values)
 			fmt.Fprintf(&sb, ";w%d=", r)
 			first := true
-			for j, q := range inst.border {
+			for j := range inst.borderIdx {
 				if !inst.waitingFor(r, j) {
 					continue
 				}
@@ -69,7 +69,7 @@ func (n *Node) Fingerprint() string {
 					sb.WriteByte(',')
 				}
 				first = false
-				sb.WriteString(string(q))
+				sb.WriteString(string(inst.view.BorderID(j)))
 			}
 		}
 		sb.WriteByte('}')
@@ -109,5 +109,5 @@ func writeIndices(sb *strings.Builder, g *graph.Graph, indices []int32) {
 // MessageFingerprint serialises a message canonically (model checker
 // channel-state hashing).
 func MessageFingerprint(m *Message) string {
-	return fmt.Sprintf("%d|%s|%v|%s", m.Round, m.View.Key(), m.Border, m.opinions())
+	return fmt.Sprintf("%d|%s|%v|%s", m.Round, m.View.Key(), m.View.Border(), m.opinions())
 }

@@ -302,8 +302,8 @@ func TestSentMessagesNeverChange(t *testing.T) {
 			}
 			for _, s := range eff.Sends {
 				m := s.Payload.(*Message)
-				for j, op := range opinionsOf(len(m.Border), m.masks, m.values) {
-					if want := proposal(m.Border[j], m.View); op.kind == accepted && op.value != want {
+				for j, op := range opinionsOf(m.View.BorderLen(), m.masks, m.values) {
+					if want := proposal(m.View.BorderID(j), m.View); op.kind == accepted && op.value != want {
 						t.Fatalf("seed %d: %s sent %s: slot %d accepts with %q, not %q", seed, g.ID(i), m, j, op.value, want)
 					}
 				}

@@ -21,14 +21,15 @@ import (
 	"slices"
 	"strings"
 
-	"cliffedge/internal/graph"
 	"cliffedge/internal/proto"
 	"cliffedge/internal/region"
 )
 
 // Message is the protocol message [r, V, B, op] of lines 17, 31 and 40: a
 // round number, the proposed view, the view's border (the instance's
-// participant set), and the sender's opinion vector for that round.
+// participant set), and the sender's opinion vector for that round. B is
+// not a field: the view is a region, which holds its border, so border[j]
+// below is the view's j-th border node.
 //
 // An opinion is three-valued — ⊥, accept(v) or reject — so a vector over
 // border positions is a pair of bitmasks plus the values of its accepts:
@@ -50,16 +51,15 @@ import (
 // message a multicast builds is shared by all its recipients and by the
 // sender's own queued copy, never copied or changed after it is sent.
 type Message struct {
-	Round  int
-	View   region.Region
-	Border []graph.NodeID
-	// masks is known, then rejects, maskWords(len(Border)) words each.
+	Round int
+	View  region.Region
+	// masks is known, then rejects, maskWords(View.BorderLen()) words each.
 	masks []uint64
 	// values is the accept column: values[j] is read only for j in
 	// known \ rejects.
 	values []proto.Value
-	// sender is 1 + the sender's position in Border, or 0 if the sender is
-	// not a participant.
+	// sender is 1 + the sender's position in the view's border, or 0 if the
+	// sender is not a participant.
 	sender int32
 }
 
@@ -107,13 +107,14 @@ func (m *Message) TraceView() (string, int) { return m.View.Key(), m.Round }
 // NodeID per slot — the border listing already fixes every position.
 func (m *Message) WireSize() int {
 	size := 4 // round
-	for _, n := range m.View.Nodes() {
-		size += len(n) + 1
+	// Each view ID and each border ID with one separator byte; the key is
+	// the view's IDs joined by ','.
+	size += len(m.View.Key()) + 1
+	border := m.View.BorderLen()
+	for k := range border {
+		size += len(m.View.BorderID(k)) + 1
 	}
-	for _, n := range m.Border {
-		size += len(n) + 1
-	}
-	size += len(m.Border) // 1 tag byte per slot
+	size += border // 1 tag byte per slot
 	words := len(m.masks) / 2
 	for w := 0; w < words; w++ {
 		for accepts := m.masks[w] &^ m.masks[words+w]; accepts != 0; accepts &= accepts - 1 {
@@ -126,13 +127,13 @@ func (m *Message) WireSize() int {
 // opinions renders the message's opinion vector, e.g. "[accept(v1) ⊥ reject]".
 func (m *Message) opinions() string {
 	var sb strings.Builder
-	writeOpinions(&sb, len(m.Border), m.masks, m.values)
+	writeOpinions(&sb, m.View.BorderLen(), m.masks, m.values)
 	return sb.String()
 }
 
 // String renders the message compactly for traces and debugging.
 func (m *Message) String() string {
-	return fmt.Sprintf("[r=%d V=%s B=%v op=%s]", m.Round, m.View, m.Border, m.opinions())
+	return fmt.Sprintf("[r=%d V=%s B=%v op=%s]", m.Round, m.View, m.View.Border(), m.opinions())
 }
 
 var _ proto.Payload = (*Message)(nil)
@@ -164,12 +165,10 @@ var _ proto.Payload = (*Message)(nil)
 // the |B| rounds it will not run.
 type instance struct {
 	view region.Region
-	// border is B, the view's own border, and borderIdx the same nodes as
-	// dense graph indices. Both are shared with the view, not copied:
-	// Region slices are immutable, and borderIdx is also handed to the
-	// network as the recipients (proto.Send.To) of every multicast about
-	// the view.
-	border    []graph.NodeID
+	// borderIdx is B, the view's own border, as dense graph indices. It is
+	// the view's slice, not a copy: Region slices are immutable, and
+	// borderIdx is also handed to the network as the recipients
+	// (proto.Send.To) of every multicast about the view.
 	borderIdx []int32
 	lastRound int // |B| (default) or |B|−1 (LiteralPaperRounds)
 	// bits holds three bitmasks over border positions for each round
@@ -186,7 +185,7 @@ type instance struct {
 	// beyond it reads as lines 20–22 initialise it: waiting for all of B,
 	// every opinion ⊥.
 	bits  []uint64
-	words int // maskWords(len(border))
+	words int // maskWords(len(borderIdx))
 	// values is the value column: values[j] is border[j]'s accept value,
 	// the same in every round (see Message), set iff bit j of valued is.
 	// Both are allocated by the first accept. The column is shared with
@@ -205,15 +204,14 @@ type instance struct {
 }
 
 func newInstance(view region.Region, literalRounds bool) *instance {
-	border := view.Border()
+	border := view.BorderIndices()
 	last := len(border)
 	if literalRounds {
 		last = len(border) - 1
 	}
 	return &instance{
 		view:      view,
-		border:    border,
-		borderIdx: view.BorderIndices(),
+		borderIdx: border,
 		lastRound: last,
 		words:     maskWords(len(border)),
 	}
@@ -224,7 +222,7 @@ func (inst *instance) validRound(r int) bool { return r >= 1 && r <= inst.lastRo
 
 // allOf returns word w of the bitmask holding every border position.
 func (inst *instance) allOf(w int) uint64 {
-	if tail := uint(len(inst.border) & 63); tail != 0 && w == inst.words-1 {
+	if tail := uint(len(inst.borderIdx) & 63); tail != 0 && w == inst.words-1 {
 		return 1<<tail - 1
 	}
 	return ^uint64(0)
@@ -303,7 +301,7 @@ func (inst *instance) merge(r, senderPos int, opMasks []uint64, opValues []proto
 // one already, and reports whether the column's value is v.
 func (inst *instance) setValue(j int, v proto.Value) bool {
 	if inst.values == nil {
-		inst.values = make([]proto.Value, len(inst.border))
+		inst.values = make([]proto.Value, len(inst.borderIdx))
 		inst.valued = make([]uint64, inst.words)
 	}
 	bit := uint64(1) << uint(j&63)
@@ -340,7 +338,7 @@ func (inst *instance) unanimous(r int) bool {
 }
 
 // clone deep-copies the instance's mutable state (used by the model
-// checker); border and borderIdx are immutable and stay shared.
+// checker); view and borderIdx are immutable and stay shared.
 func (inst *instance) clone() *instance {
 	out := *inst
 	out.bits = slices.Clone(inst.bits)

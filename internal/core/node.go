@@ -524,34 +524,36 @@ func (n *Node) deliver(m *Message) {
 	}
 	if !inst.validRound(m.Round) {
 		n.violatef("message round %d out of range for view %s (|B|=%d)",
-			m.Round, m.View, len(inst.border))
+			m.Round, m.View, len(inst.borderIdx))
 		return
 	}
-	if len(m.masks) != 2*inst.words || m.values != nil && len(m.values) != len(inst.border) {
+	if len(m.masks) != 2*inst.words || m.values != nil && len(m.values) != len(inst.borderIdx) {
 		n.violatef("message opinions (%d mask words, %d values) do not fit |B|=%d for view %s",
-			len(m.masks), len(m.values), len(inst.border), m.View)
+			len(m.masks), len(m.values), len(inst.borderIdx), m.View)
 		return
 	}
-	if !sameBorder(m.Border, inst.border) {
+	if !sameBorder(&m.View, &inst.view) {
 		// The merge below is positional: a vector indexed by another
 		// border would land in the wrong participants' slots.
 		n.violatef("message border %v ≠ instance border %v for view %s",
-			m.Border, inst.border, m.View)
+			m.View.Border(), inst.view.Border(), m.View)
 		return
 	}
 	if j := inst.merge(m.Round, int(m.sender)-1, m.masks, m.values); j >= 0 {
 		n.violatef("view %s: %s accepts with %q, already known to accept with %q",
-			m.View, inst.border[j], m.values[j], inst.values[j])
+			m.View, inst.view.BorderID(j), m.values[j], inst.values[j])
 	}
 }
 
-// sameBorder reports whether two sorted borders agree in length and in
-// their first and last element — the check a delivery can afford per
-// message (full equality is |B| string comparisons) that still catches a
-// vector built over a different participant set.
-func sameBorder(a, b []graph.NodeID) bool {
-	return len(a) == len(b) &&
-		(len(a) == 0 || a[0] == b[0] && a[len(a)-1] == b[len(b)-1])
+// sameBorder reports whether the sorted borders of two views, each named
+// by its own graph, agree in length and in their first and last node —
+// the check a delivery can afford per message (full equality is |B|
+// string comparisons) that still catches a vector built over a different
+// participant set.
+func sameBorder(a, b *region.Region) bool {
+	n := a.BorderLen()
+	return n == b.BorderLen() &&
+		(n == 0 || a.BorderID(0) == b.BorderID(0) && a.BorderID(n-1) == b.BorderID(n-1))
 }
 
 // runGuards re-evaluates the `upon` guards of lines 12, 26 and 32 to
@@ -700,7 +702,7 @@ func (n *Node) guardRound(eff *proto.Effects) bool {
 		}
 		for ; left != 0; left &= left - 1 {
 			j := w<<6 | bits.TrailingZeros64(left)
-			if qi := inst.borderIdx[j]; qi < 0 || !n.knowsCrashed(qi) {
+			if !n.knowsCrashed(inst.borderIdx[j]) {
 				return false
 			}
 		}
@@ -722,7 +724,6 @@ func (n *Node) guardRound(eff *proto.Effects) bool {
 	msg := &Message{ // line 40
 		Round:  n.round,
 		View:   n.vp,
-		Border: inst.border,
 		masks:  n.maskSpace(inst.words),
 		values: inst.values, // shared, not copied: see instance.values
 		sender: n.senderSlot(inst.borderIdx),
@@ -748,10 +749,10 @@ func (n *Node) senderSlot(borderIdx []int32) int32 {
 // members; a node that is not (a violation guardPropose records) sends
 // all ⊥.
 func (n *Node) firstMessage(view region.Region, accept bool) *Message {
-	border := view.Border()
+	border := view.BorderIndices()
 	words := maskWords(len(border))
-	m := &Message{Round: 1, View: view, Border: border, masks: n.maskSpace(words),
-		sender: n.senderSlot(view.BorderIndices())}
+	m := &Message{Round: 1, View: view, masks: n.maskSpace(words),
+		sender: n.senderSlot(border)}
 	if m.sender == 0 {
 		return m
 	}

@@ -70,7 +70,7 @@ func message(r int, view region.Region, from graph.NodeID, o ops) *Message {
 func messageOf(r int, view region.Region, from graph.NodeID, slots []opinion) *Message {
 	border := view.Border()
 	words := maskWords(len(border))
-	m := &Message{Round: r, View: view, Border: border, masks: make([]uint64, 2*words),
+	m := &Message{Round: r, View: view, masks: make([]uint64, 2*words),
 		sender: int32(borderPos(border, from) + 1)}
 	for j, op := range slots {
 		bit := uint64(1) << uint(j&63)
@@ -112,7 +112,8 @@ func opinionsOf(n int, masks []uint64, values []proto.Value) []opinion {
 
 // opinionOf returns m's opinion of border node q.
 func opinionOf(m *Message, q graph.NodeID) opinion {
-	return opinionsOf(len(m.Border), m.masks, m.values)[borderPos(m.Border, q)]
+	border := m.View.Border()
+	return opinionsOf(len(border), m.masks, m.values)[borderPos(border, q)]
 }
 
 // known counts the non-⊥ slots of a vector.
@@ -365,7 +366,7 @@ func TestRejectLowerRankedView(t *testing.T) {
 	if rm.View.Key() != "b" || opinionOf(rm, "a") != reject {
 		t.Errorf("bad reject message %s", rm)
 	}
-	if got := opinionsOf(len(rm.Border), rm.masks, rm.values); known(got) != 1 || rm.values != nil {
+	if got := opinionsOf(rm.View.BorderLen(), rm.masks, rm.values); known(got) != 1 || rm.values != nil {
 		t.Errorf("reject vector should carry only own reject and no value column, got %s", rm)
 	}
 

@@ -102,7 +102,9 @@ func TestRejectedViewStaysRejectedBesideLiveOnes(t *testing.T) {
 
 // TestDeliverRejectsForeignBorder: the merge is positional, so a vector
 // indexed by another border of the same length must be refused, not merged
-// into the wrong participants' slots.
+// into the wrong participants' slots. The foreign vector is about the same
+// view, {b}, over a second graph in which b's border differs from the
+// node's in its first or in its last node.
 func TestDeliverRejectsForeignBorder(t *testing.T) {
 	g := graph.NewBuilder().AddEdge("a", "b").AddEdge("c", "b").AddEdge("e", "b").Build()
 	view := region.New(g, []graph.NodeID{"b"})
@@ -110,13 +112,20 @@ func TestDeliverRejectsForeignBorder(t *testing.T) {
 		"first element": {"0", "c", "e"},
 		"last element":  {"a", "c", "z"},
 	} {
+		other := graph.NewBuilder()
+		for _, q := range foreign {
+			other.AddEdge(q, "b")
+		}
+		foreignView := region.New(other.Build(), []graph.NodeID{"b"})
 		a := mkNode(t, g, "a", "va")
 		a.Start()
 		a.OnMessage("c", message(1, view, "c", ops{"c": accept("vc")}))
 		before := a.Fingerprint()
-		m := message(1, view, "e", ops{"a": reject, "c": reject, "e": reject})
-		m.Border = foreign
-		a.OnMessage("e", m)
+		o := ops{}
+		for _, q := range foreign {
+			o[q] = reject
+		}
+		a.OnMessage("e", message(1, foreignView, "c", o))
 		if len(a.Violations()) != 1 {
 			t.Errorf("%s: want one violation for a foreign border, got %v", name, a.Violations())
 		}

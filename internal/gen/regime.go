@@ -167,12 +167,11 @@ const minSurvivors = 3
 func DisjointDomainBorders(g *graph.Graph, crashed graph.Bitset) bool {
 	seen := graph.NewBitset(g.Len())
 	for _, dom := range region.Domains(g, crashed) {
-		for _, b := range dom.Border() {
-			bi := g.Index(b)
-			if seen.Has(bi) {
+		for _, b := range dom.BorderIndices() {
+			if seen.Has(b) {
 				return false
 			}
-			seen.Set(bi)
+			seen.Set(b)
 		}
 	}
 	return true

@@ -7,10 +7,9 @@ import (
 
 // Domains returns the connected components of the subgraph induced by the
 // member bitset as regions, ordered by smallest member index (which is
-// smallest NodeID, matching graph.ConnectedComponents order). It is the
-// dense-index replacement for the ConnectedComponents→FromComponents
-// string-set pipeline: one union-find pass over the CSR adjacency instead
-// of a map-backed BFS per component.
+// smallest NodeID, matching graph.ConnectedComponents order): one
+// union-find pass over the CSR adjacency, and one scratch bitset for the
+// borders of all the domains.
 func Domains(g *graph.Graph, members graph.Bitset) []Region {
 	idx := members.AppendIndices(nil)
 	if len(idx) == 0 {
@@ -37,8 +36,9 @@ func Domains(g *graph.Graph, members graph.Bitset) []Region {
 		byRoot[r] = append(byRoot[r], i)
 	}
 	out := make([]Region, len(order))
+	seen := graph.NewBitset(g.Len())
 	for k, r := range order {
-		out[k] = NewFromIndices(g, byRoot[r], members)
+		out[k] = NewFromIndicesScratch(g, byRoot[r], members, seen, nil)
 	}
 	return out
 }

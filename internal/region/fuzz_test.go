@@ -1,6 +1,7 @@
 package region
 
 import (
+	"slices"
 	"testing"
 
 	"cliffedge/internal/graph"
@@ -35,7 +36,7 @@ func buildBothWays(t *testing.T, g *graph.Graph, members []int32, set graph.Bits
 		ids[i] = g.ID(m)
 	}
 	rStr := New(g, ids)
-	rIdx := NewFromIndices(g, members, set)
+	rIdx := NewFromIndicesScratch(g, members, set, nil, nil)
 	if rStr.Key() != rIdx.Key() {
 		t.Fatalf("constructors disagree on key: %q (string) vs %q (index)", rStr.Key(), rIdx.Key())
 	}
@@ -55,7 +56,7 @@ func buildBothWays(t *testing.T, g *graph.Graph, members []int32, set graph.Bits
 }
 
 // FuzzRegionOps cross-checks the index-backed region operations —
-// ContainsIndex, OnBorderIndex, Intersects, Less — against brute-force
+// Contains, OnBorderIndex, Intersects, Less — against brute-force
 // string-set references on two fuzzed subsets of a fuzzed topology.
 //
 // Run the smoke pass in CI with:
@@ -88,9 +89,6 @@ func FuzzRegionOps(f *testing.F) {
 			}
 			for i := int32(0); i < int32(g.Len()); i++ {
 				n := g.ID(i)
-				if r.reg.ContainsIndex(i) != r.set.Has(i) {
-					t.Fatalf("ContainsIndex(%d) = %v, set says %v", i, r.reg.ContainsIndex(i), r.set.Has(i))
-				}
 				if r.reg.Contains(n) != r.set.Has(i) {
 					t.Fatalf("Contains(%s) disagrees with the reference set", n)
 				}
@@ -160,4 +158,40 @@ func singleton(g *graph.Graph, i int32) graph.Bitset {
 	s := graph.NewBitset(g.Len())
 	s.Set(i)
 	return s
+}
+
+// FuzzFromKey feeds arbitrary bytes to FromKey as a key over a 4×4 grid.
+// The result is an error and ∅, or a region whose member and border
+// indices are ascending and in [0, g.Len()), and whose Key() rebuilds the
+// same region.
+//
+//	go test -run '^$' -fuzz '^FuzzFromKey$' -fuzztime 10s ./internal/region
+func FuzzFromKey(f *testing.F) {
+	g := graph.Grid(4, 4)
+	f.Add([]byte(""))
+	f.Add([]byte(g.ID(5) + "," + g.ID(0) + "," + g.ID(5)))
+	f.Add([]byte(g.ID(0) + ",zz"))
+	f.Add([]byte(g.ID(0) + ",," + g.ID(1)))
+	f.Add([]byte(","))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := FromKey(g, string(data))
+		if err != nil {
+			if !r.IsEmpty() {
+				t.Fatalf("FromKey(%q) failed with %v but built %s", data, err, r)
+			}
+			return
+		}
+		for _, idx := range [][]int32{r.Indices(), r.BorderIndices()} {
+			for k, i := range idx {
+				if i < 0 || int(i) >= g.Len() || k > 0 && idx[k-1] >= i {
+					t.Fatalf("FromKey(%q) holds indices %v: not ascending in [0, %d)", data, idx, g.Len())
+				}
+			}
+		}
+		back, err := FromKey(g, r.Key())
+		if err != nil || back.Key() != r.Key() || back.Hash() != r.Hash() ||
+			!slices.Equal(back.Indices(), r.Indices()) || !slices.Equal(back.BorderIndices(), r.BorderIndices()) {
+			t.Fatalf("Key %q of FromKey(%q) does not round-trip: %s, %v", r.Key(), data, back, err)
+		}
+	})
 }

@@ -33,7 +33,7 @@ func TestKeyTableSharesEqualKeys(t *testing.T) {
 	seen := graph.NewBitset(g.Len())
 	keys := NewKeyTable()
 
-	plain := NewFromIndices(g, members, set)
+	plain := NewFromIndicesScratch(g, members, set, nil, nil)
 	a := NewFromIndicesScratch(g, members, set, seen, keys)
 	b := NewFromIndicesScratch(g, members, set, seen, keys)
 	if !sameBytes(a.Key(), b.Key()) {
@@ -57,7 +57,7 @@ func TestKeyTableSharesEqualKeys(t *testing.T) {
 
 	smaller, smallerSet := blockIndices(g, graph.GridBlock(1, 1, 2))
 	if c := NewFromIndicesScratch(g, smaller, smallerSet, seen, keys); c.Key() == a.Key() ||
-		c.Key() != NewFromIndices(g, smaller, smallerSet).Key() {
+		c.Key() != NewFromIndicesScratch(g, smaller, smallerSet, nil, nil).Key() {
 		t.Errorf("a different member set got key %q", c.Key())
 	}
 	if len(keys.keys) != 2 {
@@ -70,15 +70,16 @@ func TestKeyTableSharesEqualKeys(t *testing.T) {
 // forced equal here by planting entries; a colliding key is not shared and
 // not replaced.
 func TestKeyTableIdentityIsTheKeyBytes(t *testing.T) {
-	nodes := []graph.NodeID{"a", "b"}
-	h := hashIDs(nodes)
-	if h != hashKey("a,b") {
-		t.Fatalf("hashIDs = %#x, want hashKey of the joined key %#x", h, hashKey("a,b"))
+	g := graph.NewBuilder().AddEdge("a", "b").AddEdge("b", "c").Build()
+	nodes := []int32{g.Index("a"), g.Index("b")}
+	h, keyLen := hashIndices(g, nodes)
+	if h != hashKey("a,b") || keyLen != len("a,b") {
+		t.Fatalf("hashIndices = %#x, %d; want hashKey of the joined key %#x, %d", h, keyLen, hashKey("a,b"), len("a,b"))
 	}
 	for _, planted := range []string{"aXb", "a,c", "a,bb", "ab,", ",ab", "a,b,"} {
 		keys := NewKeyTable()
 		keys.keys[h] = planted
-		if got := keys.lookup(h, nodes, len("a,b")); got != "" {
+		if got := keys.lookup(h, g, nodes, len("a,b")); got != "" {
 			t.Errorf("lookup handed out %q for the key a,b", got)
 		}
 		keys.store(h, "a,b")
@@ -88,13 +89,43 @@ func TestKeyTableIdentityIsTheKeyBytes(t *testing.T) {
 	}
 	keys := NewKeyTable()
 	keys.store(h, "a,b")
-	if got := keys.lookup(h, nodes, 3); got != "a,b" {
+	if got := keys.lookup(h, g, nodes, 3); got != "a,b" {
 		t.Errorf("lookup = %q, want the stored key", got)
 	}
 	var none *KeyTable
 	none.store(h, "a,b")
-	if got := none.lookup(h, nodes, 3); got != "" {
+	if got := none.lookup(h, g, nodes, 3); got != "" {
 		t.Errorf("a nil table handed out %q", got)
+	}
+}
+
+// TestKeyTableCollisionKeepsOwnKey forces a hash collision: the table
+// holds another region's key under the hash of the region being built. The
+// built region keeps its own key, so Equal and Less — which read the key,
+// not the hash — still tell the two apart. On a ring all singletons have
+// the same size and border size, so Less falls through to the key.
+func TestKeyTableCollisionKeepsOwnKey(t *testing.T) {
+	g := graph.Ring(6)
+	seen := graph.NewBitset(g.Len())
+	members, set := blockIndices(g, []graph.NodeID{graph.RingID(0)})
+	otherMembers, otherSet := blockIndices(g, []graph.NodeID{graph.RingID(1)})
+	own := NewFromIndicesScratch(g, members, set, nil, nil)
+	other := NewFromIndicesScratch(g, otherMembers, otherSet, nil, nil)
+
+	keys := NewKeyTable()
+	keys.keys[own.Hash()] = other.Key()
+	r := NewFromIndicesScratch(g, members, set, seen, keys)
+	if r.Key() != own.Key() || r.Hash() != own.Hash() {
+		t.Fatalf("built under a colliding hash: key %q hash %#x, want %q %#x", r.Key(), r.Hash(), own.Key(), own.Hash())
+	}
+	if keys.keys[own.Hash()] != other.Key() {
+		t.Errorf("the colliding key was replaced by %q", keys.keys[own.Hash()])
+	}
+	if r.Equal(other) || !r.Equal(own) {
+		t.Errorf("Equal does not read the region's own key: %s vs %s", r, other)
+	}
+	if !Less(r, other) || Less(other, r) || Less(r, own) || Less(own, r) {
+		t.Errorf("Less does not read the region's own key: %s vs %s", r, other)
 	}
 }
 

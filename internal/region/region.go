@@ -5,8 +5,8 @@
 package region
 
 import (
+	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -17,78 +17,83 @@ import (
 // underlying graph. The paper's views are regions: connected subgraphs whose
 // nodes have all crashed. Regions are immutable once built.
 //
+// A region is its graph, its members and border as ascending indices of
+// that graph (index order is NodeID order), its key and the key's hash:
+// no set is held twice, and no constructor accepts a node outside g. Names
+// are rendered from g only at the edge (Nodes, Border, BorderID, String).
+//
 // The zero Region is the empty region ∅ — never a valid view, but a useful
 // sentinel: the protocol's maxView starts at ∅ and every non-empty region
 // ranks strictly above it.
 type Region struct {
-	nodes  []graph.NodeID // sorted, deduplicated
-	border []graph.NodeID // sorted; border(nodes) in the graph used to build
-	key    string         // canonical identity: nodes joined by ','
-	// hash is hashKey(key), computed once where the key is built, so tables
-	// of views index by one integer instead of rehashing a key that grows
-	// with the region (3.5 kB for a 24×24 block). It is a fixed function of
-	// the key — never seeded per process — so a collision-dependent failure
-	// replays, and it carries no identity: Equal and ≺ still read the key.
-	hash uint64
-	// Index backing (nil for Empty): the same sets as nodes/border, as
-	// ascending dense indices of g. Because index order equals NodeID
-	// order, idx/borderIdx are sorted exactly like nodes/border, and
-	// membership tests compare int32s instead of strings.
 	g         *graph.Graph
-	idx       []int32
-	borderIdx []int32
+	idx       []int32 // members, ascending
+	borderIdx []int32 // border(members) in g, ascending
+	key       string  // canonical identity: the member IDs joined by ','
+	// hash is the 64-bit FNV-1a of key, computed once where the key is
+	// built, so tables of views index by one integer instead of rehashing a
+	// key that grows with the region (3.5 kB for a 24×24 block). It is a
+	// fixed function of the key — never seeded per process — so a
+	// collision-dependent failure replays, and it carries no identity:
+	// Equal and ≺ still read the key.
+	hash uint64
 }
 
 // Empty is the ∅ region.
 var Empty = Region{}
 
 // New builds a Region from the given nodes, computing its border in g.
-// Input may be unsorted and contain duplicates; it is not aliased.
+// Input may be unsorted and contain duplicates; it is not aliased. Every
+// node must be in g: like g.ID given an index outside g, New panics,
+// naming the node. Names that come from outside the program go through
+// FromKey, which returns the error instead.
 func New(g *graph.Graph, nodes []graph.NodeID) Region {
-	if len(nodes) == 0 {
-		return Empty
-	}
-	sorted := make([]graph.NodeID, len(nodes))
-	copy(sorted, nodes)
-	graph.SortIDs(sorted)
-	dedup := sorted[:1]
-	for _, n := range sorted[1:] {
-		if n != dedup[len(dedup)-1] {
-			dedup = append(dedup, n)
+	set := graph.NewBitset(g.Len())
+	for _, n := range nodes {
+		i := g.Index(n)
+		if i < 0 {
+			panic(notInGraph(n))
 		}
+		set.Set(i)
 	}
-	border := g.BorderOfSlice(dedup)
-	key := joinIDs(dedup)
-	return Region{
-		nodes:     dedup,
-		border:    border,
-		key:       key,
-		hash:      hashKey(key),
-		g:         g,
-		idx:       indicesOf(g, dedup),
-		borderIdx: indicesOf(g, border),
-	}
+	return NewFromIndicesScratch(g, set.AppendIndices(nil), set, nil, nil)
 }
 
-// NewFromIndices builds a Region from ascending dense indices over g,
-// with memberSet holding the same set as a bitset (the caller usually has
-// one already; it is only read). This is the allocation-lean constructor
-// used by the protocol hot path: no string sorting, border computed over
-// the CSR adjacency.
-func NewFromIndices(g *graph.Graph, members []int32, memberSet graph.Bitset) Region {
-	return NewFromIndicesScratch(g, members, memberSet, graph.NewBitset(g.Len()), nil)
+// FromKey rebuilds a Region over g from a canonical key produced by Key().
+// The empty key yields Empty. A key that names a node outside g — an
+// empty part included — is an error naming that node.
+func FromKey(g *graph.Graph, key string) (Region, error) {
+	if key == "" {
+		return Empty, nil
+	}
+	set := graph.NewBitset(g.Len())
+	for part := range strings.SplitSeq(key, ",") {
+		i := g.Index(graph.NodeID(part))
+		if i < 0 {
+			return Empty, notInGraph(graph.NodeID(part))
+		}
+		set.Set(i)
+	}
+	return NewFromIndicesScratch(g, set.AppendIndices(nil), set, nil, nil), nil
 }
 
-// NewFromIndicesScratch is NewFromIndices with a caller-owned scratch
-// bitset for the border computation: seen must cover [0, g.Len()) and be
-// empty on entry; it is empty again on return. Hot callers (one Region
-// per crash detection) keep one scratch per automaton and save the bitset
-// allocation, and the construction packs the four member/border slices
-// into two allocations. A non-nil keys makes the region share its key
-// string with every equal region built through the same table.
+func notInGraph(n graph.NodeID) error {
+	return fmt.Errorf("region: node %q is not in the topology", n)
+}
+
+// NewFromIndicesScratch builds a Region from ascending dense indices over
+// g, with memberSet holding the same set as a bitset (only read). Every
+// other constructor ends here. seen is scratch for the border: nil, or a
+// bitset covering [0, g.Len()) that is empty on entry and again on return,
+// which hot callers (one Region per crash detection) keep per automaton. A
+// non-nil keys makes the region share its key string with every equal
+// region built through the same table.
 func NewFromIndicesScratch(g *graph.Graph, members []int32, memberSet, seen graph.Bitset, keys *KeyTable) Region {
 	if len(members) == 0 {
 		return Empty
+	}
+	if seen == nil {
+		seen = graph.NewBitset(g.Len())
 	}
 	borderCount := 0
 	for _, m := range members {
@@ -106,39 +111,20 @@ func NewFromIndicesScratch(g *graph.Graph, members []int32, memberSet, seen grap
 	for _, b := range borderIdx {
 		seen.Unset(b)
 	}
-	ids := make([]graph.NodeID, len(members)+borderCount)
-	nodes := ids[:len(members):len(members)]
-	keyLen := len(members) - 1
-	for i, m := range members {
-		nodes[i] = g.ID(m)
-		keyLen += len(nodes[i])
-	}
-	border := ids[len(members):]
-	for i, b := range borderIdx {
-		border[i] = g.ID(b)
-	}
-	hash := hashIDs(nodes)
-	key := keys.lookup(hash, nodes, keyLen)
+	hash, keyLen := hashIndices(g, idx)
+	key := keys.lookup(hash, g, idx, keyLen)
 	if key == "" {
 		var sb strings.Builder
 		sb.Grow(keyLen)
-		for i, n := range nodes {
-			if i > 0 {
+		for k, i := range idx {
+			if k > 0 {
 				sb.WriteByte(',')
 			}
-			sb.WriteString(string(n))
+			sb.WriteString(string(g.ID(i)))
 		}
 		key = keys.store(hash, sb.String())
 	}
-	return Region{
-		nodes:     nodes,
-		border:    border,
-		key:       key,
-		hash:      hash,
-		g:         g,
-		idx:       idx,
-		borderIdx: borderIdx,
-	}
+	return Region{g: g, idx: idx, borderIdx: borderIdx, key: key, hash: hash}
 }
 
 // KeyTable gives equal regions one key string. Every border node of a
@@ -169,9 +155,9 @@ func (t *KeyTable) Reset() {
 	t.mu.Unlock()
 }
 
-// lookup returns the stored key that joins nodes (keyLen bytes, hash its
-// hashIDs), or "" if the table has none.
-func (t *KeyTable) lookup(hash uint64, nodes []graph.NodeID, keyLen int) string {
+// lookup returns the stored key that joins the IDs of idx in g (keyLen
+// bytes, hash its hashIndices), or "" if the table has none.
+func (t *KeyTable) lookup(hash uint64, g *graph.Graph, idx []int32, keyLen int) string {
 	if t == nil {
 		return ""
 	}
@@ -182,14 +168,15 @@ func (t *KeyTable) lookup(hash uint64, nodes []graph.NodeID, keyLen int) string 
 		return ""
 	}
 	rest := key
-	for i, n := range nodes {
-		if i > 0 {
+	for k, i := range idx {
+		if k > 0 {
 			if rest == "" || rest[0] != ',' {
 				return ""
 			}
 			rest = rest[1:]
 		}
-		if !strings.HasPrefix(rest, string(n)) {
+		n := string(g.ID(i))
+		if !strings.HasPrefix(rest, n) {
 			return ""
 		}
 		rest = rest[len(n):]
@@ -217,58 +204,51 @@ func (t *KeyTable) store(hash uint64, key string) string {
 	return key
 }
 
-func indicesOf(g *graph.Graph, ids []graph.NodeID) []int32 {
-	out := make([]int32, len(ids))
-	for i, n := range ids {
-		out[i] = g.Index(n)
+// hashIndices returns the 64-bit FNV-1a hash of the key that joins the IDs
+// of idx in g, and that key's length, without building the key.
+func hashIndices(g *graph.Graph, idx []int32) (hash uint64, keyLen int) {
+	const prime = 1099511628211
+	hash = 14695981039346656037
+	for k, i := range idx {
+		if k > 0 {
+			hash = (hash ^ ',') * prime
+		}
+		n := g.ID(i)
+		for j := 0; j < len(n); j++ {
+			hash = (hash ^ uint64(n[j])) * prime
+		}
+		keyLen += len(n)
+	}
+	return hash, keyLen + len(idx) - 1
+}
+
+// Nodes renders the sorted member IDs from the region's graph. It
+// allocates a new slice on every call, so it is for the edge — messages,
+// reports, user callbacks — not for loops over regions, which read
+// Indices.
+func (r Region) Nodes() []graph.NodeID { return r.render(r.idx) }
+
+// Border renders the sorted border IDs from the region's graph. Like
+// Nodes, it allocates on every call; loops read BorderIndices.
+func (r Region) Border() []graph.NodeID { return r.render(r.borderIdx) }
+
+func (r Region) render(idx []int32) []graph.NodeID {
+	out := make([]graph.NodeID, len(idx))
+	for k, i := range idx {
+		out[k] = r.g.ID(i)
 	}
 	return out
 }
 
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
+// BorderID returns Border()[k] without rendering the rest of the border.
+func (r *Region) BorderID(k int) graph.NodeID { return r.g.ID(r.borderIdx[k]) }
 
-// hashKey is 64-bit FNV-1a over the key bytes.
-func hashKey(key string) uint64 {
-	h := uint64(fnvOffset)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint64(key[i])) * fnvPrime
-	}
-	return h
-}
+// Indices returns the dense graph indices of the members, ascending; nil
+// for ∅. Callers must not mutate the slice.
+func (r Region) Indices() []int32 { return r.idx }
 
-// hashIDs is hashKey of the key that joins ids, without building the key.
-func hashIDs(ids []graph.NodeID) uint64 {
-	h := uint64(fnvOffset)
-	for i, n := range ids {
-		if i > 0 {
-			h = (h ^ ',') * fnvPrime
-		}
-		for j := 0; j < len(n); j++ {
-			h = (h ^ uint64(n[j])) * fnvPrime
-		}
-	}
-	return h
-}
-
-func joinIDs(ids []graph.NodeID) string {
-	parts := make([]string, len(ids))
-	for i, n := range ids {
-		parts[i] = string(n)
-	}
-	return strings.Join(parts, ",")
-}
-
-// Nodes returns the sorted member nodes. Callers must not mutate the slice.
-func (r Region) Nodes() []graph.NodeID { return r.nodes }
-
-// Border returns the sorted border nodes. Callers must not mutate the slice.
-func (r Region) Border() []graph.NodeID { return r.border }
-
-// BorderIndices returns the dense graph indices of Border(), in the same
-// (ascending) order; nil for ∅. Callers must not mutate the slice.
+// BorderIndices returns the dense graph indices of the border, ascending;
+// nil for ∅. Callers must not mutate the slice.
 func (r Region) BorderIndices() []int32 { return r.borderIdx }
 
 // Key returns the canonical identity of the region, suitable as a map key.
@@ -289,39 +269,28 @@ func (r Region) Hash() uint64 { return r.hash }
 func (r *Region) Identity() (hash uint64, key string) { return r.hash, r.key }
 
 // Len returns |R|.
-func (r Region) Len() int { return len(r.nodes) }
+func (r Region) Len() int { return len(r.idx) }
 
 // BorderLen returns |border(R)|.
-func (r Region) BorderLen() int { return len(r.border) }
+func (r Region) BorderLen() int { return len(r.borderIdx) }
 
 // IsEmpty reports whether R = ∅.
-func (r Region) IsEmpty() bool { return len(r.nodes) == 0 }
+func (r Region) IsEmpty() bool { return len(r.idx) == 0 }
 
-// Contains reports whether n ∈ R. When the region carries its index
-// backing the search compares int32 indices; string comparison is only
-// the fallback for regions detached from their graph.
-func (r Region) Contains(n graph.NodeID) bool {
-	if r.g != nil {
-		return r.ContainsIndex(r.g.Index(n))
-	}
-	i := sort.Search(len(r.nodes), func(i int) bool { return r.nodes[i] >= n })
-	return i < len(r.nodes) && r.nodes[i] == n
-}
+// Contains reports whether n ∈ R; false for a node outside the graph.
+func (r Region) Contains(n graph.NodeID) bool { return r.search(r.idx, n) }
 
-// ContainsIndex reports whether the node with dense index i is in R.
-func (r Region) ContainsIndex(i int32) bool {
-	_, ok := slices.BinarySearch(r.idx, i)
+// OnBorder reports whether n ∈ border(R); false for a node outside the
+// graph.
+func (r Region) OnBorder(n graph.NodeID) bool { return r.search(r.borderIdx, n) }
+
+// search reports whether n is the ID of one of idx (ascending, so their
+// IDs are too).
+func (r Region) search(idx []int32, n graph.NodeID) bool {
+	_, ok := slices.BinarySearchFunc(idx, n, func(i int32, n graph.NodeID) int {
+		return strings.Compare(string(r.g.ID(i)), string(n))
+	})
 	return ok
-}
-
-// OnBorder reports whether n ∈ border(R), via the index backing when
-// available.
-func (r Region) OnBorder(n graph.NodeID) bool {
-	if r.g != nil {
-		return r.OnBorderIndex(r.g.Index(n))
-	}
-	i := sort.Search(len(r.border), func(i int) bool { return r.border[i] >= n })
-	return i < len(r.border) && r.border[i] == n
 }
 
 // OnBorderIndex reports whether the node with dense index i is in
@@ -335,29 +304,15 @@ func (r Region) OnBorderIndex(i int32) bool {
 func (r Region) Equal(s Region) bool { return r.key == s.key }
 
 // Intersects reports whether R ∩ S ≠ ∅ — the premise of View Convergence
-// (CD6). Linear merge over the two sorted slices, comparing indices when
-// both regions share a graph.
+// (CD6) — for two regions over the same graph: a linear merge of their
+// member indices.
 func (r Region) Intersects(s Region) bool {
-	if r.g != nil && r.g == s.g {
-		i, j := 0, 0
-		for i < len(r.idx) && j < len(s.idx) {
-			switch {
-			case r.idx[i] == s.idx[j]:
-				return true
-			case r.idx[i] < s.idx[j]:
-				i++
-			default:
-				j++
-			}
-		}
-		return false
-	}
 	i, j := 0, 0
-	for i < len(r.nodes) && j < len(s.nodes) {
+	for i < len(r.idx) && j < len(s.idx) {
 		switch {
-		case r.nodes[i] == s.nodes[j]:
+		case r.idx[i] == s.idx[j]:
 			return true
-		case r.nodes[i] < s.nodes[j]:
+		case r.idx[i] < s.idx[j]:
 			i++
 		default:
 			j++
@@ -367,12 +322,7 @@ func (r Region) Intersects(s Region) bool {
 }
 
 // String renders the region as {a,b,c}.
-func (r Region) String() string {
-	if r.IsEmpty() {
-		return "{}"
-	}
-	return "{" + r.key + "}"
-}
+func (r Region) String() string { return "{" + r.key + "}" }
 
 // Less implements the strict total ranking ≺ of §3.1: R ≺ S iff
 //
@@ -388,10 +338,10 @@ func (r Region) String() string {
 // fact the Progress proof (Thm 4) relies on.
 func Less(r, s Region) bool {
 	switch {
-	case len(r.nodes) != len(s.nodes):
-		return len(r.nodes) < len(s.nodes)
-	case len(r.border) != len(s.border):
-		return len(r.border) < len(s.border)
+	case len(r.idx) != len(s.idx):
+		return len(r.idx) < len(s.idx)
+	case len(r.borderIdx) != len(s.borderIdx):
+		return len(r.borderIdx) < len(s.borderIdx)
 	default:
 		// Rule 3 stays a key comparison: an index-sequence comparison would
 		// be cheaper but orders differently when node IDs contain bytes
@@ -399,40 +349,4 @@ func Less(r, s Region) bool {
 		// Ties on both size and border size are rare, so this is cold.
 		return r.key < s.key
 	}
-}
-
-// MaxRanked returns the highest-ranked region of the given non-empty set
-// (the paper's maxRankedRegion). Returns Empty for an empty input.
-func MaxRanked(regions []Region) Region {
-	best := Empty
-	for _, r := range regions {
-		if Less(best, r) {
-			best = r
-		}
-	}
-	return best
-}
-
-// FromKey rebuilds a Region over g from a canonical key produced by Key().
-// The empty key yields Empty.
-func FromKey(g *graph.Graph, key string) Region {
-	if key == "" {
-		return Empty
-	}
-	parts := strings.Split(key, ",")
-	ids := make([]graph.NodeID, len(parts))
-	for i, p := range parts {
-		ids[i] = graph.NodeID(p)
-	}
-	return New(g, ids)
-}
-
-// FromComponents converts the output of graph.ConnectedComponents into
-// regions over g.
-func FromComponents(g *graph.Graph, comps [][]graph.NodeID) []Region {
-	out := make([]Region, len(comps))
-	for i, c := range comps {
-		out[i] = New(g, c)
-	}
-	return out
 }

@@ -1,9 +1,12 @@
 package region
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"cliffedge/internal/graph"
 )
@@ -37,8 +40,8 @@ func TestHashIsAFixedFunctionOfTheKey(t *testing.T) {
 	if got := New(g, []graph.NodeID{"b", "a"}).Hash(); got != hashKey("a,b") {
 		t.Errorf("Hash = %#x, want hashKey(Key()) = %#x", got, hashKey("a,b"))
 	}
-	if FromKey(g, "a,b").Hash() != New(g, []graph.NodeID{"a", "b"}).Hash() {
-		t.Error("equal keys must hash alike")
+	if ab, err := FromKey(g, "a,b"); err != nil || ab.Hash() != New(g, []graph.NodeID{"a", "b"}).Hash() {
+		t.Errorf("equal keys must hash alike (FromKey error %v)", err)
 	}
 	if Empty.Hash() != 0 {
 		t.Errorf("Empty.Hash() = %#x, want 0", Empty.Hash())
@@ -180,37 +183,113 @@ func TestRankingTieBreakers(t *testing.T) {
 	}
 }
 
-func TestMaxRanked(t *testing.T) {
+// maxRanked is the paper's maxRankedRegion over Less: the highest-ranked
+// of regions, ∅ for none.
+func maxRanked(regions []Region) Region {
+	best := Empty
+	for _, r := range regions {
+		if Less(best, r) {
+			best = r
+		}
+	}
+	return best
+}
+
+func TestLessMaxRanked(t *testing.T) {
 	g := testGraph()
 	a := New(g, []graph.NodeID{graph.GridID(0, 0)})
 	b := New(g, graph.GridBlock(1, 1, 2))
 	c := New(g, []graph.NodeID{graph.GridID(4, 4)})
-	if got := MaxRanked([]Region{a, b, c}); !got.Equal(b) {
-		t.Errorf("MaxRanked = %s, want %s", got, b)
+	if got := maxRanked([]Region{a, b, c}); !got.Equal(b) {
+		t.Errorf("maxRanked = %s, want %s", got, b)
 	}
-	if got := MaxRanked(nil); !got.IsEmpty() {
-		t.Errorf("MaxRanked(nil) = %s, want ∅", got)
+	if got := maxRanked(nil); !got.IsEmpty() {
+		t.Errorf("maxRanked(nil) = %s, want ∅", got)
 	}
 }
 
 func TestFromKeyRoundTrip(t *testing.T) {
 	g := testGraph()
 	r := New(g, graph.GridBlock(1, 2, 2))
-	back := FromKey(g, r.Key())
-	if !back.Equal(r) || back.BorderLen() != r.BorderLen() {
-		t.Errorf("round-trip changed region: %s vs %s", back, r)
+	back, err := FromKey(g, r.Key())
+	if err != nil || !back.Equal(r) || back.BorderLen() != r.BorderLen() {
+		t.Errorf("round-trip changed region: %s vs %s (error %v)", back, r, err)
 	}
-	if !FromKey(g, "").IsEmpty() {
-		t.Error("FromKey(\"\") should be Empty")
+	if e, err := FromKey(g, ""); err != nil || !e.IsEmpty() {
+		t.Errorf("FromKey(\"\") = %s, %v; want Empty", e, err)
 	}
 }
 
-func TestFromComponents(t *testing.T) {
+func TestDomainsComponents(t *testing.T) {
 	g := testGraph()
-	s := graph.ToSet([]graph.NodeID{graph.GridID(0, 0), graph.GridID(4, 4)})
-	regions := FromComponents(g, g.ConnectedComponents(s))
+	s := graph.NewBitset(g.Len())
+	s.Set(g.Index(graph.GridID(0, 0)))
+	s.Set(g.Index(graph.GridID(4, 4)))
+	regions := Domains(g, s)
 	if len(regions) != 2 {
 		t.Fatalf("got %d regions, want 2", len(regions))
+	}
+}
+
+// TestNodesOutsideTheGraph: a node outside the topology is rejected where
+// a region is built — FromKey returns an error naming it, New panics
+// naming it — and no region contains or borders it; distinct regions of
+// single nodes do not intersect. ∅ and the zero Region answer false.
+func TestNodesOutsideTheGraph(t *testing.T) {
+	g := graph.NewBuilder().AddEdge("a", "b").AddEdge("b", "c").Build()
+	for _, tc := range []struct{ key, foreign string }{
+		{"a,zz", `"zz"`},
+		{"ghost0", `"ghost0"`},
+		{"ghost1", `"ghost1"`},
+		{"ghost1,a", `"ghost1"`},
+		{"a,,b", `""`},
+		{",a", `""`},
+		{"a,", `""`},
+	} {
+		r, err := FromKey(g, tc.key)
+		if err == nil || !strings.Contains(err.Error(), tc.foreign) {
+			t.Errorf("FromKey(%q) error = %v, want one naming %s", tc.key, err, tc.foreign)
+		}
+		if !r.IsEmpty() {
+			t.Errorf("FromKey(%q) built %s", tc.key, r)
+		}
+	}
+	func() {
+		defer func() {
+			if p := recover(); p == nil || !strings.Contains(fmt.Sprint(p), `"zz"`) {
+				t.Errorf("New(g, {a, zz}) recovered %v, want a panic naming zz", p)
+			}
+		}()
+		New(g, []graph.NodeID{"a", "zz"})
+	}()
+
+	a := New(g, []graph.NodeID{"a"})
+	c := New(g, []graph.NodeID{"c"})
+	for _, r := range []Region{Empty, {}, a, c} {
+		for _, n := range []graph.NodeID{"zz", "ghost0", ""} {
+			if r.Contains(n) || r.OnBorder(n) {
+				t.Errorf("%s contains or borders %q, a node outside the graph", r, n)
+			}
+		}
+	}
+	if !a.Contains("a") || a.Contains("b") || !a.OnBorder("b") || a.OnBorder("a") {
+		t.Errorf("{a} misclassifies its own nodes")
+	}
+	for _, r := range []Region{Empty, {}} {
+		if r.Contains("a") || r.OnBorder("a") || r.OnBorderIndex(0) || r.Intersects(a) || a.Intersects(r) {
+			t.Errorf("∅ answers true")
+		}
+	}
+	if a.Intersects(c) || c.Intersects(a) {
+		t.Error("{a} and {c} are disjoint")
+	}
+}
+
+// TestRegionSize pins the size of a Region: messages, candidates and
+// checker decisions carry one by value.
+func TestRegionSize(t *testing.T) {
+	if s := unsafe.Sizeof(Region{}); s > 80 {
+		t.Fatalf("Region is %d bytes, want at most 80", s)
 	}
 }
 
@@ -221,4 +300,14 @@ func TestStringFormat(t *testing.T) {
 	if r.String() != want {
 		t.Errorf("String = %q, want %q", r.String(), want)
 	}
+}
+
+// hashKey is 64-bit FNV-1a over the key bytes: the reference hashIndices
+// must equal without building the key.
+func hashKey(key string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint64(key[i])) * 1099511628211
+	}
+	return h
 }
