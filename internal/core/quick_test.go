@@ -18,14 +18,21 @@ import (
 // regions with correct borders) but arrive in arbitrary orders, with
 // arbitrary opinion vectors — strictly more hostile than any real run.
 
-// fuzzDriver feeds a node pseudo-random events derived from a seed.
-func fuzzDriver(seed int64) (violations []string, decisions int, ok bool) {
+// fuzzDriver feeds a node pseudo-random events derived from a seed. The
+// node runs in lockstep with the reference automaton: diffs lists every
+// handler call whose effects the two disagree on. With conflicts set, a
+// participant's accepts carry one of two values, which a node must report
+// and resolve in favour of the first it heard.
+func fuzzDriver(seed int64, conflicts bool) (violations []string, decisions int, diffs []string) {
 	g := graph.Grid(4, 4)
 	rng := rand.New(rand.NewSource(seed))
 	me := g.Nodes()[rng.Intn(g.Len())]
 	// Participant q accepts with "v"+q below, the node itself included:
 	// hostile as the vectors are, a participant proposes one value.
-	n := New(Config{ID: me, Graph: g, Propose: func(region.Region) proto.Value { return proto.Value("v" + me) }})
+	cfg := Config{ID: me, Graph: g, Pick: reorderingPick,
+		Propose: func(region.Region) proto.Value { return proto.Value("v" + me) }}
+	run := new(lockstepRun)
+	n := run.wrap(New(cfg), cfg)
 	// The failure detector only reports crashes of monitored nodes
 	// (strong accuracy); track subscriptions so the driver honours the
 	// contract.
@@ -73,6 +80,9 @@ func fuzzDriver(seed int64) (violations []string, decisions int, ok bool) {
 				switch rng.Intn(3) {
 				case 0:
 					op[j] = accept(proto.Value("v" + q))
+					if conflicts && rng.Intn(4) == 0 {
+						op[j] = accept(proto.Value("w" + q))
+					}
 				case 1:
 					op[j] = reject
 				}
@@ -82,8 +92,9 @@ func fuzzDriver(seed int64) (violations []string, decisions int, ok bool) {
 			decisions += checkEffects(&eff, &lastProposed, &proposedOnce, &violations)
 		}
 	}
-	violations = append(violations, n.Violations()...)
-	return violations, decisions, true
+	violations = append(violations, n.node.Violations()...)
+	run.finish()
+	return violations, decisions, run.diffs
 }
 
 func checkEffects(eff *proto.Effects, last *region.Region, proposedOnce *bool, violations *[]string) int {
@@ -102,7 +113,7 @@ func checkEffects(eff *proto.Effects, last *region.Region, proposedOnce *bool, v
 
 func TestQuickRandomEventSequences(t *testing.T) {
 	f := func(seed int64) bool {
-		violations, decisions, _ := fuzzDriver(seed)
+		violations, decisions, _ := fuzzDriver(seed, false)
 		if len(violations) > 0 {
 			t.Logf("seed %d: %v", seed, violations)
 			return false
@@ -118,7 +129,7 @@ func TestQuickRandomEventSequences(t *testing.T) {
 // int64 seeds rarely collide with interesting small ones).
 func TestQuickDecideOnce(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
-		violations, decisions, _ := fuzzDriver(seed)
+		violations, decisions, _ := fuzzDriver(seed, false)
 		if len(violations) > 0 {
 			t.Fatalf("seed %d: %v", seed, violations)
 		}
