@@ -472,7 +472,7 @@ func BenchmarkRegionRanking(b *testing.B) {
 	r2 := region.New(g, graph.GridBlock(1, 1, 3))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		region.Less(r1, r2)
+		region.Less(&r1, &r2)
 	}
 }
 

@@ -198,7 +198,7 @@ func (n *GlobalNode) OnCrash(q graph.NodeID) proto.Effects {
 		}
 	})
 	n.compScratch = members
-	if comp := region.NewFromIndicesScratch(n.cfg.Graph, members, n.crashed, nil, nil); region.Less(n.maxView, comp) {
+	if comp := region.NewFromIndicesScratch(n.cfg.Graph, members, n.crashed, nil, nil); region.Less(&n.maxView, &comp) {
 		n.maxView = comp
 	}
 	if n.decided != nil {
@@ -396,7 +396,7 @@ func (n *GlobalNode) decide(eff *proto.Effects) {
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		if !cands[i].view.Equal(cands[j].view) {
-			return region.Less(cands[j].view, cands[i].view)
+			return region.Less(&cands[j].view, &cands[i].view)
 		}
 		return cands[i].value < cands[j].value
 	})

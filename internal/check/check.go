@@ -268,7 +268,7 @@ func (o *Online) Observe(e trace.Event) {
 				fmt.Sprintf("node %s proposed view %s: %v", e.Node, v, v.err)})
 			break
 		}
-		if prev := o.lastProposed[i]; prev > 0 && !region.Less(o.viewList[prev-1].Region, v.Region) {
+		if prev := o.lastProposed[i]; prev > 0 && !region.Less(&o.viewList[prev-1].Region, &v.Region) {
 			o.streamViol = append(o.streamViol, Violation{"LEMMA2",
 				fmt.Sprintf("node %s proposed %s after %s (not strictly increasing)", e.Node, v, o.viewList[prev-1])})
 		}

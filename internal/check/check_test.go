@@ -2,6 +2,7 @@ package check
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -351,6 +352,36 @@ func TestViewsOutsideTheTopology(t *testing.T) {
 				t.Errorf("%s, %s checker:\n got %q\nwant %q", tc.name, checker, got, tc.want)
 			}
 		}
+	}
+}
+
+// TestGhostCrashesCrossAWord: the checker keeps its crashed set as a
+// bitset over checker indices, and node IDs outside the topology take the
+// indices past g.Len(). On a 60-node ring the fifth ghost crash takes
+// index 64, the first of the bitset's second word, which the first four
+// did not need: the set must grow to hold it, and a send from a crashed
+// ghost in that word is the same post-crash activity for the checker and
+// its string-keyed reference.
+func TestGhostCrashesCrossAWord(t *testing.T) {
+	g := graph.Ring(60)
+	var events []trace.Event
+	for k := 0; k < 6; k++ {
+		ghost := graph.NodeID(fmt.Sprintf("ghost%d", k))
+		events = append(events, trace.Event{Time: int64(1 + k), Kind: trace.KindCrash, Node: ghost})
+	}
+	events = append(events,
+		trace.Event{Time: 7, Kind: trace.KindSend, Node: "ghost5", Peer: graph.RingID(0), Bytes: 5},
+		trace.Event{Time: 8, Kind: trace.KindDeliver, Node: graph.RingID(0), Peer: "ghost5", Bytes: 5})
+	ref := newReferenceOnline(g)
+	for _, e := range events {
+		ref.Observe(e)
+	}
+	got, want := Run(g, events), ref.Report()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Report differs from the reference:\n%s\nreference:\n%s", got, want)
+	}
+	if !hasViolation(got, "SANITY") {
+		t.Fatalf("a send from a crashed ghost past the first word is not caught: %s", got)
 	}
 }
 

@@ -112,7 +112,7 @@ func (o *referenceOnline) Observe(e trace.Event) {
 				fmt.Sprintf("node %s proposed view %s: %v", e.Node, v, v.err)})
 			break
 		}
-		if prev, ok := o.lastProposed[e.Node]; ok && !region.Less(prev, v.Region) {
+		if prev, ok := o.lastProposed[e.Node]; ok && !region.Less(&prev, &v.Region) {
 			o.streamViol = append(o.streamViol, Violation{"LEMMA2",
 				fmt.Sprintf("node %s proposed %s after %s (not strictly increasing)", e.Node, v, prev)})
 		}

@@ -31,11 +31,11 @@ func (m *candidateModel) onCrash(q graph.NodeID) {
 	m.crashed[q] = true
 	best := region.Empty // line 8: maxRankedRegion of the components
 	for _, c := range m.g.ConnectedComponents(m.crashed) {
-		if r := region.New(m.g, c); region.Less(best, r) {
+		if r := region.New(m.g, c); region.Less(&best, &r) {
 			best = r
 		}
 	}
-	if region.Less(m.maxView, best) { // line 9
+	if region.Less(&m.maxView, &best) { // line 9
 		m.maxView, m.cand = best, best // lines 10–11
 	}
 }
@@ -99,7 +99,7 @@ func runCandidateProperty(t *testing.T, g *graph.Graph, seed int64) (ties, merge
 		if got := eager.MaxView(); !sameRegion(got, model.maxView) {
 			t.Fatalf("seed %d step %d (%s): eager MaxView %s, model %s", seed, step, what, got, model.maxView)
 		}
-		if lazy.pending.size > 0 {
+		if lazy.st != nil && lazy.st.pending.size > 0 {
 			deferred++
 		}
 		// Reading through a clone leaves lazy's pending component in place

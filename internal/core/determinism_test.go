@@ -123,8 +123,8 @@ func TestFingerprintDeterminism(t *testing.T) {
 	if got := idle.Fingerprint(); got != wantIdle {
 		t.Fatalf("a crash on the clone changed the original\n got %q\nwant %q", got, wantIdle)
 	}
-	if len(idle.locallyCrashed) != 0 || len(idle.monitored) != 0 || len(idle.LocallyCrashed()) != 0 {
-		t.Fatalf("the original's sets were sized by the clone's crash")
+	if idle.st != nil || len(idle.LocallyCrashed()) != 0 {
+		t.Fatalf("the clone's crash activated the original")
 	}
 	if eff := idle.Start(); len(eff.Monitor) != 0 {
 		t.Fatalf("a second Start monitors %v again", eff.Monitor)

@@ -13,30 +13,36 @@ import (
 // on all future inputs. The bounded model checker uses fingerprints to
 // deduplicate interleavings that converge to the same global state.
 func (n *Node) Fingerprint() string {
-	n.materialise() // mx= and cd= render the views a pending component stands for
+	st := n.st
+	if st == nil {
+		// A dormant node renders as the state it would take.
+		st = &state{}
+	}
+	st.materialise() // mx= and cd= render the views a pending component stands for
+	g := n.run.cfg.Graph
 	var sb strings.Builder
-	sb.WriteString(string(n.cfg.ID))
+	sb.WriteString(string(n.id))
 	sb.WriteByte('#')
-	if n.decided != nil {
-		fmt.Fprintf(&sb, "D%s=%s", n.decided.View.Key(), n.decided.Value)
+	if st.decided != nil {
+		fmt.Fprintf(&sb, "D%s=%s", st.decided.View.Key(), st.decided.Value)
 	}
 	fmt.Fprintf(&sb, "|p=%v,%s|r=%d|vp=%s|mx=%s|cd=%s|",
-		n.hasProposed, n.proposedValue, n.round,
-		n.vp.Key(), n.maxView.Key(), n.candidateView.Key())
+		st.hasProposed, st.proposedValue, st.round,
+		st.vp.Key(), st.maxView.Key(), st.candidateView.Key())
 	sb.WriteString("lc=")
-	writeIndexSet(&sb, n.cfg.Graph, n.locallyCrashed)
+	writeIndexSet(&sb, g, st.locallyCrashed)
 	sb.WriteString("|mon=")
-	if len(n.monitored) == 0 && n.started {
+	if !st.witnessed() && n.started {
 		// Not sized yet: the monitored set is the neighbours (see Start).
-		writeIndices(&sb, n.cfg.Graph, n.cfg.Graph.NeighborIndices(n.selfIdx))
+		writeIndices(&sb, g, g.NeighborIndices(n.selfIdx))
 	} else {
-		writeIndexSet(&sb, n.cfg.Graph, n.monitored)
+		writeIndexSet(&sb, g, st.monitored)
 	}
 	// The view table has no order of its own: render rejected, then
 	// received, each sorted by key.
 	var rejected []string
 	var received []*instance
-	for s := range n.views.all {
+	for s := range st.views.all {
 		if s.inst == nil {
 			rejected = append(rejected, s.key)
 		} else {
@@ -75,7 +81,7 @@ func (n *Node) Fingerprint() string {
 		sb.WriteByte('}')
 	}
 	sb.WriteString("|self=")
-	for _, m := range n.pendingSelf[n.psHead:] {
+	for _, m := range st.pendingSelf[st.psHead:] {
 		sb.WriteString(m.String())
 	}
 	return sb.String()

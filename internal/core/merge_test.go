@@ -139,7 +139,7 @@ func checkMergeScenario(t *testing.T, size, steps int, c *choices) {
 			n = n.Clone()
 		}
 		before, beforeMasks := m.String(), slices.Clone(m.masks)
-		n.deliver(m)
+		n.activate().deliver(m)
 		ref.merge(m.Round, borderPos(border, from), opinionsOf(size, m.masks, m.values))
 		if v := n.Violations(); len(v) != 0 {
 			t.Fatalf("step %d: %v", step, v)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"cliffedge/internal/dsu"
 	"cliffedge/internal/graph"
@@ -68,51 +69,112 @@ func DefaultPick(values []proto.Value) proto.Value {
 // proto.Automaton interface. A Node is not safe for concurrent use — the
 // paper's model is mono-threaded event processing, and runtimes serialise
 // events per node.
+//
+// A Node is a header of a few words; the protocol state lives in a
+// separate state that the node takes on its first crash notification or
+// message (see activate). Most nodes of a large system never hear of a
+// crash, and so they never pay for the sets, views and buffers the
+// protocol keeps: a dormant node answers Start, Decided and every
+// accessor from the header alone.
 type Node struct {
-	cfg Config
-	// selfIdx is the dense graph index of cfg.ID (-1 if the node is not a
+	id graph.NodeID
+	// selfIdx is the dense graph index of id (-1 if the node is not a
 	// graph member, which only happens in synthetic tests). Effects name
 	// nodes by dense index (see proto.Send), so this is the form of the
 	// node's own identity the hot path compares against.
 	selfIdx int32
-	// keys is the view-key table this node shares with the other nodes of
-	// its run (see Factory); nil for a node built on its own.
+	// started is set by the first Start, which subscribes to the node's
+	// neighbours.
+	started bool
+	// run is what the node shares with the other nodes of its run: the
+	// configuration, the view-key table and the pool states come from.
+	run *run
+	// st is the protocol state, nil while the node is dormant.
+	st *state
+}
+
+// run is what the nodes of one run share. cfg has its defaults applied;
+// its ID is not read (each node has its own). keys is the run's view-key
+// table (see Factory), nil for a node built on its own. pool is where the
+// nodes take their states from, nil for a node built on its own, which
+// allocates its state.
+type run struct {
+	cfg  Config
 	keys *region.KeyTable
+	pool *statePool
+}
+
+// statePool hands out the protocol states of a Slab's runs. A state handed
+// out in one run is handed out again in the next (the nodes of the earlier
+// run are no longer in use by then, see Slab), reset by the node that
+// takes it: reused run contexts allocate no states in steady state. Nodes
+// activate from their runtime's goroutines or simulator lanes, so take
+// locks; a node takes a state at most once per run.
+type statePool struct {
+	mu     sync.Mutex
+	states []*state
+	used   int
+}
+
+func (p *statePool) take() *state {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.used == len(p.states) {
+		p.states = append(p.states, new(state))
+	}
+	p.used++
+	return p.states[p.used-1]
+}
+
+// state is a node's protocol state: everything but the header.
+type state struct {
+	// node is the node the state is active for; cfg, g, keys and selfIdx
+	// are copied from its header and run, so the hot path reads them in
+	// one load.
+	node    *Node
+	cfg     *Config
+	g       *graph.Graph
+	keys    *region.KeyTable
+	selfIdx int32
 
 	// decided is the protocol outcome (line 2: decided ← ⊥).
 	decided *proto.Decision
 	// hasProposed mirrors proposed ≠ ⊥ (lines 2, 14, 37). The proposed
 	// value itself is proposedValue.
-	hasProposed bool
-	// started is set by the first Start, which subscribes to the node's
-	// neighbours.
-	started       bool
+	hasProposed   bool
 	proposedValue proto.Value
 
 	// locallyCrashed is the set of nodes p has detected as crashed
 	// (line 6), as a bitset over dense graph indices. monitored tracks
 	// issued 〈monitorCrash〉 subscriptions so they are not re-issued
-	// (semantically idempotent either way). Most nodes of a large system
-	// never witness a crash, so both stay empty (length 0) until the first
-	// detection sizes them (see witness): until then nothing is crashed
-	// and the monitored set is the node's neighbours if it has started,
-	// nothing otherwise.
+	// (semantically idempotent either way). A node can take its state for
+	// a message before it detects any crash, so both stay empty (length 0)
+	// until the first detection sizes them (see witness): until then
+	// nothing is crashed and the monitored set is the node's neighbours if
+	// it has started, nothing otherwise.
 	locallyCrashed graph.Bitset
 	monitored      graph.Bitset
 
-	// uf is a union-find over locallyCrashed, maintained incrementally:
-	// when q crashes it is united with its already-crashed neighbours, so
-	// the connected components of the locally known crashed set (line 8)
-	// cost amortised near-O(1) per detection instead of a whole-set
-	// recomputation. Like the two sets, it is sized by the first crash
-	// detection.
-	uf *dsu.DSU
+	// uf is a union-find over the crashed nodes the node has detected,
+	// maintained incrementally: when q crashes it gets an element of its
+	// own and is united with its already-crashed neighbours, so the
+	// connected components of the locally known crashed set (line 8) cost
+	// amortised near-O(1) per detection instead of a whole-set
+	// recomputation. Its elements are the detections, not the graph: the
+	// s-th detected node is element s, and crashOrder[s] is its graph
+	// index. crashRank lists the elements in ascending graph-index order,
+	// so a crashed node's element is one binary search away (see
+	// crashedSlot) and a component's members come out sorted. The three
+	// cost 12 bytes per detected crash, whatever the size of the graph.
+	uf         dsu.DSU
+	crashOrder []int32
+	crashRank  []int32
 	// compScratch is the reusable buffer for gathering the members of a
 	// component about to be built as a Region. borderSeen is the scratch
 	// bitset for the Region border computation (empty between calls), and
 	// monitorScratch and sendScratch back eff.Monitor and eff.Sends across
 	// calls — see subscribe and multicast. Scratch fields are never cloned;
-	// a fresh Node lazily regrows them.
+	// a fresh state lazily regrows them.
 	compScratch    []int32
 	borderSeen     graph.Bitset
 	monitorScratch []int32
@@ -168,48 +230,78 @@ type Node struct {
 // programmer error: a missing ID or Graph.
 func New(cfg Config) *Node {
 	n := new(Node)
-	n.reset(cfg)
+	n.init(cfg.ID, &run{cfg: withDefaults(cfg)})
 	return n
 }
 
-// reset makes n the node New(cfg) builds, keeping the memory of n's
-// earlier runs: its bitsets, union-find, scratch buffers, view-table map
-// and the rest of its mask chunk. The kept sets are emptied to length 0
-// and the union-find is kept as is: the first crash detection of the new
-// run resizes and clears all three (see witness). Nothing reset keeps is
-// reachable from what an earlier run handed out (decisions, views,
-// messages).
-func (n *Node) reset(cfg Config) {
-	if cfg.ID == "" || cfg.Graph == nil {
-		panic("core.New: Config.ID and Config.Graph are required")
-	}
+// withDefaults returns cfg with the default Propose and Pick filled in.
+func withDefaults(cfg Config) Config {
 	if cfg.Propose == nil {
 		cfg.Propose = DefaultPropose
 	}
 	if cfg.Pick == nil {
 		cfg.Pick = DefaultPick
 	}
-	size := cfg.Graph.Len()
-	clear(n.sendScratch)
-	clear(n.pendingSelf)
-	clear(n.violations)
-	clear(n.views.slots)
-	*n = Node{
-		cfg:            cfg,
-		selfIdx:        cfg.Graph.Index(cfg.ID),
-		locallyCrashed: n.locallyCrashed[:0],
-		monitored:      n.monitored[:0],
-		compScratch:    n.compScratch[:0],
-		monitorScratch: n.monitorScratch[:0],
-		sendScratch:    n.sendScratch[:0],
-		maskChunk:      n.maskChunk,
-		uf:             n.uf,
-		views:          viewTable{slots: n.views.slots},
-		pendingSelf:    n.pendingSelf[:0],
-		violations:     n.violations[:0],
+	return cfg
+}
+
+// init makes n the dormant node id of rn.
+func (n *Node) init(id graph.NodeID, rn *run) {
+	if id == "" || rn.cfg.Graph == nil {
+		panic("core.New: Config.ID and Config.Graph are required")
 	}
-	if n.borderSeen != nil {
-		n.borderSeen = n.borderSeen.Reset(size)
+	*n = Node{id: id, selfIdx: rn.cfg.Graph.Index(id), run: rn}
+}
+
+// activate returns n's state, taking one on the first call (see Node).
+func (n *Node) activate() *state {
+	if n.st == nil {
+		var st *state
+		if n.run.pool != nil {
+			st = n.run.pool.take()
+		} else {
+			st = new(state)
+		}
+		st.reset(n)
+		n.st = st
+	}
+	return n.st
+}
+
+// reset makes st the fresh state of n, keeping the memory of st's earlier
+// use: its bitsets, union-find, scratch buffers, view-table map and the
+// rest of its mask chunk. The kept sets are emptied to length 0: the first
+// crash detection resizes and clears them (see witness). Nothing reset
+// keeps is reachable from what an earlier run handed out (decisions,
+// views, messages).
+func (st *state) reset(n *Node) {
+	clear(st.sendScratch)
+	clear(st.pendingSelf)
+	clear(st.violations)
+	clear(st.views.slots)
+	st.uf.Reset(0)
+	*st = state{
+		node:           n,
+		cfg:            &n.run.cfg,
+		g:              n.run.cfg.Graph,
+		keys:           n.run.keys,
+		selfIdx:        n.selfIdx,
+		locallyCrashed: st.locallyCrashed[:0],
+		monitored:      st.monitored[:0],
+		uf:             st.uf,
+		crashOrder:     st.crashOrder[:0],
+		crashRank:      st.crashRank[:0],
+		compScratch:    st.compScratch[:0],
+		borderSeen:     st.borderSeen,
+		monitorScratch: st.monitorScratch[:0],
+		sendScratch:    st.sendScratch[:0],
+		maskChunk:      st.maskChunk,
+		views:          viewTable{slots: st.views.slots},
+		pendingSelf:    st.pendingSelf[:0],
+		violations:     st.violations[:0],
+	}
+	if st.borderSeen != nil {
+		st.borderSeen = st.borderSeen.Reset(st.g.Len())
 	}
 }
 
@@ -225,19 +317,22 @@ func (n *Node) reset(cfg Config) {
 func Factory(cfg Config) proto.Factory { return new(Slab).Factory(cfg) }
 
 // Slab holds the nodes of one run: node i of the graph is the slab's i-th
-// element, so a run allocates one array of |V| nodes instead of |V|
-// nodes, and a Slab reused for the next run allocates none — its nodes
-// are reset in place and keep their buffers (see reset). A factory hands
-// each slab element out once; asking it for a node again (or for an ID
-// outside the graph) gets a node of its own. The zero Slab is ready to
-// use. Slab.Factory starts a new run: the nodes the previous factory
-// handed out are reused, so they must no longer be in use. A slab's
-// factory is not safe for concurrent calls; the runtimes build a run's
-// nodes one after another.
+// element, so a run allocates one array of |V| node headers instead of |V|
+// nodes, and a Slab reused for the next run allocates none — its nodes are
+// made dormant again in place. The protocol states the nodes take come
+// from the slab's pool and are reused the same way (see statePool). A
+// factory hands each slab element out once; asking it for a node again (or
+// for an ID outside the graph) gets a node of its own. The zero Slab is
+// ready to use. Slab.Factory starts a new run: the nodes and states the
+// previous factory handed out are reused, so they must no longer be in
+// use. A slab's factory is not safe for concurrent calls; the runtimes
+// build a run's nodes one after another.
 type Slab struct {
 	nodes  []Node
 	handed graph.Bitset
 	keys   *region.KeyTable
+	run    run
+	states statePool
 }
 
 // Factory returns the proto.Factory of one run over cfg.Graph, as the
@@ -248,76 +343,100 @@ func (s *Slab) Factory(cfg Config) proto.Factory {
 	} else {
 		s.keys.Reset()
 	}
+	s.run = run{cfg: withDefaults(cfg), keys: s.keys, pool: &s.states}
+	s.states.used = 0
 	armed := false
 	return func(id graph.NodeID) proto.Automaton {
-		cfg := cfg
-		cfg.ID = id
 		var n *Node
-		if cfg.Graph != nil {
+		if g := cfg.Graph; g != nil {
 			if !armed {
 				// Sized by the first node built, not when the factory is
 				// made: a run pays for its nodes when it builds them.
 				armed = true
-				size := cfg.Graph.Len()
+				size := g.Len()
 				if cap(s.nodes) < size {
 					s.nodes = make([]Node, size)
 				}
 				s.nodes = s.nodes[:size]
 				s.handed = s.handed.Reset(size)
 			}
-			if i := cfg.Graph.Index(id); i >= 0 && !s.handed.Has(i) {
+			if i := g.Index(id); i >= 0 && !s.handed.Has(i) {
 				s.handed.Set(i)
 				n = &s.nodes[i]
-				n.reset(cfg)
 			}
 		}
 		if n == nil {
-			n = New(cfg)
+			n = new(Node)
 		}
-		n.keys = s.keys
+		n.init(id, &s.run)
 		return n
 	}
 }
 
 // ID returns the node's identity.
-func (n *Node) ID() graph.NodeID { return n.cfg.ID }
+func (n *Node) ID() graph.NodeID { return n.id }
 
 // Decided returns the decision taken by this node, or nil (line 36).
-func (n *Node) Decided() *proto.Decision { return n.decided }
+func (n *Node) Decided() *proto.Decision {
+	if n.st == nil {
+		return nil
+	}
+	return n.st.decided
+}
 
 // HasProposed reports whether proposed ≠ ⊥.
-func (n *Node) HasProposed() bool { return n.hasProposed }
+func (n *Node) HasProposed() bool { return n.st != nil && n.st.hasProposed }
 
 // CurrentView returns V_p, the view of the node's current (or last)
 // consensus instance; the empty region if it never proposed.
-func (n *Node) CurrentView() region.Region { return n.vp }
+func (n *Node) CurrentView() region.Region {
+	if n.st == nil {
+		return region.Empty
+	}
+	return n.st.vp
+}
 
 // Round returns r, the node's current round within its own instance.
-func (n *Node) Round() int { return n.round }
+func (n *Node) Round() int {
+	if n.st == nil {
+		return 0
+	}
+	return n.st.round
+}
 
 // LocallyCrashed returns the sorted set of nodes detected as crashed.
 func (n *Node) LocallyCrashed() []graph.NodeID {
-	out := make([]graph.NodeID, 0, n.locallyCrashed.Count())
-	n.locallyCrashed.ForEach(func(i int32) {
-		out = append(out, n.cfg.Graph.ID(i))
-	})
+	if n.st == nil {
+		return []graph.NodeID{}
+	}
+	st := n.st
+	out := make([]graph.NodeID, 0, len(st.crashRank))
+	for _, s := range st.crashRank {
+		out = append(out, st.g.ID(st.crashOrder[s]))
+	}
 	return out
 }
 
 // MaxView returns the highest-ranked crashed region known locally.
 func (n *Node) MaxView() region.Region {
-	n.materialise()
-	return n.maxView
+	if n.st == nil {
+		return region.Empty
+	}
+	n.st.materialise()
+	return n.st.maxView
 }
 
 // Violations returns internal invariant breaches recorded so far (always
 // empty unless there is an implementation bug).
 func (n *Node) Violations() []string {
-	return append([]string(nil), n.violations...)
+	if n.st == nil {
+		return nil
+	}
+	return append([]string(nil), n.st.violations...)
 }
 
-func (n *Node) violatef(format string, args ...any) {
-	n.violations = append(n.violations, fmt.Sprintf(format, args...))
+func (st *state) violatef(format string, args ...any) {
+	st.violations = append(st.violations, fmt.Sprintf(format, args...))
 }
 
 // Start handles 〈init〉 (lines 1–4): subscribe to crashes of border(p).
@@ -328,50 +447,63 @@ func (n *Node) Start() proto.Effects {
 	var eff proto.Effects
 	switch {
 	case n.selfIdx < 0:
-	case len(n.monitored) > 0:
-		n.subscribe(n.cfg.Graph.NeighborIndices(n.selfIdx), &eff)
+	case n.st != nil && n.st.witnessed():
+		n.st.subscribe(n.run.cfg.Graph.NeighborIndices(n.selfIdx), &eff)
 	case !n.started:
 		n.started = true
-		if row := n.cfg.Graph.NeighborIndices(n.selfIdx); len(row) > 0 {
+		if row := n.run.cfg.Graph.NeighborIndices(n.selfIdx); len(row) > 0 {
 			eff.Monitor = row[:len(row):len(row)]
 		}
 	}
 	return eff
 }
 
-// witness sizes locallyCrashed, monitored and uf for the run's graph on
-// the first crash detection, with monitored holding what Start subscribed
-// to. It is a no-op once they are sized.
-func (n *Node) witness() {
-	if len(n.locallyCrashed) > 0 {
+// witnessed reports whether the node has detected a crash.
+func (st *state) witnessed() bool { return len(st.locallyCrashed) > 0 }
+
+// witness sizes locallyCrashed and monitored for the run's graph on the
+// first crash detection, with monitored holding what Start subscribed to.
+// It is a no-op once they are sized.
+func (st *state) witness() {
+	if st.witnessed() {
 		return
 	}
-	size := n.cfg.Graph.Len()
-	n.locallyCrashed = n.locallyCrashed.Reset(size)
-	n.monitored = n.monitored.Reset(size)
-	if n.started {
-		for _, qi := range n.cfg.Graph.NeighborIndices(n.selfIdx) {
-			n.monitored.Set(qi)
+	size := st.g.Len()
+	st.locallyCrashed = st.locallyCrashed.Reset(size)
+	st.monitored = st.monitored.Reset(size)
+	if st.node.started {
+		for _, qi := range st.g.NeighborIndices(st.selfIdx) {
+			st.monitored.Set(qi)
 		}
-	}
-	if n.uf == nil {
-		n.uf = dsu.New(size)
-	} else {
-		n.uf.Reset(size)
 	}
 }
 
 // monitors reports whether the node has subscribed to crashes of qi.
 func (n *Node) monitors(qi int32) bool {
-	if len(n.monitored) == 0 {
-		return n.started && slices.Contains(n.cfg.Graph.NeighborIndices(n.selfIdx), qi)
+	if n.st == nil || !n.st.witnessed() {
+		return n.started && slices.Contains(n.run.cfg.Graph.NeighborIndices(n.selfIdx), qi)
 	}
-	return n.monitored.Has(qi)
+	return n.st.monitored.Has(qi)
 }
 
 // knowsCrashed reports whether qi ∈ locallyCrashed.
-func (n *Node) knowsCrashed(qi int32) bool {
-	return len(n.locallyCrashed) > 0 && n.locallyCrashed.Has(qi)
+func (st *state) knowsCrashed(qi int32) bool {
+	return st.witnessed() && st.locallyCrashed.Has(qi)
+}
+
+// crashedSlot returns the position in crashRank of the first crashed node
+// whose graph index is at least qi, and whether that node is qi.
+func (st *state) crashedSlot(qi int32) (pos int, found bool) {
+	lo, hi := 0, len(st.crashRank)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if st.crashOrder[st.crashRank[mid]] < qi {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(st.crashRank) && st.crashOrder[st.crashRank[lo]] == qi
 }
 
 // subscribe issues 〈monitorCrash | S〉 for not-yet-monitored, not-yet-known
@@ -380,19 +512,19 @@ func (n *Node) knowsCrashed(qi int32) bool {
 // eff.Monitor is backed by a buffer the node reuses across calls (see
 // proto.Effects: effect slices are valid only until the next call into
 // the automaton).
-func (n *Node) subscribe(nodes []int32, eff *proto.Effects) {
+func (st *state) subscribe(nodes []int32, eff *proto.Effects) {
 	for _, qi := range nodes {
-		if qi == n.selfIdx || n.monitored.Has(qi) || n.locallyCrashed.Has(qi) {
+		if qi == st.selfIdx || st.monitored.Has(qi) || st.locallyCrashed.Has(qi) {
 			continue
 		}
-		n.monitored.Set(qi)
+		st.monitored.Set(qi)
 		if eff.Monitor == nil {
-			eff.Monitor = n.monitorScratch[:0]
+			eff.Monitor = st.monitorScratch[:0]
 		}
 		eff.Monitor = append(eff.Monitor, qi)
 	}
-	if len(eff.Monitor) > cap(n.monitorScratch) {
-		n.monitorScratch = eff.Monitor
+	if len(eff.Monitor) > cap(st.monitorScratch) {
+		st.monitorScratch = eff.Monitor
 	}
 }
 
@@ -423,124 +555,138 @@ type pendingView struct{ root, size int32 }
 // whole-set connectedComponents recomputation (line 8), at amortised
 // near-O(1) union-find cost per detection.
 func (n *Node) OnCrash(q graph.NodeID) proto.Effects {
+	return n.activate().onCrash(q)
+}
+
+func (st *state) onCrash(q graph.NodeID) proto.Effects {
 	var eff proto.Effects
-	qi := n.cfg.Graph.Index(q)
+	qi := st.g.Index(q)
 	if qi < 0 {
 		// The perfect failure detector only reports graph members; anything
 		// else is a harness bug.
-		n.violatef("crash notification for unknown node %s", q)
+		st.violatef("crash notification for unknown node %s", q)
 		return eff
 	}
-	n.witness()
-	if n.locallyCrashed.Has(qi) {
+	st.witness()
+	if st.locallyCrashed.Has(qi) {
 		return eff // duplicate notification; idempotent
 	}
-	n.locallyCrashed.Set(qi)                           // line 6
-	n.subscribe(n.cfg.Graph.NeighborIndices(qi), &eff) // line 7
-	for _, m := range n.cfg.Graph.NeighborIndices(qi) {
-		if n.locallyCrashed.Has(m) {
-			n.uf.Union(qi, m)
+	st.locallyCrashed.Set(qi)                 // line 6
+	row := st.g.NeighborIndices(qi)           //
+	st.subscribe(row, &eff)                   // line 7
+	slot := st.uf.Add()                       // q's union-find element
+	pos, _ := st.crashedSlot(qi)              //
+	st.crashOrder = append(st.crashOrder, qi) //
+	st.crashRank = slices.Insert(st.crashRank, pos, slot)
+	for _, m := range row {
+		if st.locallyCrashed.Has(m) {
+			pos, _ := st.crashedSlot(m)
+			st.uf.Union(slot, st.crashRank[pos])
 		}
 	}
 	// Rule 1 of the ranking compares cardinality first. A strictly larger
 	// component outranks maxView without its border or key being known; a
 	// strictly smaller one never can; only a tie needs both Regions.
-	max := n.maxView.Len()
-	if n.pending.size > 0 {
-		max = int(n.pending.size)
+	max := st.maxView.Len()
+	if st.pending.size > 0 {
+		max = int(st.pending.size)
 	}
-	root := n.uf.Find(qi)
-	switch size := n.uf.SizeOf(root); {
+	root := st.uf.Find(slot)
+	switch size := st.uf.SizeOf(root); {
 	case int(size) > max: // lines 9–11, deferred
-		n.pending = pendingView{root: root, size: size}
+		st.pending = pendingView{root: root, size: size}
 	case int(size) == max:
-		n.materialise()
-		if comp := n.component(root); region.Less(n.maxView, comp) { // line 9
-			n.maxView = comp       // line 10
-			n.candidateView = comp // line 11
+		st.materialise()
+		if comp := st.component(root); region.Less(&st.maxView, &comp) { // line 9
+			st.maxView = comp       // line 10
+			st.candidateView = comp // line 11
 		}
 	}
-	n.runGuards(&eff)
+	st.runGuards(&eff)
 	return eff
 }
 
 // component builds the Region of the union-find class rooted at root: one
-// sweep of the crashed bitset to gather the members, then the border and
-// key construction.
-func (n *Node) component(root int32) region.Region {
-	members := n.compScratch[:0]
-	n.locallyCrashed.ForEach(func(i int32) {
-		if n.uf.Find(i) == root {
-			members = append(members, i)
+// pass over the crashed nodes in graph-index order to gather the members,
+// then the border and key construction.
+func (st *state) component(root int32) region.Region {
+	members := st.compScratch[:0]
+	for _, s := range st.crashRank {
+		if st.uf.Find(s) == root {
+			members = append(members, st.crashOrder[s])
 		}
-	})
-	n.compScratch = members
-	if n.borderSeen == nil {
-		n.borderSeen = graph.NewBitset(n.cfg.Graph.Len())
 	}
-	return region.NewFromIndicesScratch(n.cfg.Graph, members, n.locallyCrashed, n.borderSeen, n.keys)
+	st.compScratch = members
+	if st.borderSeen == nil {
+		st.borderSeen = graph.NewBitset(st.g.Len())
+	}
+	return region.NewFromIndicesScratch(st.g, members, st.locallyCrashed, st.borderSeen, st.keys)
 }
 
 // materialise performs the deferred lines 10–11: if a component is
 // pending, build it and make it maxView and candidateView. It changes no
 // observable state, so read-only accessors may call it.
-func (n *Node) materialise() {
-	if n.pending.size == 0 {
+func (st *state) materialise() {
+	if st.pending.size == 0 {
 		return
 	}
-	comp := n.component(n.pending.root)
-	n.pending = pendingView{}
-	n.maxView, n.candidateView = comp, comp
+	comp := st.component(st.pending.root)
+	st.pending = pendingView{}
+	st.maxView, st.candidateView = comp, comp
 }
 
 // OnMessage handles 〈mDeliver | from, payload〉 (lines 18–25), then runs
 // the guard loop. The protocol's payload is a *Message.
 func (n *Node) OnMessage(from graph.NodeID, payload proto.Payload) proto.Effects {
+	return n.activate().onMessage(from, payload)
+}
+
+func (st *state) onMessage(from graph.NodeID, payload proto.Payload) proto.Effects {
 	var eff proto.Effects
 	m, ok := payload.(*Message)
 	if !ok || m == nil {
-		n.violatef("foreign payload %T from %s", payload, from)
+		st.violatef("foreign payload %T from %s", payload, from)
 		return eff
 	}
-	n.deliver(m)
-	n.runGuards(&eff)
+	st.deliver(m)
+	st.runGuards(&eff)
 	return eff
 }
 
 // deliver merges one message into the per-view bookkeeping (lines 18–25).
 // The message is shared with its other recipients, so nothing here writes
 // to it.
-func (n *Node) deliver(m *Message) {
+func (st *state) deliver(m *Message) {
 	hash, key := m.View.Identity()
-	slot := n.views.lookup(hash, key)
+	slot := st.views.lookup(hash, key)
 	if slot == nil { // lines 19–22: initialise data structures for V
-		inst := newInstance(m.View, n.cfg.LiteralPaperRounds)
-		slot = n.views.insert(hash, key, inst)
-		n.rejectDirty = true
+		inst := newInstance(m.View, st.cfg.LiteralPaperRounds)
+		slot = st.views.insert(hash, key, inst)
+		st.rejectDirty = true
 	}
 	inst := slot.inst
 	if inst == nil { // line 18: V ∉ rejected
 		return
 	}
 	if !inst.validRound(m.Round) {
-		n.violatef("message round %d out of range for view %s (|B|=%d)",
+		st.violatef("message round %d out of range for view %s (|B|=%d)",
 			m.Round, m.View, len(inst.borderIdx))
 		return
 	}
 	if len(m.masks) != 2*inst.words || m.values != nil && len(m.values) != len(inst.borderIdx) {
-		n.violatef("message opinions (%d mask words, %d values) do not fit |B|=%d for view %s",
+		st.violatef("message opinions (%d mask words, %d values) do not fit |B|=%d for view %s",
 			len(m.masks), len(m.values), len(inst.borderIdx), m.View)
 		return
 	}
 	if !sameBorder(&m.View, &inst.view) {
 		// The merge below is positional: a vector indexed by another
 		// border would land in the wrong participants' slots.
-		n.violatef("message border %v ≠ instance border %v for view %s",
+		st.violatef("message border %v ≠ instance border %v for view %s",
 			m.View.Border(), inst.view.Border(), m.View)
 		return
 	}
 	if j := inst.merge(m.Round, int(m.sender)-1, m.masks, m.values); j >= 0 {
-		n.violatef("view %s: %s accepts with %q, already known to accept with %q",
+		st.violatef("view %s: %s accepts with %q, already known to accept with %q",
 			m.View, inst.view.BorderID(j), m.values[j], inst.values[j])
 	}
 }
@@ -561,30 +707,30 @@ func sameBorder(a, b *region.Region) bool {
 // completion), after every external event. Fixed ordering makes runs
 // deterministic; termination follows from the strict monotonicity of
 // proposals (lemma 2) and the finite round structure.
-func (n *Node) runGuards(eff *proto.Effects) {
+func (st *state) runGuards(eff *proto.Effects) {
 	// The sends of the previous call are dead now that the automaton is
 	// called again: let go of their payloads before the buffer is reused.
-	clear(n.sendScratch)
-	n.sendScratch = n.sendScratch[:0]
+	clear(st.sendScratch)
+	st.sendScratch = st.sendScratch[:0]
 	for {
-		if n.psHead < len(n.pendingSelf) {
-			m := n.pendingSelf[n.psHead]
-			n.psHead++
-			if n.psHead == len(n.pendingSelf) {
-				clear(n.pendingSelf) // release payload references
-				n.pendingSelf = n.pendingSelf[:0]
-				n.psHead = 0
+		if st.psHead < len(st.pendingSelf) {
+			m := st.pendingSelf[st.psHead]
+			st.psHead++
+			if st.psHead == len(st.pendingSelf) {
+				clear(st.pendingSelf) // release payload references
+				st.pendingSelf = st.pendingSelf[:0]
+				st.psHead = 0
 			}
-			n.deliver(m)
+			st.deliver(m)
 			continue
 		}
-		if n.guardPropose(eff) {
+		if st.guardPropose(eff) {
 			continue
 		}
-		if n.guardReject(eff) {
+		if st.guardReject(eff) {
 			continue
 		}
-		if n.guardRound(eff) {
+		if st.guardRound(eff) {
 			continue
 		}
 		return
@@ -593,31 +739,31 @@ func (n *Node) runGuards(eff *proto.Effects) {
 
 // guardPropose implements lines 12–17: start a new consensus instance when
 // no proposal is outstanding and a candidate view exists.
-func (n *Node) guardPropose(eff *proto.Effects) bool {
-	if n.hasProposed {
+func (st *state) guardPropose(eff *proto.Effects) bool {
+	if st.hasProposed {
 		return false
 	}
-	n.materialise()
-	if n.candidateView.IsEmpty() {
+	st.materialise()
+	if st.candidateView.IsEmpty() {
 		return false
 	}
-	n.vp = n.candidateView                // line 13
-	n.candidateView = region.Empty        //
-	n.proposedValue = n.cfg.Propose(n.vp) // line 14
-	n.hasProposed = true
-	n.round = 1          // line 16
-	n.rejectDirty = true // vp moved: lower-ranked received views may now exist
-	n.ownInst = nil
-	if s := n.views.lookup(n.vp.Hash(), n.vp.Key()); s != nil && s.inst == nil {
+	st.vp = st.candidateView                 // line 13
+	st.candidateView = region.Empty          //
+	st.proposedValue = st.cfg.Propose(st.vp) // line 14
+	st.hasProposed = true
+	st.round = 1          // line 16
+	st.rejectDirty = true // vp moved: lower-ranked received views may now exist
+	st.ownInst = nil
+	if s := st.views.lookup(st.vp.Hash(), st.vp.Key()); s != nil && s.inst == nil {
 		// Lemma 2 guarantees this cannot happen; record it if it does.
-		n.violatef("proposing previously rejected view %s", n.vp)
+		st.violatef("proposing previously rejected view %s", st.vp)
 	}
-	if !n.vp.OnBorderIndex(n.selfIdx) {
-		n.violatef("proposing view %s not bordered by self", n.vp)
+	if !st.vp.OnBorderIndex(st.selfIdx) {
+		st.violatef("proposing view %s not bordered by self", st.vp)
 	}
-	eff.Proposed = append(eff.Proposed, n.vp)
+	eff.Proposed = append(eff.Proposed, st.vp)
 
-	if n.vp.BorderLen() == 1 {
+	if st.vp.BorderLen() == 1 {
 		// Deviation from Algorithm 1: there is nobody to flood to when
 		// this node is the region's only border (the printed |B|−1 round
 		// count is zero, and the multicast of line 17 would reach only the
@@ -625,24 +771,24 @@ func (n *Node) guardPropose(eff *proto.Effects) bool {
 		// decides its own value at once — its final vector is its own
 		// accept — which CD7 (progress) requires of it: it is the cluster's
 		// only possible decider.
-		n.decided = &proto.Decision{View: n.vp, Value: n.cfg.Pick([]proto.Value{n.proposedValue})}
-		eff.Decision = n.decided
+		st.decided = &proto.Decision{View: st.vp, Value: st.cfg.Pick([]proto.Value{st.proposedValue})}
+		eff.Decision = st.decided
 		return true
 	}
-	msg := n.firstMessage(n.vp, true)           // lines 15–16
-	n.multicast(n.vp.BorderIndices(), msg, eff) // line 17
+	msg := st.firstMessage(&st.vp, true)          // lines 15–16
+	st.multicast(st.vp.BorderIndices(), msg, eff) // line 17
 	return true
 }
 
 // guardReject implements lines 26–31: reject every received view strictly
 // lower-ranked than the node's own proposal, lowest-ranked first.
-func (n *Node) guardReject(eff *proto.Effects) bool {
-	if n.cfg.DisableArbitration || n.vp.IsEmpty() {
+func (st *state) guardReject(eff *proto.Effects) bool {
+	if st.cfg.DisableArbitration || st.vp.IsEmpty() {
 		// V_p persists across resets (line 37 clears proposed, not V_p),
 		// so a node keeps rejecting lower-ranked views between proposals.
 		return false
 	}
-	if !n.rejectDirty {
+	if !st.rejectDirty {
 		// Neither received nor vp changed since the last empty scan, so
 		// the scan below would find nothing again.
 		return false
@@ -651,21 +797,21 @@ func (n *Node) guardReject(eff *proto.Effects) bool {
 	// V_p (table order does not matter: ≺ is a strict total order, so the
 	// minimum is unique).
 	var lowest *viewSlot
-	for s := range n.views.all {
-		if s.inst != nil && region.Less(s.inst.view, n.vp) &&
-			(lowest == nil || region.Less(s.inst.view, lowest.inst.view)) {
+	for s := range st.views.all {
+		if s.inst != nil && region.Less(&s.inst.view, &st.vp) &&
+			(lowest == nil || region.Less(&s.inst.view, &lowest.inst.view)) {
 			lowest = s
 		}
 	}
 	if lowest == nil {
-		n.rejectDirty = false
+		st.rejectDirty = false
 		return false
 	}
-	l := lowest.inst.view
-	lowest.inst = nil                        // line 30: received ← received\{L}, rejected ← rejected ∪ {L}
-	msg := n.firstMessage(l, false)          // lines 29–30
-	n.multicast(l.BorderIndices(), msg, eff) // line 31
-	eff.Rejected = append(eff.Rejected, l)
+	l := &lowest.inst.view
+	lowest.inst = nil                         // line 30: received ← received\{L}, rejected ← rejected ∪ {L}
+	msg := st.firstMessage(l, false)          // lines 29–30
+	st.multicast(l.BorderIndices(), msg, eff) // line 31
+	eff.Rejected = append(eff.Rejected, *l)
 	return true
 }
 
@@ -678,23 +824,23 @@ func (n *Node) guardReject(eff *proto.Effects) bool {
 // re-proposal of line 12 replaces V_p in the same activation whenever a
 // larger region is known, so behaviour is unchanged in the cases the paper
 // considers).
-func (n *Node) guardRound(eff *proto.Effects) bool {
-	if !n.hasProposed || n.decided != nil {
+func (st *state) guardRound(eff *proto.Effects) bool {
+	if !st.hasProposed || st.decided != nil {
 		return false
 	}
-	inst := n.ownInst
+	inst := st.ownInst
 	if inst == nil {
-		s := n.views.lookup(n.vp.Hash(), n.vp.Key())
+		s := st.views.lookup(st.vp.Hash(), st.vp.Key())
 		if s == nil || s.inst == nil { // line 32: Vp ∈ received
 			return false
 		}
 		inst = s.inst
-		n.ownInst = inst
+		st.ownInst = inst
 	}
-	if !inst.validRound(n.round) {
+	if !inst.validRound(st.round) {
 		return false
 	}
-	waiting := inst.waiting(n.round)
+	waiting := inst.waiting(st.round)
 	for w := 0; w < inst.words; w++ { // waiting[Vp][r]\locallyCrashed = ∅
 		left := inst.allOf(w)
 		if waiting != nil {
@@ -702,42 +848,42 @@ func (n *Node) guardRound(eff *proto.Effects) bool {
 		}
 		for ; left != 0; left &= left - 1 {
 			j := w<<6 | bits.TrailingZeros64(left)
-			if !n.knowsCrashed(inst.borderIdx[j]) {
+			if !st.knowsCrashed(inst.borderIdx[j]) {
 				return false
 			}
 		}
 	}
-	if n.round == inst.lastRound { // line 33: consensus instance completed
-		if inst.unanimous(n.round) { // line 34
+	if st.round == inst.lastRound { // line 33: consensus instance completed
+		if inst.unanimous(st.round) { // line 34
 			// Pick gets a copy: a user's may sort its argument, and the
 			// column is shared with the messages sent about the view.
 			values := slices.Clone(inst.values)
-			n.decided = &proto.Decision{View: n.vp, Value: n.cfg.Pick(values)} // line 35
-			eff.Decision = n.decided                                           // line 36
+			st.decided = &proto.Decision{View: st.vp, Value: st.cfg.Pick(values)} // line 35
+			eff.Decision = st.decided                                             // line 36
 		} else {
-			n.hasProposed = false // line 37: proposed ← ⊥, reset
+			st.hasProposed = false // line 37: proposed ← ⊥, reset
 			eff.Resets++
 		}
 		return true
 	}
-	n.round++        // line 39
+	st.round++       // line 39
 	msg := &Message{ // line 40
-		Round:  n.round,
-		View:   n.vp,
-		masks:  n.maskSpace(inst.words),
+		Round:  st.round,
+		View:   st.vp,
+		masks:  st.maskSpace(inst.words),
 		values: inst.values, // shared, not copied: see instance.values
-		sender: n.senderSlot(inst.borderIdx),
+		sender: st.senderSlot(inst.borderIdx),
 	}
-	inst.opinions(msg.masks, n.round-1)
-	n.multicast(inst.borderIdx, msg, eff)
+	inst.opinions(msg.masks, st.round-1)
+	st.multicast(inst.borderIdx, msg, eff)
 	return true
 }
 
 // senderSlot returns Message.sender for a message from this node to the
 // participants borderIdx: 1 + the node's position among them, 0 if it is
 // not one of them.
-func (n *Node) senderSlot(borderIdx []int32) int32 {
-	if j, ok := slices.BinarySearch(borderIdx, n.selfIdx); ok {
+func (st *state) senderSlot(borderIdx []int32) int32 {
+	if j, ok := slices.BinarySearch(borderIdx, st.selfIdx); ok {
 		return int32(j) + 1
 	}
 	return 0
@@ -748,11 +894,11 @@ func (n *Node) senderSlot(borderIdx []int32) int32 {
 // (lines 29–30) in its own slot, ⊥ in every other. Senders are border
 // members; a node that is not (a violation guardPropose records) sends
 // all ⊥.
-func (n *Node) firstMessage(view region.Region, accept bool) *Message {
+func (st *state) firstMessage(view *region.Region, accept bool) *Message {
 	border := view.BorderIndices()
 	words := maskWords(len(border))
-	m := &Message{Round: 1, View: view, masks: n.maskSpace(words),
-		sender: n.senderSlot(border)}
+	m := &Message{Round: 1, View: *view, masks: st.maskSpace(words),
+		sender: st.senderSlot(border)}
 	if m.sender == 0 {
 		return m
 	}
@@ -761,7 +907,7 @@ func (n *Node) firstMessage(view region.Region, accept bool) *Message {
 	m.masks[j>>6] |= bit
 	if accept {
 		m.values = make([]proto.Value, len(border))
-		m.values[j] = n.proposedValue
+		m.values[j] = st.proposedValue
 	} else {
 		m.masks[words+j>>6] |= bit
 	}
@@ -772,12 +918,12 @@ func (n *Node) firstMessage(view region.Region, accept bool) *Message {
 // from a chunk that serves eight messages: masks are a few words each,
 // so one allocation per multicast would add an object to every message the
 // node builds. A chunk is garbage once the messages cut from it are.
-func (n *Node) maskSpace(words int) []uint64 {
-	if len(n.maskChunk) < 2*words {
-		n.maskChunk = make([]uint64, 16*words)
+func (st *state) maskSpace(words int) []uint64 {
+	if len(st.maskChunk) < 2*words {
+		st.maskChunk = make([]uint64, 16*words)
 	}
-	masks := n.maskChunk[: 2*words : 2*words]
-	n.maskChunk = n.maskChunk[2*words:]
+	masks := st.maskChunk[: 2*words : 2*words]
+	st.maskChunk = st.maskChunk[2*words:]
 	return masks
 }
 
@@ -791,17 +937,17 @@ func (n *Node) maskSpace(words int) []uint64 {
 // backed by a buffer the node reuses across calls, like eff.Monitor (see
 // proto.Effects: effect slices are valid only until the next call into the
 // automaton).
-func (n *Node) multicast(recipients []int32, m *Message, eff *proto.Effects) {
+func (st *state) multicast(recipients []int32, m *Message, eff *proto.Effects) {
 	self := m.sender != 0
 	if len(recipients) > 1 || !self {
 		if eff.Sends == nil {
-			eff.Sends = n.sendScratch[:0]
+			eff.Sends = st.sendScratch[:0]
 		}
 		eff.Sends = append(eff.Sends, proto.Send{To: recipients, Payload: m})
-		n.sendScratch = eff.Sends
+		st.sendScratch = eff.Sends
 	}
 	if self {
-		n.pendingSelf = append(n.pendingSelf, m)
+		st.pendingSelf = append(st.pendingSelf, m)
 	}
 }
 
@@ -809,35 +955,44 @@ var _ proto.Automaton = (*Node)(nil)
 
 // Clone deep-copies the node — used by the bounded model checker to
 // branch over interleavings. The Config (including its function values) is
-// shared; all mutable state is copied.
+// shared; all mutable state is copied. The clone of a dormant node is
+// dormant; an active node's clone gets a state of its own, never one from
+// the pool.
 func (n *Node) Clone() *Node {
-	out := &Node{
-		cfg:            n.cfg,
-		selfIdx:        n.selfIdx,
-		keys:           n.keys,
-		hasProposed:    n.hasProposed,
-		started:        n.started,
-		proposedValue:  n.proposedValue,
-		maxView:        n.maxView,
-		candidateView:  n.candidateView,
-		pending:        n.pending, // names a class of uf, cloned below
-		vp:             n.vp,
-		round:          n.round,
-		locallyCrashed: n.locallyCrashed.Clone(),
-		monitored:      n.monitored.Clone(),
-		views:          n.views.clone(),
-		rejectDirty:    n.rejectDirty,
+	out := &Node{id: n.id, selfIdx: n.selfIdx, started: n.started, run: n.run}
+	st := n.st
+	if st == nil {
+		return out
+	}
+	c := &state{
+		node:           out,
+		cfg:            st.cfg,
+		g:              st.g,
+		keys:           st.keys,
+		selfIdx:        st.selfIdx,
+		hasProposed:    st.hasProposed,
+		proposedValue:  st.proposedValue,
+		maxView:        st.maxView,
+		candidateView:  st.candidateView,
+		pending:        st.pending, // names a class of uf, cloned below
+		vp:             st.vp,
+		round:          st.round,
+		locallyCrashed: st.locallyCrashed.Clone(),
+		monitored:      st.monitored.Clone(),
+		uf:             *st.uf.Clone(),
+		crashOrder:     slices.Clone(st.crashOrder),
+		crashRank:      slices.Clone(st.crashRank),
+		views:          st.views.clone(),
+		rejectDirty:    st.rejectDirty,
 		// ownInst stays nil: it is a cache, refilled lazily against the
 		// cloned view table.
 	}
-	if n.decided != nil {
-		d := *n.decided
-		out.decided = &d
+	if st.decided != nil {
+		d := *st.decided
+		c.decided = &d
 	}
-	if len(n.locallyCrashed) > 0 { // else uf is unsized or left from an earlier run
-		out.uf = n.uf.Clone()
-	}
-	out.pendingSelf = append([]*Message(nil), n.pendingSelf[n.psHead:]...)
-	out.violations = append([]string(nil), n.violations...)
+	c.pendingSelf = append([]*Message(nil), st.pendingSelf[st.psHead:]...)
+	c.violations = append([]string(nil), st.violations...)
+	out.st = c
 	return out
 }

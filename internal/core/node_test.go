@@ -144,7 +144,10 @@ func mkNode(t *testing.T, g *graph.Graph, id graph.NodeID, value proto.Value) *N
 // instanceOf returns n's received instance for view, nil if there is none
 // (never heard of, or rejected).
 func instanceOf(n *Node, view region.Region) *instance {
-	if s := n.views.lookup(view.Hash(), view.Key()); s != nil {
+	if n.st == nil {
+		return nil
+	}
+	if s := n.st.views.lookup(view.Hash(), view.Key()); s != nil {
 		return s.inst
 	}
 	return nil
@@ -540,7 +543,7 @@ func TestProposalsStrictlyMonotonic(t *testing.T) {
 		t.Fatalf("expected re-proposal, got %+v", eff)
 	}
 	second := eff.Proposed[0]
-	if !region.Less(first, second) {
+	if !region.Less(&first, &second) {
 		t.Errorf("proposals must be strictly increasing: %s then %s", first, second)
 	}
 	if len(a.Violations()) != 0 {

@@ -99,7 +99,7 @@ func fuzzDriver(seed int64, conflicts bool) (violations []string, decisions int,
 
 func checkEffects(eff *proto.Effects, last *region.Region, proposedOnce *bool, violations *[]string) int {
 	for _, p := range eff.Proposed {
-		if *proposedOnce && !region.Less(*last, p) {
+		if *proposedOnce && !region.Less(last, &p) {
 			*violations = append(*violations, "non-monotonic proposal "+p.String())
 		}
 		*last = p

@@ -510,7 +510,7 @@ func (l *lockstep) OnMessage(from graph.NodeID, payload proto.Payload) proto.Eff
 
 func (l *lockstep) compare(what string, eff proto.Effects, want refEffects) {
 	id := l.node.ID()
-	if got, w := nodeEffects(l.node.cfg.Graph, eff), want.String(); got != w {
+	if got, w := nodeEffects(l.ref.cfg.Graph, eff), want.String(); got != w {
 		l.run.diffs = append(l.run.diffs, fmt.Sprintf("%s, %s:\n  node:      %s\n  reference: %s", id, what, got, w))
 	} else {
 		for k, s := range eff.Sends {

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"cliffedge/internal/graph"
+	"cliffedge/internal/proto"
 	"cliffedge/internal/region"
 )
 
@@ -86,7 +88,7 @@ func TestRejectedViewStaysRejectedBesideLiveOnes(t *testing.T) {
 	if eff := a.OnMessage("c", msg); len(eff.Rejected) != 1 {
 		t.Fatalf("expected {b} to be rejected, got %+v", eff)
 	}
-	if s := a.views.lookup(low.Hash(), low.Key()); s == nil || s.inst != nil {
+	if s := a.st.views.lookup(low.Hash(), low.Key()); s == nil || s.inst != nil {
 		t.Fatalf("{b} should hold the rejected mark, got %+v", s)
 	}
 	if instanceOf(a, a.CurrentView()) == nil {
@@ -128,6 +130,35 @@ func TestDeliverRejectsForeignBorder(t *testing.T) {
 		a.OnMessage("e", message(1, foreignView, "c", o))
 		if len(a.Violations()) != 1 {
 			t.Errorf("%s: want one violation for a foreign border, got %v", name, a.Violations())
+		}
+		if a.Fingerprint() != before {
+			t.Errorf("%s: a refused message must not change the instance", name)
+		}
+	}
+}
+
+// TestDeliverRejectsMalformedOpinions: Message's opinion fields are
+// unexported, but Round and View are not, so a caller outside the package
+// can hand a node a &Message{Round: 1, View: v} with no masks at all, and
+// a message built here for one border can reach an instance of another
+// length. The merge indexes the masks and the value column by the
+// instance's border, so such a message must be refused with a violation —
+// not merged, and not a panic.
+func TestDeliverRejectsMalformedOpinions(t *testing.T) {
+	g := graph.NewBuilder().AddEdge("a", "b").AddEdge("c", "b").AddEdge("e", "b").Build()
+	view := region.New(g, []graph.NodeID{"b"}) // border a, c, e: one mask word
+	for name, m := range map[string]*Message{
+		"no masks":             {Round: 1, View: view},
+		"masks of two words":   {Round: 1, View: view, masks: make([]uint64, 4), sender: 2},
+		"a short value column": {Round: 1, View: view, masks: []uint64{0b010, 0}, values: make([]proto.Value, 2), sender: 2},
+	} {
+		a := mkNode(t, g, "a", "va")
+		a.Start()
+		a.OnMessage("c", message(1, view, "c", ops{"c": accept("vc")}))
+		before := a.Fingerprint()
+		a.OnMessage("c", m)
+		if v := a.Violations(); len(v) != 1 || !strings.Contains(v[0], "do not fit |B|=3") {
+			t.Errorf("%s: want one violation for opinions that do not fit the border, got %v", name, v)
 		}
 		if a.Fingerprint() != before {
 			t.Errorf("%s: a refused message must not change the instance", name)

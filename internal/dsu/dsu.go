@@ -39,6 +39,15 @@ func (d *DSU) Reset(n int) {
 	}
 }
 
+// Add appends a singleton set to the index range and returns its index,
+// the old Len. A DSU built by Adds over Reset(0) is keyed by whatever its
+// user numbers in order of arrival, and costs one word per element added,
+// not per element of a larger universe.
+func (d *DSU) Add() int32 {
+	d.p = append(d.p, -1)
+	return int32(len(d.p) - 1)
+}
+
 // Len returns the size of the index range.
 func (d *DSU) Len() int { return len(d.p) }
 

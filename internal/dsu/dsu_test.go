@@ -144,6 +144,12 @@ func (d *twoArray) union(a, b int32) int32 {
 	return ra
 }
 
+func (d *twoArray) add() int32 {
+	d.parent = append(d.parent, int32(len(d.parent)))
+	d.size = append(d.size, 1)
+	return int32(len(d.parent) - 1)
+}
+
 func (d *twoArray) clone() *twoArray {
 	return &twoArray{
 		parent: append([]int32(nil), d.parent...),
@@ -151,31 +157,49 @@ func (d *twoArray) clone() *twoArray {
 	}
 }
 
-// TestMatchesTwoArrayReference replays random unions on the one-array DSU
-// and on the two-array reference: every Union and Find returns the same
-// representative (not just the same partition, since callers key state on
-// roots), SizeOf agrees, and a clone taken midway — of both, after Reset
-// reused the array — evolves independently of its original.
+// TestMatchesTwoArrayReference replays random unions and Adds on the
+// one-array DSU and on the two-array reference: every Union and Find
+// returns the same representative (not just the same partition, since
+// callers key state on roots), every Add the same new index, SizeOf
+// agrees, and a clone taken midway — of both, after Reset reused the
+// array — evolves independently of its original. Half the trials start
+// from Reset(0) and grow by Add alone, as a crash witness's union-find
+// does.
 func TestMatchesTwoArrayReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	d := new(DSU)
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(80)
+		if trial%2 == 1 {
+			n = 0
+		}
 		d.Reset(n)
 		ref := newTwoArray(n)
 		var c *DSU
 		var cref *twoArray
-		ops := rng.Intn(3 * n)
+		ops := rng.Intn(3 * (n + 20))
 		for op := 0; op < ops; op++ {
 			if op == ops/2 {
 				c, cref = d.Clone(), ref.clone()
+			}
+			if n == 0 || rng.Intn(4) == 0 {
+				if got, want := d.Add(), ref.add(); got != want {
+					t.Fatalf("trial %d op %d: Add() = %d, reference %d", trial, op, got, want)
+				}
+				if c != nil {
+					if got, want := c.Add(), cref.add(); got != want {
+						t.Fatalf("trial %d op %d: clone Add() = %d, reference %d", trial, op, got, want)
+					}
+				}
+				n++
+				continue
 			}
 			a, b := int32(rng.Intn(n)), int32(rng.Intn(n))
 			if got, want := d.Union(a, b), ref.union(a, b); got != want {
 				t.Fatalf("trial %d op %d: Union(%d, %d) = %d, reference %d", trial, op, a, b, got, want)
 			}
 			if c != nil && rng.Intn(2) == 0 {
-				x, y := int32(rng.Intn(n)), int32(rng.Intn(n))
+				x, y := int32(rng.Intn(c.Len())), int32(rng.Intn(c.Len()))
 				if got, want := c.Union(x, y), cref.union(x, y); got != want {
 					t.Fatalf("trial %d op %d: clone Union(%d, %d) = %d, reference %d", trial, op, x, y, got, want)
 				}
@@ -188,10 +212,10 @@ func TestMatchesTwoArrayReference(t *testing.T) {
 			if pair.d == nil {
 				continue
 			}
-			if pair.d.Len() != n {
-				t.Fatalf("trial %d: Len = %d, want %d", trial, pair.d.Len(), n)
+			if pair.d.Len() != len(pair.ref.parent) {
+				t.Fatalf("trial %d: Len = %d, want %d", trial, pair.d.Len(), len(pair.ref.parent))
 			}
-			for i := int32(0); i < int32(n); i++ {
+			for i := int32(0); i < int32(pair.d.Len()); i++ {
 				if got, want := pair.d.Find(i), pair.ref.find(i); got != want {
 					t.Fatalf("trial %d: Find(%d) = %d, reference %d", trial, i, got, want)
 				}

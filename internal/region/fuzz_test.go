@@ -132,20 +132,20 @@ func FuzzRegionOps(f *testing.F) {
 				membersA[:1], singleton(g, membersA[0])))
 		}
 		for _, x := range regions {
-			if Less(x, x) {
+			if Less(&x, &x) {
 				t.Fatalf("Less(%s, %s) = true: not irreflexive", x, x)
 			}
-			if !x.IsEmpty() && !Less(Empty, x) {
+			if !x.IsEmpty() && !Less(&Empty, &x) {
 				t.Fatalf("Empty must rank below %s", x)
 			}
 			for _, y := range regions {
 				equal := x.Key() == y.Key()
-				if equal == (Less(x, y) || Less(y, x)) {
+				if equal == (Less(&x, &y) || Less(&y, &x)) {
 					t.Fatalf("trichotomy broken for %s vs %s: equal=%v Less=(%v,%v)",
-						x, y, equal, Less(x, y), Less(y, x))
+						x, y, equal, Less(&x, &y), Less(&y, &x))
 				}
 				for _, z := range regions {
-					if Less(x, y) && Less(y, z) && !Less(x, z) {
+					if Less(&x, &y) && Less(&y, &z) && !Less(&x, &z) {
 						t.Fatalf("transitivity broken: %s ≺ %s ≺ %s but not %s ≺ %s", x, y, z, x, z)
 					}
 				}

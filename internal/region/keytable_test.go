@@ -48,7 +48,7 @@ func TestKeyTableSharesEqualKeys(t *testing.T) {
 	if a.Key() != plain.Key() || a.Hash() != plain.Hash() || a.Hash() != hashKey(a.Key()) {
 		t.Errorf("the table changed the region: key %q hash %#x, without it %q %#x", a.Key(), a.Hash(), plain.Key(), plain.Hash())
 	}
-	if !a.Equal(plain) || Less(a, plain) || Less(plain, a) {
+	if !a.Equal(plain) || Less(&a, &plain) || Less(&plain, &a) {
 		t.Error("a shared key is not equal to its private copy")
 	}
 	if viaNew := New(g, graph.GridBlock(1, 1, 3)); sameBytes(viaNew.Key(), a.Key()) || viaNew.Key() != a.Key() {
@@ -124,7 +124,7 @@ func TestKeyTableCollisionKeepsOwnKey(t *testing.T) {
 	if r.Equal(other) || !r.Equal(own) {
 		t.Errorf("Equal does not read the region's own key: %s vs %s", r, other)
 	}
-	if !Less(r, other) || Less(other, r) || Less(r, own) || Less(own, r) {
+	if !Less(&r, &other) || Less(&other, &r) || Less(&r, &own) || Less(&own, &r) {
 		t.Errorf("Less does not read the region's own key: %s vs %s", r, other)
 	}
 }

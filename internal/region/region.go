@@ -336,7 +336,7 @@ func (r Region) String() string { return "{" + r.key + "}" }
 // notes the particular choice does not matter. Because rule 1 compares
 // cardinality first, ≺ subsumes strict set inclusion (R ⊊ S ⇒ R ≺ S), a
 // fact the Progress proof (Thm 4) relies on.
-func Less(r, s Region) bool {
+func Less(r, s *Region) bool {
 	switch {
 	case len(r.idx) != len(s.idx):
 		return len(r.idx) < len(s.idx)

@@ -61,10 +61,11 @@ func TestEmptyRegion(t *testing.T) {
 	if e.String() != "{}" {
 		t.Errorf("Empty.String() = %q", e.String())
 	}
-	if Less(New(g, []graph.NodeID{graph.GridID(0, 0)}), Empty) {
+	corner := New(g, []graph.NodeID{graph.GridID(0, 0)})
+	if Less(&corner, &Empty) {
 		t.Error("no region ranks below ∅")
 	}
-	if !Less(Empty, New(g, []graph.NodeID{graph.GridID(0, 0)})) {
+	if !Less(&Empty, &corner) {
 		t.Error("∅ must rank below every non-empty region")
 	}
 }
@@ -110,7 +111,7 @@ func TestRankingSubsumesInclusion(t *testing.T) {
 			continue
 		}
 		sub := New(g, r.Nodes()[:r.Len()-1])
-		if !Less(sub, r) {
+		if !Less(&sub, &r) {
 			t.Fatalf("strict subset %s should rank below %s", sub, r)
 		}
 	}
@@ -131,15 +132,15 @@ func TestRankingStrictTotalOrder(t *testing.T) {
 	f := func(p1, p2, p3 []uint8) bool {
 		a, b, c := mk(p1), mk(p2), mk(p3)
 		// Irreflexive.
-		if Less(a, a) {
+		if Less(&a, &a) {
 			return false
 		}
 		// Antisymmetric + total: exactly one of a≺b, b≺a, a=b.
 		n := 0
-		if Less(a, b) {
+		if Less(&a, &b) {
 			n++
 		}
-		if Less(b, a) {
+		if Less(&b, &a) {
 			n++
 		}
 		if a.Equal(b) {
@@ -149,7 +150,7 @@ func TestRankingStrictTotalOrder(t *testing.T) {
 			return false
 		}
 		// Transitive.
-		if Less(a, b) && Less(b, c) && !Less(a, c) {
+		if Less(&a, &b) && Less(&b, &c) && !Less(&a, &c) {
 			return false
 		}
 		return true
@@ -165,7 +166,7 @@ func TestRankingTieBreakers(t *testing.T) {
 	g := graph.Ring(6)
 	a := New(g, []graph.NodeID{graph.RingID(0)})
 	b := New(g, []graph.NodeID{graph.RingID(1)})
-	if !Less(a, b) {
+	if !Less(&a, &b) {
 		t.Error("lexicographic tie-break failed")
 	}
 	// Grid: corner singleton (border 2) vs interior singleton (border 4):
@@ -173,12 +174,12 @@ func TestRankingTieBreakers(t *testing.T) {
 	gg := testGraph()
 	corner := New(gg, []graph.NodeID{graph.GridID(0, 0)})
 	inner := New(gg, []graph.NodeID{graph.GridID(2, 2)})
-	if !Less(corner, inner) {
+	if !Less(&corner, &inner) {
 		t.Error("border-size tie-break failed")
 	}
 	// Size dominates border size: a 2-node region beats any singleton.
 	pair := New(gg, []graph.NodeID{graph.GridID(0, 0), graph.GridID(0, 1)})
-	if !Less(inner, pair) {
+	if !Less(&inner, &pair) {
 		t.Error("size must dominate border size")
 	}
 }
@@ -188,7 +189,7 @@ func TestRankingTieBreakers(t *testing.T) {
 func maxRanked(regions []Region) Region {
 	best := Empty
 	for _, r := range regions {
-		if Less(best, r) {
+		if Less(&best, &r) {
 			best = r
 		}
 	}
