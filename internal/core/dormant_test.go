@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -67,5 +68,45 @@ func TestDormantNodeIsAFewWords(t *testing.T) {
 	}
 	if len(slab.states.states) != 4 {
 		t.Fatalf("the pool grew to %d states over two equal runs", len(slab.states.states))
+	}
+}
+
+// TestNodesActivateConcurrently: the runtimes call a run's nodes from
+// several goroutines (livenet's, the sharded simulator's lanes), so nodes
+// of one slab take their states from its pool at once. Every node must
+// get a state of its own. Run it with -race.
+func TestNodesActivateConcurrently(t *testing.T) {
+	g := graph.Grid(16, 16)
+	var slab Slab
+	for run := 0; run < 3; run++ {
+		factory := slab.Factory(Config{Graph: g})
+		nodes := make([]*Node, g.Len())
+		for i, id := range g.Nodes() {
+			nodes[i] = factory(id).(*Node)
+		}
+		const workers = 8
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := w; i < len(nodes); i += workers {
+					n := nodes[i]
+					n.Start()
+					n.OnCrash(g.ID(g.NeighborIndices(int32(i))[0]))
+				}
+			}()
+		}
+		wg.Wait()
+		seen := make(map[*state]bool, len(nodes))
+		for _, n := range nodes {
+			if n.st == nil || seen[n.st] || n.st.node != n {
+				t.Fatalf("run %d: node %s has no state of its own", run, n.ID())
+			}
+			seen[n.st] = true
+		}
+		if len(slab.states.states) != len(nodes) {
+			t.Fatalf("run %d: the pool holds %d states for %d active nodes", run, len(slab.states.states), len(nodes))
+		}
 	}
 }

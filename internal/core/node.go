@@ -161,14 +161,13 @@ type state struct {
 	// connected components of the locally known crashed set (line 8) cost
 	// amortised near-O(1) per detection instead of a whole-set
 	// recomputation. Its elements are the detections, not the graph: the
-	// s-th detected node is element s, and crashOrder[s] is its graph
-	// index. crashRank lists the elements in ascending graph-index order,
-	// so a crashed node's element is one binary search away (see
-	// crashedSlot) and a component's members come out sorted. The three
-	// cost 12 bytes per detected crash, whatever the size of the graph.
-	uf         dsu.DSU
-	crashOrder []int32
-	crashRank  []int32
+	// s-th detected node is element s. crashed pairs each detected node's
+	// graph index (high half) with its element (low half), in ascending
+	// graph-index order, so a crashed node's element is one binary search
+	// away (see crashedAt) and a component's members come out sorted. The
+	// two cost 12 bytes per detected crash, whatever the size of the graph.
+	uf      dsu.DSU
+	crashed []uint64
 	// compScratch is the reusable buffer for gathering the members of a
 	// component about to be built as a Region. borderSeen is the scratch
 	// bitset for the Region border computation (empty between calls), and
@@ -255,17 +254,23 @@ func (n *Node) init(id graph.NodeID, rn *run) {
 
 // activate returns n's state, taking one on the first call (see Node).
 func (n *Node) activate() *state {
-	if n.st == nil {
-		var st *state
-		if n.run.pool != nil {
-			st = n.run.pool.take()
-		} else {
-			st = new(state)
-		}
-		st.reset(n)
-		n.st = st
+	if n.st != nil {
+		return n.st
 	}
-	return n.st
+	return n.wake()
+}
+
+// wake takes n's state: from the run's pool, or a new one.
+func (n *Node) wake() *state {
+	var st *state
+	if n.run.pool != nil {
+		st = n.run.pool.take()
+	} else {
+		st = new(state)
+	}
+	st.reset(n)
+	n.st = st
+	return st
 }
 
 // reset makes st the fresh state of n, keeping the memory of st's earlier
@@ -289,8 +294,7 @@ func (st *state) reset(n *Node) {
 		locallyCrashed: st.locallyCrashed[:0],
 		monitored:      st.monitored[:0],
 		uf:             st.uf,
-		crashOrder:     st.crashOrder[:0],
-		crashRank:      st.crashRank[:0],
+		crashed:        st.crashed[:0],
 		compScratch:    st.compScratch[:0],
 		borderSeen:     st.borderSeen,
 		monitorScratch: st.monitorScratch[:0],
@@ -410,9 +414,9 @@ func (n *Node) LocallyCrashed() []graph.NodeID {
 		return []graph.NodeID{}
 	}
 	st := n.st
-	out := make([]graph.NodeID, 0, len(st.crashRank))
-	for _, s := range st.crashRank {
-		out = append(out, st.g.ID(st.crashOrder[s]))
+	out := make([]graph.NodeID, 0, len(st.crashed))
+	for _, c := range st.crashed {
+		out = append(out, st.g.ID(int32(c>>32)))
 	}
 	return out
 }
@@ -491,19 +495,20 @@ func (st *state) knowsCrashed(qi int32) bool {
 	return st.witnessed() && st.locallyCrashed.Has(qi)
 }
 
-// crashedSlot returns the position in crashRank of the first crashed node
-// whose graph index is at least qi, and whether that node is qi.
-func (st *state) crashedSlot(qi int32) (pos int, found bool) {
-	lo, hi := 0, len(st.crashRank)
+// crashedAt returns the position in crashed of the first detected node
+// whose graph index is at least qi.
+func (st *state) crashedAt(qi int32) int {
+	key := uint64(qi) << 32
+	lo, hi := 0, len(st.crashed)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if st.crashOrder[st.crashRank[mid]] < qi {
+		if st.crashed[mid] < key {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo, lo < len(st.crashRank) && st.crashOrder[st.crashRank[lo]] == qi
+	return lo
 }
 
 // subscribe issues 〈monitorCrash | S〉 for not-yet-monitored, not-yet-known
@@ -555,11 +560,8 @@ type pendingView struct{ root, size int32 }
 // whole-set connectedComponents recomputation (line 8), at amortised
 // near-O(1) union-find cost per detection.
 func (n *Node) OnCrash(q graph.NodeID) proto.Effects {
-	return n.activate().onCrash(q)
-}
-
-func (st *state) onCrash(q graph.NodeID) proto.Effects {
 	var eff proto.Effects
+	st := n.activate()
 	qi := st.g.Index(q)
 	if qi < 0 {
 		// The perfect failure detector only reports graph members; anything
@@ -571,17 +573,14 @@ func (st *state) onCrash(q graph.NodeID) proto.Effects {
 	if st.locallyCrashed.Has(qi) {
 		return eff // duplicate notification; idempotent
 	}
-	st.locallyCrashed.Set(qi)                 // line 6
-	row := st.g.NeighborIndices(qi)           //
-	st.subscribe(row, &eff)                   // line 7
-	slot := st.uf.Add()                       // q's union-find element
-	pos, _ := st.crashedSlot(qi)              //
-	st.crashOrder = append(st.crashOrder, qi) //
-	st.crashRank = slices.Insert(st.crashRank, pos, slot)
+	st.locallyCrashed.Set(qi)       // line 6
+	row := st.g.NeighborIndices(qi) //
+	st.subscribe(row, &eff)         // line 7
+	slot := st.uf.Add()             // q's union-find element
+	st.crashed = slices.Insert(st.crashed, st.crashedAt(qi), uint64(qi)<<32|uint64(slot))
 	for _, m := range row {
 		if st.locallyCrashed.Has(m) {
-			pos, _ := st.crashedSlot(m)
-			st.uf.Union(slot, st.crashRank[pos])
+			st.uf.Union(slot, int32(st.crashed[st.crashedAt(m)]))
 		}
 	}
 	// Rule 1 of the ranking compares cardinality first. A strictly larger
@@ -611,9 +610,9 @@ func (st *state) onCrash(q graph.NodeID) proto.Effects {
 // then the border and key construction.
 func (st *state) component(root int32) region.Region {
 	members := st.compScratch[:0]
-	for _, s := range st.crashRank {
-		if st.uf.Find(s) == root {
-			members = append(members, st.crashOrder[s])
+	for _, c := range st.crashed {
+		if st.uf.Find(int32(c)) == root {
+			members = append(members, int32(c>>32))
 		}
 	}
 	st.compScratch = members
@@ -638,11 +637,8 @@ func (st *state) materialise() {
 // OnMessage handles 〈mDeliver | from, payload〉 (lines 18–25), then runs
 // the guard loop. The protocol's payload is a *Message.
 func (n *Node) OnMessage(from graph.NodeID, payload proto.Payload) proto.Effects {
-	return n.activate().onMessage(from, payload)
-}
-
-func (st *state) onMessage(from graph.NodeID, payload proto.Payload) proto.Effects {
 	var eff proto.Effects
+	st := n.activate()
 	m, ok := payload.(*Message)
 	if !ok || m == nil {
 		st.violatef("foreign payload %T from %s", payload, from)
@@ -980,8 +976,7 @@ func (n *Node) Clone() *Node {
 		locallyCrashed: st.locallyCrashed.Clone(),
 		monitored:      st.monitored.Clone(),
 		uf:             *st.uf.Clone(),
-		crashOrder:     slices.Clone(st.crashOrder),
-		crashRank:      slices.Clone(st.crashRank),
+		crashed:        slices.Clone(st.crashed),
 		views:          st.views.clone(),
 		rejectDirty:    st.rejectDirty,
 		// ownInst stays nil: it is a cache, refilled lazily against the
