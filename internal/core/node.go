@@ -128,13 +128,11 @@ func (p *statePool) take() *state {
 
 // state is a node's protocol state: everything but the header.
 type state struct {
-	// node is the node the state is active for; cfg, g, keys and selfIdx
-	// are copied from its header and run, so the hot path reads them in
-	// one load.
+	// node is the node the state is active for; cfg and selfIdx are
+	// copied from its run and header, which the hot path reads on every
+	// call.
 	node    *Node
 	cfg     *Config
-	g       *graph.Graph
-	keys    *region.KeyTable
 	selfIdx int32
 
 	// decided is the protocol outcome (line 2: decided ← ⊥).
@@ -228,9 +226,15 @@ type state struct {
 // New builds a Node from cfg, applying defaults. It panics only on a
 // programmer error: a missing ID or Graph.
 func New(cfg Config) *Node {
-	n := new(Node)
-	n.init(cfg.ID, &run{cfg: withDefaults(cfg)})
-	return n
+	requireIdentity(cfg.ID, cfg.Graph)
+	return &Node{id: cfg.ID, selfIdx: cfg.Graph.Index(cfg.ID), run: &run{cfg: withDefaults(cfg)}}
+}
+
+// requireIdentity panics unless a node can be built for id over g.
+func requireIdentity(id graph.NodeID, g *graph.Graph) {
+	if id == "" || g == nil {
+		panic("core.New: Config.ID and Config.Graph are required")
+	}
 }
 
 // withDefaults returns cfg with the default Propose and Pick filled in.
@@ -242,14 +246,6 @@ func withDefaults(cfg Config) Config {
 		cfg.Pick = DefaultPick
 	}
 	return cfg
-}
-
-// init makes n the dormant node id of rn.
-func (n *Node) init(id graph.NodeID, rn *run) {
-	if id == "" || rn.cfg.Graph == nil {
-		panic("core.New: Config.ID and Config.Graph are required")
-	}
-	*n = Node{id: id, selfIdx: rn.cfg.Graph.Index(id), run: rn}
 }
 
 // activate returns n's state, taking one on the first call (see Node).
@@ -288,8 +284,6 @@ func (st *state) reset(n *Node) {
 	*st = state{
 		node:           n,
 		cfg:            &n.run.cfg,
-		g:              n.run.cfg.Graph,
-		keys:           n.run.keys,
 		selfIdx:        n.selfIdx,
 		locallyCrashed: st.locallyCrashed[:0],
 		monitored:      st.monitored[:0],
@@ -305,7 +299,7 @@ func (st *state) reset(n *Node) {
 		violations:     st.violations[:0],
 	}
 	if st.borderSeen != nil {
-		st.borderSeen = st.borderSeen.Reset(st.g.Len())
+		st.borderSeen = st.borderSeen.Reset(st.cfg.Graph.Len())
 	}
 }
 
@@ -351,28 +345,28 @@ func (s *Slab) Factory(cfg Config) proto.Factory {
 	s.states.used = 0
 	armed := false
 	return func(id graph.NodeID) proto.Automaton {
-		var n *Node
-		if g := cfg.Graph; g != nil {
-			if !armed {
-				// Sized by the first node built, not when the factory is
-				// made: a run pays for its nodes when it builds them.
-				armed = true
-				size := g.Len()
-				if cap(s.nodes) < size {
-					s.nodes = make([]Node, size)
-				}
-				s.nodes = s.nodes[:size]
-				s.handed = s.handed.Reset(size)
+		g := cfg.Graph
+		requireIdentity(id, g)
+		if !armed {
+			// Sized by the first node built, not when the factory is made:
+			// a run pays for its nodes when it builds them.
+			armed = true
+			size := g.Len()
+			if cap(s.nodes) < size {
+				s.nodes = make([]Node, size)
 			}
-			if i := g.Index(id); i >= 0 && !s.handed.Has(i) {
-				s.handed.Set(i)
-				n = &s.nodes[i]
-			}
+			s.nodes = s.nodes[:size]
+			s.handed = s.handed.Reset(size)
 		}
-		if n == nil {
+		i := g.Index(id)
+		var n *Node
+		if i >= 0 && !s.handed.Has(i) {
+			s.handed.Set(i)
+			n = &s.nodes[i]
+		} else {
 			n = new(Node)
 		}
-		n.init(id, &s.run)
+		*n = Node{id: id, selfIdx: i, run: &s.run}
 		return n
 	}
 }
@@ -416,7 +410,7 @@ func (n *Node) LocallyCrashed() []graph.NodeID {
 	st := n.st
 	out := make([]graph.NodeID, 0, len(st.crashed))
 	for _, c := range st.crashed {
-		out = append(out, st.g.ID(int32(c>>32)))
+		out = append(out, st.cfg.Graph.ID(int32(c>>32)))
 	}
 	return out
 }
@@ -472,11 +466,11 @@ func (st *state) witness() {
 	if st.witnessed() {
 		return
 	}
-	size := st.g.Len()
+	size := st.cfg.Graph.Len()
 	st.locallyCrashed = st.locallyCrashed.Reset(size)
 	st.monitored = st.monitored.Reset(size)
 	if st.node.started {
-		for _, qi := range st.g.NeighborIndices(st.selfIdx) {
+		for _, qi := range st.cfg.Graph.NeighborIndices(st.selfIdx) {
 			st.monitored.Set(qi)
 		}
 	}
@@ -562,7 +556,7 @@ type pendingView struct{ root, size int32 }
 func (n *Node) OnCrash(q graph.NodeID) proto.Effects {
 	var eff proto.Effects
 	st := n.activate()
-	qi := st.g.Index(q)
+	qi := st.cfg.Graph.Index(q)
 	if qi < 0 {
 		// The perfect failure detector only reports graph members; anything
 		// else is a harness bug.
@@ -573,10 +567,10 @@ func (n *Node) OnCrash(q graph.NodeID) proto.Effects {
 	if st.locallyCrashed.Has(qi) {
 		return eff // duplicate notification; idempotent
 	}
-	st.locallyCrashed.Set(qi)       // line 6
-	row := st.g.NeighborIndices(qi) //
-	st.subscribe(row, &eff)         // line 7
-	slot := st.uf.Add()             // q's union-find element
+	row := st.cfg.Graph.NeighborIndices(qi)
+	st.locallyCrashed.Set(qi) // line 6
+	st.subscribe(row, &eff)   // line 7
+	slot := st.uf.Add()       // q's union-find element
 	st.crashed = slices.Insert(st.crashed, st.crashedAt(qi), uint64(qi)<<32|uint64(slot))
 	for _, m := range row {
 		if st.locallyCrashed.Has(m) {
@@ -617,9 +611,9 @@ func (st *state) component(root int32) region.Region {
 	}
 	st.compScratch = members
 	if st.borderSeen == nil {
-		st.borderSeen = graph.NewBitset(st.g.Len())
+		st.borderSeen = graph.NewBitset(st.cfg.Graph.Len())
 	}
-	return region.NewFromIndicesScratch(st.g, members, st.locallyCrashed, st.borderSeen, st.keys)
+	return region.NewFromIndicesScratch(st.cfg.Graph, members, st.locallyCrashed, st.borderSeen, st.node.run.keys)
 }
 
 // materialise performs the deferred lines 10–11: if a component is
@@ -963,8 +957,6 @@ func (n *Node) Clone() *Node {
 	c := &state{
 		node:           out,
 		cfg:            st.cfg,
-		g:              st.g,
-		keys:           st.keys,
 		selfIdx:        st.selfIdx,
 		hasProposed:    st.hasProposed,
 		proposedValue:  st.proposedValue,
