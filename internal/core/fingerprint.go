@@ -13,11 +13,7 @@ import (
 // on all future inputs. The bounded model checker uses fingerprints to
 // deduplicate interleavings that converge to the same global state.
 func (n *Node) Fingerprint() string {
-	st := n.st
-	if st == nil {
-		// A dormant node renders as the state it would take.
-		st = &state{}
-	}
+	st := n.view()   // a dormant node renders as the state it would take
 	st.materialise() // mx= and cd= render the views a pending component stands for
 	g := n.run.cfg.Graph
 	var sb strings.Builder

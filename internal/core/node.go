@@ -374,63 +374,52 @@ func (s *Slab) Factory(cfg Config) proto.Factory {
 // ID returns the node's identity.
 func (n *Node) ID() graph.NodeID { return n.id }
 
-// Decided returns the decision taken by this node, or nil (line 36).
-func (n *Node) Decided() *proto.Decision {
-	if n.st == nil {
-		return nil
+// dormant is what a dormant node reads as: the zero state, which no
+// reader writes to.
+var dormant state
+
+// view returns n's state for reading: dormant until n takes a state.
+func (n *Node) view() *state {
+	if n.st != nil {
+		return n.st
 	}
-	return n.st.decided
+	return &dormant
 }
 
+// Decided returns the decision taken by this node, or nil (line 36).
+func (n *Node) Decided() *proto.Decision { return n.view().decided }
+
 // HasProposed reports whether proposed ≠ ⊥.
-func (n *Node) HasProposed() bool { return n.st != nil && n.st.hasProposed }
+func (n *Node) HasProposed() bool { return n.view().hasProposed }
 
 // CurrentView returns V_p, the view of the node's current (or last)
 // consensus instance; the empty region if it never proposed.
-func (n *Node) CurrentView() region.Region {
-	if n.st == nil {
-		return region.Empty
-	}
-	return n.st.vp
-}
+func (n *Node) CurrentView() region.Region { return n.view().vp }
 
 // Round returns r, the node's current round within its own instance.
-func (n *Node) Round() int {
-	if n.st == nil {
-		return 0
-	}
-	return n.st.round
-}
+func (n *Node) Round() int { return n.view().round }
 
 // LocallyCrashed returns the sorted set of nodes detected as crashed.
 func (n *Node) LocallyCrashed() []graph.NodeID {
-	if n.st == nil {
-		return []graph.NodeID{}
-	}
-	st := n.st
-	out := make([]graph.NodeID, 0, len(st.crashed))
-	for _, c := range st.crashed {
-		out = append(out, st.cfg.Graph.ID(int32(c>>32)))
+	crashed := n.view().crashed
+	out := make([]graph.NodeID, 0, len(crashed))
+	for _, c := range crashed {
+		out = append(out, n.run.cfg.Graph.ID(int32(c>>32)))
 	}
 	return out
 }
 
 // MaxView returns the highest-ranked crashed region known locally.
 func (n *Node) MaxView() region.Region {
-	if n.st == nil {
-		return region.Empty
-	}
-	n.st.materialise()
-	return n.st.maxView
+	st := n.view()
+	st.materialise()
+	return st.maxView
 }
 
 // Violations returns internal invariant breaches recorded so far (always
 // empty unless there is an implementation bug).
 func (n *Node) Violations() []string {
-	if n.st == nil {
-		return nil
-	}
-	return append([]string(nil), n.st.violations...)
+	return append([]string(nil), n.view().violations...)
 }
 
 func (st *state) violatef(format string, args ...any) {
@@ -445,7 +434,7 @@ func (n *Node) Start() proto.Effects {
 	var eff proto.Effects
 	switch {
 	case n.selfIdx < 0:
-	case n.st != nil && n.st.witnessed():
+	case n.view().witnessed():
 		n.st.subscribe(n.run.cfg.Graph.NeighborIndices(n.selfIdx), &eff)
 	case !n.started:
 		n.started = true
@@ -478,7 +467,7 @@ func (st *state) witness() {
 
 // monitors reports whether the node has subscribed to crashes of qi.
 func (n *Node) monitors(qi int32) bool {
-	if n.st == nil || !n.st.witnessed() {
+	if !n.view().witnessed() {
 		return n.started && slices.Contains(n.run.cfg.Graph.NeighborIndices(n.selfIdx), qi)
 	}
 	return n.st.monitored.Has(qi)
