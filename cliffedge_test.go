@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"cliffedge/internal/region"
 )
 
 // runPlan builds a cluster over topo and runs plan on it.
@@ -24,7 +26,7 @@ func TestRunCheckedQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	border := topo.BorderOfSlice(victims)
+	border := region.New(topo, victims).Border()
 	if len(res.Decisions) != len(border) {
 		t.Fatalf("got %d decisions, want %d", len(res.Decisions), len(border))
 	}
@@ -191,7 +193,7 @@ func TestRunPredicateFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	border := topo.BorderOfSlice(patch)
+	border := region.New(topo, patch).Border()
 	if len(res.Decisions) != len(border) {
 		t.Fatalf("got %d decisions, want %d", len(res.Decisions), len(border))
 	}

@@ -6,6 +6,7 @@ import (
 
 	"cliffedge/internal/graph"
 	"cliffedge/internal/netem"
+	"cliffedge/internal/region"
 )
 
 // TestFamilyDeterminism: the same seed must reproduce the same topology,
@@ -231,7 +232,7 @@ func TestMaxBorderBlob(t *testing.T) {
 		for _, i := range blob {
 			set.Set(i)
 		}
-		return len(g.BorderOfIndices(blob, set))
+		return region.NewFromIndicesScratch(g, set.AppendIndices(nil), set, nil, nil).BorderLen()
 	}
 	rng := rand.New(rand.NewSource(5))
 	sumMax, sumUni := 0, 0

@@ -280,7 +280,9 @@ func SmallWorld(n, k int, beta float64, seed int64) *Graph {
 // RandomGeometric scatters n nodes uniformly on the unit square and
 // connects pairs within the given radius, then adds a nearest-neighbour
 // chain for connectivity. This is the "topology mirrors physical proximity"
-// setting from §2.1. A size below 1 yields the empty graph.
+// setting from §2.1. A size below 1 yields the empty graph; a negative
+// radius counts as 0, so it adds no proximity edge and only the chain
+// remains.
 func RandomGeometric(n int, radius float64, seed int64) *Graph {
 	if n < 1 {
 		return NewBuilder().Build()
@@ -301,6 +303,7 @@ func RandomGeometric(n int, radius float64, seed int64) *Graph {
 			b.AddEdge(ids[i], ids[(i+1)%n])
 		}
 	}
+	radius = max(radius, 0)
 	r2 := radius * radius
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
@@ -531,45 +534,29 @@ func CenterBlock(rows, cols, k int) []NodeID {
 	return GridBlock((rows-k)/2, (cols-k)/2, k)
 }
 
-// MaxDegree returns the largest node degree in g (0 for the empty graph).
-func (g *Graph) MaxDegree() int {
-	max := 0
-	for i := range g.nodes {
-		if d := g.DegreeOf(int32(i)); d > max {
-			max = d
-		}
-	}
-	return max
-}
-
-// AvgDegree returns the mean node degree.
-func (g *Graph) AvgDegree() float64 {
-	if len(g.nodes) == 0 {
-		return 0
-	}
-	return 2 * float64(g.NumEdges()) / float64(len(g.nodes))
-}
-
 // Diameter computes the eccentricity-maximum over all nodes via repeated
 // BFS. Intended for test-sized graphs (O(V·E)).
 func (g *Graph) Diameter() int {
-	maxDist := 0
-	for _, src := range g.nodes {
-		dist := map[NodeID]int{src: 0}
-		queue := []NodeID{src}
+	maxDist := int32(0)
+	dist := make([]int32, len(g.nodes))
+	queue := make([]int32, 0, len(g.nodes))
+	for src := range g.nodes {
+		for i := range dist {
+			dist[i] = -1
+		}
+		dist[src] = 0
+		queue = append(queue[:0], int32(src))
 		for len(queue) > 0 {
 			n := queue[0]
 			queue = queue[1:]
-			for _, m := range g.Neighbors(n) {
-				if _, ok := dist[m]; !ok {
+			for _, m := range g.NeighborIndices(n) {
+				if dist[m] < 0 {
 					dist[m] = dist[n] + 1
-					if dist[m] > maxDist {
-						maxDist = dist[m]
-					}
+					maxDist = max(maxDist, dist[m])
 					queue = append(queue, m)
 				}
 			}
 		}
 	}
-	return maxDist
+	return int(maxDist)
 }

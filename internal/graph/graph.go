@@ -1,7 +1,7 @@
 // Package graph implements the undirected knowledge graph G = (Π, E) that
 // underpins cliff-edge consensus (paper §2.2): nodes only know their
 // immediate neighbours, and a region's border is the set of outside nodes
-// adjacent to it.
+// adjacent to it (package region computes it from the adjacency here).
 //
 // Graphs are immutable once built (the paper's G is fixed for a run; crashes
 // remove processes, not edges), which lets every layer above share a single
@@ -37,11 +37,9 @@ type Graph struct {
 	index map[NodeID]int32 // inverse of nodes
 	// CSR adjacency over indices: the neighbours of index i are
 	// csrAdj[csrStart[i]:csrStart[i+1]], in ascending index order (which is
-	// ascending NodeID order). csrIDs holds the same neighbours by NodeID,
-	// so Neighbors is a slice of it.
+	// ascending NodeID order).
 	csrStart []int32
 	csrAdj   []int32
-	csrIDs   []NodeID
 }
 
 // Builder accumulates nodes and edges and produces an immutable Graph.
@@ -145,12 +143,10 @@ func (b *Builder) Build() *Graph {
 		index:    b.index,
 		csrStart: make([]int32, n+1),
 		csrAdj:   make([]int32, len(arcs)),
-		csrIDs:   make([]NodeID, len(arcs)),
 	}
 	for k, a := range arcs {
 		g.csrStart[a>>32+1]++
 		g.csrAdj[k] = int32(uint32(a))
-		g.csrIDs[k] = b.ids[uint32(a)]
 	}
 	for i := 0; i < n; i++ {
 		g.csrStart[i+1] += g.csrStart[i]
@@ -172,18 +168,22 @@ func (g *Graph) Has(n NodeID) bool {
 	return ok
 }
 
-// Neighbors returns border(n): the sorted adjacency list of n. The slice is
-// shared; callers must not mutate it. Unknown nodes have no neighbours.
+// Neighbors returns border(n): the sorted adjacency list of n, rendered
+// from the CSR row into a new slice on every call, which the caller owns.
+// Unknown nodes have no neighbours. Loops over the graph read
+// NeighborIndices, which allocates nothing.
 func (g *Graph) Neighbors(n NodeID) []NodeID {
 	i, ok := g.index[n]
 	if !ok {
 		return nil
 	}
-	return g.csrIDs[g.csrStart[i]:g.csrStart[i+1]]
+	row := g.NeighborIndices(i)
+	out := make([]NodeID, len(row))
+	for k, q := range row {
+		out[k] = g.nodes[q]
+	}
+	return out
 }
-
-// Degree returns |border(n)|.
-func (g *Graph) Degree(n NodeID) int { return len(g.Neighbors(n)) }
 
 // Index returns the dense index of n, or -1 if n ∉ Π. Indices are
 // assigned in sorted NodeID order, so for any two nodes u, v:
@@ -210,66 +210,8 @@ func (g *Graph) NeighborIndices(i int32) []int32 {
 // DegreeOf returns the degree of index i without touching the string maps.
 func (g *Graph) DegreeOf(i int32) int { return int(g.csrStart[i+1] - g.csrStart[i]) }
 
-// HasEdge reports whether {u, v} ∈ E.
-func (g *Graph) HasEdge(u, v NodeID) bool {
-	iu, ok := g.index[u]
-	if !ok {
-		return false
-	}
-	iv, ok := g.index[v]
-	if !ok {
-		return false
-	}
-	_, found := slices.BinarySearch(g.NeighborIndices(iu), iv)
-	return found
-}
-
 // NumEdges returns |E|.
 func (g *Graph) NumEdges() int { return len(g.csrAdj) / 2 }
-
-// Border returns border(S) = {q ∈ Π\S | ∃p ∈ S : (p,q) ∈ E} in sorted
-// order (paper §2.2). S is given as a set.
-func (g *Graph) Border(s map[NodeID]bool) []NodeID {
-	seen := make(map[NodeID]bool)
-	var out []NodeID
-	for p := range s {
-		for _, q := range g.Neighbors(p) {
-			if !s[q] && !seen[q] {
-				seen[q] = true
-				out = append(out, q)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// BorderOfSlice is Border for a slice-typed set.
-func (g *Graph) BorderOfSlice(s []NodeID) []NodeID {
-	set := make(map[NodeID]bool, len(s))
-	for _, n := range s {
-		set[n] = true
-	}
-	return g.Border(set)
-}
-
-// BorderOfIndices is Border over dense indices: it returns the ascending
-// indices of the nodes adjacent to S but outside it, with S given as a set
-// of indices. members must describe the same set as the bitset holding it;
-// passing the indices alongside avoids a full-bitset scan per call.
-func (g *Graph) BorderOfIndices(members []int32, memberSet Bitset) []int32 {
-	seen := NewBitset(len(g.nodes))
-	count := 0
-	for _, i := range members {
-		for _, q := range g.NeighborIndices(i) {
-			if !memberSet.Has(q) && !seen.Has(q) {
-				seen.Set(q)
-				count++
-			}
-		}
-	}
-	return seen.AppendIndices(make([]int32, 0, count))
-}
 
 // ConnectedComponents returns the vertex sets of the connected components of
 // the subgraph G[S] induced by S (paper §3.1, connectedComponents). Each
@@ -294,8 +236,12 @@ func (g *Graph) ConnectedComponents(s map[NodeID]bool) [][]NodeID {
 			n := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			comp = append(comp, n)
-			for _, m := range g.Neighbors(n) {
-				if s[m] && !visited[m] {
+			i, ok := g.index[n]
+			if !ok {
+				continue
+			}
+			for _, q := range g.NeighborIndices(i) {
+				if m := g.nodes[q]; s[m] && !visited[m] {
 					visited[m] = true
 					stack = append(stack, m)
 				}
@@ -329,10 +275,10 @@ func (g *Graph) DOT(name string, crashed map[NodeID]bool) string {
 			fmt.Fprintf(&sb, "  %q;\n", string(n))
 		}
 	}
-	for _, u := range g.nodes {
-		for _, v := range g.Neighbors(u) {
-			if u < v {
-				fmt.Fprintf(&sb, "  %q -- %q;\n", string(u), string(v))
+	for i, u := range g.nodes {
+		for _, j := range g.NeighborIndices(int32(i)) {
+			if int32(i) < j {
+				fmt.Fprintf(&sb, "  %q -- %q;\n", string(u), string(g.nodes[j]))
 			}
 		}
 	}

@@ -3,10 +3,11 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestBuilderBasics(t *testing.T) {
@@ -18,17 +19,15 @@ func TestBuilderBasics(t *testing.T) {
 	if g.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", g.Len())
 	}
-	if !g.HasEdge("a", "b") || !g.HasEdge("b", "a") {
-		t.Error("edge a-b missing or not symmetric")
+	// a-b is in both rows (symmetric); a-c is in neither.
+	if got := g.Neighbors("a"); !slices.Equal(got, []NodeID{"b"}) {
+		t.Errorf("Neighbors(a) = %v, want [b]", got)
 	}
-	if g.HasEdge("a", "c") {
-		t.Error("phantom edge a-c")
+	if got := g.Neighbors("b"); !slices.Equal(got, []NodeID{"a", "c"}) {
+		t.Errorf("Neighbors(b) = %v, want [a c]", got)
 	}
-	if g.Degree("b") != 2 {
-		t.Errorf("Degree(b) = %d, want 2", g.Degree("b"))
-	}
-	if g.Degree("d") != 0 {
-		t.Errorf("Degree(d) = %d, want 0", g.Degree("d"))
+	if d := g.DegreeOf(g.Index("d")); d != 0 {
+		t.Errorf("DegreeOf(d) = %d, want 0", d)
 	}
 	if g.NumEdges() != 2 {
 		t.Errorf("NumEdges = %d, want 2", g.NumEdges())
@@ -37,8 +36,8 @@ func TestBuilderBasics(t *testing.T) {
 
 func TestSelfLoopIgnored(t *testing.T) {
 	g := NewBuilder().AddEdge("a", "a").Build()
-	if g.Degree("a") != 0 {
-		t.Errorf("self-loop created an edge: degree %d", g.Degree("a"))
+	if e := g.NumEdges(); e != 0 {
+		t.Errorf("self-loop created %d edges", e)
 	}
 }
 
@@ -59,44 +58,6 @@ func TestNodesSorted(t *testing.T) {
 		nbrs := g.Neighbors(n)
 		if !sort.SliceIsSorted(nbrs, func(i, j int) bool { return nbrs[i] < nbrs[j] }) {
 			t.Errorf("Neighbors(%s) not sorted: %v", n, nbrs)
-		}
-	}
-}
-
-func TestBorder(t *testing.T) {
-	// a-b-c-d path; border({b,c}) = {a,d}.
-	g := Line(4)
-	s := map[NodeID]bool{RingID(1): true, RingID(2): true}
-	got := g.Border(s)
-	want := []NodeID{RingID(0), RingID(3)}
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Errorf("Border = %v, want %v", got, want)
-	}
-}
-
-func TestBorderDisjointFromSet(t *testing.T) {
-	g := Grid(5, 5)
-	rng := rand.New(rand.NewSource(1))
-	nodes := g.Nodes()
-	for trial := 0; trial < 100; trial++ {
-		s := map[NodeID]bool{}
-		for i := 0; i < 1+rng.Intn(8); i++ {
-			s[nodes[rng.Intn(len(nodes))]] = true
-		}
-		for _, b := range g.Border(s) {
-			if s[b] {
-				t.Fatalf("border node %s is inside the set %v", b, s)
-			}
-			// Every border node must have a neighbour in s.
-			found := false
-			for _, n := range g.Neighbors(b) {
-				if s[n] {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatalf("border node %s has no neighbour in the set", b)
-			}
 		}
 	}
 }
@@ -164,10 +125,10 @@ func TestGridShape(t *testing.T) {
 		t.Fatalf("Len = %d, want 12", g.Len())
 	}
 	// Interior node has 4 neighbours, corner 2.
-	if d := g.Degree(GridID(1, 1)); d != 4 {
+	if d := g.DegreeOf(g.Index(GridID(1, 1))); d != 4 {
 		t.Errorf("interior degree = %d, want 4", d)
 	}
-	if d := g.Degree(GridID(0, 0)); d != 2 {
+	if d := g.DegreeOf(g.Index(GridID(0, 0))); d != 2 {
 		t.Errorf("corner degree = %d, want 2", d)
 	}
 	if g.NumEdges() != 3*3+2*4 {
@@ -177,24 +138,24 @@ func TestGridShape(t *testing.T) {
 
 func TestTorusIsRegular(t *testing.T) {
 	g := Torus(4, 5)
-	for _, n := range g.Nodes() {
-		if g.Degree(n) != 4 {
-			t.Fatalf("torus node %s has degree %d, want 4", n, g.Degree(n))
+	for i, n := range g.Nodes() {
+		if d := g.DegreeOf(int32(i)); d != 4 {
+			t.Fatalf("torus node %s has degree %d, want 4", n, d)
 		}
 	}
 }
 
 func TestRingAndLine(t *testing.T) {
 	r := Ring(6)
-	for _, n := range r.Nodes() {
-		if r.Degree(n) != 2 {
-			t.Fatalf("ring degree %d", r.Degree(n))
+	for i := range r.Nodes() {
+		if d := r.DegreeOf(int32(i)); d != 2 {
+			t.Fatalf("ring degree %d", d)
 		}
 	}
 	l := Line(6)
 	deg1 := 0
-	for _, n := range l.Nodes() {
-		if l.Degree(n) == 1 {
+	for i := range l.Nodes() {
+		if l.DegreeOf(int32(i)) == 1 {
 			deg1++
 		}
 	}
@@ -209,8 +170,8 @@ func TestCompleteAndStar(t *testing.T) {
 		t.Errorf("K5 edges = %d, want 10", k.NumEdges())
 	}
 	s := Star(5)
-	if s.Degree(RingID(0)) != 4 {
-		t.Errorf("hub degree = %d, want 4", s.Degree(RingID(0)))
+	if d := s.DegreeOf(s.Index(RingID(0))); d != 4 {
+		t.Errorf("hub degree = %d, want 4", d)
 	}
 }
 
@@ -239,6 +200,34 @@ func TestRandomGraphsConnected(t *testing.T) {
 	}
 }
 
+// TestRandomGeometricNegativeRadius: no pair lies within a negative
+// radius, so only the chain's n edges remain.
+func TestRandomGeometricNegativeRadius(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		if e := RandomGeometric(30, -0.5, seed).NumEdges(); e != 30 {
+			t.Errorf("RandomGeometric(30, -0.5, %d) has %d edges, want the chain's 30", seed, e)
+		}
+	}
+}
+
+// TestGridAllocatesOneAdjacency bounds what building a 256² grid
+// allocates per node: the IDs, the ID map, the builder's edge and arc
+// lists and the CSR arrays come to about 200 B. A second copy of the
+// neighbour rows as 16-byte NodeIDs would add 64 B per node at degree 4.
+func TestGridAllocatesOneAdjacency(t *testing.T) {
+	const side, bound = 256, 232
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	g := Grid(side, side)
+	runtime.ReadMemStats(&after)
+	perNode := float64(after.TotalAlloc-before.TotalAlloc) / float64(g.Len())
+	t.Logf("Grid(%d, %d) allocates %.1f B per node", side, side, perNode)
+	if perNode > bound {
+		t.Errorf("Grid(%d, %d) allocates %.1f B per node, bound %d", side, side, perNode, bound)
+	}
+}
+
 func TestGeneratorsDeterministic(t *testing.T) {
 	a := ErdosRenyi(30, 0.1, 7)
 	b := ErdosRenyi(30, 0.1, 7)
@@ -255,76 +244,6 @@ func TestGeneratorsDeterministic(t *testing.T) {
 				t.Fatalf("node %s: %v vs %v", n, na, nb)
 			}
 		}
-	}
-}
-
-func TestFig1Shape(t *testing.T) {
-	g, f1, f2 := Fig1()
-	b1 := g.BorderOfSlice(f1)
-	want1 := []NodeID{"london", "madrid", "paris", "roma"}
-	if strings.Join(idStrings(b1), ",") != strings.Join(idStrings(want1), ",") {
-		t.Errorf("border(F1) = %v, want %v", b1, want1)
-	}
-	b2 := g.BorderOfSlice(f2)
-	want2 := []NodeID{"beijing", "portland", "sydney", "tokyo", "vancouver"}
-	if strings.Join(idStrings(b2), ",") != strings.Join(idStrings(want2), ",") {
-		t.Errorf("border(F2) = %v, want %v", b2, want2)
-	}
-	// F3 = F1 ∪ {paris} is bordered by berlin but F1 is not.
-	f3 := append(append([]NodeID{}, f1...), "paris")
-	b3 := g.BorderOfSlice(f3)
-	if !contains(b3, "berlin") {
-		t.Errorf("border(F3) = %v should contain berlin", b3)
-	}
-	if contains(b1, "berlin") {
-		t.Errorf("border(F1) = %v should not contain berlin", b1)
-	}
-	if !g.IsConnectedSubset(ToSet(g.Nodes())) {
-		t.Error("Fig1 world graph should be connected")
-	}
-}
-
-func TestFig2Shape(t *testing.T) {
-	g, domains := Fig2()
-	if len(domains) != 4 {
-		t.Fatalf("want 4 domains")
-	}
-	var all []NodeID
-	for _, d := range domains {
-		all = append(all, d...)
-		if !g.IsConnectedSubset(ToSet(d)) {
-			t.Errorf("domain %v not connected", d)
-		}
-	}
-	// Domains are pairwise disjoint and consecutive ones share a border
-	// node (adjacent in the paper's sense).
-	comps := g.ConnectedComponents(ToSet(all))
-	if len(comps) != 4 {
-		t.Fatalf("domains are not 4 disjoint regions: %d components", len(comps))
-	}
-	for i := 0; i+1 < len(domains); i++ {
-		bi := ToSet(g.BorderOfSlice(domains[i]))
-		bj := g.BorderOfSlice(domains[i+1])
-		adjacent := false
-		for _, n := range bj {
-			if bi[n] {
-				adjacent = true
-			}
-		}
-		if !adjacent {
-			t.Errorf("domains %d and %d not adjacent", i, i+1)
-		}
-	}
-	// All survivors form a connected graph so borders can coordinate.
-	crashed := ToSet(all)
-	survivors := map[NodeID]bool{}
-	for _, n := range g.Nodes() {
-		if !crashed[n] {
-			survivors[n] = true
-		}
-	}
-	if !g.IsConnectedSubset(survivors) {
-		t.Error("Fig2 survivors should be connected")
 	}
 }
 
@@ -355,11 +274,10 @@ func TestDiameterAndDegreeStats(t *testing.T) {
 	if d := k.Diameter(); d != 1 {
 		t.Errorf("K6 diameter = %d, want 1", d)
 	}
-	if k.MaxDegree() != 5 {
-		t.Errorf("K6 max degree = %d", k.MaxDegree())
-	}
-	if avg := k.AvgDegree(); avg != 5 {
-		t.Errorf("K6 avg degree = %f", avg)
+	for i := range k.Nodes() {
+		if d := k.DegreeOf(int32(i)); d != 5 {
+			t.Errorf("K6 node %d degree = %d, want 5", i, d)
+		}
 	}
 }
 
@@ -373,54 +291,6 @@ func TestDOTOutput(t *testing.T) {
 	}
 }
 
-// TestBorderQuick cross-checks Border against a brute-force definition.
-func TestBorderQuick(t *testing.T) {
-	g := ErdosRenyi(25, 0.15, 5)
-	nodes := g.Nodes()
-	f := func(picks []uint8) bool {
-		s := map[NodeID]bool{}
-		for _, p := range picks {
-			s[nodes[int(p)%len(nodes)]] = true
-		}
-		got := ToSet(g.Border(s))
-		// Brute force: q ∈ border(S) iff q ∉ S and ∃p ∈ S adjacent.
-		for _, q := range nodes {
-			want := false
-			if !s[q] {
-				for _, p := range g.Neighbors(q) {
-					if s[p] {
-						want = true
-					}
-				}
-			}
-			if got[q] != want {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func idStrings(ids []NodeID) []string {
-	out := make([]string, len(ids))
-	for i, n := range ids {
-		out[i] = string(n)
-	}
-	return out
-}
-
-func contains(ids []NodeID, n NodeID) bool {
-	for _, id := range ids {
-		if id == n {
-			return true
-		}
-	}
-	return false
-}
-
 func TestBarabasiAlbert(t *testing.T) {
 	g := BarabasiAlbert(60, 2, 7)
 	if g.Len() != 60 {
@@ -430,8 +300,12 @@ func TestBarabasiAlbert(t *testing.T) {
 		t.Error("BA graph should be connected")
 	}
 	// Preferential attachment yields hubs: max degree well above m.
-	if g.MaxDegree() < 5 {
-		t.Errorf("expected hubs, max degree %d", g.MaxDegree())
+	hub := 0
+	for i := range g.Nodes() {
+		hub = max(hub, g.DegreeOf(int32(i)))
+	}
+	if hub < 5 {
+		t.Errorf("expected hubs, max degree %d", hub)
 	}
 	// Determinism.
 	h := BarabasiAlbert(60, 2, 7)
@@ -445,9 +319,9 @@ func TestHypercube(t *testing.T) {
 	if g.Len() != 16 {
 		t.Fatalf("Len = %d, want 16", g.Len())
 	}
-	for _, n := range g.Nodes() {
-		if g.Degree(n) != 4 {
-			t.Fatalf("node %s degree %d, want 4", n, g.Degree(n))
+	for i, n := range g.Nodes() {
+		if d := g.DegreeOf(int32(i)); d != 4 {
+			t.Fatalf("node %s degree %d, want 4", n, d)
 		}
 	}
 	if d := g.Diameter(); d != 4 {

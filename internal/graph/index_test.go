@@ -59,6 +59,16 @@ func TestIndexRoundTrip(t *testing.T) {
 		if g.Index("no-such-node-id") != -1 {
 			t.Fatalf("%s: Index of unknown node should be -1", name)
 		}
+		// Neighbors hands out a fresh slice: writing to it leaves the graph
+		// as it was.
+		for i, n := range nodes {
+			if nbrs := g.Neighbors(n); len(nbrs) > 0 {
+				nbrs[0] = "overwritten"
+				if got := g.Neighbors(n)[0]; got != g.ID(g.NeighborIndices(int32(i))[0]) {
+					t.Fatalf("%s: writing to Neighbors(%s) changed the graph: row starts %s", name, n, got)
+				}
+			}
+		}
 	}
 }
 

@@ -105,12 +105,6 @@ func (g *referenceGraph) NeighborIndices(i int32) []int32 {
 	return g.csrAdj[g.csrStart[i]:g.csrStart[i+1]]
 }
 
-func (g *referenceGraph) HasEdge(u, v NodeID) bool {
-	nbrs := g.adj[u]
-	i := sort.Search(len(nbrs), func(i int) bool { return nbrs[i] >= v })
-	return i < len(nbrs) && nbrs[i] == v
-}
-
 func (g *referenceGraph) NumEdges() int {
 	total := 0
 	for _, nbrs := range g.adj {

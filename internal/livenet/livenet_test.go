@@ -10,6 +10,7 @@ import (
 	"cliffedge/internal/core"
 	"cliffedge/internal/graph"
 	"cliffedge/internal/proto"
+	"cliffedge/internal/region"
 	"cliffedge/internal/trace"
 )
 
@@ -70,7 +71,7 @@ func TestLiveBlockCrash(t *testing.T) {
 	g := graph.Grid(6, 6)
 	block := graph.GridBlock(2, 2, 2)
 	res := checkedRun(t, g, [][]graph.NodeID{block})
-	border := g.BorderOfSlice(block)
+	border := region.New(g, block).Border()
 	if len(res.Decisions) != len(border) {
 		t.Fatalf("got %d decisions, want %d", len(res.Decisions), len(border))
 	}
@@ -98,7 +99,7 @@ func TestLiveGrowingRegion(t *testing.T) {
 	res := checkedRun(t, g, [][]graph.NodeID{first, second})
 
 	union := append(append([]graph.NodeID{}, first...), second...)
-	border := g.BorderOfSlice(union)
+	border := region.New(g, union).Border()
 	// After the first wave every border node of the 2×2 block decided.
 	// The second wave grows the region; deciders of the first agreement
 	// keep their decision (CD1) and never join the bigger instance, so
@@ -120,8 +121,8 @@ func TestLiveGrowingRegion(t *testing.T) {
 func TestLiveConcurrentDisjointRegions(t *testing.T) {
 	g, f1, f2 := graph.Fig1()
 	res := checkedRun(t, g, [][]graph.NodeID{append(append([]graph.NodeID{}, f1...), f2...)})
-	b1 := g.BorderOfSlice(f1)
-	b2 := g.BorderOfSlice(f2)
+	b1 := region.New(g, f1).Border()
+	b2 := region.New(g, f2).Border()
 	if len(res.Decisions) != len(b1)+len(b2) {
 		t.Fatalf("got %d decisions, want %d", len(res.Decisions), len(b1)+len(b2))
 	}

@@ -8,6 +8,7 @@ import (
 	"cliffedge/internal/graph"
 	"cliffedge/internal/predicate"
 	"cliffedge/internal/proto"
+	"cliffedge/internal/region"
 )
 
 // TestLivePredicateMarkedRegion runs the stable-predicate extension on the
@@ -25,7 +26,7 @@ func TestLivePredicateMarkedRegion(t *testing.T) {
 		rt.Stop()
 		res := rt.Result()
 
-		border := g.BorderOfSlice(block)
+		border := region.New(g, block).Border()
 		if len(res.Decisions) != len(border) {
 			t.Fatalf("iteration %d: got %d decisions, want %d",
 				i, len(res.Decisions), len(border))

@@ -192,27 +192,27 @@ func (n *Node) learn(marked []graph.NodeID) proto.Effects {
 // emitted node is connected (through known marked nodes) to a neighbour of
 // this node by the time the core processes it.
 func (n *Node) bfsOrder(fresh map[graph.NodeID]bool) []graph.NodeID {
-	var queue []graph.NodeID
+	var queue []int32
 	visited := make(map[graph.NodeID]bool)
-	for _, q := range n.g.Neighbors(n.id) {
-		if n.known[q] && !visited[q] {
-			visited[q] = true
-			queue = append(queue, q)
+	visit := func(row []int32) {
+		for _, i := range row {
+			if q := n.g.ID(i); n.known[q] && !visited[q] {
+				visited[q] = true
+				queue = append(queue, i)
+			}
 		}
+	}
+	if n.idx >= 0 {
+		visit(n.g.NeighborIndices(n.idx))
 	}
 	var order []graph.NodeID
 	for len(queue) > 0 {
-		q := queue[0]
+		i := queue[0]
 		queue = queue[1:]
-		if fresh[q] {
+		if q := n.g.ID(i); fresh[q] {
 			order = append(order, q)
 		}
-		for _, m := range n.g.Neighbors(q) {
-			if n.known[m] && !visited[m] {
-				visited[m] = true
-				queue = append(queue, m)
-			}
-		}
+		visit(n.g.NeighborIndices(i))
 	}
 	// Defensive: anything unreachable (cannot happen for well-formed
 	// announces) is appended last in sorted order rather than dropped.

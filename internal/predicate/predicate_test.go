@@ -90,7 +90,7 @@ func TestMarkedRegionAgreement(t *testing.T) {
 	res := run(t, g, markAll(block, 10), 1)
 	assertAgreement(t, g, res, block)
 
-	border := g.BorderOfSlice(block)
+	border := region.New(g, block).Border()
 	if len(res.Decisions) != len(border) {
 		t.Fatalf("got %d decisions, want %d (full border)", len(res.Decisions), len(border))
 	}
@@ -146,7 +146,7 @@ func TestTwoDisjointMarkedRegions(t *testing.T) {
 	r2 := graph.GridBlock(5, 5, 2)
 	res := run(t, g, append(markAll(r1, 10), markAll(r2, 10)...), 3)
 	assertAgreement(t, g, res, append(append([]graph.NodeID{}, r1...), r2...))
-	b1, b2 := g.BorderOfSlice(r1), g.BorderOfSlice(r2)
+	b1, b2 := region.New(g, r1).Border(), region.New(g, r2).Border()
 	if len(res.Decisions) != len(b1)+len(b2) {
 		t.Fatalf("got %d decisions, want %d", len(res.Decisions), len(b1)+len(b2))
 	}
@@ -160,7 +160,7 @@ func TestMarkedNodesGossipOnly(t *testing.T) {
 	block := graph.GridBlock(3, 3, 2)
 	res := run(t, g, markAll(block, 10), 4)
 
-	allowed := graph.ToSet(append(append([]graph.NodeID{}, block...), g.BorderOfSlice(block)...))
+	allowed := graph.ToSet(append(append([]graph.NodeID{}, block...), region.New(g, block).Border()...))
 	for _, e := range res.Events {
 		if e.Kind != trace.KindSend {
 			continue

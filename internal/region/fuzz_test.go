@@ -9,13 +9,14 @@ import (
 
 // fuzzTopologies are the graphs FuzzRegionOps draws from: small enough to
 // brute-force every invariant, varied enough to cover degrees from 1
-// (line ends) to hubs (star centre).
+// (line ends) to hubs (star centre) and irregular random rows.
 var fuzzTopologies = []*graph.Graph{
 	graph.Grid(4, 4),
 	graph.Ring(12),
 	graph.Line(9),
 	graph.Chord(10),
 	graph.Star(9),
+	graph.ErdosRenyi(25, 0.15, 5),
 }
 
 // decodeSet maps a byte slice to a node subset of g.
@@ -68,6 +69,7 @@ func FuzzRegionOps(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0, 11, 11})
 	f.Add([]byte{4, 8, 8, 8, 1, 2, 3, 200, 100, 50})
 	f.Add([]byte{2, 9, 9, 9, 9, 9, 9, 9, 9})
+	f.Add([]byte{5, 0, 3, 7, 12, 19, 24, 2, 3, 11, 17, 18, 23})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return

@@ -3,6 +3,7 @@ package region
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -81,6 +82,12 @@ func TestBorderComputation(t *testing.T) {
 	}
 	if r.Contains(graph.GridID(1, 2)) || !r.Contains(graph.GridID(2, 2)) {
 		t.Error("Contains misclassifies")
+	}
+	// On the path r0-r1-r2-r3, border({r1, r2}) is exactly {r0, r3}, in
+	// order.
+	line := New(graph.Line(4), []graph.NodeID{graph.RingID(2), graph.RingID(1)})
+	if got, want := line.Border(), []graph.NodeID{graph.RingID(0), graph.RingID(3)}; !slices.Equal(got, want) {
+		t.Errorf("border of the path's middle = %v, want %v", got, want)
 	}
 }
 

@@ -113,9 +113,8 @@ func ExperimentT2(gridSide int, ks []int, seed int64) ([]T2Row, error) {
 			return nil, fmt.Errorf("T2 k=%d: %s", k, rep)
 		}
 		block := graph.CenterBlock(gridSide, gridSide, k)
-		border := spec.Graph.BorderOfSlice(block)
 		rows = append(rows, T2Row{
-			K: k, RegionSize: len(block), Border: len(border),
+			K: k, RegionSize: len(block), Border: region.New(spec.Graph, block).BorderLen(),
 			Msgs: res.Stats.Messages, Bytes: res.Stats.Bytes,
 			MaxRound: res.Stats.MaxRound, DecideTime: res.Stats.DecideTime,
 			Decisions: res.Stats.Decisions,

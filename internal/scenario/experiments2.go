@@ -7,6 +7,7 @@ import (
 	"cliffedge/internal/graph"
 	"cliffedge/internal/mck"
 	"cliffedge/internal/predicate"
+	"cliffedge/internal/region"
 	"cliffedge/internal/sim"
 	"cliffedge/internal/trace"
 )
@@ -54,9 +55,8 @@ func ExperimentT6(gridSide int, ks []int, seed int64) ([]T6Row, error) {
 				announce++ // announcements carry no view annotation
 			}
 		}
-		border := g.BorderOfSlice(block)
 		rows = append(rows, T6Row{
-			K: k, RegionSize: len(block), Border: len(border),
+			K: k, RegionSize: len(block), Border: region.New(g, block).BorderLen(),
 			Msgs: res.Stats.Messages, AnnounceMsg: announce,
 			Decisions: res.Stats.Decisions, DecideTime: res.Stats.DecideTime,
 		})

@@ -9,6 +9,7 @@ package scenario
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"cliffedge/internal/check"
 	"cliffedge/internal/core"
@@ -151,10 +152,10 @@ func RandomConnectedRegion(g *graph.Graph, rng *rand.Rand, size int) []graph.Nod
 	if len(nodes) == 0 || size <= 0 {
 		return nil
 	}
-	start := nodes[rng.Intn(len(nodes))]
-	in := map[graph.NodeID]bool{start: true}
-	frontier := append([]graph.NodeID(nil), g.Neighbors(start)...)
-	out := []graph.NodeID{start}
+	start := int32(rng.Intn(len(nodes)))
+	in := map[int32]bool{start: true}
+	frontier := slices.Clone(g.NeighborIndices(start))
+	out := []graph.NodeID{nodes[start]}
 	for len(out) < size && len(frontier) > 0 {
 		i := rng.Intn(len(frontier))
 		n := frontier[i]
@@ -164,8 +165,8 @@ func RandomConnectedRegion(g *graph.Graph, rng *rand.Rand, size int) []graph.Nod
 			continue
 		}
 		in[n] = true
-		out = append(out, n)
-		frontier = append(frontier, g.Neighbors(n)...)
+		out = append(out, nodes[n])
+		frontier = append(frontier, g.NeighborIndices(n)...)
 	}
 	return out
 }

@@ -152,7 +152,7 @@ func TestSimultaneousBlocksOnGrid(t *testing.T) {
 		}
 		g := spec.Graph
 		block := graph.CenterBlock(8, 8, k)
-		border := g.BorderOfSlice(block)
+		border := region.New(g, block).Border()
 		if len(res.Decisions) != len(border) {
 			t.Fatalf("k=%d: got %d decisions, want %d", k, len(res.Decisions), len(border))
 		}

@@ -5,6 +5,7 @@ import (
 
 	"cliffedge/internal/core"
 	"cliffedge/internal/graph"
+	"cliffedge/internal/region"
 )
 
 // TestDebugBlockCrash is a diagnostic twin of TestSmokeBlockCrash that
@@ -29,7 +30,7 @@ func TestDebugBlockCrash(t *testing.T) {
 	for _, d := range res.SortedDecisions() {
 		t.Logf("DECIDED %s view=%s val=%s", d.Node, d.Decision.View, d.Decision.Value)
 	}
-	for _, id := range g.BorderOfSlice(block) {
+	for _, id := range region.New(g, block).Border() {
 		n := res.Automata[g.Index(id)].(*core.Node)
 		t.Logf("node %s decided=%v proposed=%v vp=%s round=%d maxView=%s crashedKnown=%v viol=%v",
 			id, n.Decided() != nil, n.HasProposed(), n.CurrentView(), n.Round(),

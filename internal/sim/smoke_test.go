@@ -6,6 +6,7 @@ import (
 	"cliffedge/internal/core"
 	"cliffedge/internal/graph"
 	"cliffedge/internal/proto"
+	"cliffedge/internal/region"
 )
 
 func coreFactory(g *graph.Graph) proto.Factory {
@@ -71,7 +72,7 @@ func TestSmokeBlockCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	border := g.BorderOfSlice(block)
+	border := region.New(g, block).Border()
 	if len(res.Decisions) != len(border) {
 		for _, e := range res.Events {
 			t.Log(e)
