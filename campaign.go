@@ -72,6 +72,10 @@ type CampaignCellKey = campaign.CellKey
 // and attempt that pin its workload.
 type CampaignJob = campaign.Job
 
+// CampaignGrid is a campaign's job space, cells × seeds × attempts, and
+// the grid index that numbers its jobs.
+type CampaignGrid = campaign.Grid
+
 // CampaignRunStats is the constant-size summary one campaign run produces.
 type CampaignRunStats = campaign.RunStats
 
@@ -305,8 +309,12 @@ func (c *Campaign) cells() []campaign.CellKey {
 // resume cursor: jobs whose results are already on disk are skipped, the
 // rest re-run, and determinism makes the merged report indistinguishable
 // from an uninterrupted sweep.
-func (c *Campaign) Jobs() []CampaignJob {
-	return campaign.Grid(c.cells(), c.seed, c.seeds, c.repeats)
+func (c *Campaign) Jobs() []CampaignJob { return c.Grid().Jobs() }
+
+// Grid returns the campaign's job space without expanding it: a job's
+// grid index is the compact key a persistent frontend keeps per job.
+func (c *Campaign) Grid() CampaignGrid {
+	return campaign.Grid{Cells: c.cells(), SeedStart: c.seed, Seeds: c.seeds, Attempts: c.repeats}
 }
 
 // Workers returns the configured dedicated-pool size (0 = GOMAXPROCS).

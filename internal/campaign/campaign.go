@@ -132,16 +132,52 @@ type RunStats struct {
 	SkipLocality bool
 }
 
-// Grid expands cells × seeds × attempts into the job list of a campaign,
-// in deterministic order.
-func Grid(cells []CellKey, seedStart int64, seeds, attempts int) []Job {
-	jobs := make([]Job, 0, len(cells)*seeds*attempts)
-	for _, c := range cells {
-		for s := 0; s < seeds; s++ {
-			for a := 0; a < attempts; a++ {
-				jobs = append(jobs, Job{Cell: c, Seed: seedStart + int64(s), Attempt: a})
-			}
+// Grid is a campaign's job space: cells × seeds × attempts. Job i is
+// cell i / (Seeds·Attempts), seed SeedStart + (i / Attempts) mod Seeds,
+// attempt i mod Attempts — cell-major, then seed, then attempt, the order
+// Jobs emits — so a job's grid index is all a consumer needs to keep per
+// job. Cells are distinct in a well-formed grid; Index maps a repeated
+// cell to its first position.
+type Grid struct {
+	Cells     []CellKey
+	SeedStart int64
+	Seeds     int
+	Attempts  int
+}
+
+// Len is the number of jobs in the grid.
+func (g Grid) Len() int { return len(g.Cells) * g.Seeds * g.Attempts }
+
+// Job returns job i, 0 ≤ i < Len().
+func (g Grid) Job(i int) Job {
+	perCell := g.Seeds * g.Attempts
+	r := i % perCell
+	return Job{Cell: g.Cells[i/perCell], Seed: g.SeedStart + int64(r/g.Attempts), Attempt: r % g.Attempts}
+}
+
+// Index returns the grid index of job, and false when the job is not in
+// the grid.
+func (g Grid) Index(job Job) (int, bool) {
+	if job.Attempt < 0 || job.Attempt >= g.Attempts || job.Seed < g.SeedStart {
+		return 0, false
+	}
+	s := uint64(job.Seed) - uint64(g.SeedStart) // exact: job.Seed ≥ SeedStart
+	if s >= uint64(g.Seeds) {
+		return 0, false
+	}
+	for c, cell := range g.Cells {
+		if cell == job.Cell {
+			return (c*g.Seeds+int(s))*g.Attempts + job.Attempt, true
 		}
+	}
+	return 0, false
+}
+
+// Jobs expands the grid into its job list, in grid order.
+func (g Grid) Jobs() []Job {
+	jobs := make([]Job, g.Len())
+	for i := range jobs {
+		jobs[i] = g.Job(i)
 	}
 	return jobs
 }

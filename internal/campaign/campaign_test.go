@@ -5,6 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,7 +22,7 @@ var (
 // TestGridExpansion: the job list covers the full cross product in
 // deterministic order.
 func TestGridExpansion(t *testing.T) {
-	jobs := Grid([]CellKey{simCell, liveCell}, 100, 3, 2)
+	jobs := Grid{[]CellKey{simCell, liveCell}, 100, 3, 2}.Jobs()
 	if len(jobs) != 2*3*2 {
 		t.Fatalf("got %d jobs, want 12", len(jobs))
 	}
@@ -28,6 +31,71 @@ func TestGridExpansion(t *testing.T) {
 	}
 	if jobs[len(jobs)-1] != (Job{Cell: liveCell, Seed: 102, Attempt: 1}) {
 		t.Fatalf("unexpected last job %+v", jobs[len(jobs)-1])
+	}
+}
+
+// TestGridIndexRoundTrip: on small random grids, Index inverts Job, Jobs
+// is the cell-major nested expansion, and Index rejects every job just
+// outside the grid.
+func TestGridIndexRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	pool := []CellKey{simCell, liveCell,
+		{Topology: "ring", Regime: "quiescent", Engine: "sim"},
+		{Topology: "ring", Regime: "overlapping", Engine: "live"},
+		{Topology: "er", Regime: "quiescent", Engine: "sim"}}
+	for trial := 0; trial < 200; trial++ {
+		perm := rng.Perm(len(pool))
+		g := Grid{
+			SeedStart: rng.Int63n(41) - 20,
+			Seeds:     1 + rng.Intn(5),
+			Attempts:  1 + rng.Intn(3),
+		}
+		for _, p := range perm[:1+rng.Intn(len(pool)-1)] {
+			g.Cells = append(g.Cells, pool[p])
+		}
+		unknown := pool[perm[len(perm)-1]]
+
+		var want []Job
+		for _, c := range g.Cells {
+			for s := 0; s < g.Seeds; s++ {
+				for a := 0; a < g.Attempts; a++ {
+					want = append(want, Job{Cell: c, Seed: g.SeedStart + int64(s), Attempt: a})
+				}
+			}
+		}
+		if got := g.Jobs(); !slices.Equal(got, want) || g.Len() != len(want) {
+			t.Fatalf("trial %d: %+v: Jobs() = %v (Len %d), want %v", trial, g, got, g.Len(), want)
+		}
+		for i := range g.Len() {
+			job := g.Job(i)
+			if got, ok := g.Index(job); !ok || got != i {
+				t.Fatalf("trial %d: Index(Job(%d) = %+v) = (%d, %v)", trial, i, job, got, ok)
+			}
+			outside := map[string]Job{
+				"unknown cell":       {Cell: unknown, Seed: job.Seed, Attempt: job.Attempt},
+				"seed below range":   {Cell: job.Cell, Seed: g.SeedStart - 1, Attempt: job.Attempt},
+				"seed above range":   {Cell: job.Cell, Seed: g.SeedStart + int64(g.Seeds), Attempt: job.Attempt},
+				"negative attempt":   {Cell: job.Cell, Seed: job.Seed, Attempt: -1},
+				"attempt = attempts": {Cell: job.Cell, Seed: job.Seed, Attempt: g.Attempts},
+			}
+			for name, o := range outside {
+				if got, ok := g.Index(o); ok {
+					t.Fatalf("trial %d: %+v: Index(%+v) (%s) = %d, want not in grid", trial, g, o, name, got)
+				}
+			}
+		}
+	}
+
+	// Seeds at the ends of the int64 range: the distance from SeedStart
+	// must not wrap into the range.
+	g := Grid{Cells: []CellKey{simCell}, SeedStart: math.MinInt64, Seeds: 2, Attempts: 1}
+	for _, seed := range []int64{math.MaxInt64, math.MinInt64 + 2, -1} {
+		if i, ok := g.Index(Job{Cell: simCell, Seed: seed}); ok {
+			t.Fatalf("Index(seed %d) on %+v = %d, want not in grid", seed, g, i)
+		}
+	}
+	if i, ok := g.Index(Job{Cell: simCell, Seed: math.MinInt64 + 1}); !ok || i != 1 {
+		t.Fatalf("Index(seed MinInt64+1) = (%d, %v), want (1, true)", i, ok)
 	}
 }
 
@@ -67,7 +135,7 @@ func TestPoolRunsEveryJobOnce(t *testing.T) {
 		inFlight.Add(-1)
 		return RunStats{Nodes: 10, Decisions: 1, DecideLatency: 5, Fingerprint: "x"}
 	}
-	jobs := Grid([]CellKey{simCell}, 0, 20, 2)
+	jobs := Grid{[]CellKey{simCell}, 0, 20, 2}.Jobs()
 	rep, err := runPool(context.Background(), 4, jobs, run, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +167,7 @@ func TestPoolCancellation(t *testing.T) {
 		}
 		return RunStats{Nodes: 1, Decisions: 1, Fingerprint: "x"}
 	}
-	rep, err := runPool(ctx, 1, Grid([]CellKey{simCell}, 0, 1000, 1), run, nil)
+	rep, err := runPool(ctx, 1, Grid{[]CellKey{simCell}, 0, 1000, 1}.Jobs(), run, nil)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -350,7 +418,7 @@ func TestRunnerOnResult(t *testing.T) {
 	run := func(context.Context, Job) RunStats {
 		return RunStats{Nodes: 10, Decisions: 1, DecideLatency: 5, Fingerprint: "x"}
 	}
-	jobs := Grid([]CellKey{simCell}, 0, 10, 2)
+	jobs := Grid{[]CellKey{simCell}, 0, 10, 2}.Jobs()
 	rep, err := runPool(context.Background(), 4, jobs, run, func(j Job, _ RunStats, persist bool) {
 		if returned.Load() {
 			t.Error("commit after RunAll returned")
@@ -397,7 +465,7 @@ func TestRunnerOnResultCancellation(t *testing.T) {
 		}
 		return RunStats{Nodes: 1, Decisions: 1, Fingerprint: "x"}
 	}
-	rep, err := runPool(ctx, 2, Grid([]CellKey{simCell}, 0, 1000, 1), run, func(_ Job, _ RunStats, persist bool) {
+	rep, err := runPool(ctx, 2, Grid{[]CellKey{simCell}, 0, 1000, 1}.Jobs(), run, func(_ Job, _ RunStats, persist bool) {
 		if persist {
 			persisted.Add(1)
 		} else {
@@ -439,7 +507,7 @@ func syntheticStats(j Job) RunStats {
 // byte-identical JSON. Resume-from-store replays results in log order,
 // not completion order, so persistence correctness rides on this.
 func TestAggregatorOrderIndependence(t *testing.T) {
-	jobs := Grid([]CellKey{simCell, liveCell}, 3, 9, 2)
+	jobs := Grid{[]CellKey{simCell, liveCell}, 3, 9, 2}.Jobs()
 	render := func(order []Job) []byte {
 		agg := NewAggregator()
 		for _, j := range order {

@@ -366,8 +366,7 @@ func TestFleetBadFeedRetriesShard(t *testing.T) {
 
 // TestCoordinatorRetiresFinishedFleets runs one fleet more than the
 // coordinator keeps in memory: the oldest leaves the map and is served —
-// status, report, terminal event — from the store, and the ones that stay
-// have dropped their lease tables.
+// status, report, terminal event — from the store.
 func TestCoordinatorRetiresFinishedFleets(t *testing.T) {
 	_, ts := newWorker(t, nil)
 	co, err := NewCoordinator(filepath.Join(t.TempDir(), "coord"), Config{
@@ -408,12 +407,6 @@ func TestCoordinatorRetiresFinishedFleets(t *testing.T) {
 	f := co.Fleet(last)
 	if f == nil {
 		t.Fatalf("the newest fleet %s was retired", last)
-	}
-	f.mu.Lock()
-	tables := f.shardJobs != nil
-	f.mu.Unlock()
-	if tables {
-		t.Fatal("a finished fleet still holds its lease tables")
 	}
 
 	api := httptest.NewServer(NewServer(co).Handler())

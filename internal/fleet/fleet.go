@@ -246,8 +246,8 @@ func (co *Coordinator) openFleet(m store.Manifest) (*Fleet, error) {
 		sw.Close()
 		return nil, err
 	}
-	for i, sh := range f.shards {
-		_, short := f.uncovered(f.shardJobs[i])
+	for _, sh := range f.shards {
+		_, short := f.uncovered(f.shardGrid(sh))
 		sh.Done = !short
 	}
 	return f, nil
@@ -258,25 +258,24 @@ func (co *Coordinator) newFleet(id string, sw *serve.Sweep, spec cliffedge.Campa
 	if err != nil {
 		return nil, err
 	}
-	jobs := camp.Jobs()
 	f := &Fleet{
 		ID:     id,
 		co:     co,
 		sw:     sw,
 		spec:   spec,
+		grid:   camp.Grid(),
 		shards: shards,
 	}
 	f.ctx, f.stop = context.WithCancel(context.Background())
-	f.shardJobs = make([][]campaign.Job, len(shards))
-	for i, sh := range shards {
-		end := sh.SeedStart + int64(sh.Seeds)
-		for _, j := range jobs {
-			if j.Seed >= sh.SeedStart && j.Seed < end {
-				f.shardJobs[i] = append(f.shardJobs[i], j)
-			}
-		}
-	}
 	return f, nil
+}
+
+// shardGrid is the grid of the shard's own spec: the fleet's grid
+// narrowed to the shard's seeds.
+func (f *Fleet) shardGrid(sh *Shard) campaign.Grid {
+	g := f.grid
+	g.SeedStart, g.Seeds = sh.SeedStart, sh.Seeds
+	return g
 }
 
 func (co *Coordinator) startFleet(f *Fleet) {
@@ -388,13 +387,13 @@ type Fleet struct {
 	co   *Coordinator
 	sw   *serve.Sweep
 	spec cliffedge.CampaignSpec
+	grid campaign.Grid
 
 	ctx  context.Context
 	stop context.CancelFunc
 
 	mu        sync.Mutex
 	shards    []*Shard
-	shardJobs [][]campaign.Job
 	cancelled bool
 	failure   string
 }
@@ -456,11 +455,6 @@ func (f *Fleet) run() {
 	log := f.co.cfg.Logger.With("fleet", f.ID)
 	terminal := false // the manifest reached done or cancelled
 	defer func() {
-		// Every drive has reported by the time the loop returns, so the
-		// lease tables have no reader left.
-		f.mu.Lock()
-		f.shardJobs = nil
-		f.mu.Unlock()
 		if terminal {
 			f.co.fleets.Finish(f.ID)
 		}
@@ -497,7 +491,7 @@ func (f *Fleet) run() {
 				lease := shardLease{
 					index:    i,
 					spec:     sh.Spec(f.spec),
-					jobs:     f.shardJobs[i],
+					grid:     f.shardGrid(sh),
 					remoteID: sh.RemoteID,
 				}
 				running[i] = true
@@ -620,7 +614,7 @@ func (f *Fleet) cancelRemotes(shards []Shard) {
 type shardLease struct {
 	index    int
 	spec     cliffedge.CampaignSpec
-	jobs     []campaign.Job
+	grid     campaign.Grid
 	remoteID string
 }
 
@@ -736,14 +730,14 @@ func (f *Fleet) driveShard(w *worker, lease shardLease, out chan<- shardMsg) {
 				case "done":
 					closeStream()
 					err := feed.syncFinal(ctx)
-					job, short := f.uncovered(lease.jobs)
+					job, short := f.uncovered(lease.grid)
 					if err == nil && short {
 						// The cursor may have gone stale — a log swapped
 						// under it without shrinking. One whole-log sync
 						// is cheaper than re-running the shard.
 						feed.offset = 0
 						err = feed.syncFinal(ctx)
-						job, short = f.uncovered(lease.jobs)
+						job, short = f.uncovered(lease.grid)
 					}
 					switch {
 					case err != nil && ctx.Err() != nil:
@@ -809,10 +803,10 @@ func (f *Fleet) submitShard(ctx context.Context, w *worker, lease shardLease) (s
 	}
 }
 
-// uncovered returns the first of jobs the merged sweep has not committed.
-func (f *Fleet) uncovered(jobs []campaign.Job) (campaign.Job, bool) {
-	for _, job := range jobs {
-		if !f.sw.IsCommitted(job) {
+// uncovered returns the first job of g the merged sweep has not committed.
+func (f *Fleet) uncovered(g campaign.Grid) (campaign.Job, bool) {
+	for i := range g.Len() {
+		if job := g.Job(i); !f.sw.IsCommitted(job) {
 			return job, true
 		}
 	}

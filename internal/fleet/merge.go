@@ -73,19 +73,17 @@ func UnionSpec(specs []cliffedge.CampaignSpec) (cliffedge.CampaignSpec, error) {
 // record with the smallest encoding, an arbitrary but order-independent
 // choice.
 func MergeRecords(camp *cliffedge.Campaign, recs []store.Record) (*campaign.Report, error) {
-	grid := camp.Jobs()
-	inGrid := make(map[campaign.Job]bool, len(grid))
-	for _, j := range grid {
-		inGrid[j] = true
-	}
+	grid := camp.Grid()
 
 	type keyed struct {
-		rec store.Record
-		enc []byte
+		rec   store.Record
+		enc   []byte
+		index int
 	}
 	ordered := make([]keyed, 0, len(recs))
 	for i, rec := range recs {
-		if !inGrid[rec.Job()] {
+		index, inGrid := grid.Index(rec.Job())
+		if !inGrid {
 			return nil, fmt.Errorf("fleet: record %d (%s seed %d attempt %d) is outside the spec's grid",
 				i, rec.Cell, rec.Seed, rec.Attempt)
 		}
@@ -93,7 +91,7 @@ func MergeRecords(camp *cliffedge.Campaign, recs []store.Record) (*campaign.Repo
 		if err != nil {
 			return nil, err
 		}
-		ordered = append(ordered, keyed{rec, enc})
+		ordered = append(ordered, keyed{rec, enc, index})
 	}
 	sort.Slice(ordered, func(i, j int) bool {
 		a, b := ordered[i].rec.Job(), ordered[j].rec.Job()
@@ -104,18 +102,19 @@ func MergeRecords(camp *cliffedge.Campaign, recs []store.Record) (*campaign.Repo
 	})
 
 	agg := campaign.NewAggregator()
-	done := make(map[campaign.Job]bool, len(grid))
+	done := make([]bool, grid.Len())
+	covered := 0
 	for _, k := range ordered {
-		job := k.rec.Job()
-		if done[job] {
+		if done[k.index] {
 			continue
 		}
-		done[job] = true
-		agg.Add(job, k.rec.Stats)
+		done[k.index] = true
+		covered++
+		agg.Add(k.rec.Job(), k.rec.Stats)
 	}
-	if len(done) != len(grid) {
+	if covered != grid.Len() {
 		return nil, fmt.Errorf("fleet: merge covers %d of %d grid jobs — refusing to render an incomplete report",
-			len(done), len(grid))
+			covered, grid.Len())
 	}
 	return agg.Report(), nil
 }

@@ -92,11 +92,12 @@ func (b *Builder) slot(n NodeID) int32 {
 	return s
 }
 
-// AddEdge inserts the undirected edge {u, v}. Self-loops are ignored:
-// knowledge of oneself is implicit and a self-edge would corrupt border
-// computations.
+// AddEdge inserts the undirected edge {u, v}. A self-loop adds u as a
+// node but no edge: knowledge of oneself is implicit and a self-edge
+// would corrupt border computations.
 func (b *Builder) AddEdge(u, v NodeID) *Builder {
 	if u == v {
+		b.slot(u)
 		return b
 	}
 	su, sv := b.slot(u), b.slot(v)

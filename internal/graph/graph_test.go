@@ -36,6 +36,9 @@ func TestBuilderBasics(t *testing.T) {
 
 func TestSelfLoopIgnored(t *testing.T) {
 	g := NewBuilder().AddEdge("a", "a").Build()
+	if n := g.Len(); n != 1 {
+		t.Errorf("self-loop left %d nodes, want 1", n)
+	}
 	if e := g.NumEdges(); e != 0 {
 		t.Errorf("self-loop created %d edges", e)
 	}

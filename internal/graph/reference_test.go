@@ -32,12 +32,12 @@ func (b *referenceBuilder) AddNode(n NodeID) *referenceBuilder {
 	return b
 }
 
-// AddEdge inserts the undirected edge {u, v}. Self-loops are ignored:
-// knowledge of oneself is implicit and a self-edge would corrupt border
-// computations.
+// AddEdge inserts the undirected edge {u, v}. A self-loop adds u as a
+// node but no edge: knowledge of oneself is implicit and a self-edge
+// would corrupt border computations.
 func (b *referenceBuilder) AddEdge(u, v NodeID) *referenceBuilder {
 	if u == v {
-		return b
+		return b.AddNode(u)
 	}
 	b.AddNode(u)
 	b.AddNode(v)

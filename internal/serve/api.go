@@ -209,7 +209,7 @@ func (a *api) info(m store.Manifest, detail bool) any {
 		var spec cliffedge.CampaignSpec
 		if json.Unmarshal(m.Spec, &spec) == nil {
 			if camp, err := cliffedge.NewCampaignFromSpec(spec); err == nil {
-				info.Total = len(camp.Jobs())
+				info.Total = camp.Grid().Len()
 				info.Completed = info.Total
 			}
 		}

@@ -14,6 +14,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"sync"
 	"time"
@@ -57,31 +58,46 @@ func (e Event) Terminal() bool { return e.Type == "done" || e.Type == "cancelled
 // run goes through Commit, which aggregates it, appends it to the durable
 // result log and publishes a progress event — one write path shared by
 // the dedicated CLI runner (via Run) and the server's scheduler.
+//
+// The event history is kept as one row per committed job, keyed by the
+// job's grid index, and rendered into Events on read; a finished sweep a
+// backend keeps for its history costs a row per job.
 type Sweep struct {
 	ID    string
 	st    *store.Store
 	camp  *cliffedge.Campaign
+	grid  campaign.Grid
 	total int // size of the campaign's full grid
 
-	// jobs, agg and done serve a sweep that can still commit; Close drops
-	// them, so a finished sweep kept for its event history costs the
-	// history only. done holds every grid job, true once committed: one
-	// map answers both "in the grid?" and "committed?".
+	// agg and done serve a sweep that can still commit; Close drops them,
+	// so a finished sweep kept for its event history costs the history
+	// only. done is indexed by grid index, true once committed.
 	mu         sync.Mutex
-	jobs       []campaign.Job
 	agg        *campaign.Aggregator
 	results    *store.Results
-	done       map[campaign.Job]bool
-	events     []Event
-	completed  int
+	done       []bool
+	rows       []row
+	errs       map[int]string // run errors by row, only the errored jobs
+	final      *Event         // the terminal event, once published
 	errors     int
-	violations int
+	violations int64
 	notify     chan struct{}
 	closed     bool
 	// cancelled is set before the "cancelled" event is published: a
 	// cancelled campaign has no report, so a client that has seen the
 	// event must not be served the live one in the moment before Close.
 	cancelled bool
+}
+
+// row is one result event: row k renders as the event with Seq k+1 and
+// Completed k+1. errors and totalViolations are the running totals as of
+// the event, so any suffix of the history renders without a rescan.
+type row struct {
+	index           int32 // the job's grid index
+	decisions       int32
+	violations      int32
+	errors          int32
+	totalViolations int64
 }
 
 // Create validates spec, persists the campaign's manifest and empty
@@ -91,7 +107,7 @@ type Sweep struct {
 // top of the spec — both frontends must pass the same ones for resumed
 // runs to be comparable.
 func Create(st *store.Store, id, client string, created time.Time, spec cliffedge.CampaignSpec, extra ...cliffedge.CampaignOption) (*Sweep, error) {
-	camp, err := cliffedge.NewCampaignFromSpec(spec, extra...)
+	camp, err := newCampaign(spec, extra...)
 	if err != nil {
 		return nil, &HTTPError{Status: http.StatusBadRequest, Err: err}
 	}
@@ -126,7 +142,7 @@ func Open(st *store.Store, id string, extra ...cliffedge.CampaignOption) (*Sweep
 	if err := json.Unmarshal(m.Spec, &spec); err != nil {
 		return nil, fmt.Errorf("serve: campaign %s: bad spec: %w", id, err)
 	}
-	camp, err := cliffedge.NewCampaignFromSpec(spec, extra...)
+	camp, err := newCampaign(spec, extra...)
 	if err != nil {
 		return nil, fmt.Errorf("serve: campaign %s: %w", id, err)
 	}
@@ -142,30 +158,44 @@ func Open(st *store.Store, id string, extra ...cliffedge.CampaignOption) (*Sweep
 	return s, nil
 }
 
+// newCampaign builds spec's campaign, whose grid index must fit a row.
+func newCampaign(spec cliffedge.CampaignSpec, extra ...cliffedge.CampaignOption) (*cliffedge.Campaign, error) {
+	camp, err := cliffedge.NewCampaignFromSpec(spec, extra...)
+	if err != nil {
+		return nil, err
+	}
+	const most = math.MaxInt32
+	g := camp.Grid()
+	if c := len(g.Cells); c > most || g.Seeds > most/c || g.Attempts > most/(c*g.Seeds) {
+		return nil, fmt.Errorf("serve: %d cells × %d seeds × %d attempts is more than %d jobs",
+			len(g.Cells), g.Seeds, g.Attempts, most)
+	}
+	return camp, nil
+}
+
 // newSweep assembles the in-memory state, folding replayed records into
 // the aggregator and the event history. A record outside the grid or
 // repeating a job is an error.
 func newSweep(st *store.Store, id string, camp *cliffedge.Campaign, results *store.Results, recs []store.Record) (*Sweep, error) {
-	jobs := camp.Jobs()
+	grid := camp.Grid()
+	total := grid.Len()
 	s := &Sweep{
-		ID: id, st: st, camp: camp, total: len(jobs), jobs: jobs,
+		ID: id, st: st, camp: camp, grid: grid, total: total,
 		agg:     campaign.NewAggregator(),
 		results: results,
-		done:    make(map[campaign.Job]bool, len(jobs)),
+		done:    make([]bool, total),
+		rows:    make([]row, 0, total),
 		notify:  make(chan struct{}),
-	}
-	for _, j := range jobs {
-		s.done[j] = false
 	}
 	for _, rec := range recs {
 		job := rec.Job()
-		if committed, inGrid := s.done[job]; !inGrid || committed {
+		i, inGrid := grid.Index(job)
+		if !inGrid || s.done[i] || !fitsRow(rec.Stats) {
 			return nil, fmt.Errorf("serve: campaign %s: result log does not match spec grid at %s seed %d attempt %d",
 				id, job.Cell, job.Seed, job.Attempt)
 		}
 		s.agg.Add(job, rec.Stats)
-		s.done[job] = true
-		s.appendEventLocked(job, rec.Stats)
+		s.appendRowLocked(i, rec.Stats)
 	}
 	return s, nil
 }
@@ -177,7 +207,7 @@ func (s *Sweep) Total() int { return s.total }
 func (s *Sweep) Completed() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.completed
+	return len(s.rows)
 }
 
 // Remaining lists the grid jobs that have not committed, in grid order —
@@ -186,9 +216,9 @@ func (s *Sweep) Remaining() []campaign.Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []campaign.Job
-	for _, j := range s.jobs {
-		if !s.done[j] {
-			out = append(out, j)
+	for i, committed := range s.done {
+		if !committed {
+			out = append(out, s.grid.Job(i))
 		}
 	}
 	return out
@@ -213,7 +243,11 @@ func (s *Sweep) Commit(job campaign.Job, stats campaign.RunStats, persist bool) 
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.commitLocked(job, stats)
+	i, err := s.indexLocked(job)
+	if err != nil {
+		return err
+	}
+	return s.commitLocked(i, job, stats)
 }
 
 // CommitUnique folds the run in unless its job has already committed, and
@@ -226,10 +260,11 @@ func (s *Sweep) Commit(job campaign.Job, stats campaign.RunStats, persist bool) 
 func (s *Sweep) CommitUnique(job campaign.Job, stats campaign.RunStats) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.done[job] {
-		return false, nil
+	i, err := s.indexLocked(job)
+	if err != nil || s.done[i] {
+		return false, err
 	}
-	if err := s.commitLocked(job, stats); err != nil {
+	if err := s.commitLocked(i, job, stats); err != nil {
 		return false, err
 	}
 	return true, nil
@@ -240,13 +275,28 @@ func (s *Sweep) CommitUnique(job campaign.Job, stats campaign.RunStats) (bool, e
 func (s *Sweep) IsCommitted(job campaign.Job) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.done[job]
+	i, inGrid := s.grid.Index(job)
+	return inGrid && s.done != nil && s.done[i]
 }
 
-func (s *Sweep) commitLocked(job campaign.Job, stats campaign.RunStats) error {
-	if _, inGrid := s.done[job]; !inGrid {
-		return fmt.Errorf("serve: campaign %s: %s seed %d attempt %d is outside the spec grid",
+// indexLocked returns job's grid index, or the error a commit of it
+// answers: the job is outside the grid, or the sweep is closed.
+func (s *Sweep) indexLocked(job campaign.Job) (int, error) {
+	if s.closed {
+		return 0, fmt.Errorf("serve: campaign %s is closed", s.ID)
+	}
+	i, inGrid := s.grid.Index(job)
+	if !inGrid {
+		return 0, fmt.Errorf("serve: campaign %s: %s seed %d attempt %d is outside the spec grid",
 			s.ID, job.Cell, job.Seed, job.Attempt)
+	}
+	return i, nil
+}
+
+func (s *Sweep) commitLocked(i int, job campaign.Job, stats campaign.RunStats) error {
+	if !fitsRow(stats) {
+		return fmt.Errorf("serve: campaign %s: %s seed %d attempt %d: counts out of range (%d decisions, %d violations)",
+			s.ID, job.Cell, job.Seed, job.Attempt, stats.Decisions, stats.Violations)
 	}
 	if err := s.results.Append(store.Record{
 		Cell: job.Cell, Seed: job.Seed, Attempt: job.Attempt, Stats: stats,
@@ -254,25 +304,31 @@ func (s *Sweep) commitLocked(job campaign.Job, stats campaign.RunStats) error {
 		return err
 	}
 	s.agg.Add(job, stats)
-	s.done[job] = true
-	s.appendEventLocked(job, stats)
+	s.appendRowLocked(i, stats)
 	s.wakeLocked()
 	publishCommit(stats)
 	return nil
 }
 
-func (s *Sweep) appendEventLocked(job campaign.Job, stats campaign.RunStats) {
-	s.completed++
+// fitsRow reports whether the run's headline counts fit a row's columns.
+func fitsRow(stats campaign.RunStats) bool {
+	return stats.Decisions == int(int32(stats.Decisions)) && stats.Violations == int(int32(stats.Violations))
+}
+
+// appendRowLocked marks grid index i committed and records its event.
+func (s *Sweep) appendRowLocked(i int, stats campaign.RunStats) {
 	if stats.Err != "" {
 		s.errors++
+		if s.errs == nil {
+			s.errs = make(map[int]string)
+		}
+		s.errs[len(s.rows)] = stats.Err
 	}
-	s.violations += stats.Violations
-	j := job
-	s.events = append(s.events, Event{
-		Seq: int64(len(s.events) + 1), Type: "result",
-		Job: &j, Err: stats.Err, Decisions: stats.Decisions, Violations: stats.Violations,
-		Completed: s.completed, Total: s.total,
-		TotalErrors: s.errors, TotalViolations: s.violations,
+	s.violations += int64(stats.Violations)
+	s.done[i] = true
+	s.rows = append(s.rows, row{
+		index: int32(i), decisions: int32(stats.Decisions), violations: int32(stats.Violations),
+		errors: int32(s.errors), totalViolations: s.violations,
 	})
 }
 
@@ -346,12 +402,13 @@ func (s *Sweep) Cancel() error {
 func (s *Sweep) terminal(typ string, report []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.events = append(s.events, Event{
-		Seq: int64(len(s.events) + 1), Type: typ,
-		Completed: s.completed, Total: s.total,
-		TotalErrors: s.errors, TotalViolations: s.violations,
+	n := len(s.rows)
+	s.final = &Event{
+		Seq: int64(n + 1), Type: typ,
+		Completed: n, Total: s.total,
+		TotalErrors: s.errors, TotalViolations: int(s.violations),
 		Report: report,
-	})
+	}
 	s.wakeLocked()
 }
 
@@ -366,15 +423,29 @@ func (s *Sweep) wakeLocked() {
 // subscriber walks the shared history by sequence number, so every event
 // reaches every subscriber exactly once regardless of reconnects.
 // Negative cursors (a client's bogus Last-Event-ID) read from the start.
+// The result events are rendered from their rows, in time proportional
+// to the number returned.
 func (s *Sweep) EventsSince(since int64) ([]Event, <-chan struct{}) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if since < 0 {
-		since = 0
-	}
+	since = max(since, 0)
 	var out []Event
-	if since < int64(len(s.events)) {
-		out = append(out, s.events[since:]...)
+	if n := int64(len(s.rows)); since < n {
+		out = make([]Event, 0, n-since+1)
+		jobs := make([]campaign.Job, n-since)
+		for k, r := range s.rows[since:] {
+			seq := int(since) + k + 1
+			jobs[k] = s.grid.Job(int(r.index))
+			out = append(out, Event{
+				Seq: int64(seq), Type: "result",
+				Job: &jobs[k], Err: s.errs[seq-1], Decisions: int(r.decisions), Violations: int(r.violations),
+				Completed: seq, Total: s.total,
+				TotalErrors: int(r.errors), TotalViolations: int(r.totalViolations),
+			})
+		}
+	}
+	if s.final != nil && since < s.final.Seq {
+		out = append(out, *s.final)
 	}
 	if s.closed {
 		return out, nil
@@ -383,9 +454,9 @@ func (s *Sweep) EventsSince(since int64) ([]Event, <-chan struct{}) {
 }
 
 // Close releases the result log and what only a sweep that can still
-// commit needs — the aggregate and the job sets. The event history and the
-// progress counts stay readable, which is all a backend keeps a finished
-// sweep for. The sweep must not commit afterwards.
+// commit needs — the aggregate and the committed set. The event history
+// and the progress counts stay readable, which is all a backend keeps a
+// finished sweep for. The sweep must not commit afterwards.
 func (s *Sweep) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -393,7 +464,10 @@ func (s *Sweep) Close() error {
 		return nil
 	}
 	s.closed = true
-	s.jobs, s.agg, s.done = nil, nil, nil
+	s.agg, s.done = nil, nil
+	if len(s.rows) < cap(s.rows) { // cancelled, or shut down mid-sweep
+		s.rows = append(make([]row, 0, len(s.rows)), s.rows...)
+	}
 	s.wakeLocked() // subscribers re-read and see the history is final
 	return s.results.Close()
 }

@@ -3,12 +3,21 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"cliffedge"
+	"cliffedge/internal/gen"
 	"cliffedge/internal/store"
 )
 
@@ -274,5 +283,180 @@ func TestCommitUnique(t *testing.T) {
 	}
 	if sw.IsCommitted(jobs[1]) {
 		t.Fatal("uncommitted job reported committed")
+	}
+}
+
+// TestSweepRejectsWhatRowsCannotHold: a row keeps the grid index and a
+// run's counts in 32 bits, so a spec whose grid has more jobs is refused
+// before anything is persisted, and a record whose counts do not fit is
+// refused before it is logged.
+func TestSweepRejectsWhatRowsCannotHold(t *testing.T) {
+	st, err := store.Open(filepath.Join(t.TempDir(), "data"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ seeds, repeats int }{{math.MaxInt32, 2}, {1 << 62, 4}} {
+		spec := testSpec(tc.seeds)
+		spec.Repeats = tc.repeats
+		_, err := Create(st, "c000001", "t", testCreated, spec)
+		var he *HTTPError
+		if !errors.As(err, &he) || he.Status != http.StatusBadRequest {
+			t.Fatalf("Create(%d seeds × %d repeats) = %v, want a 400", tc.seeds, tc.repeats, err)
+		}
+	}
+	if ms, err := st.List(); err != nil || len(ms) != 0 {
+		t.Fatalf("refused specs left manifests %v (%v)", ms, err)
+	}
+
+	sw, err := Create(st, "c000001", "t", testCreated, testSpec(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sw.Close()
+	job := sw.Remaining()[0]
+	if _, err := sw.CommitUnique(job, cliffedge.CampaignRunStats{Decisions: 1 << 40}); err == nil {
+		t.Fatal("a record with 2^40 decisions was committed")
+	}
+	if sw.IsCommitted(job) || sw.Completed() != 0 {
+		t.Fatal("a refused record counts as committed")
+	}
+}
+
+// TestSweepEventsRenderFromRows commits synthetic runs out of grid
+// order, some errored and some with violations, and checks that every
+// cursor from -1 to past the end reads the same events — JSON for JSON —
+// from a live sweep, a finished and closed one, and the sweep reopened
+// from the store, against the history the commits imply.
+func TestSweepEventsRenderFromRows(t *testing.T) {
+	st, err := store.Open(filepath.Join(t.TempDir(), "data"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := testSpec(5)
+	spec.Regimes = []string{"quiescent", "overlapping"}
+	spec.Repeats = 2
+	sw, err := Create(st, "c000001", "t", testCreated, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := sw.Remaining()
+	total := len(jobs)
+	rand.New(rand.NewSource(3)).Shuffle(total, func(i, j int) { jobs[i], jobs[j] = jobs[j], jobs[i] })
+
+	var want []Event
+	errs, viols := 0, 0
+	for k, job := range jobs {
+		stats := cliffedge.CampaignRunStats{Decisions: k % 7, Nodes: 8, DecideLatency: -1}
+		if k%4 == 1 {
+			stats.Violations = k%3 + 1
+		}
+		if k%6 == 0 {
+			stats.Err = fmt.Sprintf("synthetic failure %d", k)
+			errs++
+		}
+		viols += stats.Violations
+		if err := sw.Commit(job, stats, true); err != nil {
+			t.Fatal(err)
+		}
+		j := job
+		want = append(want, Event{
+			Seq: int64(k + 1), Type: "result", Job: &j, Err: stats.Err,
+			Decisions: stats.Decisions, Violations: stats.Violations,
+			Completed: k + 1, Total: total, TotalErrors: errs, TotalViolations: viols,
+		})
+	}
+	if errs == 0 || viols == 0 {
+		t.Fatal("the synthetic history has no errored run or no violation")
+	}
+
+	check := func(name string, sw *Sweep, want []Event) {
+		t.Helper()
+		for since := int64(-1); since <= int64(total)+1; since++ {
+			got, _ := sw.EventsSince(since)
+			exp := want[min(max(since, 0), int64(len(want))):]
+			var gotJSON, expJSON []byte
+			for _, ev := range got {
+				data, _ := json.Marshal(ev)
+				gotJSON = append(append(gotJSON, data...), '\n')
+			}
+			for _, ev := range exp {
+				data, _ := json.Marshal(ev)
+				expJSON = append(append(expJSON, data...), '\n')
+			}
+			if len(got) != len(exp) || !bytes.Equal(gotJSON, expJSON) {
+				t.Fatalf("%s: EventsSince(%d):\n got %s\nwant %s", name, since, gotJSON, expJSON)
+			}
+		}
+	}
+	check("live", sw, want)
+
+	if err := sw.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	report, err := st.Report("c000001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw.Close()
+	done := Event{Seq: int64(total + 1), Type: "done", Completed: total, Total: total,
+		TotalErrors: errs, TotalViolations: viols, Report: report}
+	check("closed", sw, append(slices.Clip(want), done))
+
+	sw2, err := Open(st, "c000001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sw2.Close()
+	check("reopened", sw2, want)
+}
+
+// TestFinishedSweepBytesPerJob bounds what a finished sweep a backend
+// keeps for its event history retains per job: a 7200-job sweep is
+// committed, finished and closed, and the live heap it holds afterwards
+// is divided by its grid size.
+func TestFinishedSweepBytesPerJob(t *testing.T) {
+	const bound = 64 // B per job
+	st, err := store.Open(filepath.Join(t.TempDir(), "data"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := testSpec(1200)
+	spec.Regimes = gen.RegimeNames()
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC() // a second cycle empties the sync.Pool victim caches
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	sw, err := Create(st, "c000001", "t", testCreated, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := sw.Remaining()
+	if len(jobs) != 7200 {
+		t.Fatalf("grid has %d jobs, want 7200", len(jobs))
+	}
+	for k, job := range jobs {
+		stats := cliffedge.CampaignRunStats{Decisions: 3, Nodes: 8, DecideLatency: 4, Messages: 40}
+		if k%1000 == 0 {
+			stats.Err = "synthetic failure"
+		}
+		if err := sw.Commit(job, stats, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jobs = nil
+	if err := sw.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	sw.Close()
+	after := heap()
+	runtime.KeepAlive(sw)
+	perJob := (float64(after) - float64(before)) / 7200
+	t.Logf("a finished sweep retains %.1f B per job", perJob)
+	if perJob > bound {
+		t.Errorf("a finished sweep retains %.1f B per job, bound %d", perJob, bound)
 	}
 }
