@@ -280,10 +280,11 @@ func (s *Sweep) IsCommitted(job campaign.Job) bool {
 }
 
 // indexLocked returns job's grid index, or the error a commit of it
-// answers: the job is outside the grid, or the sweep is closed.
+// answers: the job is outside the grid, or the sweep has published its
+// terminal event (whose seq the next row would take) or is closed.
 func (s *Sweep) indexLocked(job campaign.Job) (int, error) {
-	if s.closed {
-		return 0, fmt.Errorf("serve: campaign %s is closed", s.ID)
+	if s.final != nil || s.closed {
+		return 0, fmt.Errorf("serve: campaign %s no longer commits", s.ID)
 	}
 	i, inGrid := s.grid.Index(job)
 	if !inGrid {

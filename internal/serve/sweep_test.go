@@ -222,7 +222,8 @@ func TestSweepEventStream(t *testing.T) {
 }
 
 // TestSweepCancelledHasNoReport: once the "cancelled" event is out, the
-// sweep serves no report, even before the server gets round to Close.
+// sweep serves no report, even before the server gets round to Close,
+// and commits nothing more.
 func TestSweepCancelledHasNoReport(t *testing.T) {
 	st, err := store.Open(filepath.Join(t.TempDir(), "data"))
 	if err != nil {
@@ -244,6 +245,11 @@ func TestSweepCancelledHasNoReport(t *testing.T) {
 	}
 	if rep := sw.Report(); rep != nil {
 		t.Fatalf("a cancelled sweep served a report: %+v", rep)
+	}
+	// A commit would take the terminal event's seq.
+	job := sw.Remaining()[0]
+	if err := sw.Commit(job, sw.RunJob(context.Background(), job), true); err == nil {
+		t.Fatal("a cancelled sweep accepted a commit")
 	}
 }
 
